@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -54,6 +55,15 @@ def _load(args):
         from .scenarios import with_clearing_time
         scenario = with_clearing_time(scenario, args.clear_time)
     return scenario
+
+
+def _check_tolerances(args):
+    """Reject a non-finite or non-positive --epsilon/--tail-tol up front."""
+    for name in ("epsilon", "tail_tol"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            flag = "--" + name.replace("_", "-")
+            raise SchemaError(f"{flag} must be finite and positive, got {value!r}")
 
 
 def _out_dir(args):
@@ -156,6 +166,7 @@ def build_report(scenario, result, config, epsilon=DEFAULT_EPSILON,
 
 
 def cmd_run(args):
+    _check_tolerances(args)
     scenario = _load(args)
     config = SimConfig.from_scenario(scenario, dt=args.dt, t_end=args.t_end)
     result = run_simulation(scenario, config)
@@ -195,6 +206,7 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
+    _check_tolerances(args)
     scenario = _load(args)
     if args.t_from is None or args.t_to is None or args.step is None:
         raise SchemaError("sweep needs --from, --to and --step")

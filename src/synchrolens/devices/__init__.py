@@ -1,62 +1,31 @@
-"""Device models: DAE right-hand sides, injections, initializers and CF terms."""
+"""Device models: one broadcasting kernel per model for derivatives and
+injection, one for the closed-form chi, plus initializers and CF terms."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..errors import InitInfeasible
 from .base import DeviceKind, XiTerms, from_machine_frame, to_machine_frame
 from .inverter import (GFL_STATE_NAMES, GFM_STATE_NAMES, GflParams, GfmParams,
-                       gfl_chi, gfl_derivatives, gfl_init, gfl_injection,
-                       gfl_modulation, gfl_pll_speed, gfl_xi_terms, gfm_chi,
-                       gfm_derivatives, gfm_emf, gfm_init, gfm_injection,
-                       gfm_speed, gfm_xi_terms)
-from .loads import ZipParams, zip_chi, zip_current, zip_injection, zip_power
-from .machine import (SM_STATE_NAMES, SmParams, sm2_chi, sm2_params,
-                      sm4_params, sm4_xi_terms, sm6_derivatives, sm6_params,
-                      sm6_xi_terms, sm_chi_analytic, sm_chi_direct,
-                      sm_chi_from_terms, sm_currents, sm_derivatives, sm_init,
-                      sm_injection, sm_torque, sm_xi_terms)
-from .motor import (ImParams, im_admittance, im_chi, im_derivatives, im_init,
+                       gfl_admittance_cf, gfl_fg, gfl_init, gfl_injection,
+                       gfl_modulation, gfl_xi_terms, gfm_admittance_cf,
+                       gfm_emf, gfm_fg, gfm_init, gfm_injection, gfm_speed,
+                       gfm_xi_terms)
+from .loads import ZipParams, zip_admittance_cf, zip_injection, zip_power
+from .machine import (SM_STATE_NAMES, SmParams, sm2_params, sm4_params,
+                      sm6_params, sm_admittance_cf, sm_fg, sm_flux_rates,
+                      sm_init, sm_injection, sm_xi_terms)
+from .motor import (ImParams, im_admittance, im_admittance_cf, im_fg, im_init,
                     im_injection, im_power, im_pullout, im_torque)
 
 __all__ = [
     "DeviceKind", "XiTerms", "to_machine_frame", "from_machine_frame",
     "SmParams", "sm2_params", "sm4_params", "sm6_params", "SM_STATE_NAMES",
-    "sm_derivatives", "sm6_derivatives", "sm_currents", "sm_injection",
-    "sm_torque", "sm_init", "sm_xi_terms", "sm6_xi_terms", "sm4_xi_terms",
-    "sm2_chi", "sm_chi_direct", "sm_chi_analytic", "sm_chi_from_terms",
-    "ZipParams", "zip_power", "zip_current", "zip_injection", "zip_chi",
+    "sm_fg", "sm_flux_rates", "sm_injection", "sm_admittance_cf", "sm_init",
+    "sm_xi_terms",
+    "ZipParams", "zip_power", "zip_injection", "zip_admittance_cf",
     "ImParams", "im_torque", "im_power", "im_admittance", "im_injection",
-    "im_derivatives", "im_chi", "im_pullout", "im_init",
-    "GflParams", "GFL_STATE_NAMES", "gfl_modulation", "gfl_pll_speed",
-    "gfl_injection", "gfl_derivatives", "gfl_xi_terms", "gfl_chi", "gfl_init",
+    "im_fg", "im_admittance_cf", "im_pullout", "im_init",
+    "GflParams", "GFL_STATE_NAMES", "gfl_modulation", "gfl_injection",
+    "gfl_fg", "gfl_xi_terms", "gfl_admittance_cf", "gfl_init",
     "GfmParams", "GFM_STATE_NAMES", "gfm_emf", "gfm_speed", "gfm_injection",
-    "gfm_derivatives", "gfm_xi_terms", "gfm_chi", "gfm_init",
-    "device_init",
+    "gfm_fg", "gfm_xi_terms", "gfm_admittance_cf", "gfm_init",
 ]
-
-
-def device_init(kind: DeviceKind, params, v_net: complex, s_inj: complex):
-    """Power-flow-consistent initial state for a device.
-
-    Returns (state, inputs) where inputs is a dict of back-solved quantities
-    (tau_m, v_f, e_q0, sigma ...), empty for devices without states.
-    """
-    if kind in (DeviceKind.SM6, DeviceKind.SM4, DeviceKind.SM2):
-        state, tau_m, field = sm_init(params, v_net, s_inj)
-        if kind is DeviceKind.SM2:
-            return state, {"tau_m": tau_m, "e_q0": field}
-        return state, {"tau_m": tau_m, "v_f": field}
-    if kind is DeviceKind.INDUCTION_MOTOR:
-        # s_inj carries the drawn power target only through its mechanical input;
-        # the caller resolves sigma from tau_m instead (see sim.initialize).
-        raise InitInfeasible("motor initialization requires tau_m; use im_init")
-    if kind is DeviceKind.GFL_IBR:
-        return gfl_init(params, v_net), {}
-    if kind is DeviceKind.GFM_IBR:
-        return gfm_init(params, v_net, s_inj), {}
-    if kind in (DeviceKind.ZIP, DeviceKind.VOLTAGE_SOURCE,
-                DeviceKind.DC_CURRENT_SOURCE):
-        return np.empty(0), {}
-    raise InitInfeasible(f"no initializer for {kind}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cf import MIN_MAG, ComplexFrequency
+from ..cf import MIN_MAG
 from ..errors import CurrentTooSmall, ModulationTooSmall, ParamDomain
 from .base import XiTerms
 
@@ -51,93 +51,101 @@ class GflParams:
         return complex(self.i_dref, self.i_qref)
 
 
-def gfl_modulation(state, params: GflParams) -> complex:
-    x_bar = complex(state[0], state[1])
-    i_m = complex(state[2], state[3])
-    return x_bar + params.K_p * (params.i_ref - i_m)
+def gfl_modulation(x, params: GflParams):
+    """Modulation vector m = x_bar + K_p*(i_ref - i_m) from the state columns."""
+    return 1j * x[1] + x[0] + params.K_p * (params.i_ref - (1j * x[3] + x[2]))
 
 
-def gfl_pll_speed(state, params: GflParams, v_q: float):
-    """(delta_omega_pll, omega_tilde) in pu."""
-    d_omega = params.K_p_pll * v_q + state[4]
-    return d_omega, d_omega + params.omega_ref
+def _pll_deviation(x, params: GflParams, v_q):
+    """PLL speed deviation delta_omega_pll in pu (add omega_ref for the speed)."""
+    return params.K_p_pll * v_q + x[4]
 
 
-def gfl_current_pll(state, params: GflParams, v_pll: complex) -> complex:
+def _current_pll(x, params: GflParams, v_pll):
     """Injected current in the PLL frame from the filter algebraic relation."""
-    m = gfl_modulation(state, params)
+    m = gfl_modulation(x, params)
     return (m * params.v_dc0 - (1.0 + params.z_f * params.y_f) * v_pll) / params.z_f
 
 
-def gfl_injection(state, params: GflParams, v_net: complex) -> complex:
-    theta = state[5]
-    v_pll = v_net * np.exp(-1j * theta)
-    return gfl_current_pll(state, params, v_pll) * np.exp(1j * theta)
+def _modulation_rates(x, params: GflParams, m, m2, i_pll):
+    """(m_dot/m, alpha_dot) of the modulation vector given |m|^2, 1/s."""
+    dm_d = (params.K_i * (params.i_dref - x[2])
+            - (params.K_p / params.T_m) * (i_pll.real - x[2]))
+    dm_q = (params.K_i * (params.i_qref - x[3])
+            - (params.K_p / params.T_m) * (i_pll.imag - x[3]))
+    return ((m.real * dm_d + m.imag * dm_q) / m2,
+            (m.real * dm_q - m.imag * dm_d) / m2)
 
 
-def gfl_derivatives(state, params: GflParams, v_net: complex):
-    """Time derivatives of (x_d, x_q, i_dm, i_qm, x_pll, theta_pll), 1/s."""
-    theta = state[5]
-    v_pll = v_net * np.exp(-1j * theta)
-    i_pll = gfl_current_pll(state, params, v_pll)
-    d_omega, _ = gfl_pll_speed(state, params, v_pll.imag)
-    dx_d = params.K_i * (params.i_dref - state[2])
-    dx_q = params.K_i * (params.i_qref - state[3])
-    di_dm = (i_pll.real - state[2]) / params.T_m
-    di_qm = (i_pll.imag - state[3]) / params.T_m
-    dx_pll = params.K_i_pll * v_pll.imag
-    dtheta = params.omega_b * d_omega
-    return np.array([dx_d, dx_q, di_dm, di_qm, dx_pll, dtheta])
+def gfl_injection(states, params: GflParams, v):
+    """Injected current (network frame, machine base)."""
+    x = states.T
+    rot = np.exp(-1j * x[5])
+    return _current_pll(x, params, v * rot) * np.conj(rot)
 
 
-def _gfl_modulation_rates(state, params: GflParams, i_pll: complex):
-    """(m_dot/m, alpha_dot) of the modulation vector, 1/s."""
-    m = gfl_modulation(state, params)
-    m2 = abs(m) ** 2
-    if m2 < MIN_MAG ** 2:
-        raise ModulationTooSmall(f"|m|={abs(m):.3e} below MIN_MAG")
-    dm_d = (params.K_i * (params.i_dref - state[2])
-            - (params.K_p / params.T_m) * (i_pll.real - state[2]))
-    dm_q = (params.K_i * (params.i_qref - state[3])
-            - (params.K_p / params.T_m) * (i_pll.imag - state[3]))
-    m_rate = (m.real * dm_d + m.imag * dm_q) / m2
-    a_rate = (m.real * dm_q - m.imag * dm_d) / m2
-    return m_rate, a_rate
+def gfl_fg(states, params: GflParams, v):
+    """(derivatives of (x_d, x_q, i_dm, i_qm, x_pll, theta_pll) in 1/s,
+    injected current in machine base)."""
+    p = params
+    x = states.T
+    rot = np.exp(-1j * x[5])
+    v_pll = v * rot
+    i_pll = _current_pll(x, p, v_pll)
+    deriv = np.array([p.K_i * (p.i_dref - x[2]),
+                      p.K_i * (p.i_qref - x[3]),
+                      (i_pll.real - x[2]) / p.T_m,
+                      (i_pll.imag - x[3]) / p.T_m,
+                      p.K_i_pll * v_pll.imag,
+                      p.omega_b * _pll_deviation(x, p, v_pll.imag)]).T
+    return deriv, i_pll * np.conj(rot)
 
 
-def gfl_xi_terms(state, params: GflParams, v_net: complex, i_net: complex) -> XiTerms:
-    """(xi_a, k_rho, k_omega) for the converter current CF."""
+def gfl_admittance_cf(states, params: GflParams, v, i, rho, omega, ratio=1.0):
+    """Closed-form admittance CF of the converter,
+
+        chi = m*v_dc0/(z_f*i_pll) * (m_dot/m - rho + j*(alpha_dot + omega_t - omega)),
+
+    with |i_pll| and |m| floored at MIN_MAG; i is the injected current on a
+    base ratio times the machine base.
+    """
+    p = params
+    x = states.T
+    rot = np.exp(-1j * x[5])
+    v_pll = v * rot
+    i_pll = (i / ratio) * rot
+    i_safe = np.where(np.abs(i_pll) < MIN_MAG, MIN_MAG, i_pll)
+    m = gfl_modulation(x, p)
+    m2 = np.maximum(np.abs(m) ** 2, MIN_MAG ** 2)
+    m_rate, a_rate = _modulation_rates(x, p, m, m2, i_pll)
+    omega_t = _pll_deviation(x, p, v_pll.imag) + p.omega_ref
+    front = m * p.v_dc0 / (p.z_f * i_safe)
+    return front * (m_rate / p.omega_b - rho
+                    + 1j * (a_rate / p.omega_b + omega_t - omega))
+
+
+def gfl_xi_terms(state, params: GflParams, v_net, i_net) -> XiTerms:
+    """(xi_a, k_rho, k_omega) for the converter current CF.
+
+    Composed with chi_from_xi_terms it must reproduce gfl_admittance_cf.
+    """
     theta = state[5]
     v_pll = v_net * np.exp(-1j * theta)
     i_pll = i_net * np.exp(-1j * theta)
     if abs(i_pll) < MIN_MAG:
         raise CurrentTooSmall(f"|i|={abs(i_pll):.3e} below MIN_MAG")
     m = gfl_modulation(state, params)
-    m_rate, a_rate = _gfl_modulation_rates(state, params, i_pll)
-    _, omega_t = gfl_pll_speed(state, params, v_pll.imag)
+    m2 = abs(m) ** 2
+    if m2 < MIN_MAG ** 2:
+        raise ModulationTooSmall(f"|m|={abs(m):.3e} below MIN_MAG")
+    m_rate, a_rate = _modulation_rates(state, params, m, m2, i_pll)
+    omega_t = _pll_deviation(state, params, v_pll.imag) + params.omega_ref
     front = m * params.v_dc0 / (params.z_f * i_pll)
     xi_a = front * (m_rate / params.omega_b
                     + 1j * (a_rate / params.omega_b + omega_t))
     k_rho = 1.0 - front
     k_omega = 1j * (1.0 - front)
     return XiTerms(complex(xi_a), complex(k_rho), complex(k_omega))
-
-
-def gfl_chi(state, params: GflParams, v_net: complex, i_net: complex,
-            eta: ComplexFrequency) -> ComplexFrequency:
-    """Boxed closed-form chi for the GFL converter."""
-    theta = state[5]
-    v_pll = v_net * np.exp(-1j * theta)
-    i_pll = i_net * np.exp(-1j * theta)
-    if abs(i_pll) < MIN_MAG:
-        raise CurrentTooSmall(f"|i|={abs(i_pll):.3e} below MIN_MAG")
-    m = gfl_modulation(state, params)
-    m_rate, a_rate = _gfl_modulation_rates(state, params, i_pll)
-    _, omega_t = gfl_pll_speed(state, params, v_pll.imag)
-    front = m * params.v_dc0 / (params.z_f * i_pll)
-    chi = front * (m_rate / params.omega_b - eta.rho
-                   + 1j * (a_rate / params.omega_b + omega_t - eta.omega))
-    return ComplexFrequency(float(chi.real), float(chi.imag))
 
 
 def gfl_init(params: GflParams, v_net: complex):
@@ -172,56 +180,72 @@ class GfmParams:
             object.__setattr__(self, "T_p", self.T_v)
 
 
-def gfm_emf(state, params: GfmParams) -> complex:
-    return state[0] * np.exp(1j * state[1])
+def gfm_emf(x):
+    """Internal EMF e*exp(j*delta) from the state columns."""
+    return x[0] * np.exp(1j * x[1])
 
 
-def gfm_speed(state, params: GfmParams):
+def gfm_speed(x, params: GfmParams):
     """Droop speed omega_gfm in pu."""
-    return params.m_p * (params.p_ref - state[3]) + 1.0
+    return params.m_p * (params.p_ref - x[3]) + 1.0
 
 
-def gfm_injection(state, params: GfmParams, v_net: complex) -> complex:
-    return (gfm_emf(state, params) - v_net) / params.z_t
+def _emf_rate(x, params: GfmParams, v_mag):
+    """d/dt of the EMF magnitude e, 1/s."""
+    return (params.K_i * (params.v_ref - x[2])
+            - (params.K_p / params.T_v) * (x[2] - v_mag))
 
 
-def gfm_derivatives(state, params: GfmParams, v_net: complex, i_net: complex):
-    """Time derivatives of (e, delta, v_m, p_m), 1/s."""
-    e, _, v_m, p_m = state
-    v = abs(v_net)
-    p = (v_net * np.conj(i_net)).real
-    de = params.K_i * (params.v_ref - v_m) - (params.K_p / params.T_v) * (v_m - v)
-    ddelta = params.omega_b * (gfm_speed(state, params) - 1.0)
-    dv_m = (v - v_m) / params.T_v
-    dp_m = (p - p_m) / params.T_p
-    return np.array([de, ddelta, dv_m, dp_m])
+def gfm_injection(states, params: GfmParams, v):
+    """Injected current (network frame, machine base)."""
+    return (gfm_emf(states.T) - v) / params.z_t
 
 
-def gfm_xi_terms(state, params: GfmParams, v_net: complex, i_net: complex) -> XiTerms:
+def gfm_fg(states, params: GfmParams, v):
+    """(derivatives of (e, delta, v_m, p_m) in 1/s, injected current)."""
+    p = params
+    x = states.T
+    i = gfm_injection(states, p, v)
+    v_mag = abs(v)
+    power = (v * np.conj(i)).real
+    deriv = np.array([_emf_rate(x, p, v_mag),
+                      p.omega_b * (gfm_speed(x, p) - 1.0),
+                      (v_mag - x[2]) / p.T_v,
+                      (power - x[3]) / p.T_p]).T
+    return deriv, i
+
+
+def gfm_admittance_cf(states, params: GfmParams, v, i, rho, omega, ratio=1.0):
+    """Closed-form admittance CF of the converter,
+
+        chi = e_bar/(z_t*i) * (e_dot/e - rho + j*(omega_gfm - omega)),
+
+    with |i| and e floored at MIN_MAG; i is the injected current on a base
+    ratio times the machine base.
+    """
+    p = params
+    x = states.T
+    e = x[0]
+    i_dev = i / ratio
+    i_safe = np.where(np.abs(i_dev) < MIN_MAG, MIN_MAG, i_dev)
+    de = _emf_rate(x, p, np.abs(v))
+    front = gfm_emf(x) / (p.z_t * i_safe)
+    return front * (de / np.maximum(e, MIN_MAG) / p.omega_b - rho
+                    + 1j * (gfm_speed(x, p) - omega))
+
+
+def gfm_xi_terms(state, params: GfmParams, v_net, i_net) -> XiTerms:
+    """(xi_a, k_rho, k_omega); composed with chi_from_xi_terms it must
+    reproduce gfm_admittance_cf."""
     if abs(i_net) < MIN_MAG:
         raise CurrentTooSmall(f"|i|={abs(i_net):.3e} below MIN_MAG")
-    e_bar = gfm_emf(state, params)
-    de = gfm_derivatives(state, params, v_net, i_net)[0]
-    front = e_bar / (params.z_t * i_net)
-    omega_g = gfm_speed(state, params)
-    xi_a = front * (de / state[0] / params.omega_b + 1j * omega_g)
+    de = _emf_rate(state, params, abs(v_net))
+    front = gfm_emf(state) / (params.z_t * i_net)
+    xi_a = front * (de / state[0] / params.omega_b
+                    + 1j * gfm_speed(state, params))
     k_rho = 1.0 - front
     k_omega = 1j * (1.0 - front)
     return XiTerms(complex(xi_a), complex(k_rho), complex(k_omega))
-
-
-def gfm_chi(state, params: GfmParams, v_net: complex, i_net: complex,
-            eta: ComplexFrequency) -> ComplexFrequency:
-    """Boxed closed-form chi for the GFM converter."""
-    if abs(i_net) < MIN_MAG:
-        raise CurrentTooSmall(f"|i|={abs(i_net):.3e} below MIN_MAG")
-    e_bar = gfm_emf(state, params)
-    de = gfm_derivatives(state, params, v_net, i_net)[0]
-    front = e_bar / (params.z_t * i_net)
-    omega_g = gfm_speed(state, params)
-    chi = front * (de / state[0] / params.omega_b - eta.rho
-                   + 1j * (omega_g - eta.omega))
-    return ComplexFrequency(float(chi.real), float(chi.imag))
 
 
 def gfm_init(params: GfmParams, v_net: complex, s_inj: complex):

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cf import MIN_MAG, ComplexFrequency, ParkVector
+from ..cf import MIN_MAG
 from ..errors import MixedZipUnsupportedAnalytic, ParamDomain, VoltageTooSmall
+from .base import any_sample
 
 _SHARE_TOL = 1e-9
 
@@ -48,26 +49,16 @@ def zip_power(params: ZipParams, v_mag: float):
     return p, q
 
 
-def zip_current(v: ParkVector, params: ZipParams) -> ParkVector:
-    """Current injected into the network (negative of the drawn current)."""
-    v_c = v.to_complex()
-    v_mag = abs(v_c)
-    if v_mag < MIN_MAG:
-        raise VoltageTooSmall(f"|v|={v_mag:.3e} below MIN_MAG")
+def zip_injection(params: ZipParams, v):
+    """Current injected into the network (the negative of the drawn current)."""
+    v_mag = abs(v)
+    if any_sample(v_mag < MIN_MAG):
+        raise VoltageTooSmall(f"|v|={np.min(v_mag):.3e} below MIN_MAG")
     p, q = zip_power(params, v_mag)
-    i_drawn = np.conj(complex(p, q) / v_c)
-    return ParkVector.from_complex(-i_drawn)
+    return -np.conj((1j * q + p) / v)
 
 
-def zip_injection(params: ZipParams, v_net: complex) -> complex:
-    v_mag = abs(v_net)
-    if v_mag < MIN_MAG:
-        raise VoltageTooSmall(f"|v|={v_mag:.3e} below MIN_MAG")
-    p, q = zip_power(params, v_mag)
-    return -np.conj(complex(p, q) / v_net)
-
-
-def zip_chi(params: ZipParams, eta: ComplexFrequency) -> ComplexFrequency:
+def zip_admittance_cf(params: ZipParams, rho):
     """Closed-form chi: 0 (Z), -rho (I) or -2*rho (P); omega part is zero."""
     kind = params.pure_kind()
     if kind is None:
@@ -75,4 +66,4 @@ def zip_chi(params: ZipParams, eta: ComplexFrequency) -> ComplexFrequency:
             "mixed ZIP loads have no closed-form chi; use the numeric route"
         )
     factor = {"z": 0.0, "i": -1.0, "p": -2.0}[kind]
-    return ComplexFrequency(factor * eta.rho, 0.0)
+    return factor * rho + 0.0j

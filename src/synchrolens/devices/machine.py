@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cf import MIN_MAG, ComplexFrequency, chi_from_xi_terms
+from ..cf import MIN_MAG
 from ..errors import CurrentTooSmall, ParamDomain
 from .base import XiTerms, from_machine_frame, to_machine_frame
 
@@ -117,162 +117,133 @@ def sm2_params(x1_d, M, D, omega_b, x_l=None, e_q0=0.0):
                     0.0, 0.0, 0.0, 0.0, M, D, omega_b, e_q0=e_q0)
 
 
-def _emf_components(state, params):
+def _emf_components(x, params):
     """Subtransient EMF terms E''_d, E''_q feeding the stator solve."""
     if params.order == 6:
-        _, _, psi2_d, psi2_q, e1_d, e1_q = state
         g_d1, g_q1 = params.gamma_d1, params.gamma_q1
-        E_d = g_d1 * e1_q + (1.0 - g_d1) * psi2_d
-        E_q = -g_q1 * e1_d + (1.0 - g_q1) * psi2_q
+        E_d = g_d1 * x[5] + (1.0 - g_d1) * x[2]
+        E_q = -g_q1 * x[4] + (1.0 - g_q1) * x[3]
     elif params.order == 4:
-        e1_d, e1_q = state[2], state[3]
-        E_d, E_q = e1_q, -e1_d
+        E_d, E_q = x[3], -x[2]
     else:
         E_d, E_q = params.e_q0, 0.0
     return E_d, E_q
 
 
-def sm_currents(state, params, v_net):
+def _stator_current(x, params, v_m):
     """Machine-frame terminal current (i_d + j*i_q) from the stator solve."""
-    delta = state[0]
-    v_m = to_machine_frame(v_net, delta)
     v_d, v_q = v_m.real, v_m.imag
-    E_d, E_q = _emf_components(state, params)
+    E_d, E_q = _emf_components(x, params)
     x2d, x2q, rs = params.x2_d, params.x2_q, params.R_s
     det = x2d * x2q + rs * rs
     i_d = (x2q * (E_d - v_q) - rs * (E_q + v_d)) / det
     i_q = (x2d * (E_q + v_d) + rs * (E_d - v_q)) / det
-    return complex(i_d, i_q)
+    return 1j * i_q + i_d
 
 
-def sm_injection(state, params, v_net, i_m=None):
-    """Current injected into the network (network frame, machine base)."""
-    if i_m is None:
-        i_m = sm_currents(state, params, v_net)
-    return from_machine_frame(i_m, state[0])
+def sm_flux_rates(x, params, i_d, i_q, v_f):
+    """Rates of the flux states that follow (delta, omega_r), in state order, 1/s.
+
+    () for order 2, (de1_d, de1_q) for order 4 and (dpsi2_d, dpsi2_q, de1_d,
+    de1_q) for order 6; x holds the state columns (``states.T``).
+    """
+    p = params
+    if p.order == 2:
+        return ()
+    if p.order == 4:
+        # two-axis model: gamma_d1 = gamma_q1 = 1, subtransient states eliminated
+        e1_d, e1_q = x[2], x[3]
+        de1_d = ((p.x_q - p.x1_q) * i_q - e1_d) / p.T1_q0
+        de1_q = (v_f - (p.x_d - p.x1_d) * i_d - e1_q) / p.T1_d0
+        return de1_d, de1_q
+    psi2_d, psi2_q, e1_d, e1_q = x[2], x[3], x[4], x[5]
+    dpsi2_d = (-psi2_d + e1_q - (p.x1_d - p.x_l) * i_d) / p.T2_d0
+    dpsi2_q = (-psi2_q - e1_d - (p.x1_q - p.x_l) * i_q) / p.T2_q0
+    de1_d = ((p.x_q - p.x1_q)
+             * (p.gamma_q1 * i_q - p.gamma_q2 * (psi2_q + e1_d))
+             - e1_d) / p.T1_q0
+    de1_q = (v_f
+             - (p.x_d - p.x1_d)
+             * (p.gamma_d1 * i_d - p.gamma_d2 * (psi2_d - e1_q))
+             - e1_q) / p.T1_d0
+    return dpsi2_d, dpsi2_q, de1_d, de1_q
 
 
-def sm_torque(state, params, v_net, i_m=None):
-    """Air-gap torque tau_e = psi_q*i_d - psi_d*i_q."""
-    delta = state[0]
-    v_m = to_machine_frame(v_net, delta)
-    if i_m is None:
-        i_m = sm_currents(state, params, v_net)
-    psi = 1j * (params.R_s * i_m + v_m)
-    return psi.imag * i_m.real - psi.real * i_m.imag
-
-
-def sm_derivatives(state, params, v_net, tau_m, v_f, i_m=None):
-    """Time derivatives of the machine states, 1/s."""
-    omega_r = state[1]
-    if i_m is None:
-        i_m = sm_currents(state, params, v_net)
-    tau_e = sm_torque(state, params, v_net, i_m)
-    i_d, i_q = i_m.real, i_m.imag
-
-    ddelta = params.omega_b * (omega_r - 1.0)
-    domega = (tau_m - tau_e - params.D * (omega_r - 1.0)) / params.M
-    if params.order == 2:
-        return np.array([ddelta, domega])
-
-    if params.order == 6:
-        _, _, psi2_d, psi2_q, e1_d, e1_q = state
-        dpsi2_d = (-psi2_d + e1_q - (params.x1_d - params.x_l) * i_d) / params.T2_d0
-        dpsi2_q = (-psi2_q - e1_d - (params.x1_q - params.x_l) * i_q) / params.T2_q0
-        de1_d = ((params.x_q - params.x1_q)
-                 * (params.gamma_q1 * i_q - params.gamma_q2 * (psi2_q + e1_d))
-                 - e1_d) / params.T1_q0
-        de1_q = (v_f
-                 - (params.x_d - params.x1_d)
-                 * (params.gamma_d1 * i_d - params.gamma_d2 * (psi2_d - e1_q))
-                 - e1_q) / params.T1_d0
-        return np.array([ddelta, domega, dpsi2_d, dpsi2_q, de1_d, de1_q])
-
-    # two-axis model: gamma_d1 = gamma_q1 = 1, subtransient states eliminated
-    e1_d, e1_q = state[2], state[3]
-    de1_d = ((params.x_q - params.x1_q) * i_q - e1_d) / params.T1_q0
-    de1_q = (v_f - (params.x_d - params.x1_d) * i_d - e1_q) / params.T1_d0
-    return np.array([ddelta, domega, de1_d, de1_q])
-
-
-def sm6_derivatives(state, params, v_net, tau_m, v_f):
-    if params.order != 6:
-        raise ParamDomain("sm6_derivatives requires an order-6 parameter set")
-    return sm_derivatives(state, params, v_net, tau_m, v_f)
-
-
-def _emf_rates(state, params, v_net, v_f):
+def _emf_rates(x, params, i_d, i_q, v_f):
     """d/dt of E''_d and E''_q, 1/s.  Independent of tau_m."""
     if params.order == 2:
         return 0.0, 0.0
-    i_m = sm_currents(state, params, v_net)
-    i_d, i_q = i_m.real, i_m.imag
-    if params.order == 6:
-        _, _, psi2_d, psi2_q, e1_d, e1_q = state
-        dpsi2_d = (-psi2_d + e1_q - (params.x1_d - params.x_l) * i_d) / params.T2_d0
-        dpsi2_q = (-psi2_q - e1_d - (params.x1_q - params.x_l) * i_q) / params.T2_q0
-        de1_d = ((params.x_q - params.x1_q)
-                 * (params.gamma_q1 * i_q - params.gamma_q2 * (psi2_q + e1_d))
-                 - e1_d) / params.T1_q0
-        de1_q = (v_f
-                 - (params.x_d - params.x1_d)
-                 * (params.gamma_d1 * i_d - params.gamma_d2 * (psi2_d - e1_q))
-                 - e1_q) / params.T1_d0
-        g_d1, g_q1 = params.gamma_d1, params.gamma_q1
-        dE_d = g_d1 * de1_q + (1.0 - g_d1) * dpsi2_d
-        dE_q = -g_q1 * de1_d + (1.0 - g_q1) * dpsi2_q
-        return dE_d, dE_q
-    e1_d, e1_q = state[2], state[3]
-    de1_d = ((params.x_q - params.x1_q) * i_q - e1_d) / params.T1_q0
-    de1_q = (v_f - (params.x_d - params.x1_d) * i_d - e1_q) / params.T1_d0
-    return de1_q, -de1_d
+    rates = sm_flux_rates(x, params, i_d, i_q, v_f)
+    if params.order == 4:
+        de1_d, de1_q = rates
+        return de1_q, -de1_d
+    dpsi2_d, dpsi2_q, de1_d, de1_q = rates
+    g_d1, g_q1 = params.gamma_d1, params.gamma_q1
+    return (g_d1 * de1_q + (1.0 - g_d1) * dpsi2_d,
+            -g_q1 * de1_d + (1.0 - g_q1) * dpsi2_q)
 
 
-def sm_xi_terms(state, params, v_net, i_net, v_f=None) -> XiTerms:
+def sm_injection(states, params, v):
+    """Current injected into the network (network frame, machine base)."""
+    x = states.T
+    i_m = _stator_current(x, params, to_machine_frame(v, x[0]))
+    return from_machine_frame(i_m, x[0])
+
+
+def sm_fg(states, params, v, tau_m, v_f):
+    """(state derivatives in 1/s, injected current in machine base)."""
+    p = params
+    x = states.T
+    delta, omega_r = x[0], x[1]
+    v_m = to_machine_frame(v, delta)
+    i_m = _stator_current(x, p, v_m)
+    tau_e = _air_gap_torque(v_m, i_m, p.R_s)
+    ddelta = p.omega_b * (omega_r - 1.0)
+    domega = (tau_m - tau_e - p.D * (omega_r - 1.0)) / p.M
+    rates = sm_flux_rates(x, p, i_m.real, i_m.imag, v_f)
+    return (np.array([ddelta, domega, *rates]).T,
+            from_machine_frame(i_m, delta))
+
+
+def sm_admittance_cf(states, params, v, i, rho, omega, v_f=0.0, ratio=1.0):
+    """Closed-form admittance CF of the machine.
+
+    i is the injected current on a base ratio times the machine base (the
+    system base for ratio = device MVA / system MVA); |i|^2 is floored at
+    MIN_MAG^2.  Order 2 uses the classical form
+    (-j*s/(x'_d*i^2) + 1)*(-rho + j*(omega_r - omega)); orders 4 and 6 the
+    grouped form (omega_r - omega)*(j - T) - rho*(1 - K) + EMF-rate terms.
+    """
+    p = params
+    x = states.T
+    delta, omega_r = x[0], x[1]
+    rot = 1j * np.exp(-1j * delta)
+    v_m = rot * v
+    i_m = rot * (i / ratio)
+    i2 = np.maximum(np.abs(i_m) ** 2, MIN_MAG ** 2)
+    if p.order == 2:
+        s = v_m * np.conj(i_m)
+        factor = -1j * s / (p.x1_d * i2) + 1.0
+        return factor * (-rho + 1j * (omega_r - omega))
+    v_d, v_q = v_m.real, v_m.imag
+    zdc = p.R_s - 1j * p.x2_d   # conj(R_s + j*x''_d)
+    zqc = p.R_s - 1j * p.x2_q   # conj(R_s + j*x''_q)
+    det = p.x2_d * p.x2_q + p.R_s ** 2
+    b = np.conj(i_m) / (det * i2)
+    dE_d, dE_q = _emf_rates(x, p, i_m.real, i_m.imag, v_f)
+    t_omega = b * (zdc * v_q - 1j * zqc * v_d)
+    k_rho = -b * (zdc * v_d + 1j * zqc * v_q)
+    deriv_term = b * (1j * zqc * dE_d - zdc * dE_q) / p.omega_b
+    return ((omega_r - omega) * (1j - t_omega) - rho * (1.0 - k_rho)
+            + deriv_term)
+
+
+def sm_xi_terms(state, params, v_net, i_net, v_f=0.0) -> XiTerms:
     """Analytic (xi_a, k_rho, k_omega) of the injected-current CF.
 
-    i_net is the injected current in machine base; it must match the stator
-    solve up to sign (the terms are invariant under i -> -i).
-    """
-    if abs(i_net) < MIN_MAG:
-        raise CurrentTooSmall(f"|i|={abs(i_net):.3e} below MIN_MAG")
-    delta, omega_r = state[0], state[1]
-    v_m = to_machine_frame(v_net, delta)
-    i_m = to_machine_frame(i_net, delta)
-    v_d, v_q = v_m.real, v_m.imag
-
-    zdc = params.R_s - 1j * params.x2_d   # conj(R_s + j*x''_d)
-    zqc = params.R_s - 1j * params.x2_q   # conj(R_s + j*x''_q)
-    det = params.x2_d * params.x2_q + params.R_s ** 2
-    b = np.conj(i_m) / (det * abs(i_m) ** 2)
-
-    dE_d, dE_q = _emf_rates(state, params, v_net, v_f)
-    dE_dn, dE_qn = dE_d / params.omega_b, dE_q / params.omega_b
-
-    xi_a = 1j * omega_r + b * (1j * zqc * (dE_dn + omega_r * v_d)
-                               - zdc * (dE_qn + omega_r * v_q))
-    k_rho = -b * (zdc * v_d + 1j * zqc * v_q)
-    k_omega = b * (zdc * v_q - 1j * zqc * v_d)
-    return XiTerms(complex(xi_a), complex(k_rho), complex(k_omega))
-
-
-def sm6_xi_terms(state, params, v_net, i_net, v_f=None):
-    if params.order != 6:
-        raise ParamDomain("sm6_xi_terms requires an order-6 parameter set")
-    return sm_xi_terms(state, params, v_net, i_net, v_f)
-
-
-def sm4_xi_terms(state, params, v_net, i_net, v_f=None):
-    if params.order != 4:
-        raise ParamDomain("sm4_xi_terms requires an order-4 parameter set")
-    return sm_xi_terms(state, params, v_net, i_net, v_f)
-
-
-def sm_chi_direct(state, params, v_net, i_net, eta, v_f=None):
-    """Admittance CF evaluated in the grouped (direct) form.
-
-    chi = (omega_r - omega)*(j - T) - rho*(1 - K) + derivative terms, which is
-    the same algebra as composing the xi terms but evaluated independently.
+    An independent grouping of the closed form: composed with
+    chi_from_xi_terms it must reproduce sm_admittance_cf.  i_net is the
+    injected current in machine base.
     """
     if abs(i_net) < MIN_MAG:
         raise CurrentTooSmall(f"|i|={abs(i_net):.3e} below MIN_MAG")
@@ -286,35 +257,14 @@ def sm_chi_direct(state, params, v_net, i_net, eta, v_f=None):
     det = params.x2_d * params.x2_q + params.R_s ** 2
     b = np.conj(i_m) / (det * abs(i_m) ** 2)
 
-    t_omega = b * (zdc * v_q - 1j * zqc * v_d)
+    dE_d, dE_q = _emf_rates(state, params, i_m.real, i_m.imag, v_f)
+    dE_dn, dE_qn = dE_d / params.omega_b, dE_q / params.omega_b
+
+    xi_a = 1j * omega_r + b * (1j * zqc * (dE_dn + omega_r * v_d)
+                               - zdc * (dE_qn + omega_r * v_q))
     k_rho = -b * (zdc * v_d + 1j * zqc * v_q)
-    dE_d, dE_q = _emf_rates(state, params, v_net, v_f)
-    deriv_term = b * (1j * zqc * dE_d - zdc * dE_q) / params.omega_b
-
-    chi = ((omega_r - eta.omega) * (1j - t_omega)
-           - eta.rho * (1.0 - k_rho)
-           + deriv_term)
-    return ComplexFrequency(float(chi.real), float(chi.imag))
-
-
-def sm2_chi(state, params, s, i_mag, eta) -> ComplexFrequency:
-    """Classical-model admittance CF: (-j*s/(x'_d i^2) + 1)(-rho + j(omega_r - omega))."""
-    if i_mag < MIN_MAG:
-        raise CurrentTooSmall(f"|i|={i_mag:.3e} below MIN_MAG")
-    omega_r = state[1]
-    factor = -1j * s / (params.x1_d * i_mag ** 2) + 1.0
-    chi = factor * (-eta.rho + 1j * (omega_r - eta.omega))
-    return ComplexFrequency(float(chi.real), float(chi.imag))
-
-
-def sm_chi_analytic(state, params, v_net, i_net, eta, v_f=None):
-    """Boxed closed-form chi for the machine's order."""
-    if params.order == 2:
-        v_m = to_machine_frame(v_net, state[0])
-        i_m = to_machine_frame(i_net, state[0])
-        s = v_m * np.conj(i_m)
-        return sm2_chi(state, params, complex(s), abs(i_m), eta)
-    return sm_chi_direct(state, params, v_net, i_net, eta, v_f)
+    k_omega = b * (zdc * v_q - 1j * zqc * v_d)
+    return XiTerms(complex(xi_a), complex(k_rho), complex(k_omega))
 
 
 def sm_init(params, v_net, s_inj):
@@ -334,7 +284,7 @@ def sm_init(params, v_net, s_inj):
     e1_q = v_q + params.R_s * i_q + params.x1_d * i_d
     e1_d = v_d + params.R_s * i_d - params.x1_q * i_q
     v_f = e1_q + (params.x_d - params.x1_d) * i_d
-    tau_m = sm_torque_from(v_m, i_m, params.R_s)
+    tau_m = _air_gap_torque(v_m, i_m, params.R_s)
 
     if params.order == 2:
         state = np.array([delta, 1.0])
@@ -348,12 +298,7 @@ def sm_init(params, v_net, s_inj):
     return state, tau_m, v_f
 
 
-def sm_torque_from(v_m, i_m, r_s):
+def _air_gap_torque(v_m, i_m, r_s):
+    """tau_e = psi_q*i_d - psi_d*i_q with the stator flux psi = j*(R_s*i + v)."""
     psi = 1j * (r_s * i_m + v_m)
     return psi.imag * i_m.real - psi.real * i_m.imag
-
-
-def sm_chi_from_terms(state, params, v_net, i_net, eta, v_f=None):
-    """Compose chi through the xi-terms pathway (cross-check route)."""
-    terms = sm_xi_terms(state, params, v_net, i_net, v_f)
-    return chi_from_xi_terms(terms.xi_a, terms.k_rho, terms.k_omega, eta)

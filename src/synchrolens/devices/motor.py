@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cf import ComplexFrequency
 from ..errors import InitInfeasible, ParamDomain, SlipSingular
+from .base import any_sample
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,13 @@ class ImParams:
         return self.x + self.x_mu
 
 
-def _rotor_r(params: ImParams, sigma: float) -> float:
-    if sigma == 0.0:
+def _rotor_r(params: ImParams, sigma):
+    if any_sample(sigma == 0.0):
         raise SlipSingular("slip is zero; rotor branch is singular")
     return params.r_S + params.r_R1 / sigma
 
 
-def im_torque(params: ImParams, sigma: float, v_mag: float) -> float:
+def im_torque(params: ImParams, sigma, v_mag):
     """Electrical torque at slip sigma and voltage magnitude v_mag."""
     r = _rotor_r(params, sigma)
     return (params.r_R1 / sigma) * v_mag ** 2 / (r ** 2 + params.x ** 2)
@@ -58,35 +58,39 @@ def im_power(params: ImParams, sigma: float, v_mag: float):
     return p, q
 
 
-def im_admittance(params: ImParams, sigma: float) -> complex:
+def im_admittance(params: ImParams, sigma):
     """Complex admittance seen from the terminals at slip sigma."""
-    r = _rotor_r(params, sigma)
-    return 1.0 / (1j * params.x_mu) + 1.0 / complex(r, params.x)
+    z = 1j * params.x + _rotor_r(params, sigma)
+    return 1.0 / (1j * params.x_mu) + 1.0 / z
 
 
-def im_injection(params: ImParams, sigma: float, v_net: complex) -> complex:
-    """Current injected into the network (load: the negative drawn current)."""
-    return -im_admittance(params, sigma) * v_net
-
-
-def im_derivatives(sigma: float, params: ImParams, v_mag: float, tau_m: float):
+def _slip_rate(params: ImParams, sigma, v, tau_m):
     """Slip derivative: 2*H_m*sigma_dot = tau_m - tau_e."""
-    tau_e = im_torque(params, sigma, v_mag)
-    return (tau_m - tau_e) / (2.0 * params.H_m)
+    return (tau_m - im_torque(params, sigma, abs(v))) / (2.0 * params.H_m)
 
 
-def im_chi(sigma: float, params: ImParams, sigma_dot: float) -> ComplexFrequency:
+def im_injection(states, params: ImParams, v):
+    """Current injected into the network (load: the negative drawn current)."""
+    return -im_admittance(params, states.T[0]) * v
+
+
+def im_fg(states, params: ImParams, v, tau_m):
+    """(slip derivative in 1/s, injected current in machine base)."""
+    sigma_dot = _slip_rate(params, states.T[0], v, tau_m)
+    return np.array([sigma_dot]).T, im_injection(states, params, v)
+
+
+def im_admittance_cf(states, params: ImParams, v, tau_m):
     """Closed-form admittance CF driven by the rotor-resistance rate."""
+    sigma = states.T[0]
     r = _rotor_r(params, sigma)
-    if r == 0.0:
-        raise SlipSingular("total rotor-branch resistance is zero")
-    r_dot = -(params.r_R1 / sigma ** 2) * sigma_dot
+    r_dot = -(params.r_R1 / sigma ** 2) * _slip_rate(params, sigma, v, tau_m)
     x, x_t, x_mu = params.x, params.x_t, params.x_mu
     z2 = r ** 2 + x ** 2
     bracket = (r ** 2 * (x_t ** 2 - x ** 2)
-               + 1j * r * x_mu * (r ** 2 - x ** 2 - x_mu * x)) / (z2 * (r ** 2 + x_t ** 2))
-    chi = -(r_dot / r) * bracket / params.omega_b
-    return ComplexFrequency(float(chi.real), float(chi.imag))
+               + 1j * r * x_mu * (r ** 2 - x ** 2 - x_mu * x)) \
+        / (z2 * (r ** 2 + x_t ** 2))
+    return -(r_dot / r) * bracket / params.omega_b
 
 
 def im_pullout(params: ImParams, v_mag: float = 1.0):

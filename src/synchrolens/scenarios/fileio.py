@@ -51,10 +51,6 @@ _DEVICE_KEYS = {
 }
 
 
-def allowed_device_keys(kind: DeviceKind):
-    return frozenset(_DEVICE_KEYS[kind])
-
-
 def _parse_sections(text):
     """[(kind, label, {key: (value, line)}), ...] in file order."""
     sections = []
@@ -94,6 +90,13 @@ def _float(entry, name):
     except ValueError:
         raise ParseError(f"{name}: expected a number, got {value!r}",
                          line=lineno, column=1)
+
+
+def _int(entry, name):
+    number = _float(entry, name)
+    if not number.is_integer():
+        raise SchemaError(f"{name}: expected an integer, got {entry[0]!r}")
+    return int(number)
 
 
 def _bool(entry, name):
@@ -204,7 +207,7 @@ def load_scenario(text: str) -> Scenario:
         if "base_mva" in system else 100.0,
         dt=_float(sim["dt"], "dt") if "dt" in sim else 1e-3,
         t_end=_float(sim["t_end"], "t_end") if "t_end" in sim else 10.0,
-        record_decimation=int(_float(sim["record_decimation"], "record_decimation"))
+        record_decimation=_int(sim["record_decimation"], "record_decimation")
         if "record_decimation" in sim else 1,
         analytic=system["analytic"][0] if "analytic" in system else None,
         monitored=tuple(v for v in system["monitored"][0].split(",") if v)

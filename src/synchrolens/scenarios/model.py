@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from ..devices import DeviceKind
@@ -11,6 +12,18 @@ from ..network import Branch, Bus, Event, EventKind, Network
 # Device kinds whose power-flow role fixes the bus voltage magnitude.
 _VOLTAGE_SETTING = (DeviceKind.SM2, DeviceKind.SM4, DeviceKind.SM6,
                     DeviceKind.GFM_IBR, DeviceKind.VOLTAGE_SOURCE)
+
+
+def check_run_settings(dt, t_end, record_decimation):
+    """SchemaError unless dt and t_end are finite and positive and the
+    recording decimation is an integer of at least 1."""
+    for name, value in (("dt", dt), ("t_end", t_end)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise SchemaError(f"{name} must be finite and positive, got {value!r}")
+    if (isinstance(record_decimation, bool)
+            or not isinstance(record_decimation, int) or record_decimation < 1):
+        raise SchemaError("record_decimation must be an integer >= 1, "
+                          f"got {record_decimation!r}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +84,7 @@ class Scenario:
 
     def validate(self):
         """Structural checks; raises SchemaError on the first violation."""
+        check_run_settings(self.dt, self.t_end, self.record_decimation)
         bus_ids = {b.id for b in self.buses}
         if len(bus_ids) != len(self.buses):
             raise SchemaError("duplicate bus ids")
@@ -112,8 +126,8 @@ class Scenario:
         seen = set()
         open_faults = set()
         for ev in self.events:
-            if ev.time <= 0.0:
-                raise SchemaError(f"event at t={ev.time} must be after t=0")
+            if not (math.isfinite(ev.time) and ev.time > 0.0):
+                raise SchemaError(f"event at t={ev.time} must be finite and after t=0")
             if ev.time < last_t:
                 raise SchemaError("event times must be non-decreasing")
             last_t = ev.time

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -88,6 +89,8 @@ def cct_sweep(scenario: Scenario, t_from: float, t_to: float, step: float,
     (largest passing, smallest failing) pair by ALS verdict, with a flag for
     whether the verdicts are monotone in the clearing time.
     """
+    if not all(math.isfinite(x) for x in (t_from, t_to, step)):
+        raise SchemaError("sweep bounds and step must be finite")
     if step <= 0.0 or t_to < t_from:
         raise SchemaError("empty or inverted sweep range")
     if device_id is None:

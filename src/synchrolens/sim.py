@@ -19,21 +19,20 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .cf import Trajectory
-from .devices import (DeviceKind, GflParams, GfmParams, ImParams, ZipParams,
-                      gfl_chi, gfl_derivatives, gfl_init, gfl_injection,
-                      gfl_pll_speed, gfm_chi, gfm_derivatives, gfm_init,
-                      gfm_injection, im_chi, im_derivatives, im_init,
-                      im_injection, im_power, sm_chi_analytic, sm_currents,
-                      sm_derivatives, sm_init, sm_injection, sm2_params,
-                      sm4_params, sm6_params, zip_chi, zip_injection,
+from .devices import (GFL_STATE_NAMES, GFM_STATE_NAMES, DeviceKind, GflParams,
+                      GfmParams, ImParams, ZipParams, gfl_admittance_cf,
+                      gfl_fg, gfl_init, gfl_injection, gfm_admittance_cf,
+                      gfm_fg, gfm_init, gfm_injection, im_admittance_cf, im_fg,
+                      im_init, im_injection, im_power, sm2_params, sm4_params,
+                      sm6_params, sm_admittance_cf, sm_fg, sm_init,
+                      sm_injection, zip_admittance_cf, zip_injection,
                       zip_power)
-from .devices.inverter import gfl_current_pll
 from .errors import (InitInfeasible, MixedZipUnsupportedAnalytic,
                      NewtonDivergence, SchemaError)
 from .network import (EventKind, Network, PfBusSpec, apply_event, assemble_y,
                       connected_bus_mask, dynamic_branch_derivatives,
                       dynamic_branch_init, interface_solve, solve_power_flow)
-from .scenarios.model import DeviceSpec, Scenario
+from .scenarios.model import DeviceSpec, Scenario, check_run_settings
 
 
 @dataclass(frozen=True)
@@ -46,8 +45,7 @@ class SimConfig:
     fd_eps: float = 1e-7
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.t_end <= 0.0:
-            raise SchemaError("dt and t_end must be positive")
+        check_run_settings(self.dt, self.t_end, self.record_decimation)
 
     @staticmethod
     def from_scenario(scenario: Scenario, **overrides):
@@ -81,19 +79,17 @@ class SimResult:
         return Trajectory(float(self.t[0]), self.dt, self.voltages[bus_id],
                           frame_omega=self.frame_omega, omega_b=self.omega_b)
 
-    def current_trajectory(self, device_id) -> Trajectory:
-        return Trajectory(float(self.t[0]), self.dt, self.currents[device_id],
-                          frame_omega=self.frame_omega, omega_b=self.omega_b)
-
-    def device_voltage_trajectory(self, device_id) -> Trajectory:
-        return self.voltage_trajectory(self.device_bus[device_id])
-
 
 # --- device adapters --------------------------------------------------------
 
 
 class Adapter:
-    """Couples one device spec to the DAE: states, injection, derivatives."""
+    """Couples one device spec to the DAE and to the closed-form chi.
+
+    Stateful adapters define fg(t, states, v) -> (derivatives, injection);
+    inj and chi broadcast over a leading sample axis like the device kernels
+    they forward to.  Currents are on the system base.
+    """
 
     n_states = 0
     state_names: tuple = ()
@@ -114,21 +110,14 @@ class Adapter:
         """Back-solve the steady state given terminal (v, s) in system base."""
         return np.empty(0)
 
-    def f(self, t, state, v_bus):
-        return np.empty(0)
-
-    def inj(self, t, state, v_bus):
+    def inj(self, t, states, v):
         return 0.0j
 
     def pf_is_pq(self):
         return True
 
-    def fg(self, t, state, v_bus):
-        """(state derivatives, injected current) in one evaluation."""
-        return self.f(t, state, v_bus), self.inj(t, state, v_bus)
-
-    def analytic_chi(self, state, v_bus, i_sys, eta):
-        """Closed-form chi at one sample, or None where the model has none."""
+    def chi(self, states, v, i, rho, omega):
+        """Closed-form chi over the samples, or None where the model has none."""
         return None
 
 
@@ -208,37 +197,25 @@ class SmAdapter(Adapter):
         return self.tau_m0 * (1.0 + self.mod_amp
                               * np.sin(2.0 * np.pi * self.mod_hz * t))
 
-    def v_field(self, state, v_bus):
+    def v_field(self, states, v):
         if not self.avr:
             return self.v_f0
-        err = self.v_ref - abs(v_bus)
-        return self.v_f0 + self.avr_kp * err + state[-1]
+        return self.v_f0 + self.avr_kp * (self.v_ref - abs(v)) + states.T[-1]
 
-    def f(self, t, state, v_bus):
-        v_f = self.v_field(state, v_bus)
-        core = sm_derivatives(state[:self.mp.n_states], self.mp, v_bus,
-                              self._tau_m(t), v_f)
-        if not self.avr:
-            return core
-        dx_avr = self.avr_ki * (self.v_ref - abs(v_bus))
-        return np.append(core, dx_avr)
-
-    def inj(self, t, state, v_bus):
-        return sm_injection(state[:self.mp.n_states], self.mp, v_bus) * self.ratio
-
-    def fg(self, t, state, v_bus):
-        core = state[:self.mp.n_states]
-        i_m = sm_currents(core, self.mp, v_bus)
-        v_f = self.v_field(state, v_bus)
-        deriv = sm_derivatives(core, self.mp, v_bus, self._tau_m(t), v_f, i_m)
+    def fg(self, t, states, v):
+        deriv, i = sm_fg(states[..., :self.mp.n_states], self.mp, v,
+                         self._tau_m(t), self.v_field(states, v))
         if self.avr:
-            deriv = np.append(deriv, self.avr_ki * (self.v_ref - abs(v_bus)))
-        return deriv, sm_injection(core, self.mp, v_bus, i_m) * self.ratio
+            dx_avr = self.avr_ki * (self.v_ref - abs(v))
+            deriv = np.concatenate([deriv, np.asarray(dx_avr)[..., None]], axis=-1)
+        return deriv, i * self.ratio
 
-    def analytic_chi(self, state, v_bus, i_sys, eta):
-        return sm_chi_analytic(state[:self.mp.n_states], self.mp, v_bus,
-                               i_sys / self.ratio, eta,
-                               v_f=self.v_field(state, v_bus))
+    def inj(self, t, states, v):
+        return sm_injection(states[..., :self.mp.n_states], self.mp, v) * self.ratio
+
+    def chi(self, states, v, i, rho, omega):
+        return sm_admittance_cf(states[..., :self.mp.n_states], self.mp, v, i,
+                                rho, omega, self.v_field(states, v), self.ratio)
 
 
 class ZipAdapter(Adapter):
@@ -254,12 +231,12 @@ class ZipAdapter(Adapter):
         pf_spec.p_fns.append(lambda vm: -zip_power(self.zp, vm)[0])
         pf_spec.q_fns.append(lambda vm: -zip_power(self.zp, vm)[1])
 
-    def inj(self, t, state, v_bus):
-        return zip_injection(self.zp, v_bus)
+    def inj(self, t, states, v):
+        return zip_injection(self.zp, v)
 
-    def analytic_chi(self, state, v_bus, i_sys, eta):
+    def chi(self, states, v, i, rho, omega):
         try:
-            return zip_chi(self.zp, eta)
+            return zip_admittance_cf(self.zp, rho)
         except MixedZipUnsupportedAnalytic:
             return None
 
@@ -288,19 +265,20 @@ class MotorAdapter(Adapter):
         sigma = im_init(self.imp, abs(v_bus), self.tau_m)
         return np.array([sigma])
 
-    def f(self, t, state, v_bus):
-        return np.array([im_derivatives(state[0], self.imp, abs(v_bus), self.tau_m)])
+    def fg(self, t, states, v):
+        deriv, i = im_fg(states, self.imp, v, self.tau_m)
+        return deriv, i * self.ratio
 
-    def inj(self, t, state, v_bus):
-        return im_injection(self.imp, state[0], v_bus) * self.ratio
+    def inj(self, t, states, v):
+        return im_injection(states, self.imp, v) * self.ratio
 
-    def analytic_chi(self, state, v_bus, i_sys, eta):
-        sigma_dot = im_derivatives(state[0], self.imp, abs(v_bus), self.tau_m)
-        return im_chi(state[0], self.imp, sigma_dot)
+    def chi(self, states, v, i, rho, omega):
+        return im_admittance_cf(states, self.imp, v, self.tau_m)
 
 
 class GflAdapter(Adapter):
     n_states = 6
+    state_names = GFL_STATE_NAMES
 
     def __init__(self, spec, system_base, omega_b):
         super().__init__(spec, system_base, omega_b)
@@ -312,8 +290,6 @@ class GflAdapter(Adapter):
                             y_f=complex(p.get("y_f_g", 0.0), p.get("y_f_b", 0.0)),
                             i_dref=_p(p, "i_dref"), i_qref=p.get("i_qref", 0.0),
                             omega_b=omega_b)
-        from .devices import GFL_STATE_NAMES
-        self.state_names = GFL_STATE_NAMES
 
     def pf_contrib(self, pf_spec, is_slack):
         pf_spec.p_fns.append(lambda vm: vm * self.gp.i_dref * self.ratio)
@@ -322,32 +298,21 @@ class GflAdapter(Adapter):
     def init(self, v_bus, s_dev):
         return gfl_init(self.gp, v_bus)
 
-    def f(self, t, state, v_bus):
-        return gfl_derivatives(state, self.gp, v_bus)
+    def fg(self, t, states, v):
+        deriv, i = gfl_fg(states, self.gp, v)
+        return deriv, i * self.ratio
 
-    def inj(self, t, state, v_bus):
-        return gfl_injection(state, self.gp, v_bus) * self.ratio
+    def inj(self, t, states, v):
+        return gfl_injection(states, self.gp, v) * self.ratio
 
-    def fg(self, t, state, v_bus):
-        gp = self.gp
-        rot = np.exp(-1j * state[5])
-        v_pll = v_bus * rot
-        i_pll = gfl_current_pll(state, gp, v_pll)
-        d_omega, _ = gfl_pll_speed(state, gp, v_pll.imag)
-        deriv = np.array([gp.K_i * (gp.i_dref - state[2]),
-                          gp.K_i * (gp.i_qref - state[3]),
-                          (i_pll.real - state[2]) / gp.T_m,
-                          (i_pll.imag - state[3]) / gp.T_m,
-                          gp.K_i_pll * v_pll.imag,
-                          gp.omega_b * d_omega])
-        return deriv, i_pll * np.conj(rot) * self.ratio
-
-    def analytic_chi(self, state, v_bus, i_sys, eta):
-        return gfl_chi(state, self.gp, v_bus, i_sys / self.ratio, eta)
+    def chi(self, states, v, i, rho, omega):
+        return gfl_admittance_cf(states, self.gp, v, i, rho, omega,
+                                 self.ratio)
 
 
 class GfmAdapter(Adapter):
     n_states = 4
+    state_names = GFM_STATE_NAMES
 
     def __init__(self, spec, system_base, omega_b):
         super().__init__(spec, system_base, omega_b)
@@ -357,8 +322,6 @@ class GfmAdapter(Adapter):
                             p_ref=_p(p, "p_ref"), v_ref=_p(p, "v_ref"),
                             z_t=complex(_p(p, "z_t_r", 0.0), _p(p, "z_t_x")),
                             omega_b=omega_b, T_p=p.get("t_p"))
-        from .devices import GFM_STATE_NAMES
-        self.state_names = GFM_STATE_NAMES
 
     def pf_contrib(self, pf_spec, is_slack):
         if is_slack:
@@ -378,20 +341,16 @@ class GfmAdapter(Adapter):
         self.gp = dc_replace(self.gp, p_ref=float(s_dev.real) / self.ratio)
         return gfm_init(self.gp, v_bus, s_dev / self.ratio)
 
-    def f(self, t, state, v_bus):
-        i_dev = gfm_injection(state, self.gp, v_bus)
-        return gfm_derivatives(state, self.gp, v_bus, i_dev)
+    def fg(self, t, states, v):
+        deriv, i = gfm_fg(states, self.gp, v)
+        return deriv, i * self.ratio
 
-    def inj(self, t, state, v_bus):
-        return gfm_injection(state, self.gp, v_bus) * self.ratio
+    def inj(self, t, states, v):
+        return gfm_injection(states, self.gp, v) * self.ratio
 
-    def fg(self, t, state, v_bus):
-        i_dev = gfm_injection(state, self.gp, v_bus)
-        return (gfm_derivatives(state, self.gp, v_bus, i_dev),
-                i_dev * self.ratio)
-
-    def analytic_chi(self, state, v_bus, i_sys, eta):
-        return gfm_chi(state, self.gp, v_bus, i_sys / self.ratio, eta)
+    def chi(self, states, v, i, rho, omega):
+        return gfm_admittance_cf(states, self.gp, v, i, rho, omega,
+                                 self.ratio)
 
 
 class DcSourceAdapter(Adapter):
@@ -404,9 +363,8 @@ class DcSourceAdapter(Adapter):
     def pf_contrib(self, pf_spec, is_slack):
         raise SchemaError("DC current sources exist only in analytic scenarios")
 
-    def analytic_chi(self, state, v_bus, i_sys, eta):
-        from .cf import ComplexFrequency
-        return ComplexFrequency(-eta.rho, -eta.omega)
+    def chi(self, states, v, i, rho, omega):
+        return -(rho + 1j * omega)
 
 
 class VsrcAdapter(Adapter):
@@ -537,14 +495,6 @@ class PowerSystemDae:
             out_g[2 * self.n_bus + self.n_src + j] = dv.imag
         return out_f, out_g
 
-    def f(self, t, x, y_vec):
-        """Differential right-hand side, 1/s."""
-        return self.fg(t, x, y_vec)[0]
-
-    def g(self, t, x, y_vec):
-        """Algebraic residual: KCL per bus plus source-EMF constraints."""
-        return self.fg(t, x, y_vec)[1]
-
     def solve_algebraic(self, t, x, y_guess, tol=1e-10):
         """Re-solve g = 0 at fixed x (event instants, initialization)."""
         idx = self.network.bus_index
@@ -650,7 +600,7 @@ class TrapezoidalStepper:
         dae = self.dae
         f_old = self._f_old
         if f_old is None:
-            f_old = dae.f(t_old, x_old, y_old)
+            f_old = dae.fg(t_old, x_old, y_old)[0]
         t_new = t_old + dt
         z = np.concatenate([x_old, y_old])
         r = self._residual(t_new, z, x_old, f_old, dt)
@@ -763,13 +713,6 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
         raise InitInfeasible(
             f"initialization residual {resid:.3e} exceeds 1e-8")
     return dae, x0, y0
-
-
-def step(dae, x, y, dt, config: SimConfig | None = None, t=0.0):
-    """Single trapezoidal step (library entry point; fresh Jacobian)."""
-    stepper = TrapezoidalStepper(dae, config or SimConfig(dt=dt, t_end=dt))
-    x_new, y_new, _ = stepper.step(t, x, y, dt)
-    return x_new, y_new
 
 
 def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimResult:

@@ -38,9 +38,6 @@ class ChiSeries:
     def norm(self):
         return np.abs(self.values)
 
-    def masked_norm(self):
-        return np.abs(self.values[self.mask])
-
 
 @dataclass(frozen=True)
 class BlsCheck:
@@ -143,159 +140,36 @@ def rotate_result(result: SimResult, delta_omega: float) -> SimResult:
     )
 
 
-def analytic_chi(result: SimResult, scenario, device_id: str) -> ChiSeries | None:
-    """Closed-form chi series for one device, None if the model has none.
+def analytic_chi_all(result: SimResult, scenario, only=None):
+    """Closed-form chi for every device that has one: dict id -> ChiSeries.
 
+    Each adapter evaluates its model's chi kernel once over the whole sample
+    axis, from the recorded states, terminal voltage and injected current.
     Device inputs (tau_m, field voltage, references) are re-derived from the
     t=0 operating point, which run_simulation guarantees is an equilibrium.
     """
-    series = analytic_chi_all(result, scenario, only=device_id)
-    return series.get(device_id)
-
-
-def analytic_chi_all(result: SimResult, scenario, only=None):
-    """Closed-form chi for every device that has one: dict id -> ChiSeries."""
-    adapters = {a.id: a for a in build_adapters(scenario)}
     out = {}
     eta_cache = {}
-    for dev_id, a in adapters.items():
-        if only is not None and dev_id != only:
+    for a in build_adapters(scenario):
+        if only is not None and a.id != only:
             continue
-        bus = result.device_bus[dev_id]
+        bus = result.device_bus[a.id]
         v = result.voltages[bus]
-        i = result.currents[dev_id]
+        i = result.currents[a.id]
+        states = None
         if a.n_states:
             s0 = v[0] * np.conj(i[0])
             a.init(complex(v[0]), complex(s0))
-            states = result.states[dev_id]
-        else:
-            states = None
+            states = result.states[a.id]
         if bus not in eta_cache:
             eta_cache[bus] = voltage_cf(result, bus)
         rho_v, om_v, ok_v = eta_cache[bus]
-        valid = (ok_v & (np.abs(i) >= MIN_MAG) & result.active[dev_id]
-                 & event_mask(len(v), result.event_samples))
-        chi = _chi_series_vectorized(a, states, v, i, rho_v, om_v, valid)
+        chi = a.chi(states, v, i, rho_v, om_v)
         if chi is not None:
-            out[dev_id] = ChiSeries(result.t, chi, valid)
+            valid = (ok_v & (np.abs(i) >= MIN_MAG) & result.active[a.id]
+                     & event_mask(len(v), result.event_samples))
+            out[a.id] = ChiSeries(result.t, chi, valid)
     return out
-
-
-def _chi_series_vectorized(adapter, states, v, i, rho, om, valid):
-    """Closed-form chi over sample arrays; None when the device has none.
-
-    The recorded injection already equals the device's own stator/filter
-    solve, so machine-frame components come straight from the records.
-    """
-    from .sim import (DcSourceAdapter, GflAdapter, GfmAdapter, MotorAdapter,
-                      SmAdapter, ZipAdapter)
-
-    n = len(v)
-    if isinstance(adapter, ZipAdapter):
-        kind = adapter.zp.pure_kind()
-        if kind is None:
-            return None
-        factor = {"z": 0.0, "i": -1.0, "p": -2.0}[kind]
-        return factor * rho + 0.0j
-
-    if isinstance(adapter, DcSourceAdapter):
-        return -(rho + 1j * om)
-
-    if isinstance(adapter, MotorAdapter):
-        p = adapter.imp
-        sigma = states[:, 0]
-        r = p.r_S + p.r_R1 / np.where(sigma == 0.0, np.inf, sigma)
-        tau_e = (p.r_R1 / sigma) * np.abs(v) ** 2 / (r ** 2 + p.x ** 2)
-        sigma_dot = (adapter.tau_m - tau_e) / (2.0 * p.H_m)
-        r_dot = -(p.r_R1 / sigma ** 2) * sigma_dot
-        z2 = r ** 2 + p.x ** 2
-        bracket = (r ** 2 * (p.x_t ** 2 - p.x ** 2)
-                   + 1j * r * p.x_mu * (r ** 2 - p.x ** 2 - p.x_mu * p.x)) \
-            / (z2 * (r ** 2 + p.x_t ** 2))
-        return -(r_dot / r) * bracket / p.omega_b
-
-    if isinstance(adapter, SmAdapter):
-        mp = adapter.mp
-        core = states[:, :mp.n_states]
-        delta, omega_r = core[:, 0], core[:, 1]
-        rot = 1j * np.exp(-1j * delta)
-        v_m = rot * v
-        i_m = rot * (i / adapter.ratio)
-        i2 = np.maximum(np.abs(i_m) ** 2, MIN_MAG ** 2)
-        v_d, v_q = v_m.real, v_m.imag
-        i_d, i_q = i_m.real, i_m.imag
-        zdc = mp.R_s - 1j * mp.x2_d
-        zqc = mp.R_s - 1j * mp.x2_q
-        det = mp.x2_d * mp.x2_q + mp.R_s ** 2
-        b = np.conj(i_m) / (det * i2)
-        if mp.order == 2:
-            s = v_m * np.conj(i_m)
-            factor = -1j * s / (mp.x1_d * i2) + 1.0
-            return factor * (-rho + 1j * (omega_r - om))
-        if adapter.avr:
-            v_f = (adapter.v_f0 + adapter.avr_kp * (adapter.v_ref - np.abs(v))
-                   + states[:, -1])
-        else:
-            v_f = np.full(n, adapter.v_f0)
-        if mp.order == 6:
-            psi2_d, psi2_q = core[:, 2], core[:, 3]
-            e1_d, e1_q = core[:, 4], core[:, 5]
-            dpsi2_d = (-psi2_d + e1_q - (mp.x1_d - mp.x_l) * i_d) / mp.T2_d0
-            dpsi2_q = (-psi2_q - e1_d - (mp.x1_q - mp.x_l) * i_q) / mp.T2_q0
-            de1_d = ((mp.x_q - mp.x1_q)
-                     * (mp.gamma_q1 * i_q - mp.gamma_q2 * (psi2_q + e1_d))
-                     - e1_d) / mp.T1_q0
-            de1_q = (v_f - (mp.x_d - mp.x1_d)
-                     * (mp.gamma_d1 * i_d - mp.gamma_d2 * (psi2_d - e1_q))
-                     - e1_q) / mp.T1_d0
-            dE_d = mp.gamma_d1 * de1_q + (1.0 - mp.gamma_d1) * dpsi2_d
-            dE_q = -mp.gamma_q1 * de1_d + (1.0 - mp.gamma_q1) * dpsi2_q
-        else:
-            e1_d, e1_q = core[:, 2], core[:, 3]
-            de1_d = ((mp.x_q - mp.x1_q) * i_q - e1_d) / mp.T1_q0
-            de1_q = (v_f - (mp.x_d - mp.x1_d) * i_d - e1_q) / mp.T1_d0
-            dE_d, dE_q = de1_q, -de1_d
-        t_omega = b * (zdc * v_q - 1j * zqc * v_d)
-        k_rho = -b * (zdc * v_d + 1j * zqc * v_q)
-        deriv_term = b * (1j * zqc * dE_d - zdc * dE_q) / mp.omega_b
-        return ((omega_r - om) * (1j - t_omega) - rho * (1.0 - k_rho)
-                + deriv_term)
-
-    if isinstance(adapter, GflAdapter):
-        gp = adapter.gp
-        rot = np.exp(-1j * states[:, 5])
-        v_pll = v * rot
-        i_pll = (i / adapter.ratio) * rot
-        i_safe = np.where(np.abs(i_pll) < MIN_MAG, MIN_MAG, i_pll)
-        m = (states[:, 0] + 1j * states[:, 1]
-             + gp.K_p * (gp.i_ref - (states[:, 2] + 1j * states[:, 3])))
-        m2 = np.maximum(np.abs(m) ** 2, MIN_MAG ** 2)
-        dm_d = (gp.K_i * (gp.i_dref - states[:, 2])
-                - (gp.K_p / gp.T_m) * (i_pll.real - states[:, 2]))
-        dm_q = (gp.K_i * (gp.i_qref - states[:, 3])
-                - (gp.K_p / gp.T_m) * (i_pll.imag - states[:, 3]))
-        m_rate = (m.real * dm_d + m.imag * dm_q) / m2
-        a_rate = (m.real * dm_q - m.imag * dm_d) / m2
-        omega_t = gp.K_p_pll * v_pll.imag + states[:, 4] + gp.omega_ref
-        front = m * gp.v_dc0 / (gp.z_f * i_safe)
-        return front * (m_rate / gp.omega_b - rho
-                        + 1j * (a_rate / gp.omega_b + omega_t - om))
-
-    if isinstance(adapter, GfmAdapter):
-        gp = adapter.gp
-        e = states[:, 0]
-        e_bar = e * np.exp(1j * states[:, 1])
-        v_m_state, p_m = states[:, 2], states[:, 3]
-        i_dev = i / adapter.ratio
-        i_safe = np.where(np.abs(i_dev) < MIN_MAG, MIN_MAG, i_dev)
-        de = (gp.K_i * (gp.v_ref - v_m_state)
-              - (gp.K_p / gp.T_v) * (v_m_state - np.abs(v)))
-        omega_g = gp.m_p * (gp.p_ref - p_m) + 1.0
-        front = e_bar / (gp.z_t * i_safe)
-        return front * (de / np.maximum(e, MIN_MAG) / gp.omega_b - rho
-                        + 1j * (omega_g - om))
-
-    return None
 
 
 def check_bls(chi: ChiSeries, t0: float, epsilon: float,

@@ -59,9 +59,53 @@ def test_sweep_without_fault_pair_exit_2(tmp_path, capsys):
                    "--step", "0.01") == 2
 
 
-def test_sweep_empty_range_exit_2(tmp_path, capsys):
-    assert run_cli("sweep", "--builtin", "smib", "--out", str(tmp_path),
-                   "--from", "1.2", "--to", "1.1", "--step", "0.01") == 2
+def _smib_file(tmp_path, key, value):
+    """smib as a scenario file with one [sim] key set to the given text."""
+    lines = serialize_scenario(build_builtin("smib")).splitlines()
+    k = next(j for j, line in enumerate(lines) if line.startswith(f"{key} = "))
+    lines[k] = f"{key} = {value}"
+    path = tmp_path / "in" / "smib.ini"
+    path.parent.mkdir()
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+_SWEEP = ("sweep", "--builtin", "smib")
+_RUN = ("run", "--builtin", "smib")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(_RUN + ("--dt", "nan"), id="dt-nan"),
+    pytest.param(_RUN + ("--t-end", "inf"), id="t-end-inf"),
+    pytest.param(_RUN + ("--epsilon", "-1"), id="epsilon-negative"),
+    pytest.param(_RUN + ("--tail-tol", "nan"), id="run-tail-tol-nan"),
+    pytest.param(_RUN + ("--clear-time", "nan"), id="clear-time-nan"),
+    pytest.param(("file", "record_decimation", "0"), id="decimation-zero"),
+    pytest.param(("file", "record_decimation", "-1"), id="decimation-negative"),
+    pytest.param(("file", "record_decimation", "2.7"),
+                 id="decimation-fractional"),
+    pytest.param(("file", "dt", "0.0"), id="file-dt-zero"),
+    pytest.param(_SWEEP + ("--from", "1.10", "--to", "1.11", "--step", "nan"),
+                 id="sweep-step-nan"),
+    pytest.param(_SWEEP + ("--from", "nan", "--to", "1.11", "--step", "0.01"),
+                 id="sweep-from-nan"),
+    pytest.param(_SWEEP + ("--from", "1.10", "--to", "inf", "--step", "0.01"),
+                 id="sweep-to-inf"),
+    pytest.param(_SWEEP + ("--from", "1.10", "--to", "1.11", "--step", "0.01",
+                           "--tail-tol", "0"), id="sweep-tail-tol-zero"),
+    pytest.param(_SWEEP + ("--from", "1.2", "--to", "1.1", "--step", "0.01"),
+                 id="sweep-empty-range"),
+])
+def test_invalid_input_exit_2(tmp_path, capsys, argv):
+    """Bad settings are rejected with exit 2 and a message, before any
+    simulation and without a traceback or partial output."""
+    if argv[0] == "file":
+        argv = ("run", "--file", _smib_file(tmp_path, *argv[1:]))
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error: ")
+    assert not out.exists() or not list(out.glob("smib_*"))
 
 
 def test_run_writes_three_files(smib_outputs, capsys):

@@ -3,25 +3,29 @@
 import numpy as np
 import pytest
 
-from synchrolens.cf import ComplexFrequency, ParkVector, chi_from_xi_terms
-from synchrolens.devices import (DeviceKind, GflParams, GfmParams, ImParams,
-                                 ZipParams, device_init, gfl_chi,
-                                 gfl_derivatives, gfl_init, gfl_injection,
-                                 gfl_xi_terms, gfm_chi, gfm_derivatives,
-                                 gfm_init, gfm_injection, gfm_xi_terms,
-                                 im_admittance, im_chi, im_derivatives,
-                                 im_init, im_pullout, im_torque, sm2_chi,
+from synchrolens.cf import ComplexFrequency, chi_from_xi_terms
+from synchrolens.devices import (GflParams, GfmParams, ImParams, ZipParams,
+                                 gfl_admittance_cf, gfl_fg, gfl_init,
+                                 gfl_injection, gfl_xi_terms,
+                                 gfm_admittance_cf, gfm_fg, gfm_init,
+                                 gfm_injection, gfm_xi_terms, im_admittance,
+                                 im_admittance_cf, im_fg, im_init,
+                                 im_injection, im_pullout, im_torque,
                                  sm2_params, sm4_params, sm6_params,
-                                 sm_chi_direct, sm_chi_from_terms,
-                                 sm_derivatives, sm_init, sm_injection,
-                                 sm_xi_terms, zip_chi, zip_current,
-                                 zip_power)
+                                 sm_admittance_cf, sm_fg, sm_init,
+                                 sm_injection, sm_xi_terms, to_machine_frame,
+                                 zip_admittance_cf, zip_injection, zip_power)
 from synchrolens.errors import (CurrentTooSmall, InitInfeasible,
                                 MixedZipUnsupportedAnalytic, ParamDomain,
                                 SlipSingular, VoltageTooSmall)
 
 OMEGA_B = 2.0 * np.pi * 60.0
 ETA_SYNC = ComplexFrequency(0.0, 1.0)
+
+
+def composed_chi(terms, eta):
+    """The xi-terms route: chi = xi_a + (k_rho - 1)*rho + (k_omega - j)*omega."""
+    return chi_from_xi_terms(terms.xi_a, terms.k_rho, terms.k_omega, eta).to_complex()
 
 
 def sm6():
@@ -44,11 +48,12 @@ def test_machine_equilibrium_init(params):
     v = 1.02 * np.exp(0.2j)
     s = 0.8 + 0.2j
     state, tau_m, v_f = sm_init(params, v, s)
-    deriv = sm_derivatives(state, params, v, tau_m, v_f)
+    deriv, i_net = sm_fg(state, params, v, tau_m, v_f)
     assert np.max(np.abs(deriv)) < 1e-9
+    assert abs(i_net - np.conj(s / v)) < 1e-12
     assert abs(sm_injection(state, params, v) - np.conj(s / v)) < 1e-12
-    chi = sm_chi_from_terms(state, params, v, np.conj(s / v), ETA_SYNC, v_f=v_f)
-    assert abs(chi.to_complex()) < 1e-12
+    terms = sm_xi_terms(state, params, v, np.conj(s / v), v_f=v_f)
+    assert abs(composed_chi(terms, ETA_SYNC)) < 1e-12
 
 
 def test_no_load_angle_is_voltage_angle():
@@ -64,7 +69,7 @@ def test_torque_step_accelerates_by_swing_equation():
     params = sm4()
     v = 1.0 + 0.0j
     state, tau_m, v_f = sm_init(params, v, 0.7 + 0.1j)
-    deriv = sm_derivatives(state, params, v, 1.1 * tau_m, v_f)
+    deriv, _ = sm_fg(state, params, v, 1.1 * tau_m, v_f)
     assert deriv[1] == pytest.approx(0.1 * tau_m / params.M, rel=1e-9)
 
 
@@ -92,28 +97,29 @@ def test_sm6_composition_equals_direct_form():
         state = state0 + rng.normal(0.0, 0.05, len(state0))
         i_net = sm_injection(state, params, v)
         eta = ComplexFrequency(rng.normal(0.0, 0.03), 1.0 + rng.normal(0.0, 0.03))
-        composed = sm_chi_from_terms(state, params, v, i_net, eta, v_f=v_f)
-        direct = sm_chi_direct(state, params, v, i_net, eta, v_f=v_f)
-        assert abs(composed.to_complex() - direct.to_complex()) < 1e-12
+        composed = composed_chi(sm_xi_terms(state, params, v, i_net, v_f=v_f), eta)
+        direct = sm_admittance_cf(state, params, v, i_net, eta.rho, eta.omega, v_f)
+        assert abs(composed - direct) < 1e-12
 
 
 def test_sm2_chi_frozen_independent_value():
     # chi = (-j*s/(x'*i^2) + 1)*(-rho + j(w_r - w)) evaluated by plain
     # complex arithmetic: s = 0.8+0.2j, x' = 0.3, i = 1, rho = 0, w_r - w = 0.01
+    # (delta = 0 maps v = 0.2-0.8j, i = -j to machine-frame v = 0.8+0.2j, i = 1)
     expected = (-1j * (0.8 + 0.2j) / 0.3 + 1.0) * (1j * 0.01)
     params = sm2_params(x1_d=0.3, M=7.0, D=0.0, omega_b=OMEGA_B)
     state = np.array([0.0, 1.01])
-    chi = sm2_chi(state, params, 0.8 + 0.2j, 1.0, ComplexFrequency(0.0, 1.0))
-    assert chi.to_complex() == pytest.approx(expected, abs=1e-15)
-    assert chi.rho == pytest.approx(0.8 / 30.0)
-    assert chi.omega == pytest.approx(0.5 / 30.0)
+    chi = sm_admittance_cf(state, params, 0.2 - 0.8j, -1j, 0.0, 1.0)
+    assert chi == pytest.approx(expected, abs=1e-15)
+    assert chi.real == pytest.approx(0.8 / 30.0)
+    assert chi.imag == pytest.approx(0.5 / 30.0)
 
 
 def test_sm2_chi_als_fixed_point():
     params = sm2_params(x1_d=0.3, M=7.0, D=0.0, omega_b=OMEGA_B)
-    chi = sm2_chi(np.array([0.1, 1.0]), params, 0.9 + 0.3j, 1.1,
-                  ComplexFrequency(0.0, 1.0))
-    assert chi.to_complex() == 0.0
+    chi = sm_admittance_cf(np.array([0.1, 1.0]), params, 1.0 * np.exp(0.3j),
+                 1.1 * np.exp(0.1j), 0.0, 1.0)
+    assert chi == 0.0
 
 
 def test_machine_convention_twin_invariance():
@@ -130,9 +136,9 @@ def test_machine_convention_twin_invariance():
         twin = st.copy()
         twin[0] += np.pi
         twin[2:] = -twin[2:]
-        a = sm_chi_direct(st, params, v, i_net, eta, v_f=v_f)
-        b = sm_chi_direct(twin, params, v, i_net, eta, v_f=-v_f)
-        assert abs(a.to_complex() - b.to_complex()) < 1e-12
+        a = sm_admittance_cf(st, params, v, i_net, eta.rho, eta.omega, v_f)
+        b = sm_admittance_cf(twin, params, v, i_net, eta.rho, eta.omega, -v_f)
+        assert abs(a - b) < 1e-12
         assert abs(sm_injection(twin, params, v) - i_net) < 1e-12
 
 
@@ -140,9 +146,8 @@ def _sm6_on_manifold(params, rng, v, v_f):
     """Random SM6 state with the subtransient fluxes on their T''->0 manifold."""
     state0, _, _ = sm_init(params, v, 0.8 + 0.2j)
     state = state0 + rng.normal(0.0, 0.05, 6)
-    from synchrolens.devices import sm_currents
     for _ in range(50):  # fixed-point: psi'' depends on the stator currents
-        i_m = sm_currents(state, params, v)
+        i_m = to_machine_frame(sm_injection(state, params, v), state[0])
         psi2_d = state[5] - (params.x1_d - params.x_l) * i_m.real
         psi2_q = -state[4] - (params.x1_q - params.x_l) * i_m.imag
         if abs(psi2_d - state[2]) + abs(psi2_q - state[3]) < 1e-14:
@@ -170,9 +175,9 @@ def test_reduction_sm6_to_sm4_100_states():
         assert abs(t6.xi_a - t4.xi_a) < 1e-12
         assert abs(t6.k_rho - t4.k_rho) < 1e-12
         assert abs(t6.k_omega - t4.k_omega) < 1e-12
-        chi6 = sm_chi_direct(s6, p6, v, i_net, eta, v_f=v_f)
-        chi4 = sm_chi_direct(s4, p4, v, i_net, eta, v_f=v_f)
-        assert abs(chi6.to_complex() - chi4.to_complex()) < 1e-12
+        chi6 = sm_admittance_cf(s6, p6, v, i_net, eta.rho, eta.omega, v_f)
+        chi4 = sm_admittance_cf(s4, p4, v, i_net, eta.rho, eta.omega, v_f)
+        assert abs(chi6 - chi4) < 1e-12
 
 
 def test_reduction_sm4_to_sm2_100_states():
@@ -194,13 +199,11 @@ def test_reduction_sm4_to_sm2_100_states():
             continue
         eta = ComplexFrequency(rng.normal(0.0, 0.02), 1.0 + rng.normal(0.0, 0.02))
         # v_f chosen so e'_q is stationary: the classical model's constant EMF
-        v_m = 1j * np.exp(-1j * delta) * v
         i_m = 1j * np.exp(-1j * delta) * i_net
         v_f = e_q + (p4.x_d - p4.x1_d) * i_m.real
-        chi4 = sm_chi_direct(s4, p4, v, i_net, eta, v_f=v_f)
-        s_mach = v_m * np.conj(i_m)
-        chi2 = sm2_chi(s2, p2, complex(s_mach), abs(i_m), eta)
-        assert abs(chi4.to_complex() - chi2.to_complex()) < 1e-12
+        chi4 = sm_admittance_cf(s4, p4, v, i_net, eta.rho, eta.omega, v_f)
+        chi2 = sm_admittance_cf(s2, p2, v, i_net, eta.rho, eta.omega)
+        assert abs(chi4 - chi2) < 1e-12
 
 
 # --- ZIP loads ---------------------------------------------------------------
@@ -213,47 +216,47 @@ def test_zip_shares_must_sum_to_one():
 
 def test_zip_current_pure_z_unit_voltage():
     params = ZipParams(p0=0.5, q0=0.1)
-    inj = zip_current(ParkVector(1.0, 0.0), params)
+    inj = zip_injection(params, 1.0 + 0.0j)
     # current into the load is the negative of the injection
-    assert -inj.to_complex() == pytest.approx(0.5 - 0.1j, abs=1e-15)
+    assert -inj == pytest.approx(0.5 - 0.1j, abs=1e-15)
 
 
 def test_zip_current_pure_p_scales_inverse_voltage():
     params = ZipParams(p0=0.5, q0=0.1, k_zp=0.0, k_pp=1.0, k_zq=0.0, k_pq=1.0)
-    i_1 = zip_current(ParkVector(1.0, 0.0), params).to_complex()
-    i_09 = zip_current(ParkVector(0.9, 0.0), params).to_complex()
+    i_1 = zip_injection(params, 1.0 + 0.0j)
+    i_09 = zip_injection(params, 0.9 + 0.0j)
     assert i_09 == pytest.approx(i_1 / 0.9, abs=1e-15)
 
 
 def test_zip_current_mixed_matches_polynomials():
     params = ZipParams(p0=0.6, q0=0.2, k_pp=0.2, k_ip=0.3, k_zp=0.5,
                        k_pq=0.1, k_iq=0.4, k_zq=0.5)
-    v = ParkVector(0.95 * np.cos(np.deg2rad(10)), 0.95 * np.sin(np.deg2rad(10)))
-    vm = v.magnitude()
+    v = complex(0.95 * np.cos(np.deg2rad(10)), 0.95 * np.sin(np.deg2rad(10)))
+    vm = abs(v)
     p = 0.6 * (0.2 + 0.3 * vm + 0.5 * vm ** 2)
     q = 0.2 * (0.1 + 0.4 * vm + 0.5 * vm ** 2)
-    expected = -np.conj(complex(p, q) / v.to_complex())
-    assert zip_current(v, params).to_complex() == pytest.approx(expected, abs=1e-15)
+    expected = -np.conj(complex(p, q) / v)
+    assert zip_injection(params, v) == pytest.approx(expected, abs=1e-15)
     assert zip_power(params, vm) == pytest.approx((p, q))
 
 
 def test_zip_current_rejects_small_voltage():
     with pytest.raises(VoltageTooSmall):
-        zip_current(ParkVector(1e-9, 0.0), ZipParams(p0=1.0, q0=0.0))
+        zip_injection(ZipParams(p0=1.0, q0=0.0), 1e-9 + 0.0j)
 
 
 def test_zip_chi_boxed_values():
-    eta = ComplexFrequency(0.07, 0.96)
-    z = zip_chi(ZipParams(p0=1.0, q0=0.1), eta)
-    assert (z.rho, z.omega) == (0.0, 0.0)
-    i = zip_chi(ZipParams(p0=1.0, q0=0.1, k_zp=0.0, k_ip=1.0, k_zq=0.0,
-                          k_iq=1.0), eta)
-    assert (i.rho, i.omega) == pytest.approx((-0.07, 0.0))
-    p = zip_chi(ZipParams(p0=1.0, q0=0.1, k_zp=0.0, k_pp=1.0, k_zq=0.0,
-                          k_pq=1.0), eta)
-    assert (p.rho, p.omega) == pytest.approx((-0.14, 0.0))
+    rho = 0.07
+    z = zip_admittance_cf(ZipParams(p0=1.0, q0=0.1), rho)
+    assert (z.real, z.imag) == (0.0, 0.0)
+    i = zip_admittance_cf(ZipParams(p0=1.0, q0=0.1, k_zp=0.0, k_ip=1.0, k_zq=0.0,
+                          k_iq=1.0), rho)
+    assert (i.real, i.imag) == pytest.approx((-0.07, 0.0))
+    p = zip_admittance_cf(ZipParams(p0=1.0, q0=0.1, k_zp=0.0, k_pp=1.0, k_zq=0.0,
+                          k_pq=1.0), rho)
+    assert (p.real, p.imag) == pytest.approx((-0.14, 0.0))
     with pytest.raises(MixedZipUnsupportedAnalytic):
-        zip_chi(ZipParams(p0=1.0, q0=0.0, k_zp=0.5, k_ip=0.5), eta)
+        zip_admittance_cf(ZipParams(p0=1.0, q0=0.0, k_zp=0.5, k_ip=0.5), rho)
 
 
 # --- induction motor ---------------------------------------------------------
@@ -267,10 +270,11 @@ def motor():
 def test_im_equilibrium_and_voltage_square_law():
     params = motor()
     sigma = im_init(params, 1.0, 0.9)
-    assert im_derivatives(sigma, params, 1.0, 0.9) == pytest.approx(0.0, abs=1e-10)
+    state = np.array([sigma])
+    assert im_fg(state, params, 1.0 + 0.0j, 0.9)[0][0] == pytest.approx(0.0, abs=1e-10)
     tau_low = im_torque(params, sigma, 0.8)
     assert tau_low == pytest.approx(0.64 * 0.9, rel=1e-12)
-    assert im_derivatives(sigma, params, 0.8, 0.9) > 0.0
+    assert im_fg(state, params, 0.8 + 0.0j, 0.9)[0][0] > 0.0
 
 
 def test_im_init_bisection_against_independent_root():
@@ -291,8 +295,9 @@ def test_im_init_above_pullout_infeasible():
 
 
 def test_im_chi_zero_at_torque_balance():
-    chi = im_chi(0.02, motor(), 0.0)
-    assert (chi.rho, chi.omega) == (0.0, 0.0)
+    tau_m = im_torque(motor(), 0.02, 1.0)
+    chi = im_admittance_cf(np.array([0.02]), motor(), 1.0 + 0.0j, tau_m)
+    assert (chi.real, chi.imag) == (0.0, 0.0)
 
 
 def test_im_chi_matches_admittance_derivative_oracle():
@@ -301,8 +306,15 @@ def test_im_chi_matches_admittance_derivative_oracle():
     rng = np.random.default_rng(5)
     for _ in range(25):
         sigma = rng.uniform(0.005, 0.3)
-        sigma_dot = rng.normal(0.0, 0.2)
-        chi = im_chi(sigma, params, sigma_dot).to_complex()
+        v = rng.uniform(0.8, 1.1) * np.exp(1j * rng.uniform(-0.5, 0.5))
+        # torque imbalance giving a slip rate of about N(0, 0.2) 1/s
+        tau_m = (im_torque(params, sigma, abs(v))
+                 + 2.0 * params.H_m * rng.normal(0.0, 0.2))
+        state = np.array([sigma])
+        deriv, i_net = im_fg(state, params, v, tau_m)
+        assert i_net == im_injection(state, params, v)
+        sigma_dot = deriv[0]
+        chi = im_admittance_cf(state, params, v, tau_m)
         r = params.r_S + params.r_R1 / sigma
         r_dot = -(params.r_R1 / sigma ** 2) * sigma_dot
         # y = 1/(j*x_mu) + 1/(r + jx); dy/dt = -r_dot/(r+jx)^2
@@ -329,17 +341,18 @@ def test_gfl_locked_equilibrium():
     params = gfl()
     v = 1.01 * np.exp(0.2j)
     state = gfl_init(params, v)
-    assert np.max(np.abs(gfl_derivatives(state, params, v))) < 1e-12
-    i_net = gfl_injection(state, params, v)
-    chi = gfl_chi(state, params, v, i_net, ETA_SYNC)
-    assert abs(chi.to_complex()) < 1e-12
+    deriv, i_net = gfl_fg(state, params, v)
+    assert np.max(np.abs(deriv)) < 1e-12
+    assert i_net == gfl_injection(state, params, v)
+    chi = gfl_admittance_cf(state, params, v, i_net, ETA_SYNC.rho, ETA_SYNC.omega)
+    assert abs(chi) < 1e-12
 
 
 def test_gfl_pll_correction_sign():
     params = gfl()
     v = 1.0 * np.exp(0.05j)          # positive v_q in the PLL frame
     state = gfl_init(params, 1.0 + 0.0j)
-    deriv = gfl_derivatives(state, params, v)
+    deriv, _ = gfl_fg(state, params, v)
     assert deriv[4] > 0.0 and deriv[5] > 0.0
 
 
@@ -352,10 +365,9 @@ def test_gfl_terms_compose_to_boxed_chi():
         state = state0 + rng.normal(0.0, 0.03, 6)
         i_net = gfl_injection(state, params, v)
         eta = ComplexFrequency(rng.normal(0.0, 0.02), 1.0 + rng.normal(0.0, 0.02))
-        terms = gfl_xi_terms(state, params, v, i_net)
-        composed = chi_from_xi_terms(terms.xi_a, terms.k_rho, terms.k_omega, eta)
-        direct = gfl_chi(state, params, v, i_net, eta)
-        assert abs(composed.to_complex() - direct.to_complex()) < 1e-12
+        composed = composed_chi(gfl_xi_terms(state, params, v, i_net), eta)
+        direct = gfl_admittance_cf(state, params, v, i_net, eta.rho, eta.omega)
+        assert abs(composed - direct) < 1e-12
 
 
 def gfm():
@@ -369,12 +381,14 @@ def test_gfm_equilibrium_and_droop_sign():
     state = gfm_init(params, v, 0.5 + 0.1j)
     i_net = gfm_injection(state, params, v)
     assert abs(i_net - np.conj((0.5 + 0.1j) / v)) < 1e-12
-    assert np.max(np.abs(gfm_derivatives(state, params, v, i_net))) < 1e-12
-    chi = gfm_chi(state, params, v, i_net, ETA_SYNC)
-    assert abs(chi.to_complex()) < 1e-12
+    deriv, i_fg = gfm_fg(state, params, v)
+    assert i_fg == i_net
+    assert np.max(np.abs(deriv)) < 1e-12
+    chi = gfm_admittance_cf(state, params, v, i_net, ETA_SYNC.rho, ETA_SYNC.omega)
+    assert abs(chi) < 1e-12
     low_pm = state.copy()
     low_pm[3] = 0.4   # measured power below reference -> speeds up
-    assert gfm_derivatives(low_pm, params, v, i_net)[1] > 0.0
+    assert gfm_fg(low_pm, params, v)[0][1] > 0.0
 
 
 def test_gfm_terms_compose_to_boxed_chi():
@@ -386,18 +400,68 @@ def test_gfm_terms_compose_to_boxed_chi():
         state = state0 + rng.normal(0.0, 0.03, 4)
         i_net = gfm_injection(state, params, v)
         eta = ComplexFrequency(rng.normal(0.0, 0.02), 1.0 + rng.normal(0.0, 0.02))
-        terms = gfm_xi_terms(state, params, v, i_net)
-        composed = chi_from_xi_terms(terms.xi_a, terms.k_rho, terms.k_omega, eta)
-        direct = gfm_chi(state, params, v, i_net, eta)
-        assert abs(composed.to_complex() - direct.to_complex()) < 1e-12
+        composed = composed_chi(gfm_xi_terms(state, params, v, i_net), eta)
+        direct = gfm_admittance_cf(state, params, v, i_net, eta.rho, eta.omega)
+        assert abs(composed - direct) < 1e-12
 
 
-def test_device_init_dispatch():
-    state, inputs = device_init(DeviceKind.SM2,
-                                sm2_params(x1_d=0.3, M=7.0, D=0.0,
-                                           omega_b=OMEGA_B),
-                                1.0 + 0.0j, 0.0j)
-    assert state[0] == pytest.approx(0.0, abs=1e-12)
-    assert inputs["e_q0"] == pytest.approx(1.0)
-    with pytest.raises(InitInfeasible):
-        device_init(DeviceKind.INDUCTION_MOTOR, motor(), 1.0 + 0.0j, 0.5 + 0.0j)
+# --- broadcasting ------------------------------------------------------------
+
+
+def _sm_case(params, rng):
+    v = 1.02 * np.exp(0.2j)
+    state0, tau_m, v_f = sm_init(params, v, 0.8 + 0.2j)
+    states = state0 + rng.normal(0.0, 0.03, (16, len(state0)))
+    return (states, v * (1.0 + rng.normal(0.0, 0.02, 16)),
+            lambda st, vv: sm_fg(st, params, vv, tau_m, v_f),
+            lambda st, vv, ii, rho, om: sm_admittance_cf(st, params, vv, ii, rho, om, v_f))
+
+
+def _gfl_case(rng):
+    params = gfl()
+    v = 1.01 * np.exp(0.2j)
+    states = gfl_init(params, v) + rng.normal(0.0, 0.03, (16, 6))
+    return (states, v * (1.0 + rng.normal(0.0, 0.02, 16)),
+            lambda st, vv: gfl_fg(st, params, vv),
+            lambda st, vv, ii, rho, om: gfl_admittance_cf(st, params, vv, ii, rho, om))
+
+
+def _gfm_case(rng):
+    params = gfm()
+    v = 1.0 * np.exp(0.1j)
+    states = gfm_init(params, v, 0.5 + 0.1j) + rng.normal(0.0, 0.03, (16, 4))
+    return (states, v * (1.0 + rng.normal(0.0, 0.02, 16)),
+            lambda st, vv: gfm_fg(st, params, vv),
+            lambda st, vv, ii, rho, om: gfm_admittance_cf(st, params, vv, ii, rho, om))
+
+
+def _motor_case(rng):
+    params = motor()
+    states = im_init(params, 1.0, 0.9) * (1.0 + rng.uniform(-0.3, 0.3, (16, 1)))
+    return (states, np.exp(0.1j) * (1.0 + rng.normal(0.0, 0.02, 16)),
+            lambda st, vv: im_fg(st, params, vv, 0.9),
+            lambda st, vv, ii, rho, om: im_admittance_cf(st, params, vv, 0.9))
+
+
+@pytest.mark.parametrize("case", ["sm6", "sm4", "sm2", "gfl", "gfm", "motor"])
+def test_kernels_broadcast_over_samples(case):
+    """One call over a stack of samples equals one call per sample."""
+    rng = np.random.default_rng(29)
+    if case.startswith("sm"):
+        params = {"sm6": sm6(), "sm4": sm4(),
+                  "sm2": sm2_params(x1_d=0.3, M=7.0, D=0.0, omega_b=OMEGA_B)}[case]
+        states, v, fg, chi = _sm_case(params, rng)
+    else:
+        states, v, fg, chi = {"gfl": _gfl_case, "gfm": _gfm_case,
+                              "motor": _motor_case}[case](rng)
+    rho = rng.normal(0.0, 0.02, len(v))
+    om = 1.0 + rng.normal(0.0, 0.02, len(v))
+    deriv, i_net = fg(states, v)
+    chi_all = chi(states, v, i_net, rho, om)
+    assert deriv.shape == states.shape and i_net.shape == v.shape
+    assert chi_all.shape == v.shape
+    for k in range(len(v)):
+        d_k, i_k = fg(states[k], v[k])
+        assert np.max(np.abs(deriv[k] - d_k)) < 1e-9
+        assert abs(i_net[k] - i_k) < 1e-12
+        assert abs(chi_all[k] - chi(states[k], v[k], i_k, rho[k], om[k])) < 1e-12

@@ -21,9 +21,6 @@ class ScalarDecay:
     def fg(self, t, x, y):
         return self.lam * x, np.empty(0)
 
-    def f(self, t, x, y):
-        return self.fg(t, x, y)[0]
-
 
 def test_trapezoidal_amplification_exact():
     lam, dt = -1.0, 1e-3

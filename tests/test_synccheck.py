@@ -147,25 +147,35 @@ def test_low_magnitude_masked_not_raised(builtin_run):
     assert np.isfinite(chi.values[chi.mask]).all()
 
 
-def test_vectorized_analytic_matches_scalar_adapters(builtin_run):
-    from synchrolens.cf import ComplexFrequency
-    from synchrolens.sim import build_adapters
+@pytest.mark.parametrize("name", ["kundur", "gfl_seriescomp", "motor_condenser"])
+def test_analytic_chi_matches_xi_terms_composition(builtin_run, name):
+    """The production chi kernels, sample by sample, against the independent
+    xi-terms route composed with chi_from_xi_terms."""
+    from synchrolens.cf import ComplexFrequency, chi_from_xi_terms
+    from synchrolens.devices import gfl_xi_terms, sm_xi_terms
+    from synchrolens.sim import GflAdapter, SmAdapter, build_adapters
     from synchrolens.synccheck import voltage_cf
-    scenario, result, _ = builtin_run("kundur")
-    adapters = {a.id: a for a in build_adapters(scenario)}
+    scenario, result, _ = builtin_run(name)
     chi_all = analytic_chi_all(result, scenario)
-    for dev in ("G1", "Zload7"):
-        a = adapters[dev]
-        v = result.voltages[result.device_bus[dev]]
-        i = result.currents[dev]
-        if a.n_states:
-            a.init(complex(v[0]), complex(v[0] * np.conj(i[0])))
-        rho, om, _ = voltage_cf(result, result.device_bus[dev])
-        vec = chi_all[dev]
-        for k in (500, 2500, 9000):
-            if not vec.mask[k]:
-                continue
-            st = result.states[dev][k] if a.n_states else None
-            scalar = a.analytic_chi(st, complex(v[k]), complex(i[k]),
-                                    ComplexFrequency(float(rho[k]), float(om[k])))
-            assert abs(scalar.to_complex() - vec.values[k]) < 1e-9
+    for a in build_adapters(scenario):
+        if not isinstance(a, (SmAdapter, GflAdapter)):
+            continue
+        v = result.voltages[a.bus]
+        i = result.currents[a.id]
+        a.init(complex(v[0]), complex(v[0] * np.conj(i[0])))
+        rho, om, _ = voltage_cf(result, a.bus)
+        chi = chi_all[a.id]
+        checked = 0
+        for k in np.flatnonzero(chi.mask)[::25]:
+            st, v_k, i_k = result.states[a.id][k], v[k], i[k] / a.ratio
+            if isinstance(a, SmAdapter):
+                terms = sm_xi_terms(st[:a.mp.n_states], a.mp, v_k, i_k,
+                                    v_f=a.v_field(st, v_k))
+            else:
+                terms = gfl_xi_terms(st, a.gp, v_k, i_k)
+            eta = ComplexFrequency(float(rho[k]), float(om[k]))
+            composed = chi_from_xi_terms(terms.xi_a, terms.k_rho,
+                                         terms.k_omega, eta).to_complex()
+            assert abs(composed - chi.values[k]) < 1e-9, (a.id, k)
+            checked += 1
+        assert checked >= 20, a.id
