@@ -437,13 +437,17 @@ class PowerSystemDae:
         self.n_bus = network.n_bus
         self.n_src = len(self.vsrc)
         self.n_y = 2 * self.n_bus + 2 * self.n_src
+        self.last_inj = None
         self.refresh_topology()
 
     def refresh_topology(self):
         self.y_mat = assemble_y(self.network)
+        self._neg_y = -self.y_mat
         self.connected = connected_bus_mask(
             self.network,
             device_buses=[a.bus for a in self.adapters if a.active])
+        isolated = np.flatnonzero(~self.connected)
+        self._isolated = isolated if isolated.size else None
         idx = self.network.bus_index
         self._device_info = [(a, self.slices[a.id] if a.n_states else None,
                               idx[a.bus])
@@ -463,17 +467,25 @@ class PowerSystemDae:
         return v, i_src
 
     def fg(self, t, x, y_vec):
-        """(differential RHS, algebraic residual) in one device pass."""
-        v, i_src = self.unpack_y(y_vec)
+        """(differential RHS, algebraic residual) in one device pass.
+
+        The current each device injects is kept in last_inj, in
+        _device_info order, so the recorder can reuse the converged values.
+        """
+        n = self.n_bus
+        v = y_vec[:n] + 1j * y_vec[n:2 * n]
         out_f = np.zeros(self.n_x)
-        mismatch = -self.y_mat @ v
+        mismatch = self._neg_y @ v
+        injections = []
         for a, sl, k in self._device_info:
             if sl is not None:
                 d, inj = a.fg(t, x[sl], v[k])
                 out_f[sl] = d
             else:
                 inj = a.inj(t, None, v[k])
+            injections.append(inj)
             mismatch[k] += inj
+        self.last_inj = injections
         for br, sl, kf, kt in self._branch_info:
             st = np.array([x[sl.start] + 1j * x[sl.start + 1],
                            x[sl.start + 2] + 1j * x[sl.start + 3]])
@@ -482,17 +494,21 @@ class PowerSystemDae:
             i_b = st[0]
             mismatch[kf] -= i_b
             mismatch[kt] += i_b
-        for j, (a, k) in enumerate(self._vsrc_info):
-            if a.active:
-                mismatch[k] += i_src[j]
-        mismatch[~self.connected] = v[~self.connected]
+        if self.n_src:
+            i_src = y_vec[2 * n:2 * n + self.n_src] + 1j * y_vec[2 * n + self.n_src:]
+            for j, (a, k) in enumerate(self._vsrc_info):
+                if a.active:
+                    mismatch[k] += i_src[j]
+        if self._isolated is not None:
+            mismatch[self._isolated] = v[self._isolated]
         out_g = np.empty(self.n_y)
-        out_g[:self.n_bus] = mismatch.real
-        out_g[self.n_bus:2 * self.n_bus] = mismatch.imag
-        for j, (a, k) in enumerate(self._vsrc_info):
-            dv = (v[k] - a.emf) if a.active else i_src[j]
-            out_g[2 * self.n_bus + j] = dv.real
-            out_g[2 * self.n_bus + self.n_src + j] = dv.imag
+        out_g[:n] = mismatch.real
+        out_g[n:2 * n] = mismatch.imag
+        if self.n_src:
+            for j, (a, k) in enumerate(self._vsrc_info):
+                dv = (v[k] - a.emf) if a.active else i_src[j]
+                out_g[2 * n + j] = dv.real
+                out_g[2 * n + self.n_src + j] = dv.imag
         return out_f, out_g
 
     def solve_algebraic(self, t, x, y_guess, tol=1e-10):
@@ -604,12 +620,12 @@ class TrapezoidalStepper:
         t_new = t_old + dt
         z = np.concatenate([x_old, y_old])
         r = self._residual(t_new, z, x_old, f_old, dt)
+        res = float(np.abs(r).max())
         tol = self.cfg.newton_tol
         rebuilds = 0
         since_build = self.cfg.newton_max_iter if self.jac_inv is None else 0
         it = 0
         while True:
-            res = float(np.max(np.abs(r)))
             if res < tol:
                 self.stats["newton_iterations"] += it
                 self.stats["worst_residual"] = max(self.stats["worst_residual"], res)
@@ -633,6 +649,7 @@ class TrapezoidalStepper:
             inv, scale = self.jac_inv
             z = z - inv @ (scale * r)
             r = self._residual(t_new, z, x_old, f_old, dt)
+            res = float(np.abs(r).max())
             it += 1
             since_build += 1
 
@@ -746,20 +763,24 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
 
     stepper = TrapezoidalStepper(dae, config)
 
-    def record(slot, t_now, x_now, y_now):
+    def record(slot, t_now, x_now, y_now, injections=None):
+        """Store one sample; injections are the currents of dae._device_info
+        at (x_now, y_now), evaluated here when not passed in."""
         v, i_src = dae.unpack_y(y_now)
         for b in bus_ids:
             volts[b][slot] = v[idx[b]]
+        if injections is None:
+            injections = [a.inj(t_now, None if sl is None else x_now[sl], v[k])
+                          for a, sl, k in dae._device_info]
+        for (a, _, _), inj in zip(dae._device_info, injections):
+            currs[a.id][slot] = inj
+        for j, a in enumerate(dae.vsrc):
+            if a.active:
+                currs[a.id][slot] = i_src[j]
         for a in dae.adapters:
             if not a.active:
                 currs[a.id][slot] = 0.0
                 active[a.id][slot] = False
-                continue
-            if a.kind is DeviceKind.VOLTAGE_SOURCE:
-                currs[a.id][slot] = i_src[dae.vsrc.index(a)]
-            else:
-                st = x_now[dae.slices[a.id]] if a.n_states else None
-                currs[a.id][slot] = a.inj(t_now, st, v[idx[a.bus]])
         for a in dae.stateful:
             states[a.id][slot] = x_now[dae.slices[a.id]]
 
@@ -786,7 +807,10 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
             stepper.invalidate()
             y = dae.solve_algebraic(t_new, x, y, tol=config.newton_tol)
         if k % dec == 0:
-            record(slot, t_new, x, y)
+            # the step's last residual evaluation ran at the accepted iterate;
+            # an event re-solve moves y, so its injections are recomputed
+            record(slot, t_new, x, y,
+                   None if k in events_by_step else dae.last_inj)
             if k in events_by_step:
                 event_samples.append(slot)
             slot += 1
