@@ -128,7 +128,10 @@ def unwrap_angles(angles):
 
 
 def cf_arrays(values, dt, frame_omega, omega_b):
-    """CF (rho, omega) arrays of a sampled complex signal; no validity checks."""
+    """CF (rho, omega) arrays of a sampled complex signal; checks only that
+    the three-point stencils fit."""
+    if len(values) < 3:
+        raise TooFewSamples(f"need >= 3 samples, got {len(values)}")
     mag = np.abs(values)
     ang = unwrap_angles(np.angle(values))
     rho = _derivative(np.log(mag), dt) / omega_b
@@ -143,8 +146,6 @@ def cf_from_samples(traj: Trajectory) -> CfSeries:
     the trajectory's omega_b.  Raises if any sample magnitude is below
     MIN_MAG or fewer than 3 samples are present.
     """
-    if len(traj) < 3:
-        raise TooFewSamples(f"need >= 3 samples, got {len(traj)}")
     mag = np.abs(traj.values)
     if np.min(mag) < MIN_MAG:
         k = int(np.argmin(mag))

@@ -13,9 +13,10 @@ import os
 import sys
 import tempfile
 
-from .errors import (InitInfeasible, NewtonDivergence, ParseError,
-                     PfDivergence, SchemaError, SingularY, UnknownScenario,
-                     WindowTooShort)
+from .errors import (CurrentTooSmall, InitInfeasible, ModulationTooSmall,
+                     NewtonDivergence, ParseError, PfDivergence, SchemaError,
+                     SingularY, SlipSingular, TooFewSamples, UnknownScenario,
+                     VoltageTooSmall, WindowTooShort)
 from .scenarios import (build_builtin, builtin_description, builtin_names,
                         cct_sweep, load_scenario)
 from .sim import SimConfig, run_simulation
@@ -24,8 +25,11 @@ from .synccheck import (DEFAULT_EPSILON, DEFAULT_SETTLE, DEFAULT_TAIL_TOL,
                         crosscheck_chi, evaluate_device, numeric_chi,
                         system_unstable)
 
-_USAGE_ERRORS = (ParseError, SchemaError, UnknownScenario)
-_SOLVER_ERRORS = (NewtonDivergence, PfDivergence, InitInfeasible, SingularY)
+# a run too short for the CF stencils is a settings error like the rest
+_USAGE_ERRORS = (ParseError, SchemaError, UnknownScenario, TooFewSamples)
+_SOLVER_ERRORS = (NewtonDivergence, PfDivergence, InitInfeasible, SingularY,
+                  VoltageTooSmall, CurrentTooSmall, ModulationTooSmall,
+                  SlipSingular)
 
 
 def _atomic_write(path, data):

@@ -26,6 +26,26 @@ def check_run_settings(dt, t_end, record_decimation):
                           f"got {record_decimation!r}")
 
 
+# an instant is on the dt grid when it is within this many steps of one
+GRID_TOL_STEPS = 1e-6
+
+
+def time_grid(dt, t_end, event_times=()):
+    """(steps to t_end, step of each event) on the dt grid.
+
+    SchemaError when t_end or an event time lies off the grid; nothing is
+    rounded to the nearest step.
+    """
+    def steps(name, time):
+        exact = time / dt
+        if not (math.isfinite(exact)
+                and abs(exact - round(exact)) <= GRID_TOL_STEPS):
+            raise SchemaError(f"{name} {time} is not a multiple of dt={dt}")
+        return round(exact)
+    return (steps("t_end", t_end),
+            [steps("event time", t) for t in event_times])
+
+
 @dataclass(frozen=True)
 class DeviceSpec:
     """One device instance: kind, terminal bus and raw numeric parameters.
@@ -135,10 +155,6 @@ class Scenario:
             if key in seen:
                 raise SchemaError(f"duplicate event {key}")
             seen.add(key)
-            steps = ev.time / self.dt
-            if abs(steps - round(steps)) > 1e-6:
-                raise SchemaError(
-                    f"event time {ev.time} is not a multiple of dt={self.dt}")
             if ev.kind is EventKind.APPLY_FAULT:
                 if ev.branch is not None and ev.branch not in branch_ids:
                     raise SchemaError(f"fault on unknown branch {ev.branch}")
@@ -163,4 +179,5 @@ class Scenario:
         for dev_id in self.monitored:
             if dev_id not in dev_ids:
                 raise SchemaError(f"monitored device {dev_id} is not declared")
+        time_grid(self.dt, self.t_end, [ev.time for ev in self.events])
         return self

@@ -7,9 +7,14 @@ simultaneously each step by a chord Newton iteration on
     x_new - x_old - dt/2 * (f_old + f(t_new, x_new, y_new)) = 0
     g(t_new, x_new, y_new) = 0
 
-with a forward-difference Jacobian reused until convergence slows.  Events
-are snapped to step boundaries; at an event the topology changes, the
-algebraic variables are re-solved holding x, and integration continues.
+by a quasi-Newton iteration: the inverse of a forward-difference Jacobian
+is kept across iterations and steps and, after every iteration that has not
+converged, corrected by Broyden's second ("bad") rank-1 update, so it
+follows phasors that keep rotating in the synchronous frame without new
+residual evaluations.  It is rebuilt only when a step stalls or converges
+slowly.  Events must lie on step boundaries; at an event the topology
+changes, the algebraic variables are re-solved holding x, and integration
+continues.
 """
 
 from __future__ import annotations
@@ -27,12 +32,14 @@ from .devices import (GFL_STATE_NAMES, GFM_STATE_NAMES, DeviceKind, GflParams,
                       sm6_params, sm_admittance_cf, sm_fg, sm_init,
                       sm_injection, zip_admittance_cf, zip_injection,
                       zip_power)
-from .errors import (InitInfeasible, MixedZipUnsupportedAnalytic,
-                     NewtonDivergence, SchemaError)
+from .errors import (CurrentTooSmall, InitInfeasible,
+                     MixedZipUnsupportedAnalytic, ModulationTooSmall,
+                     NewtonDivergence, SchemaError, SlipSingular,
+                     VoltageTooSmall)
 from .network import (EventKind, Network, PfBusSpec, apply_event, assemble_y,
                       connected_bus_mask, dynamic_branch_derivatives,
                       dynamic_branch_init, interface_solve, solve_power_flow)
-from .scenarios.model import DeviceSpec, Scenario, check_run_settings
+from .scenarios.model import DeviceSpec, Scenario, check_run_settings, time_grid
 
 
 @dataclass(frozen=True)
@@ -413,6 +420,25 @@ def build_adapters(scenario: Scenario):
 
 # --- assembled DAE ----------------------------------------------------------
 
+# raised by device models whose equations are singular at the current point
+_DEVICE_ERRORS = (VoltageTooSmall, CurrentTooSmall, ModulationTooSmall,
+                  SlipSingular)
+
+
+def _device_failure(exc, a, t):
+    """The device error again, naming the device and the time."""
+    return type(exc)(f"device {a.id} at t={t:.6f}s: {exc}")
+
+
+def _injection_at(a, t, st):
+    def inj(vb):
+        try:
+            return a.inj(t, st, vb)
+        except _DEVICE_ERRORS as exc:
+            raise _device_failure(exc, a, t) from exc
+    return inj
+
+
 
 class PowerSystemDae:
     """Packs devices, dynamic branches and the network into f/g callables."""
@@ -477,14 +503,17 @@ class PowerSystemDae:
         out_f = np.zeros(self.n_x)
         mismatch = self._neg_y @ v
         injections = []
-        for a, sl, k in self._device_info:
-            if sl is not None:
-                d, inj = a.fg(t, x[sl], v[k])
-                out_f[sl] = d
-            else:
-                inj = a.inj(t, None, v[k])
-            injections.append(inj)
-            mismatch[k] += inj
+        try:
+            for a, sl, k in self._device_info:
+                if sl is not None:
+                    d, inj = a.fg(t, x[sl], v[k])
+                    out_f[sl] = d
+                else:
+                    inj = a.inj(t, None, v[k])
+                injections.append(inj)
+                mismatch[k] += inj
+        except _DEVICE_ERRORS as exc:
+            raise _device_failure(exc, a, t) from exc
         self.last_inj = injections
         for br, sl, kf, kt in self._branch_info:
             st = np.array([x[sl.start] + 1j * x[sl.start + 1],
@@ -519,8 +548,7 @@ class PowerSystemDae:
             if not a.active or a.kind is DeviceKind.VOLTAGE_SOURCE:
                 continue
             st = x[self.slices[a.id]] if a.n_states else None
-            injections.append(
-                (idx[a.bus], lambda vb, a=a, st=st: a.inj(t, st, vb)))
+            injections.append((idx[a.bus], _injection_at(a, t, st)))
         for br in self.dyn_branches:
             if not self.network.in_service[br.id]:
                 continue
@@ -551,10 +579,18 @@ class PowerSystemDae:
 
 
 class TrapezoidalStepper:
-    """Chord-Newton implicit trapezoidal stepper over (f, g)."""
+    """Quasi-Newton implicit trapezoidal stepper over (f, g).
 
-    # chord Newton: keep the factorized Jacobian while it still converges in
-    # fewer iterations than a rebuild would cost in residual evaluations
+    The cached row-scaled inverse Jacobian starts as the inverse of a
+    forward-difference Jacobian.  After each iteration whose residual is
+    still at or above tolerance it takes Broyden's second update,
+    inv -= (dz + inv @ dr) dr^T / (dr . dr), where the iterate moved by -dz
+    and dr is the change of the scaled residual; afterwards inv @ dr = -dz,
+    the secant condition.
+    """
+
+    # keep the updated inverse while it still converges in fewer iterations
+    # than a rebuild would cost in residual evaluations
     REBUILD_ITERS = 12
 
     def __init__(self, dae, config: SimConfig):
@@ -608,10 +644,10 @@ class TrapezoidalStepper:
     def step(self, t_old, x_old, y_old, dt):
         """Advance one step; returns (x_new, y_new, iterations).
 
-        The Jacobian is reused across iterations and steps; when the chord
-        iteration exhausts its budget it is rebuilt at the current iterate
-        (up to MAX_REBUILDS_PER_STEP times) before the step is declared
-        divergent.
+        The Broyden-updated inverse is reused across iterations and steps;
+        when the iteration exhausts its budget the Jacobian is rebuilt at
+        the current iterate (up to MAX_REBUILDS_PER_STEP times) before the
+        step is declared divergent.
         """
         dae = self.dae
         f_old = self._f_old
@@ -647,11 +683,20 @@ class TrapezoidalStepper:
                 rebuilds += 1
                 since_build = 0
             inv, scale = self.jac_inv
-            z = z - inv @ (scale * r)
-            r = self._residual(t_new, z, x_old, f_old, dt)
-            res = float(np.abs(r).max())
+            dz = inv @ (scale * r)
+            z = z - dz
+            r_new = self._residual(t_new, z, x_old, f_old, dt)
+            res = float(np.abs(r_new).max())
             it += 1
             since_build += 1
+            if res >= tol:
+                # Broyden's second update: the inverse maps the scaled
+                # residual change onto the step just taken (secant condition)
+                dr = scale * (r_new - r)
+                dr2 = dr @ dr
+                if dr2 != 0.0:
+                    inv -= np.outer(dz + inv @ dr, dr / dr2)
+            r = r_new
 
 
 # --- initialization and the main loop --------------------------------------
@@ -734,21 +779,22 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
 
 def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimResult:
     """Integrate the scenario over [0, t_end], applying events at their instants."""
+    config = config or SimConfig.from_scenario(scenario)
+    # t_end and every event must lie on the grid of the dt actually used
+    n_steps, event_steps = time_grid(config.dt, config.t_end,
+                                     [ev.time for ev in scenario.events])
     if scenario.analytic is not None:
         from .scenarios.circuit import run_analytic
         return run_analytic(scenario, config)
 
-    config = config or SimConfig.from_scenario(scenario)
     dae, x, y = initialize(scenario, config)
     network = dae.network
     idx = network.bus_index
     dt = config.dt
-    n_steps = int(round(config.t_end / dt))
     dec = config.record_decimation
 
     events_by_step = {}
-    for ev in scenario.events:
-        k = int(round(ev.time / dt))
+    for k, ev in zip(event_steps, scenario.events):
         events_by_step.setdefault(k, []).append(ev)
 
     rec_steps = list(range(0, n_steps + 1, dec))

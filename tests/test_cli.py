@@ -1,9 +1,15 @@
 """CLI surface: files, determinism, exit codes, report schema."""
 
+import contextlib
+import io
 import json
+import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from synchrolens.cli import main
 from synchrolens.scenarios import build_builtin, serialize_scenario
@@ -95,6 +101,11 @@ _RUN = ("run", "--builtin", "smib")
                            "--tail-tol", "0"), id="sweep-tail-tol-zero"),
     pytest.param(_SWEEP + ("--from", "1.2", "--to", "1.1", "--step", "0.01"),
                  id="sweep-empty-range"),
+    pytest.param(_RUN + ("--dt", "7e-4"), id="events-off-dt-grid"),
+    pytest.param(_RUN + ("--dt", "3e-3", "--t-end", "0.0101"),
+                 id="t-end-off-dt-grid"),
+    pytest.param(_RUN + ("--dt", "0.01", "--t-end", "0.01"),
+                 id="too-few-samples"),
 ])
 def test_invalid_input_exit_2(tmp_path, capsys, argv):
     """Bad settings are rejected with exit 2 and a message, before any
@@ -223,3 +234,97 @@ def test_solver_failure_exit_3(tmp_path, capsys):
     path = tmp_path / "infeasible.ini"
     path.write_text(ser(replace(base, devices=devices)))
     assert run_cli("run", "--file", str(path), "--out", str(tmp_path)) == 3
+
+
+_ISLANDED_ZIP = """\
+[system]
+name = island
+slack_device = IB
+
+[bus.B0]
+
+[bus.B1]
+
+[branch.L1]
+from = B0
+to = B1
+r = 0.01
+x = 0.2
+
+[device.IB]
+kind = voltage_source
+bus = B0
+v = 1.0
+
+[device.Z1]
+kind = zip
+bus = B1
+p0 = 0.3
+q0 = 0.05
+
+[event.1]
+t = 1.0
+kind = open_branch
+branch = L1
+
+[sim]
+dt = 0.001
+t_end = 2.0
+"""
+
+
+def test_islanded_zip_bus_exit_3(tmp_path, capsys):
+    """Opening the only line to a ZIP bus drives its voltage to zero; the load
+    model's error names the device and the time and exits 3."""
+    path = tmp_path / "island.ini"
+    path.write_text(_ISLANDED_ZIP)
+    out = tmp_path / "out"
+    assert run_cli("run", "--file", str(path), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "Z1" in err and "t=1.000000s" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, -1e-3])
+
+
+def _flag(name, regular):
+    """None (flag left out), a special value, or a regular draw."""
+    return st.one_of(st.none(), _SPECIAL, regular).map(
+        lambda value: () if value is None else (f"--{name}={value!r}",))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dt=_flag("dt", st.one_of(st.sampled_from([1e-3, 5e-4, 2e-3, 0.01]),
+                                st.floats(2e-4, 0.05))),
+       t_end=_flag("t-end", st.one_of(st.sampled_from([0.01, 0.02, 0.05]),
+                                      st.floats(1e-4, 0.05))),
+       epsilon=_flag("epsilon", st.floats(1e-6, 1.0)),
+       tail_tol=_flag("tail-tol", st.floats(1e-8, 1.0)),
+       clear_time=_flag("clear-time", st.one_of(
+           st.sampled_from([1.05, 1.12, 1.13]), st.floats(0.5, 2.0))))
+def test_run_flags_property(dt, t_end, epsilon, tail_tol, clear_time):
+    """Any flag values either run or are rejected with a documented exit
+    code and a message; no traceback and no partial output either way.
+    Without --t-end the built-in's 12 s span would be simulated, so the
+    default case draws a short span instead."""
+    if not t_end:
+        t_end = ("--t-end=0.02",)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli(*_RUN, "--out", out, *dt, *t_end, *epsilon,
+                           *tail_tol, *clear_time)
+        event(f"exit {code}")
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        left = os.listdir(out) if os.path.isdir(out) else []
+        assert not [f for f in left if f.startswith(".synchrolens-")]
+        if code == 0:
+            assert sorted(left) == ["smib_chi.csv", "smib_report.json",
+                                    "smib_traj.csv"]
+        else:
+            assert left == [] and err.getvalue()
