@@ -30,7 +30,7 @@ def check_run_settings(dt, t_end, record_decimation):
 GRID_TOL_STEPS = 1e-6
 
 
-def time_grid(dt, t_end, event_times=()):
+def time_grid(dt, t_end, event_times):
     """(steps to t_end, step of each event) on the dt grid.
 
     SchemaError when t_end or an event time lies off the grid; nothing is

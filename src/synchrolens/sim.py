@@ -439,7 +439,6 @@ def _injection_at(a, t, st):
     return inj
 
 
-
 class PowerSystemDae:
     """Packs devices, dynamic branches and the network into f/g callables."""
 
