@@ -305,53 +305,27 @@ def dynamic_branch_init(branch: Branch, v_from, v_to):
     return np.array([i_b, v_c])
 
 
-# --- algebraic interface solve -------------------------------------------
+# --- Newton on a residual ---------------------------------------------------
 
-def interface_solve(y, injections, v_guess, vsrc=(), connected=None,
-                    tol=1e-10, max_iter=30):
-    """Bus voltages satisfying KCL given device injection closures.
+def interface_solve(residual, z0, tol=1e-10, max_iter=30):
+    """Newton iteration for residual(z) = 0 from z0; returns the root.
 
-    injections: list of (bus_index, fn) with fn(v_bus complex) -> injected
-    current (system base).  vsrc: list of (bus_index, emf complex); each adds
-    two unknowns (its current) and two equations (v_bus = emf).  connected
-    masks buses whose KCL row is replaced by v = 0.
-
-    Returns (v complex array, vsrc currents complex array).
+    The forward-difference Jacobian is kept while each iteration at least
+    halves the residual's max norm and is rebuilt otherwise.  The last
+    residual call is at the returned point.
     """
-    n = y.shape[0]
-    m = len(vsrc)
-    connected = np.ones(n, dtype=bool) if connected is None else connected
-
-    def residual(z):
-        v = z[:n] + 1j * z[n:2 * n]
-        i_src = z[2 * n:2 * n + m] + 1j * z[2 * n + m:]
-        mismatch = -y @ v
-        for k, fn in injections:
-            mismatch[k] += fn(v[k])
-        for j, (k, _emf) in enumerate(vsrc):
-            mismatch[k] += i_src[j]
-        mismatch[~connected] = v[~connected]
-        out = np.empty(2 * (n + m))
-        out[:n], out[n:2 * n] = mismatch.real, mismatch.imag
-        for j, (k, emf) in enumerate(vsrc):
-            out[2 * n + j] = v[k].real - emf.real
-            out[2 * n + m + j] = v[k].imag - emf.imag
-        return out
-
-    z = np.concatenate([v_guess.real, v_guess.imag, np.zeros(2 * m)])
+    z = z0
     r = residual(z)
     jac = None
     for _ in range(max_iter):
         if np.max(np.abs(r)) < tol:
-            v = z[:n] + 1j * z[n:2 * n]
-            i_src = z[2 * n:2 * n + m] + 1j * z[2 * n + m:]
-            return v, i_src
+            return z
         if jac is None:
-            jac = _fd_jacobian(residual, z, r)
+            jac = fd_jacobian(residual, z, r)
         try:
             dz = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
-            raise SingularY(f"interface Jacobian singular: {exc}") from exc
+            raise SingularY(f"Newton Jacobian singular: {exc}") from exc
         z = z + dz
         r_new = residual(z)
         if np.max(np.abs(r_new)) > 0.5 * np.max(np.abs(r)) and np.max(np.abs(r_new)) > tol:
@@ -362,7 +336,9 @@ def interface_solve(y, injections, v_guess, vsrc=(), connected=None,
                            worst_equation=int(np.argmax(np.abs(r))))
 
 
-def _fd_jacobian(fn, z, f0, eps=1e-7):
+def fd_jacobian(fn, z, f0):
+    """Forward-difference Jacobian of fn at z, given f0 = fn(z)."""
+    eps = 1e-7
     jac = np.empty((len(f0), len(z)))
     for k in range(len(z)):
         zp = z.copy()
@@ -444,11 +420,7 @@ def solve_power_flow(network: Network, specs, tol=1e-10, max_iter=50):
             s_all = v * np.conj(y @ v)
             slack_s = complex(s_all[slack])
             return v, slack_s, s_all
-        jac = np.empty((len(f), len(x)))
-        for k in range(len(x)):
-            xp = x.copy()
-            xp[k] += 1e-7
-            jac[:, k] = (mismatch(*unpack(xp)) - f) / 1e-7
+        jac = fd_jacobian(lambda xp: mismatch(*unpack(xp)), x, f)
         try:
             x = x + np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError as exc:

@@ -38,7 +38,8 @@ from .errors import (CurrentTooSmall, InitInfeasible,
                      VoltageTooSmall)
 from .network import (EventKind, Network, PfBusSpec, apply_event, assemble_y,
                       connected_bus_mask, dynamic_branch_derivatives,
-                      dynamic_branch_init, interface_solve, solve_power_flow)
+                      dynamic_branch_init, fd_jacobian, interface_solve,
+                      solve_power_flow)
 from .scenarios.model import DeviceSpec, Scenario, check_run_settings, time_grid
 
 
@@ -49,7 +50,6 @@ class SimConfig:
     newton_tol: float = 1e-10
     newton_max_iter: int = 20
     record_decimation: int = 1
-    fd_eps: float = 1e-7
 
     def __post_init__(self):
         check_run_settings(self.dt, self.t_end, self.record_decimation)
@@ -425,20 +425,6 @@ _DEVICE_ERRORS = (VoltageTooSmall, CurrentTooSmall, ModulationTooSmall,
                   SlipSingular)
 
 
-def _device_failure(exc, a, t):
-    """The device error again, naming the device and the time."""
-    return type(exc)(f"device {a.id} at t={t:.6f}s: {exc}")
-
-
-def _injection_at(a, t, st):
-    def inj(vb):
-        try:
-            return a.inj(t, st, vb)
-        except _DEVICE_ERRORS as exc:
-            raise _device_failure(exc, a, t) from exc
-    return inj
-
-
 class PowerSystemDae:
     """Packs devices, dynamic branches and the network into f/g callables."""
 
@@ -512,7 +498,8 @@ class PowerSystemDae:
                 injections.append(inj)
                 mismatch[k] += inj
         except _DEVICE_ERRORS as exc:
-            raise _device_failure(exc, a, t) from exc
+            # the same error again, naming the device and the time
+            raise type(exc)(f"device {a.id} at t={t:.6f}s: {exc}") from exc
         self.last_inj = injections
         for br, sl, kf, kt in self._branch_info:
             st = np.array([x[sl.start] + 1j * x[sl.start + 1],
@@ -540,38 +527,14 @@ class PowerSystemDae:
         return out_f, out_g
 
     def solve_algebraic(self, t, x, y_guess, tol=1e-10):
-        """Re-solve g = 0 at fixed x (event instants, initialization)."""
-        idx = self.network.bus_index
-        injections = []
-        for a in self.adapters:
-            if not a.active or a.kind is DeviceKind.VOLTAGE_SOURCE:
-                continue
-            st = x[self.slices[a.id]] if a.n_states else None
-            injections.append((idx[a.bus], _injection_at(a, t, st)))
-        for br in self.dyn_branches:
-            if not self.network.in_service[br.id]:
-                continue
-            sl = self.branch_slices[br.id]
-            i_b = x[sl.start] + 1j * x[sl.start + 1]
-            f_k, t_k = idx[br.from_bus], idx[br.to_bus]
-            injections.append((f_k, lambda vb, i=i_b: -i))
-            injections.append((t_k, lambda vb, i=i_b: i))
-        vsrc = [(idx[a.bus], a.emf) for a in self.vsrc if a.active]
-        v_guess, _ = self.unpack_y(y_guess)
-        v, i_src_active = interface_solve(self.y_mat, injections, v_guess,
-                                          vsrc, self.connected, tol=tol)
-        i_src = np.zeros(self.n_src, dtype=complex)
-        j_active = 0
-        for j, a in enumerate(self.vsrc):
-            if a.active:
-                i_src[j] = i_src_active[j_active]
-                j_active += 1
-        out = np.empty(self.n_y)
-        out[:self.n_bus] = v.real
-        out[self.n_bus:2 * self.n_bus] = v.imag
-        out[2 * self.n_bus:2 * self.n_bus + self.n_src] = i_src.real
-        out[2 * self.n_bus + self.n_src:] = i_src.imag
-        return out
+        """Re-solve g = 0 at fixed x (event instants, initialization).
+
+        The ideal-source currents restart from zero.  The last fg call is at
+        the returned point, so last_inj holds its injections.
+        """
+        y0 = y_guess.copy()
+        y0[2 * self.n_bus:] = 0.0
+        return interface_solve(lambda y: self.fg(t, x, y)[1], y0, tol=tol)
 
 
 # --- trapezoidal stepper ----------------------------------------------------
@@ -621,13 +584,8 @@ class TrapezoidalStepper:
         and fast converter rows mix scales; returns (inv, row_scale) so the
         Newton update is inv @ (scale * r).
         """
-        eps = self.cfg.fd_eps
-        n = len(z)
-        jac = np.empty((n, n))
-        for k in range(n):
-            zp = z.copy()
-            zp[k] += eps
-            jac[:, k] = (self._residual(t_new, zp, x_old, f_old, dt) - r0) / eps
+        jac = fd_jacobian(
+            lambda zp: self._residual(t_new, zp, x_old, f_old, dt), z, r0)
         self.stats["jacobian_builds"] += 1
         scale = np.max(np.abs(jac), axis=1)
         if np.any(scale == 0.0):
@@ -808,16 +766,13 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
 
     stepper = TrapezoidalStepper(dae, config)
 
-    def record(slot, t_now, x_now, y_now, injections=None):
-        """Store one sample; injections are the currents of dae._device_info
-        at (x_now, y_now), evaluated here when not passed in."""
+    def record(slot, x_now, y_now):
+        """Store one sample.  Every solve ends with an fg call at the point
+        it accepts, so dae.last_inj holds the injections at (x_now, y_now)."""
         v, i_src = dae.unpack_y(y_now)
         for b in bus_ids:
             volts[b][slot] = v[idx[b]]
-        if injections is None:
-            injections = [a.inj(t_now, None if sl is None else x_now[sl], v[k])
-                          for a, sl, k in dae._device_info]
-        for (a, _, _), inj in zip(dae._device_info, injections):
+        for (a, _, _), inj in zip(dae._device_info, dae.last_inj):
             currs[a.id][slot] = inj
         for j, a in enumerate(dae.vsrc):
             if a.active:
@@ -829,7 +784,7 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
         for a in dae.stateful:
             states[a.id][slot] = x_now[dae.slices[a.id]]
 
-    record(0, 0.0, x, y)
+    record(0, x, y)
     slot = 1
     for k in range(1, n_steps + 1):
         t_new = k * dt
@@ -852,10 +807,7 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
             stepper.invalidate()
             y = dae.solve_algebraic(t_new, x, y, tol=config.newton_tol)
         if k % dec == 0:
-            # the step's last residual evaluation ran at the accepted iterate;
-            # an event re-solve moves y, so its injections are recomputed
-            record(slot, t_new, x, y,
-                   None if k in events_by_step else dae.last_inj)
+            record(slot, x, y)
             if k in events_by_step:
                 event_samples.append(slot)
             slot += 1

@@ -62,24 +62,45 @@ def test_kundur_matrix_matches_independent_assembly():
     assert np.abs(y - expected).max() < 1e-12
 
 
+def _source_residual(y, emf, y_load=0.0, connected=None):
+    """KCL residual over z = [Re v, Im v, Re i_src, Im i_src]: an ideal
+    source of EMF emf at bus 0 and a load drawing y_load * v at the last bus;
+    rows of buses outside connected read v = 0."""
+    n = y.shape[0]
+
+    def residual(z):
+        v = z[:n] + 1j * z[n:2 * n]
+        mismatch = -y @ v
+        mismatch[0] += z[2 * n] + 1j * z[2 * n + 1]
+        mismatch[-1] -= y_load * v[-1]
+        if connected is not None:
+            mismatch[~connected] = v[~connected]
+        dv = v[0] - emf
+        return np.concatenate([mismatch.real, mismatch.imag, [dv.real, dv.imag]])
+    return residual
+
+
+def _flat_start(n):
+    return np.concatenate([np.ones(n), np.zeros(n + 2)])
+
+
 def test_interface_solve_single_source_radial():
     net = Network([Bus("1"), Bus("2")],
                   [Branch("L", "1", "2", 0.0, 0.4)])
     y = assemble_y(net)
-    v, i_src = interface_solve(y, [], np.ones(2, dtype=complex),
-                               vsrc=[(0, 0.98 + 0.02j)])
+    z = interface_solve(_source_residual(y, 0.98 + 0.02j), _flat_start(2))
+    v, i_src = z[:2] + 1j * z[2:4], complex(z[4], z[5])
     assert np.abs(v - (0.98 + 0.02j)).max() < 1e-9
-    assert abs(i_src[0]) < 1e-9
+    assert abs(i_src) < 1e-9
 
 
 def test_interface_solve_divider_closed_form():
     net = Network([Bus("1"), Bus("2")], [Branch("L", "1", "2", 0.1, 0.5)])
     y = assemble_y(net)
     y_load = 0.5 - 0.1j
-    v, _ = interface_solve(y, [(1, lambda vb: -y_load * vb)],
-                           np.ones(2, dtype=complex), vsrc=[(0, 1.0 + 0.0j)])
+    z = interface_solve(_source_residual(y, 1.0 + 0.0j, y_load), _flat_start(2))
     z_load, z_src = 1.0 / y_load, 0.1 + 0.5j
-    assert abs(v[1] - z_load / (z_load + z_src)) < 1e-12
+    assert abs(complex(z[1], z[3]) - z_load / (z_load + z_src)) < 1e-12
 
 
 def test_power_flow_no_load_flat():
@@ -145,10 +166,11 @@ def test_midpoint_fault_collapses_voltage():
     net.split_branch_for_fault("L")
     apply_event(net, Event(1.0, EventKind.APPLY_FAULT, branch="L"))
     y = assemble_y(net)
-    v, _ = interface_solve(y, [], np.ones(3, dtype=complex),
-                           vsrc=[(0, 1.0 + 0.0j)],
-                           connected=connected_bus_mask(net, ["1"]))
-    assert abs(v[net.bus_index["L_mid"]]) < 0.1
+    z = interface_solve(_source_residual(y, 1.0 + 0.0j,
+                                         connected=connected_bus_mask(net, ["1"])),
+                        _flat_start(3))
+    k = net.bus_index["L_mid"]
+    assert abs(complex(z[k], z[3 + k])) < 0.1
 
 
 def test_clear_fault_requires_prior_fault():
