@@ -373,7 +373,6 @@ def solve_power_flow(network: Network, specs, tol=1e-10, max_iter=50):
     """
     n = network.n_bus
     y = assemble_y(network, include_dynamic_equivalent=True)
-    idx = network.bus_index
     kinds = np.array([specs[b.id].kind for b in network.buses])
     slack = np.where(kinds == "slack")[0]
     if len(slack) != 1:
@@ -386,44 +385,32 @@ def solve_power_flow(network: Network, specs, tol=1e-10, max_iter=50):
     th_idx = [k for k in range(n) if k != slack]
     vm_idx = [k for k in range(n) if kinds[k] == "pq"]
 
-    def injected(vmag):
-        p = np.zeros(n)
-        q = np.zeros(n)
+    def voltages(x):
+        """(bus voltages, their magnitudes) for unknown angles and magnitudes x."""
+        va2, vm2 = va.copy(), vm.copy()
+        va2[th_idx] = x[:len(th_idx)]
+        vm2[vm_idx] = x[len(th_idx):]
+        return vm2 * np.exp(1j * va2), vm2
+
+    def mismatch(x):
+        v, vmag = voltages(x)
+        s_net = v * np.conj(y @ v)
+        p, q = np.zeros(n), np.zeros(n)
         for k, b in enumerate(network.buses):
             sp = specs[b.id]
             for fn in sp.p_fns:
                 p[k] += fn(vmag[k])
             for fn in sp.q_fns:
                 q[k] += fn(vmag[k])
-        return p, q
+        return np.concatenate([(p - s_net.real)[th_idx],
+                               (q - s_net.imag)[vm_idx]])
 
-    def mismatch(vm, va):
-        v = vm * np.exp(1j * va)
-        s_net = v * np.conj(y @ v)
-        p_spec, q_spec = injected(vm)
-        dp = p_spec - s_net.real
-        dq = q_spec - s_net.imag
-        return np.concatenate([dp[th_idx], dq[vm_idx]])
-
-    def unpack(x):
-        va2, vm2 = va.copy(), vm.copy()
-        va2[th_idx] = x[:len(th_idx)]
-        vm2[vm_idx] = x[len(th_idx):]
-        return vm2, va2
-
-    x = np.concatenate([va[th_idx], vm[vm_idx]])
-    for _ in range(max_iter):
-        vm_c, va_c = unpack(x)
-        f = mismatch(vm_c, va_c)
-        if np.max(np.abs(f)) < tol:
-            v = vm_c * np.exp(1j * va_c)
-            s_all = v * np.conj(y @ v)
-            slack_s = complex(s_all[slack])
-            return v, slack_s, s_all
-        jac = fd_jacobian(lambda xp: mismatch(*unpack(xp)), x, f)
-        try:
-            x = x + np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError as exc:
-            raise SingularY(f"power-flow Jacobian singular: {exc}") from exc
-    raise PfDivergence(f"power flow not converged after {max_iter} iterations; "
-                       f"residual {np.max(np.abs(f)):.3e}")
+    try:
+        x = interface_solve(mismatch, np.concatenate([va[th_idx], vm[vm_idx]]),
+                            tol=tol, max_iter=max_iter)
+    except NewtonDivergence as exc:
+        raise PfDivergence(f"power flow not converged after {max_iter} "
+                           f"iterations; residual {exc.residual:.3e}") from exc
+    v = voltages(x)[0]
+    s_all = v * np.conj(y @ v)
+    return v, complex(s_all[slack]), s_all

@@ -286,6 +286,47 @@ def test_islanded_zip_bus_exit_3(tmp_path, capsys):
     assert not out.exists() or not list(out.iterdir())
 
 
+_OVERLOAD = """\
+[system]
+name = overload
+slack_device = IB
+
+[bus.B0]
+
+[bus.B1]
+
+[branch.L]
+from = B0
+to = B1
+r = 0.0
+x = 0.5
+
+[device.IB]
+kind = voltage_source
+bus = B0
+v = 1.0
+
+[device.P1]
+kind = zip
+bus = B1
+p0 = 5.0
+k_pp = 1.0
+k_zp = 0.0
+"""
+
+
+def test_infeasible_power_flow_exit_3(tmp_path, capsys):
+    """A 5 pu constant-power load behind x = 0.5 pu (at most 1 pu can be
+    delivered) has no power-flow solution."""
+    path = tmp_path / "overload.ini"
+    path.write_text(_OVERLOAD)
+    out = tmp_path / "out"
+    assert run_cli("run", "--file", str(path), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "power flow not converged" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 _SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, -1e-3])
 
 

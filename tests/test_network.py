@@ -150,6 +150,15 @@ def test_power_flow_requires_single_slack():
         solve_power_flow(net, {"1": PfBusSpec(), "2": PfBusSpec()})
 
 
+def test_power_flow_infeasible_load_diverges():
+    """5 pu drawn over x = 0.5 exceeds the 1 pu the line can carry."""
+    net = Network([Bus("1"), Bus("2")], [Branch("L", "1", "2", 0, 0.5)])
+    specs = {"1": PfBusSpec(kind="slack"),
+             "2": PfBusSpec(p_fns=[lambda vm: -5.0])}
+    with pytest.raises(PfDivergence, match="power flow not converged"):
+        solve_power_flow(net, specs)
+
+
 def test_open_branch_doubles_transfer_impedance():
     net = Network([Bus("1"), Bus("2")],
                   [Branch("LA", "1", "2", 0.0, 0.5),
