@@ -30,20 +30,20 @@ def check_run_settings(dt, t_end, record_decimation):
 GRID_TOL_STEPS = 1e-6
 
 
-def time_grid(dt, t_end, event_times):
-    """(steps to t_end, step of each event) on the dt grid.
+def grid_steps(name, time, dt):
+    """Whole dt steps to the instant time; SchemaError when it lies off the
+    grid, as nothing is rounded to the nearest step."""
+    exact = time / dt
+    if not (math.isfinite(exact)
+            and abs(exact - round(exact)) <= GRID_TOL_STEPS):
+        raise SchemaError(f"{name} {time} is not a multiple of dt={dt}")
+    return round(exact)
 
-    SchemaError when t_end or an event time lies off the grid; nothing is
-    rounded to the nearest step.
-    """
-    def steps(name, time):
-        exact = time / dt
-        if not (math.isfinite(exact)
-                and abs(exact - round(exact)) <= GRID_TOL_STEPS):
-            raise SchemaError(f"{name} {time} is not a multiple of dt={dt}")
-        return round(exact)
-    return (steps("t_end", t_end),
-            [steps("event time", t) for t in event_times])
+
+def time_grid(dt, t_end, event_times):
+    """(steps to t_end, step of each event) on the dt grid."""
+    return (grid_steps("t_end", t_end, dt),
+            [grid_steps("event time", t, dt) for t in event_times])
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from ..errors import SchemaError, SynchroLensError
 from ..network import EventKind
 from ..sim import run_simulation
 from ..synccheck import evaluate_device, system_unstable
-from .model import Scenario
+from .model import Scenario, grid_steps
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,6 @@ def with_clearing_time(scenario: Scenario, t_clear: float) -> Scenario:
     return replace(scenario, events=events)
 
 
-def _grid_snap(scenario, t):
-    return round(round(t / scenario.dt) * scenario.dt, 12)
-
-
 def _run_point(args):
     scenario, t_clear, device_id, tail_tol = args
     try:
@@ -98,10 +94,13 @@ def cct_sweep(scenario: Scenario, t_from: float, t_to: float, step: float,
             raise SchemaError("no monitored device to sweep on")
         device_id = scenario.monitored[0]
     with_clearing_time(scenario, max(t_to, t_from))   # fault-pair validation
+    # every clearing time must lie on the dt grid, checked before any point
+    # runs; on-grid times are reported as the grid instant
     times = []
     t = t_from
     while t <= t_to + 1e-9:
-        times.append(_grid_snap(scenario, t))
+        k = grid_steps("clearing time", t, scenario.dt)
+        times.append(round(k * scenario.dt, 12))
         t += step
     jobs = [(scenario, tc, device_id, tail_tol) for tc in times]
     if workers > 1:

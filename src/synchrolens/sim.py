@@ -2,7 +2,7 @@
 
 The differential states x (device states, dynamic-branch currents) and the
 algebraic variables y (bus voltages, ideal-source currents) are solved
-simultaneously each step by a chord Newton iteration on
+simultaneously each step from
 
     x_new - x_old - dt/2 * (f_old + f(t_new, x_new, y_new)) = 0
     g(t_new, x_new, y_new) = 0
@@ -13,8 +13,8 @@ converged, corrected by Broyden's second ("bad") rank-1 update, so it
 follows phasors that keep rotating in the synchronous frame without new
 residual evaluations.  It is rebuilt only when a step stalls or converges
 slowly.  Events must lie on step boundaries; at an event the topology
-changes, the algebraic variables are re-solved holding x, and integration
-continues.
+changes, g = 0 is re-solved for y holding x, by the plain Newton loop the
+power flow also uses, and integration continues.
 """
 
 from __future__ import annotations
@@ -790,22 +790,22 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
         t_new = k * dt
         try:
             x, y, _ = stepper.step((k - 1) * dt, x, y, dt)
+            if k in events_by_step:
+                for ev in events_by_step[k]:
+                    if ev.kind is EventKind.DISCONNECT_DEVICE:
+                        for a in dae.adapters:
+                            if a.id == ev.device:
+                                a.active = False
+                    else:
+                        apply_event(network, ev)
+                    event_log.append((t_new, ev))
+                dae.refresh_topology()
+                stepper.invalidate()
+                y = dae.solve_algebraic(t_new, x, y, tol=config.newton_tol)
         except NewtonDivergence as exc:
-            raise NewtonDivergence(f"{exc} (while stepping to t={t_new:.6f}s)",
+            raise NewtonDivergence(f"{exc} (at t={t_new:.6f}s)",
                                    residual=exc.residual,
                                    worst_equation=exc.worst_equation)
-        if k in events_by_step:
-            for ev in events_by_step[k]:
-                if ev.kind is EventKind.DISCONNECT_DEVICE:
-                    for a in dae.adapters:
-                        if a.id == ev.device:
-                            a.active = False
-                else:
-                    apply_event(network, ev)
-                event_log.append((t_new, ev))
-            dae.refresh_topology()
-            stepper.invalidate()
-            y = dae.solve_algebraic(t_new, x, y, tol=config.newton_tol)
         if k % dec == 0:
             record(slot, x, y)
             if k in events_by_step:

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from synchrolens import sim
 from synchrolens.cli import main
+from synchrolens.errors import NewtonDivergence
 from synchrolens.scenarios import build_builtin, serialize_scenario
 
 
@@ -101,6 +103,10 @@ _RUN = ("run", "--builtin", "smib")
                            "--tail-tol", "0"), id="sweep-tail-tol-zero"),
     pytest.param(_SWEEP + ("--from", "1.2", "--to", "1.1", "--step", "0.01"),
                  id="sweep-empty-range"),
+    pytest.param(_SWEEP + ("--from", "1.1005", "--to", "1.1005", "--step",
+                           "0.01"), id="sweep-from-off-grid"),
+    pytest.param(_SWEEP + ("--from", "1.10", "--to", "1.12", "--step",
+                           "0.0105"), id="sweep-step-off-grid"),
     pytest.param(_RUN + ("--dt", "7e-4"), id="events-off-dt-grid"),
     pytest.param(_RUN + ("--dt", "3e-3", "--t-end", "0.0101"),
                  id="t-end-off-dt-grid"),
@@ -283,6 +289,28 @@ def test_islanded_zip_bus_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "Z1" in err and "t=1.000000s" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_event_resolve_failure_names_time(tmp_path, capsys, monkeypatch):
+    """A Newton failure in the algebraic re-solve after the fault names the
+    event time and exits 3."""
+    def diverge(*args, **kwargs):
+        raise NewtonDivergence("interface solve did not converge")
+
+    initialize = sim.initialize
+
+    def initialize_then_fail(*args, **kwargs):
+        out = initialize(*args, **kwargs)
+        monkeypatch.setattr(sim, "interface_solve", diverge)
+        return out
+
+    monkeypatch.setattr(sim, "initialize", initialize_then_fail)
+    out = tmp_path / "out"
+    assert run_cli(*_RUN, "--t-end", "1.5", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "interface solve did not converge (at t=1.000000s)" in err
     assert not out.exists() or not list(out.iterdir())
 
 
