@@ -1,8 +1,6 @@
 """Phasor-domain transient simulation and complex-frequency synchronization analysis."""
 
-from .cf import (MIN_MAG, CfSeries, ComplexFrequency, ParkVector, Trajectory,
-                 apparent_power, cf_from_samples, chi_from_cf,
-                 chi_from_xi_terms, rotate_frame)
+from .cf import MIN_MAG, chi_from_xi_terms
 from .errors import SynchroLensError
 from .network import Branch, Bus, Event, EventKind, Network
 from .scenarios import (DeviceSpec, Scenario, build_builtin, builtin_names,
@@ -15,9 +13,7 @@ from .synccheck import (ChiSeries, SyncVerdict, analytic_chi_all, check_als,
 __version__ = "0.1.0"
 
 __all__ = [
-    "MIN_MAG", "ParkVector", "ComplexFrequency", "Trajectory", "CfSeries",
-    "cf_from_samples", "chi_from_cf", "chi_from_xi_terms", "rotate_frame",
-    "apparent_power",
+    "MIN_MAG", "chi_from_xi_terms",
     "SynchroLensError",
     "Bus", "Branch", "Event", "EventKind", "Network",
     "Scenario", "DeviceSpec", "build_builtin", "builtin_names",

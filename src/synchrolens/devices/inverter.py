@@ -77,13 +77,6 @@ def _modulation_rates(x, params: GflParams, m, m2, i_pll):
             (m.real * dm_q - m.imag * dm_d) / m2)
 
 
-def gfl_injection(states, params: GflParams, v):
-    """Injected current (network frame, machine base)."""
-    x = states.T
-    rot = np.exp(-1j * x[5])
-    return _current_pll(x, params, v * rot) * np.conj(rot)
-
-
 def gfl_fg(states, params: GflParams, v):
     """(derivatives of (x_d, x_q, i_dm, i_qm, x_pll, theta_pll) in 1/s,
     injected current in machine base)."""

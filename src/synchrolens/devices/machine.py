@@ -183,13 +183,6 @@ def _emf_rates(x, params, i_d, i_q, v_f):
             -g_q1 * de1_d + (1.0 - g_q1) * dpsi2_q)
 
 
-def sm_injection(states, params, v):
-    """Current injected into the network (network frame, machine base)."""
-    x = states.T
-    i_m = _stator_current(x, params, to_machine_frame(v, x[0]))
-    return from_machine_frame(i_m, x[0])
-
-
 def sm_fg(states, params, v, tau_m, v_f):
     """(state derivatives in 1/s, injected current in machine base)."""
     p = params

@@ -7,10 +7,6 @@ class SynchroLensError(Exception):
 
 # --- signal / CF layer ---
 
-class MagnitudeTooSmall(SynchroLensError):
-    """Park vector passes too close to the origin; CF undefined there."""
-
-
 class TooFewSamples(SynchroLensError):
     """Differentiation needs at least 3 uniformly spaced samples."""
 

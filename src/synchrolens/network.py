@@ -112,13 +112,6 @@ class Network:
     def n_bus(self):
         return len(self.buses)
 
-    def copy(self):
-        other = Network(self.buses, self.branches, self.shunts,
-                        self.base_mva, self.f_nom)
-        other.in_service = dict(self.in_service)
-        other.fault_admittance = dict(self.fault_admittance)
-        return other
-
     def static_branches(self, in_service_only=True):
         for br in self.branches:
             if br.dynamic:
@@ -188,13 +181,11 @@ class Network:
         return event.branch + self.MIDPOINT_SUFFIX
 
 
-def assemble_y(network: Network, include_dynamic_equivalent=False,
-               extra_shunts=None):
-    """Bus admittance matrix over in-service elements.
+def assemble_y(network: Network, include_dynamic_equivalent=False):
+    """Bus admittance matrix over in-service elements and fault shunts.
 
     include_dynamic_equivalent folds dynamic branches in as their static
     equivalents r + j(x - x_c); used for power-flow initialization only.
-    extra_shunts maps bus id -> admittance (fault shunts).
     """
     n = network.n_bus
     y = np.zeros((n, n), dtype=complex)
@@ -209,9 +200,6 @@ def assemble_y(network: Network, include_dynamic_equivalent=False,
         y[idx[sh.bus], idx[sh.bus]] += complex(sh.g, sh.b)
     for bus_id, y_f in network.fault_admittance.items():
         y[idx[bus_id], idx[bus_id]] += y_f
-    if extra_shunts:
-        for bus_id, y_f in extra_shunts.items():
-            y[idx[bus_id], idx[bus_id]] += y_f
     return y
 
 

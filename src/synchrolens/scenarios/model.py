@@ -78,12 +78,6 @@ class Scenario:
     monitored: tuple[str, ...] = ()
     expectations: dict = field(default_factory=dict)
 
-    def device(self, device_id) -> DeviceSpec:
-        for d in self.devices:
-            if d.id == device_id:
-                return d
-        raise SchemaError(f"unknown device {device_id}")
-
     def build_network(self) -> Network:
         """Fresh Network with fault branches pre-split at their midpoints."""
         net = Network(self.buses, self.branches, base_mva=self.base_mva,

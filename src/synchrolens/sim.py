@@ -23,15 +23,12 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .cf import Trajectory
 from .devices import (GFL_STATE_NAMES, GFM_STATE_NAMES, DeviceKind, GflParams,
                       GfmParams, ImParams, ZipParams, gfl_admittance_cf,
-                      gfl_fg, gfl_init, gfl_injection, gfm_admittance_cf,
-                      gfm_fg, gfm_init, gfm_injection, im_admittance_cf, im_fg,
-                      im_init, im_injection, im_power, sm2_params, sm4_params,
-                      sm6_params, sm_admittance_cf, sm_fg, sm_init,
-                      sm_injection, zip_admittance_cf, zip_injection,
-                      zip_power)
+                      gfl_fg, gfl_init, gfm_admittance_cf, gfm_fg, gfm_init,
+                      im_admittance_cf, im_fg, im_init, im_power, sm2_params,
+                      sm4_params, sm6_params, sm_admittance_cf, sm_fg, sm_init,
+                      zip_admittance_cf, zip_injection, zip_power)
 from .errors import (CurrentTooSmall, InitInfeasible,
                      MixedZipUnsupportedAnalytic, ModulationTooSmall,
                      NewtonDivergence, SchemaError, SlipSingular,
@@ -48,7 +45,6 @@ class SimConfig:
     dt: float = 1e-3
     t_end: float = 10.0
     newton_tol: float = 1e-10
-    newton_max_iter: int = 20
     record_decimation: int = 1
 
     def __post_init__(self):
@@ -82,10 +78,6 @@ class SimResult:
     diagnostics: dict
     frame_omega: float = 1.0
 
-    def voltage_trajectory(self, bus_id) -> Trajectory:
-        return Trajectory(float(self.t[0]), self.dt, self.voltages[bus_id],
-                          frame_omega=self.frame_omega, omega_b=self.omega_b)
-
 
 # --- device adapters --------------------------------------------------------
 
@@ -93,9 +85,10 @@ class SimResult:
 class Adapter:
     """Couples one device spec to the DAE and to the closed-form chi.
 
-    Stateful adapters define fg(t, states, v) -> (derivatives, injection);
-    inj and chi broadcast over a leading sample axis like the device kernels
-    they forward to.  Currents are on the system base.
+    Stateful adapters define fg(t, states, v) -> (derivatives, injection),
+    and inj is its injection; fg, inj and chi broadcast over a leading
+    sample axis like the device kernels they forward to.  Currents are on
+    the system base.
     """
 
     n_states = 0
@@ -118,7 +111,7 @@ class Adapter:
         return np.empty(0)
 
     def inj(self, t, states, v):
-        return 0.0j
+        return self.fg(t, states, v)[1] if self.n_states else 0.0j
 
     def pf_is_pq(self):
         return True
@@ -217,9 +210,6 @@ class SmAdapter(Adapter):
             deriv = np.concatenate([deriv, np.asarray(dx_avr)[..., None]], axis=-1)
         return deriv, i * self.ratio
 
-    def inj(self, t, states, v):
-        return sm_injection(states[..., :self.mp.n_states], self.mp, v) * self.ratio
-
     def chi(self, states, v, i, rho, omega):
         return sm_admittance_cf(states[..., :self.mp.n_states], self.mp, v, i,
                                 rho, omega, self.v_field(states, v), self.ratio)
@@ -276,9 +266,6 @@ class MotorAdapter(Adapter):
         deriv, i = im_fg(states, self.imp, v, self.tau_m)
         return deriv, i * self.ratio
 
-    def inj(self, t, states, v):
-        return im_injection(states, self.imp, v) * self.ratio
-
     def chi(self, states, v, i, rho, omega):
         return im_admittance_cf(states, self.imp, v, self.tau_m)
 
@@ -308,9 +295,6 @@ class GflAdapter(Adapter):
     def fg(self, t, states, v):
         deriv, i = gfl_fg(states, self.gp, v)
         return deriv, i * self.ratio
-
-    def inj(self, t, states, v):
-        return gfl_injection(states, self.gp, v) * self.ratio
 
     def chi(self, states, v, i, rho, omega):
         return gfl_admittance_cf(states, self.gp, v, i, rho, omega,
@@ -351,9 +335,6 @@ class GfmAdapter(Adapter):
     def fg(self, t, states, v):
         deriv, i = gfm_fg(states, self.gp, v)
         return deriv, i * self.ratio
-
-    def inj(self, t, states, v):
-        return gfm_injection(states, self.gp, v) * self.ratio
 
     def chi(self, states, v, i, rho, omega):
         return gfm_admittance_cf(states, self.gp, v, i, rho, omega,
@@ -554,6 +535,8 @@ class TrapezoidalStepper:
     # keep the updated inverse while it still converges in fewer iterations
     # than a rebuild would cost in residual evaluations
     REBUILD_ITERS = 12
+    # iterations on one Jacobian before it is rebuilt at the current iterate
+    NEWTON_MAX_ITER = 20
 
     def __init__(self, dae, config: SimConfig):
         self.dae = dae
@@ -616,7 +599,7 @@ class TrapezoidalStepper:
         res = float(np.abs(r).max())
         tol = self.cfg.newton_tol
         rebuilds = 0
-        since_build = self.cfg.newton_max_iter if self.jac_inv is None else 0
+        since_build = self.NEWTON_MAX_ITER if self.jac_inv is None else 0
         it = 0
         while True:
             if res < tol:
@@ -630,7 +613,7 @@ class TrapezoidalStepper:
                 if n_x:
                     self._f_old = (2.0 / dt) * (z[:n_x] - x_old - r[:n_x]) - f_old
                 return z[:n_x], z[n_x:], it
-            if self.jac_inv is None or since_build >= self.cfg.newton_max_iter:
+            if self.jac_inv is None or since_build >= self.NEWTON_MAX_ITER:
                 if rebuilds >= self.MAX_REBUILDS_PER_STEP:
                     worst = int(np.argmax(np.abs(r)))
                     raise NewtonDivergence(

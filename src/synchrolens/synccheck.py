@@ -35,9 +35,6 @@ class ChiSeries:
     values: np.ndarray
     mask: np.ndarray        # True where the sample is usable
 
-    def norm(self):
-        return np.abs(self.values)
-
 
 @dataclass(frozen=True)
 class BlsCheck:
@@ -140,7 +137,7 @@ def rotate_result(result: SimResult, delta_omega: float) -> SimResult:
     )
 
 
-def analytic_chi_all(result: SimResult, scenario, only=None):
+def analytic_chi_all(result: SimResult, scenario):
     """Closed-form chi for every device that has one: dict id -> ChiSeries.
 
     Each adapter evaluates its model's chi kernel once over the whole sample
@@ -151,8 +148,6 @@ def analytic_chi_all(result: SimResult, scenario, only=None):
     out = {}
     eta_cache = {}
     for a in build_adapters(scenario):
-        if only is not None and a.id != only:
-            continue
         bus = result.device_bus[a.id]
         v = result.voltages[bus]
         i = result.currents[a.id]

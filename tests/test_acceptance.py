@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from synchrolens.cf import cf_from_samples
+from synchrolens.cf import cf_arrays
 from synchrolens.scenarios import build_builtin, builtin_names, cct_sweep
 from synchrolens.sim import SimConfig, run_simulation
 from synchrolens.synccheck import (analytic_chi_all, angle_spread,
@@ -200,14 +200,13 @@ def test_criterion_9_numerics(builtin_run):
     omega_b = 2.0 * np.pi * 60.0
 
     def cf_err(dt):
-        from synchrolens.cf import Trajectory
         t = dt * np.arange(int(round(0.5 / dt)) + 1)
         vals = np.exp(0.02 * np.sin(2 * np.pi * 3 * t)
                       + 1j * omega_b * (0.01 * t + 0.004 * np.sin(2 * np.pi * 2 * t)))
-        cf = cf_from_samples(Trajectory(0.0, dt, vals, omega_b=omega_b))
+        cf_rho, cf_om = cf_arrays(vals, dt, 1.0, omega_b)
         rho = 0.02 * 2 * np.pi * 3 * np.cos(2 * np.pi * 3 * t) / omega_b
         om = 1.01 + 0.004 * 2 * np.pi * 2 * np.cos(2 * np.pi * 2 * t)
-        return max(np.abs(cf.rho - rho).max(), np.abs(cf.omega - om).max())
+        return max(np.abs(cf_rho - rho).max(), np.abs(cf_om - om).max())
 
     cf_ratio = cf_err(1e-3) / cf_err(5e-4)
 
@@ -228,10 +227,12 @@ def test_criterion_9_numerics(builtin_run):
 
 
 def test_criterion_10_model_reduction_chain():
-    from synchrolens.cf import ComplexFrequency
     from synchrolens.devices import (sm2_params, sm4_params, sm6_params,
-                                     sm_admittance_cf, sm_init, sm_injection)
+                                     sm_admittance_cf, sm_fg, sm_init)
     from tests.test_devices import _sm6_on_manifold
+
+    def sm_current(state, params, v):
+        return sm_fg(state, params, v, 0.0, 0.0)[1]
 
     omega_b = 2.0 * np.pi * 60.0
     p6 = sm6_params(R_s=0.0025, x_d=1.8, x_q=1.7, x1_d=0.3, x1_q=0.55,
@@ -247,10 +248,10 @@ def test_criterion_10_model_reduction_chain():
     for _ in range(100):
         s6 = _sm6_on_manifold(p6, rng, v, v_f)
         s4 = np.array([s6[0], s6[1], s6[4], s6[5]])
-        i_net = sm_injection(s6, p6, v)
-        eta = ComplexFrequency(rng.normal(0, 0.02), 1 + rng.normal(0, 0.02))
-        chi6 = sm_admittance_cf(s6, p6, v, i_net, eta.rho, eta.omega, v_f)
-        chi4 = sm_admittance_cf(s4, p4, v, i_net, eta.rho, eta.omega, v_f)
+        i_net = sm_current(s6, p6, v)
+        rho, omega = rng.normal(0, 0.02), 1 + rng.normal(0, 0.02)
+        chi6 = sm_admittance_cf(s6, p6, v, i_net, rho, omega, v_f)
+        chi4 = sm_admittance_cf(s4, p4, v, i_net, rho, omega, v_f)
         worst64 = max(worst64, abs(chi6 - chi4))
 
     p4c = sm4_params(R_s=0.0, x_d=0.3, x_q=0.3, x1_d=0.3, x1_q=0.3, x_l=0.15,
@@ -263,15 +264,15 @@ def test_criterion_10_model_reduction_chain():
         s4 = np.array([delta, omega_r, 0.0, e_q])
         p2 = sm2_params(x1_d=0.3, M=7.0, D=0.0, omega_b=omega_b, x_l=0.15,
                         e_q0=e_q)
-        i_net = sm_injection(s4, p4c, v)
+        i_net = sm_current(s4, p4c, v)
         if abs(i_net) < 1e-3:
             continue
-        eta = ComplexFrequency(rng.normal(0, 0.02), 1 + rng.normal(0, 0.02))
+        rho, omega = rng.normal(0, 0.02), 1 + rng.normal(0, 0.02)
         i_m = 1j * np.exp(-1j * delta) * i_net
         vf2 = e_q + (p4c.x_d - p4c.x1_d) * i_m.real
-        chi4 = sm_admittance_cf(s4, p4c, v, i_net, eta.rho, eta.omega, vf2)
-        chi2 = sm_admittance_cf(np.array([delta, omega_r]), p2, v, i_net, eta.rho,
-                      eta.omega)
+        chi4 = sm_admittance_cf(s4, p4c, v, i_net, rho, omega, vf2)
+        chi2 = sm_admittance_cf(np.array([delta, omega_r]), p2, v, i_net, rho,
+                      omega)
         worst42 = max(worst42, abs(chi4 - chi2))
     _report(10, worst64 <= 1e-12 and worst42 <= 1e-12,
             f"sm6->sm4 worst={worst64:.1e}, sm4->sm2 worst={worst42:.1e}")

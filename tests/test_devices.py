@@ -3,29 +3,39 @@
 import numpy as np
 import pytest
 
-from synchrolens.cf import ComplexFrequency, chi_from_xi_terms
+from synchrolens.cf import chi_from_xi_terms
 from synchrolens.devices import (GflParams, GfmParams, ImParams, ZipParams,
                                  gfl_admittance_cf, gfl_fg, gfl_init,
-                                 gfl_injection, gfl_xi_terms,
-                                 gfm_admittance_cf, gfm_fg, gfm_init,
-                                 gfm_injection, gfm_xi_terms, im_admittance,
-                                 im_admittance_cf, im_fg, im_init,
-                                 im_injection, im_pullout, im_torque,
+                                 gfl_xi_terms, gfm_admittance_cf, gfm_fg,
+                                 gfm_init, gfm_injection, gfm_xi_terms,
+                                 im_admittance, im_admittance_cf, im_fg,
+                                 im_init, im_injection, im_pullout, im_torque,
                                  sm2_params, sm4_params, sm6_params,
                                  sm_admittance_cf, sm_fg, sm_init,
-                                 sm_injection, sm_xi_terms, to_machine_frame,
+                                 sm_xi_terms, to_machine_frame,
                                  zip_admittance_cf, zip_injection, zip_power)
 from synchrolens.errors import (CurrentTooSmall, InitInfeasible,
                                 MixedZipUnsupportedAnalytic, ParamDomain,
                                 SlipSingular, VoltageTooSmall)
 
 OMEGA_B = 2.0 * np.pi * 60.0
-ETA_SYNC = ComplexFrequency(0.0, 1.0)
+ETA_SYNC = (0.0, 1.0)   # (rho, omega) of a synchronous terminal voltage
 
 
 def composed_chi(terms, eta):
     """The xi-terms route: chi = xi_a + (k_rho - 1)*rho + (k_omega - j)*omega."""
-    return chi_from_xi_terms(terms.xi_a, terms.k_rho, terms.k_omega, eta).to_complex()
+    return chi_from_xi_terms(terms.xi_a, terms.k_rho, terms.k_omega, *eta)
+
+
+def random_eta(rng, scale):
+    """(rho, omega) of a terminal voltage near the synchronous one."""
+    return rng.normal(0.0, scale), 1.0 + rng.normal(0.0, scale)
+
+
+def sm_current(state, params, v):
+    """Injected current of the machine, from its one fg kernel (the current
+    depends on neither tau_m nor v_f)."""
+    return sm_fg(state, params, v, 0.0, 0.0)[1]
 
 
 def sm6():
@@ -51,7 +61,6 @@ def test_machine_equilibrium_init(params):
     deriv, i_net = sm_fg(state, params, v, tau_m, v_f)
     assert np.max(np.abs(deriv)) < 1e-9
     assert abs(i_net - np.conj(s / v)) < 1e-12
-    assert abs(sm_injection(state, params, v) - np.conj(s / v)) < 1e-12
     terms = sm_xi_terms(state, params, v, np.conj(s / v), v_f=v_f)
     assert abs(composed_chi(terms, ETA_SYNC)) < 1e-12
 
@@ -95,10 +104,10 @@ def test_sm6_composition_equals_direct_form():
     rng = np.random.default_rng(7)
     for _ in range(20):
         state = state0 + rng.normal(0.0, 0.05, len(state0))
-        i_net = sm_injection(state, params, v)
-        eta = ComplexFrequency(rng.normal(0.0, 0.03), 1.0 + rng.normal(0.0, 0.03))
+        i_net = sm_current(state, params, v)
+        eta = random_eta(rng, 0.03)
         composed = composed_chi(sm_xi_terms(state, params, v, i_net, v_f=v_f), eta)
-        direct = sm_admittance_cf(state, params, v, i_net, eta.rho, eta.omega, v_f)
+        direct = sm_admittance_cf(state, params, v, i_net, *eta, v_f)
         assert abs(composed - direct) < 1e-12
 
 
@@ -131,15 +140,15 @@ def test_machine_convention_twin_invariance():
     rng = np.random.default_rng(3)
     for _ in range(10):
         st = state + rng.normal(0.0, 0.04, 6)
-        i_net = sm_injection(st, params, v)
-        eta = ComplexFrequency(rng.normal(0.0, 0.02), 1.0 + rng.normal(0.0, 0.02))
+        i_net = sm_current(st, params, v)
+        eta = random_eta(rng, 0.02)
         twin = st.copy()
         twin[0] += np.pi
         twin[2:] = -twin[2:]
-        a = sm_admittance_cf(st, params, v, i_net, eta.rho, eta.omega, v_f)
-        b = sm_admittance_cf(twin, params, v, i_net, eta.rho, eta.omega, -v_f)
+        a = sm_admittance_cf(st, params, v, i_net, *eta, v_f)
+        b = sm_admittance_cf(twin, params, v, i_net, *eta, -v_f)
         assert abs(a - b) < 1e-12
-        assert abs(sm_injection(twin, params, v) - i_net) < 1e-12
+        assert abs(sm_current(twin, params, v) - i_net) < 1e-12
 
 
 def _sm6_on_manifold(params, rng, v, v_f):
@@ -147,7 +156,7 @@ def _sm6_on_manifold(params, rng, v, v_f):
     state0, _, _ = sm_init(params, v, 0.8 + 0.2j)
     state = state0 + rng.normal(0.0, 0.05, 6)
     for _ in range(50):  # fixed-point: psi'' depends on the stator currents
-        i_m = to_machine_frame(sm_injection(state, params, v), state[0])
+        i_m = to_machine_frame(sm_current(state, params, v), state[0])
         psi2_d = state[5] - (params.x1_d - params.x_l) * i_m.real
         psi2_q = -state[4] - (params.x1_q - params.x_l) * i_m.imag
         if abs(psi2_d - state[2]) + abs(psi2_q - state[3]) < 1e-14:
@@ -167,16 +176,16 @@ def test_reduction_sm6_to_sm4_100_states():
     for _ in range(100):
         s6 = _sm6_on_manifold(p6, rng, v, v_f)
         s4 = np.array([s6[0], s6[1], s6[4], s6[5]])
-        i_net = sm_injection(s6, p6, v)
-        assert abs(i_net - sm_injection(s4, p4, v)) < 1e-12
-        eta = ComplexFrequency(rng.normal(0.0, 0.02), 1.0 + rng.normal(0.0, 0.02))
+        i_net = sm_current(s6, p6, v)
+        assert abs(i_net - sm_current(s4, p4, v)) < 1e-12
+        eta = random_eta(rng, 0.02)
         t6 = sm_xi_terms(s6, p6, v, i_net, v_f=v_f)
         t4 = sm_xi_terms(s4, p4, v, i_net, v_f=v_f)
         assert abs(t6.xi_a - t4.xi_a) < 1e-12
         assert abs(t6.k_rho - t4.k_rho) < 1e-12
         assert abs(t6.k_omega - t4.k_omega) < 1e-12
-        chi6 = sm_admittance_cf(s6, p6, v, i_net, eta.rho, eta.omega, v_f)
-        chi4 = sm_admittance_cf(s4, p4, v, i_net, eta.rho, eta.omega, v_f)
+        chi6 = sm_admittance_cf(s6, p6, v, i_net, *eta, v_f)
+        chi4 = sm_admittance_cf(s4, p4, v, i_net, *eta, v_f)
         assert abs(chi6 - chi4) < 1e-12
 
 
@@ -193,16 +202,16 @@ def test_reduction_sm4_to_sm2_100_states():
         p2 = sm2_params(x1_d=0.3, M=7.0, D=0.0, omega_b=OMEGA_B, x_l=0.15,
                         e_q0=e_q)
         s2 = np.array([delta, omega_r])
-        i_net = sm_injection(s4, p4, v)
-        assert abs(i_net - sm_injection(s2, p2, v)) < 1e-12
+        i_net = sm_current(s4, p4, v)
+        assert abs(i_net - sm_current(s2, p2, v)) < 1e-12
         if abs(i_net) < 1e-3:
             continue
-        eta = ComplexFrequency(rng.normal(0.0, 0.02), 1.0 + rng.normal(0.0, 0.02))
+        eta = random_eta(rng, 0.02)
         # v_f chosen so e'_q is stationary: the classical model's constant EMF
         i_m = 1j * np.exp(-1j * delta) * i_net
         v_f = e_q + (p4.x_d - p4.x1_d) * i_m.real
-        chi4 = sm_admittance_cf(s4, p4, v, i_net, eta.rho, eta.omega, v_f)
-        chi2 = sm_admittance_cf(s2, p2, v, i_net, eta.rho, eta.omega)
+        chi4 = sm_admittance_cf(s4, p4, v, i_net, *eta, v_f)
+        chi2 = sm_admittance_cf(s2, p2, v, i_net, *eta)
         assert abs(chi4 - chi2) < 1e-12
 
 
@@ -343,8 +352,7 @@ def test_gfl_locked_equilibrium():
     state = gfl_init(params, v)
     deriv, i_net = gfl_fg(state, params, v)
     assert np.max(np.abs(deriv)) < 1e-12
-    assert i_net == gfl_injection(state, params, v)
-    chi = gfl_admittance_cf(state, params, v, i_net, ETA_SYNC.rho, ETA_SYNC.omega)
+    chi = gfl_admittance_cf(state, params, v, i_net, *ETA_SYNC)
     assert abs(chi) < 1e-12
 
 
@@ -363,10 +371,10 @@ def test_gfl_terms_compose_to_boxed_chi():
     rng = np.random.default_rng(9)
     for _ in range(20):
         state = state0 + rng.normal(0.0, 0.03, 6)
-        i_net = gfl_injection(state, params, v)
-        eta = ComplexFrequency(rng.normal(0.0, 0.02), 1.0 + rng.normal(0.0, 0.02))
+        i_net = gfl_fg(state, params, v)[1]
+        eta = random_eta(rng, 0.02)
         composed = composed_chi(gfl_xi_terms(state, params, v, i_net), eta)
-        direct = gfl_admittance_cf(state, params, v, i_net, eta.rho, eta.omega)
+        direct = gfl_admittance_cf(state, params, v, i_net, *eta)
         assert abs(composed - direct) < 1e-12
 
 
@@ -384,7 +392,7 @@ def test_gfm_equilibrium_and_droop_sign():
     deriv, i_fg = gfm_fg(state, params, v)
     assert i_fg == i_net
     assert np.max(np.abs(deriv)) < 1e-12
-    chi = gfm_admittance_cf(state, params, v, i_net, ETA_SYNC.rho, ETA_SYNC.omega)
+    chi = gfm_admittance_cf(state, params, v, i_net, *ETA_SYNC)
     assert abs(chi) < 1e-12
     low_pm = state.copy()
     low_pm[3] = 0.4   # measured power below reference -> speeds up
@@ -399,9 +407,9 @@ def test_gfm_terms_compose_to_boxed_chi():
     for _ in range(20):
         state = state0 + rng.normal(0.0, 0.03, 4)
         i_net = gfm_injection(state, params, v)
-        eta = ComplexFrequency(rng.normal(0.0, 0.02), 1.0 + rng.normal(0.0, 0.02))
+        eta = random_eta(rng, 0.02)
         composed = composed_chi(gfm_xi_terms(state, params, v, i_net), eta)
-        direct = gfm_admittance_cf(state, params, v, i_net, eta.rho, eta.omega)
+        direct = gfm_admittance_cf(state, params, v, i_net, *eta)
         assert abs(composed - direct) < 1e-12
 
 

@@ -197,7 +197,7 @@ def _full_newton_step(stepper, t_old, x_old, y_old, dt):
     t_new = t_old + dt
     z = np.concatenate([x_old, y_old])
     r = stepper._residual(t_new, z, x_old, f_old, dt)
-    for _ in range(stepper.cfg.newton_max_iter):
+    for _ in range(stepper.NEWTON_MAX_ITER):
         if np.abs(r).max() < stepper.cfg.newton_tol:
             return z[:n_x], z[n_x:]
         inv, scale = stepper._build_jacobian(t_new, z, x_old, f_old, dt, r)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from synchrolens.cf import cf_arrays
 from synchrolens.errors import ParseError, SchemaError, UnknownScenario
 from synchrolens.network import EventKind
 from synchrolens.scenarios import (build_builtin, builtin_names, cct_sweep,
@@ -42,11 +43,12 @@ def test_builtin_contents_kundur():
 
 def test_builtin_contents_motor():
     sc = build_builtin("motor_condenser")
-    motor = sc.device("M1")
+    device = {d.id: d for d in sc.devices}
+    motor = device["M1"]
     assert motor.params["tau_m"] == 0.9
     trip = sc.events[0]
     assert trip.kind is EventKind.DISCONNECT_DEVICE and trip.time == 1.0
-    condenser = sc.device("SC1")
+    condenser = device["SC1"]
     assert condenser.params["v"] == 1.0 and "avr_kp" in condenser.params
 
 
@@ -133,10 +135,10 @@ def test_circuit_voltage_source_only_pure_synchronous():
                     if d.id == "CS" else d for d in sc.devices)
     quiet = replace(sc, devices=devices)
     result = run_analytic(quiet)
-    from synchrolens.cf import cf_from_samples
-    cf = cf_from_samples(result.voltage_trajectory("INJ"))
-    assert np.abs(cf.rho).max() < 1e-12
-    assert np.abs(cf.omega - 1.0).max() < 1e-12
+    rho, omega = cf_arrays(result.voltages["INJ"], result.dt,
+                           result.frame_omega, result.omega_b)
+    assert np.abs(rho).max() < 1e-12
+    assert np.abs(omega - 1.0).max() < 1e-12
     # the source current is identically zero: chi is masked, not a failure
     from synchrolens.synccheck import numeric_chi
     chi = numeric_chi(result, "CS")
@@ -161,11 +163,11 @@ def test_circuit_waveforms_satisfy_branch_kvl():
 def test_circuit_exact_cf_matches_sampled():
     sc = build_builtin("circuit_dc")
     result = run_analytic(sc)
-    from synchrolens.cf import cf_from_samples
-    cf = cf_from_samples(result.voltage_trajectory("INJ"))
-    rho, omega = exact_voltage_cf(sc, result.t)
-    assert np.abs(cf.rho - rho).max() < 10 * result.dt ** 2
-    assert np.abs(cf.omega - omega).max() < 10 * result.dt ** 2
+    rho, omega = cf_arrays(result.voltages["INJ"], result.dt,
+                           result.frame_omega, result.omega_b)
+    rho_x, omega_x = exact_voltage_cf(sc, result.t)
+    assert np.abs(rho - rho_x).max() < 10 * result.dt ** 2
+    assert np.abs(omega - omega_x).max() < 10 * result.dt ** 2
 
 
 # --- sweeps ------------------------------------------------------------------
