@@ -8,25 +8,28 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
 
-from .errors import (CurrentTooSmall, InitInfeasible, ModulationTooSmall,
-                     NewtonDivergence, ParseError, PfDivergence, SchemaError,
-                     SingularY, SlipSingular, TooFewSamples, UnknownScenario,
-                     VoltageTooSmall, WindowTooShort)
+from .errors import (AxisMismatch, CurrentTooSmall, InitInfeasible,
+                     ModulationTooSmall,
+                     NewtonDivergence, ParamDomain, ParseError, PfDivergence,
+                     SchemaError, SingularY, SlipSingular, TooFewSamples,
+                     UnknownScenario, VoltageTooSmall, WindowTooShort)
 from .scenarios import (build_builtin, builtin_description, builtin_names,
                         cct_sweep, load_scenario)
+from .scenarios.model import check_positive
 from .sim import SimConfig, run_simulation
 from .synccheck import (DEFAULT_EPSILON, DEFAULT_SETTLE, DEFAULT_TAIL_TOL,
                         DEFAULT_TAIL_WINDOW, analytic_chi_all, angle_spread,
                         crosscheck_chi, evaluate_device, numeric_chi,
                         system_unstable)
 
-# a run too short for the CF stencils is a settings error like the rest
-_USAGE_ERRORS = (ParseError, SchemaError, UnknownScenario, TooFewSamples)
+# a run too short for the CF stencils and device parameters outside their
+# physical domain are input errors like the rest
+_USAGE_ERRORS = (ParseError, SchemaError, UnknownScenario, TooFewSamples,
+                 ParamDomain)
 _SOLVER_ERRORS = (NewtonDivergence, PfDivergence, InitInfeasible, SingularY,
                   VoltageTooSmall, CurrentTooSmall, ModulationTooSmall,
                   SlipSingular)
@@ -65,9 +68,8 @@ def _check_tolerances(args):
     """Reject a non-finite or non-positive --epsilon/--tail-tol up front."""
     for name in ("epsilon", "tail_tol"):
         value = getattr(args, name, None)
-        if value is not None and not (math.isfinite(value) and value > 0.0):
-            flag = "--" + name.replace("_", "-")
-            raise SchemaError(f"{flag} must be finite and positive, got {value!r}")
+        if value is not None:
+            check_positive("--" + name.replace("_", "-"), value)
 
 
 def _out_dir(args):
@@ -149,7 +151,10 @@ def build_report(scenario, result, config, epsilon=DEFAULT_EPSILON,
                              "chi_at_t0": float("nan"),
                              "notes": f"not evaluable: {exc}"})
         if dev in analytic:
-            cc = crosscheck_chi(analytic[dev], numeric[dev], dev)
+            try:
+                cc = crosscheck_chi(analytic[dev], numeric[dev], dev)
+            except AxisMismatch:
+                continue   # no sample valid in both (a device carrying no current)
             crosschecks.append({"device": dev, "rms": cc.rms, "max": cc.max,
                                 "worst_time": cc.worst_time,
                                 "n_samples": cc.n_samples,

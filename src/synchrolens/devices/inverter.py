@@ -43,8 +43,10 @@ class GflParams:
     def __post_init__(self):
         if abs(self.z_f) == 0.0:
             raise ParamDomain("filter impedance must be nonzero")
-        if self.T_m <= 0.0:
+        if not self.T_m > 0.0:
             raise ParamDomain("current-measurement time constant must be positive")
+        if not self.v_dc0 > 0.0:
+            raise ParamDomain("dc-link voltage must be positive")
 
     @property
     def i_ref(self):
@@ -167,7 +169,7 @@ class GfmParams:
     def __post_init__(self):
         if abs(self.z_t) == 0.0:
             raise ParamDomain("coupling impedance must be nonzero")
-        if self.T_v <= 0.0:
+        if not self.T_v > 0.0:
             raise ParamDomain("voltage-measurement time constant must be positive")
         if self.T_p is None:
             object.__setattr__(self, "T_p", self.T_v)

@@ -65,7 +65,7 @@ class SmParams:
             raise ParamDomain(
                 "q-axis reactances must satisfy x_q >= x'_q >= x''_q > x_l"
             )
-        if self.M <= 0.0:
+        if not self.M > 0.0:
             raise ParamDomain("M must be positive")
         if self.order >= 4 and not (self.T1_d0 > 0.0 and self.T1_q0 > 0.0):
             raise ParamDomain("transient time constants must be positive")

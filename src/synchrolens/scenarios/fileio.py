@@ -130,7 +130,7 @@ def load_scenario(text: str) -> Scenario:
             buses.append(Bus(label,
                              v_nom_kv=_float(data["v_nom_kv"], "v_nom_kv")
                              if "v_nom_kv" in data else 1.0,
-                             area=int(_float(data["area"], "area"))
+                             area=_int(data["area"], "area")
                              if "area" in data else 1))
         elif kind == "branch":
             _check_keys(kind, label, data, _BRANCH_KEYS)

@@ -14,12 +14,18 @@ _VOLTAGE_SETTING = (DeviceKind.SM2, DeviceKind.SM4, DeviceKind.SM6,
                     DeviceKind.GFM_IBR, DeviceKind.VOLTAGE_SOURCE)
 
 
+def check_positive(name, value, element=None):
+    """SchemaError unless value is finite and positive."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise SchemaError(f"{name} must be finite and positive, got {value!r}",
+                          element=element)
+
+
 def check_run_settings(dt, t_end, record_decimation):
     """SchemaError unless dt and t_end are finite and positive and the
     recording decimation is an integer of at least 1."""
-    for name, value in (("dt", dt), ("t_end", t_end)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise SchemaError(f"{name} must be finite and positive, got {value!r}")
+    check_positive("dt", dt)
+    check_positive("t_end", t_end)
     if (isinstance(record_decimation, bool)
             or not isinstance(record_decimation, int) or record_decimation < 1):
         raise SchemaError("record_decimation must be an integer >= 1, "
@@ -41,9 +47,15 @@ def grid_steps(name, time, dt):
 
 
 def time_grid(dt, t_end, event_times):
-    """(steps to t_end, step of each event) on the dt grid."""
-    return (grid_steps("t_end", t_end, dt),
-            [grid_steps("event time", t, dt) for t in event_times])
+    """(steps to t_end, step of each event) on the dt grid; an event must
+    lie at least one step after t = 0, where the step loop applies it."""
+    n_steps = grid_steps("t_end", t_end, dt)
+    event_steps = [grid_steps("event time", t, dt) for t in event_times]
+    for t, k in zip(event_times, event_steps):
+        if k < 1:
+            raise SchemaError(f"event time {t} is less than one step "
+                              f"(dt={dt}) after t=0")
+    return n_steps, event_steps
 
 
 @dataclass(frozen=True)
@@ -99,6 +111,8 @@ class Scenario:
     def validate(self):
         """Structural checks; raises SchemaError on the first violation."""
         check_run_settings(self.dt, self.t_end, self.record_decimation)
+        check_positive("f_nom", self.f_nom)
+        check_positive("base_mva", self.base_mva)
         bus_ids = {b.id for b in self.buses}
         if len(bus_ids) != len(self.buses):
             raise SchemaError("duplicate bus ids")
@@ -111,6 +125,7 @@ class Scenario:
                 if end not in bus_ids:
                     raise SchemaError(f"references undeclared bus {end}",
                                       element=br.id)
+            check_positive("tap", br.tap, element=br.id)
         dev_ids = set()
         for d in self.devices:
             if d.id in dev_ids:
@@ -119,6 +134,8 @@ class Scenario:
             if d.bus not in bus_ids:
                 raise SchemaError(f"device on undeclared bus {d.bus}",
                                   element=d.id)
+            if d.base_mva is not None:
+                check_positive("base_mva", d.base_mva, element=d.id)
             if (d.kind is DeviceKind.DC_CURRENT_SOURCE
                     and self.analytic is None):
                 raise SchemaError(
@@ -163,6 +180,9 @@ class Scenario:
             elif ev.kind is EventKind.CLEAR_FAULT:
                 if (ev.bus, ev.branch) not in open_faults:
                     raise SchemaError("clear_fault without a prior apply_fault")
+                if ev.open_branch and ev.branch is None:
+                    raise SchemaError("open_branch clearing needs a branch "
+                                      "fault, not a bus fault")
                 open_faults.discard((ev.bus, ev.branch))
             elif ev.kind is EventKind.OPEN_BRANCH:
                 if ev.branch not in branch_ids:

@@ -89,6 +89,8 @@ def cct_sweep(scenario: Scenario, t_from: float, t_to: float, step: float,
         raise SchemaError("sweep bounds and step must be finite")
     if step <= 0.0 or t_to < t_from:
         raise SchemaError("empty or inverted sweep range")
+    if workers < 1:
+        raise SchemaError(f"--workers must be at least 1, got {workers}")
     if device_id is None:
         if not scenario.monitored:
             raise SchemaError("no monitored device to sweep on")
@@ -103,6 +105,8 @@ def cct_sweep(scenario: Scenario, t_from: float, t_to: float, step: float,
         times.append(round(k * scenario.dt, 12))
         t += step
     jobs = [(scenario, tc, device_id, tail_tol) for tc in times]
+    # the pool starts all its processes at once: no more than there are points
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_run_point, jobs))

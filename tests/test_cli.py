@@ -67,15 +67,19 @@ def test_sweep_without_fault_pair_exit_2(tmp_path, capsys):
                    "--step", "0.01") == 2
 
 
-def _smib_file(tmp_path, key, value):
-    """smib as a scenario file with one [sim] key set to the given text."""
-    lines = serialize_scenario(build_builtin("smib")).splitlines()
-    k = next(j for j, line in enumerate(lines) if line.startswith(f"{key} = "))
-    lines[k] = f"{key} = {value}"
-    path = tmp_path / "in" / "smib.ini"
+def _scenario_file(tmp_path, name, edits):
+    """The built-in `name` as a scenario file in which every line equal to
+    a key of edits reads the matching value instead."""
+    lines = serialize_scenario(build_builtin(name)).splitlines()
+    assert set(edits) <= set(lines)
+    path = tmp_path / "in" / f"{name}.ini"
     path.parent.mkdir()
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(edits.get(line, line) for line in lines) + "\n")
     return str(path)
+
+
+def _smib_edit(old, new):
+    return ("file", "smib", {old: new})
 
 
 _SWEEP = ("sweep", "--builtin", "smib")
@@ -88,11 +92,28 @@ _RUN = ("run", "--builtin", "smib")
     pytest.param(_RUN + ("--epsilon", "-1"), id="epsilon-negative"),
     pytest.param(_RUN + ("--tail-tol", "nan"), id="run-tail-tol-nan"),
     pytest.param(_RUN + ("--clear-time", "nan"), id="clear-time-nan"),
-    pytest.param(("file", "record_decimation", "0"), id="decimation-zero"),
-    pytest.param(("file", "record_decimation", "-1"), id="decimation-negative"),
-    pytest.param(("file", "record_decimation", "2.7"),
+    pytest.param(_smib_edit("record_decimation = 1", "record_decimation = 0"),
+                 id="decimation-zero"),
+    pytest.param(_smib_edit("record_decimation = 1", "record_decimation = -1"),
+                 id="decimation-negative"),
+    pytest.param(_smib_edit("record_decimation = 1", "record_decimation = 2.7"),
                  id="decimation-fractional"),
-    pytest.param(("file", "dt", "0.0"), id="file-dt-zero"),
+    pytest.param(_smib_edit("dt = 0.001", "dt = 0.0"), id="file-dt-zero"),
+    pytest.param(_smib_edit("m = 3.0", "m = -3"), id="inertia-negative"),
+    pytest.param(("file", "motor_condenser", {"x_s = 0.1": "x_s = 0"}),
+                 id="motor-reactance-zero"),
+    pytest.param(("file", "kundur", {"p0 = 10.0": "p0 = 10.0\nk_pp = 0.5"}),
+                 id="zip-shares-not-one"),
+    pytest.param(_smib_edit("base_mva = 100.0", "base_mva = 0.0"),
+                 id="base-mva-zero"),
+    pytest.param(("file", "gfl_seriescomp", {"v_dc0 = 2.0": "v_dc0 = 0.0"}),
+                 id="dc-link-voltage-zero"),
+    pytest.param(_smib_edit("area = 1", "area = inf"), id="area-inf"),
+    pytest.param(_smib_edit("tap = 1.0", "tap = 0"), id="tap-zero"),
+    pytest.param(_smib_edit("tap = 1.0", "tap = nan"), id="tap-nan"),
+    pytest.param(_smib_edit("branch = L2", "bus = HV"),
+                 id="open-branch-on-bus-fault"),
+    pytest.param(_smib_edit("t = 1.0", "t = 1e-9"), id="event-at-step-0"),
     pytest.param(_SWEEP + ("--from", "1.10", "--to", "1.11", "--step", "nan"),
                  id="sweep-step-nan"),
     pytest.param(_SWEEP + ("--from", "nan", "--to", "1.11", "--step", "0.01"),
@@ -107,6 +128,8 @@ _RUN = ("run", "--builtin", "smib")
                            "0.01"), id="sweep-from-off-grid"),
     pytest.param(_SWEEP + ("--from", "1.10", "--to", "1.12", "--step",
                            "0.0105"), id="sweep-step-off-grid"),
+    pytest.param(_SWEEP + ("--from", "1.10", "--to", "1.11", "--step", "0.01",
+                           "--workers", "0"), id="sweep-workers-zero"),
     pytest.param(_RUN + ("--dt", "7e-4"), id="events-off-dt-grid"),
     pytest.param(_RUN + ("--dt", "3e-3", "--t-end", "0.0101"),
                  id="t-end-off-dt-grid"),
@@ -117,12 +140,12 @@ def test_invalid_input_exit_2(tmp_path, capsys, argv):
     """Bad settings are rejected with exit 2 and a message, before any
     simulation and without a traceback or partial output."""
     if argv[0] == "file":
-        argv = ("run", "--file", _smib_file(tmp_path, *argv[1:]))
+        argv = ("run", "--file", _scenario_file(tmp_path, *argv[1:]))
     out = tmp_path / "out"
     assert run_cli(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith("error: ")
-    assert not out.exists() or not list(out.glob("smib_*"))
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_run_writes_three_files(smib_outputs, capsys):
@@ -314,6 +337,18 @@ def test_event_resolve_failure_names_time(tmp_path, capsys, monkeypatch):
     assert not out.exists() or not list(out.iterdir())
 
 
+def test_device_without_current_has_no_crosscheck(tmp_path, capsys):
+    """A load drawing nothing has no sample where its chi is defined, so
+    the report carries no cross-check row for it instead of failing."""
+    text = _ISLANDED_ZIP.replace("p0 = 0.3\nq0 = 0.05", "p0 = 0.0\nq0 = 0.0")
+    text = text.split("[event.1]")[0] + "[sim]\ndt = 0.001\nt_end = 0.01\n"
+    path = tmp_path / "idle.ini"
+    path.write_text(text)
+    assert run_cli("run", "--file", str(path), "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "island_report.json").read_text())
+    assert [c["device"] for c in report["crosschecks"]] == []
+
+
 _OVERLOAD = """\
 [system]
 name = overload
@@ -382,18 +417,130 @@ def test_run_flags_property(dt, t_end, epsilon, tail_tol, clear_time):
         t_end = ("--t-end=0.02",)
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
-            code = run_cli(*_RUN, "--out", out, *dt, *t_end, *epsilon,
-                           *tail_tol, *clear_time)
-        event(f"exit {code}")
-        assert code in (0, 2, 3, 4)
-        assert "Traceback" not in err.getvalue()
-        left = os.listdir(out) if os.path.isdir(out) else []
-        assert not [f for f in left if f.startswith(".synchrolens-")]
-        if code == 0:
-            assert sorted(left) == ["smib_chi.csv", "smib_report.json",
-                                    "smib_traj.csv"]
-        else:
-            assert left == [] and err.getvalue()
+        argv = _RUN + (*dt, *t_end, *epsilon, *tail_tol, *clear_time)
+        if _assert_clean_exit(argv, out) == 0:
+            assert sorted(os.listdir(out)) == [
+                "smib_chi.csv", "smib_report.json", "smib_traj.csv"]
+
+
+def test_sweep_pool_is_bounded_by_points(tmp_path, capsys, monkeypatch):
+    """--workers beyond the number of clearing times starts one process per
+    point; a single point runs in-process.  A recording stand-in replaces
+    the process pool, so no worker is ever started here."""
+    from synchrolens.scenarios import sweep
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sweep, "_run_point", lambda job: sweep.SweepPoint(
+        job[1], True, True, 0.0, 0.1))
+    for t_to in ("1.11", "1.10"):
+        assert run_cli(*_SWEEP, "--from", "1.10", "--to", t_to, "--step",
+                       "0.01", "--workers", "100000",
+                       "--out", str(tmp_path)) == 0
+    assert pools == [2]
+
+
+def _assert_clean_exit(argv, out):
+    """Run argv; the exit code is documented, stderr has no traceback and a
+    non-zero exit leaves no output files.  Returns the exit code."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(*argv, "--out", out)
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    left = os.listdir(out) if os.path.isdir(out) else []
+    if code != 0:
+        assert left == [] and err.getvalue()
+    return code
+
+
+def _numeric_lines(name):
+    """(lines of the built-in's file with t_end = 1.2, indices of the lines
+    holding a number other than dt and t_end).  A random dt or t_end would
+    only change the step count, and a tiny dt would run for hours."""
+    lines = ["t_end = 1.2" if line.startswith("t_end = ") else line
+             for line in serialize_scenario(build_builtin(name)).splitlines()]
+    numeric = []
+    for k, line in enumerate(lines):
+        key, sep, value = line.partition(" = ")
+        if not sep or key in ("dt", "t_end"):
+            continue
+        try:
+            float(value)
+        except ValueError:
+            continue
+        numeric.append(k)
+    return lines, numeric
+
+
+_MUTANT = st.one_of(_SPECIAL, st.sampled_from([-3.0, 1e-9, 1e9]),
+                    st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["smib", "motor_condenser"]), data=st.data(),
+       value=_MUTANT)
+def test_mutated_file_property(name, data, value):
+    """A scenario file with one number replaced either runs or is rejected
+    with a documented exit code, without a traceback or partial output."""
+    lines, numeric = _numeric_lines(name)
+    k = data.draw(st.sampled_from(numeric), label="line")
+    key = lines[k].partition(" = ")[0]
+    lines[k] = f"{key} = {value!r}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"{name}.ini")
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        _assert_clean_exit(("run", "--file", path), os.path.join(tmp, "out"))
+
+
+def _mostly(good, bad):
+    """Three draws in four from good: a sweep runs only when every flag is
+    valid, so uniform draws would almost never run one."""
+    return st.integers(0, 3).flatmap(lambda k: bad if k == 0 else good)
+
+
+@settings(max_examples=40, deadline=None)
+@given(t_from=_mostly(st.sampled_from([1.05, 1.1, 1.12, 1.13]),
+                      st.one_of(_SPECIAL, st.floats(1.0, 1.3))),
+       step=_mostly(st.sampled_from([0.01, 0.02]),
+                    st.one_of(_SPECIAL, st.just(0.0105), st.floats(1e-3, 0.1))),
+       extra=_mostly(st.integers(0, 2), _SPECIAL),
+       tail_tol=_mostly(st.one_of(st.none(), st.floats(1e-8, 1.0)), _SPECIAL),
+       workers=st.sampled_from([1, 2]))
+def test_sweep_flags_property(t_from, step, extra, tail_tol, workers):
+    """Any sweep flags either run or are rejected with a documented exit
+    code, without a traceback or partial output.  --to is --from plus 0 to 2
+    steps (at most 3 clearing times) or a special value; the smib file runs
+    to t_end = 1.2 s, so each point is short."""
+    if isinstance(extra, int) and math.isfinite(t_from + extra * step):
+        t_to = t_from + extra * step
+    else:
+        t_to = extra if not isinstance(extra, int) else 1.12
+    lines, _ = _numeric_lines("smib")
+    flags = [f"--from={t_from!r}", f"--to={t_to!r}", f"--step={step!r}",
+             f"--workers={workers}"]
+    if tail_tol is not None:
+        flags.append(f"--tail-tol={tail_tol!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "smib.ini")
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        out = os.path.join(tmp, "out")
+        if _assert_clean_exit(("sweep", "--file", path, *flags), out) == 0:
+            assert os.listdir(out) == ["smib_sweep.csv"]

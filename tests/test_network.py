@@ -103,6 +103,15 @@ def test_interface_solve_divider_closed_form():
     assert abs(complex(z[1], z[3]) - z_load / (z_load + z_src)) < 1e-12
 
 
+def test_interface_solve_accepts_converged_last_iterate():
+    """The forward-difference step leaves about 1e-9 after iteration 1 and
+    iteration 2 converges: the budget of 2 iterations suffices."""
+    z = interface_solve(lambda z: z - 1.0, np.zeros(1), max_iter=2)
+    assert abs(z[0] - 1.0) < 1e-10
+    assert np.array_equal(interface_solve(lambda z: z - 1.0, np.zeros(1),
+                                          max_iter=3), z)
+
+
 def test_power_flow_no_load_flat():
     net = Network([Bus("1"), Bus("2")], [Branch("L", "1", "2", 0.0, 0.4)])
     specs = {"1": PfBusSpec(kind="slack", v_set=1.02), "2": PfBusSpec()}
