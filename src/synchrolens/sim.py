@@ -660,6 +660,9 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
     idx = network.bus_index
 
     dae = PowerSystemDae(network, adapters)
+    # each ideal source holds the power-flow voltage of its bus from here on
+    for a in dae.vsrc:
+        a.emf = complex(v_pf[idx[a.bus]])
 
     def init_devices(v_vec, s_vec):
         x0 = np.zeros(dae.n_x)
@@ -669,7 +672,7 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
             if a.pf_is_pq():
                 if a.n_states:
                     x0[dae.slices[a.id]] = a.init(v_bus, None)
-            else:
+            elif a.n_states:
                 # non-PQ device absorbs the bus balance left by its PQ neighbours
                 s_dev = complex(s_vec[k])
                 for other in adapters:
@@ -680,10 +683,7 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
                             x0[dae.slices[other.id]] = st
                         i_other = other.inj(0.0, st, v_bus)
                         s_dev -= v_bus * np.conj(i_other)
-                if a.n_states:
-                    x0[dae.slices[a.id]] = a.init(v_bus, s_dev)
-                elif a.kind is DeviceKind.VOLTAGE_SOURCE:
-                    a.emf = v_bus
+                x0[dae.slices[a.id]] = a.init(v_bus, s_dev)
         for br in dae.dyn_branches:
             sl = dae.branch_slices[br.id]
             st = dynamic_branch_init(br, complex(v_vec[idx[br.from_bus]]),

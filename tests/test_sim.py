@@ -111,6 +111,15 @@ def test_initialize_smib_residual_and_speed():
     assert x0[dae.slices["G1"].start + 1] == pytest.approx(1.0)
 
 
+def test_ideal_source_emf_is_the_power_flow_voltage():
+    """gfl_seriescomp needs several initialization passes; the infinite
+    bus keeps the slack voltage of its file exactly, not the noise of the
+    later algebraic solves."""
+    dae, _, _ = initialize(build_builtin("gfl_seriescomp"))
+    source = next(a for a in dae.adapters if a.id == "IB")
+    assert source.emf == 1.0 + 0.0j
+
+
 def test_initialize_kundur_tie_flow_matches_power_flow():
     scenario = build_builtin("kundur")
     from synchrolens.network import PfBusSpec, solve_power_flow
