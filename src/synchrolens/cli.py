@@ -13,10 +13,10 @@ import sys
 import tempfile
 
 from .errors import (AxisMismatch, CurrentTooSmall, InitInfeasible,
-                     ModulationTooSmall,
-                     NewtonDivergence, ParamDomain, ParseError, PfDivergence,
-                     SchemaError, SingularY, SlipSingular, TooFewSamples,
-                     UnknownScenario, VoltageTooSmall, WindowTooShort)
+                     ModulationTooSmall, NewtonDivergence, ParamDomain,
+                     ParseError, PfDivergence, SchemaError, SingularY,
+                     SlipSingular, TooFewSamples, UnknownScenario,
+                     VoltageTooSmall, WindowTooShort)
 from .scenarios import (build_builtin, builtin_description, builtin_names,
                         cct_sweep, load_scenario)
 from .scenarios.model import check_positive

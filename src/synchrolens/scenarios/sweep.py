@@ -90,7 +90,7 @@ def cct_sweep(scenario: Scenario, t_from: float, t_to: float, step: float,
     if step <= 0.0 or t_to < t_from:
         raise SchemaError("empty or inverted sweep range")
     if workers < 1:
-        raise SchemaError(f"--workers must be at least 1, got {workers}")
+        raise SchemaError(f"workers must be at least 1, got {workers}")
     if device_id is None:
         if not scenario.monitored:
             raise SchemaError("no monitored device to sweep on")
