@@ -123,6 +123,11 @@ def _chi_csv(result, numeric, analytic):
     return "\n".join(lines) + "\n"
 
 
+# the stepper's deterministic counters, null for a closed-form scenario
+_SOLVER_KEYS = ("steps", "newton_iterations", "max_step_iterations",
+                "max_step_time", "jacobian_builds", "worst_residual")
+
+
 def _verdict_dict(v):
     return {
         "device": v.device,
@@ -168,6 +173,7 @@ def build_report(scenario, result, config, epsilon=DEFAULT_EPSILON,
         "crosschecks": crosschecks,
         "system": {"instability_angle_separation": system_unstable(result),
                    "angle_spread_rad": angle_spread(result)},
+        "solver": {key: result.diagnostics.get(key) for key in _SOLVER_KEYS},
         "outputs": paths or {"trajectories": "", "chi": "", "report": ""},
         "exit_status": 0,
     }

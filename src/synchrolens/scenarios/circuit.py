@@ -40,11 +40,13 @@ def circuit_elements(scenario: Scenario):
     return emf, i_dc, branch, vs[0], cs[0]
 
 
-def circuit_dc_waveforms(scenario: Scenario, dt: float, t_end: float):
-    """(times, v_source_bus, v_injection_bus, i_source, i_injection)."""
+def circuit_dc_waveforms(scenario: Scenario, dt: float, t_end: float,
+                         decimation: int = 1):
+    """(times, v_source_bus, v_injection_bus, i_source, i_injection) at
+    every decimation-th step of dt."""
     emf, i_dc, branch, _, _ = circuit_elements(scenario)
     omega_b = 2.0 * np.pi * scenario.f_nom
-    t = dt * np.arange(int(round(t_end / dt)) + 1)
+    t = dt * np.arange(0, int(round(t_end / dt)) + 1, decimation)
     rot = np.exp(-1j * omega_b * t)
     v1 = np.full_like(rot, emf)
     v2 = emf + branch.r * i_dc * rot
@@ -76,19 +78,17 @@ def run_analytic(scenario: Scenario, config=None):
         raise SchemaError(f"unsupported analytic scenario {scenario.analytic!r}")
     config = config or SimConfig.from_scenario(scenario)
     _, _, branch, vs, cs = circuit_elements(scenario)
-    t, v1, v2, i_cs, i_vs = circuit_dc_waveforms(scenario, config.dt,
-                                                 config.t_end)
     dec = config.record_decimation
-    sel = slice(None, None, dec)
-    t = t[sel]
+    t, v1, v2, i_cs, i_vs = circuit_dc_waveforms(scenario, config.dt,
+                                                 config.t_end, dec)
     n = len(t)
     return SimResult(
         scenario_name=scenario.name,
         t=t,
         dt=config.dt * dec,
         omega_b=2.0 * np.pi * scenario.f_nom,
-        voltages={vs.bus: v1[sel], cs.bus: v2[sel]},
-        currents={vs.id: i_vs[sel], cs.id: i_cs[sel]},
+        voltages={vs.bus: v1, cs.bus: v2},
+        currents={vs.id: i_vs, cs.id: i_cs},
         states={},
         state_names={},
         active={vs.id: np.ones(n, dtype=bool), cs.id: np.ones(n, dtype=bool)},

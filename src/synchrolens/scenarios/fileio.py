@@ -8,6 +8,7 @@ The grammar is documented in the README.
 
 from __future__ import annotations
 
+import math
 import re
 
 from ..devices import DeviceKind
@@ -86,10 +87,13 @@ def _parse_sections(text):
 def _float(entry, name):
     value, lineno = entry
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
-        raise ParseError(f"{name}: expected a number, got {value!r}",
+        number = math.nan
+    if not math.isfinite(number):
+        raise ParseError(f"{name}: expected a finite number, got {value!r}",
                          line=lineno, column=1)
+    return number
 
 
 def _int(entry, name):

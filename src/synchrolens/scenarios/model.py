@@ -166,6 +166,9 @@ class Scenario:
             if key in seen:
                 raise SchemaError(f"duplicate event {key}")
             seen.add(key)
+            if ev.open_branch and ev.kind is not EventKind.CLEAR_FAULT:
+                raise SchemaError("open_branch = true applies only to "
+                                  f"clear_fault, not {ev.kind.value} events")
             if ev.kind is EventKind.APPLY_FAULT:
                 if ev.branch is not None and ev.branch not in branch_ids:
                     raise SchemaError(f"fault on unknown branch {ev.branch}")

@@ -12,7 +12,13 @@ is kept across iterations and steps and, after every iteration that has not
 converged, corrected by Broyden's second ("bad") rank-1 update, so it
 follows phasors that keep rotating in the synchronous frame without new
 residual evaluations.  It is rebuilt only when a step stalls or converges
-slowly.  Events must lie on step boundaries; at an event the topology
+slowly.  Each step starts iterating from the quadratic extrapolation
+3 z_n - 3 z_{n-1} + z_{n-2} of the last three accepted points (the
+predictor of predictor-corrector DAE codes such as DASSL) when the previous
+step took at least one iteration, and from z_n otherwise, as near steady
+state z_n already meets the tolerance.  Events must lie on step
+boundaries; the history is cleared there, so no step extrapolates across a
+topology change.  At an event the topology
 changes, g = 0 is re-solved for y holding x, by the plain Newton loop the
 power flow also uses, and integration continues.
 """
@@ -38,6 +44,10 @@ from .network import (EventKind, Network, PfBusSpec, apply_event, assemble_y,
                       dynamic_branch_init, fd_jacobian, interface_solve,
                       solve_power_flow)
 from .scenarios.model import DeviceSpec, Scenario, check_run_settings, time_grid
+
+# the recorded trajectories of one run may take at most this many bytes;
+# a run's peak memory is about eight times its recorded bytes
+MAX_RECORD_BYTES = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -77,6 +87,18 @@ class SimResult:
     event_samples: list
     diagnostics: dict
     frame_omega: float = 1.0
+
+
+def check_record_size(n_samples, n_bus, n_dev, n_states):
+    """SchemaError when n_samples recorded samples would take more than
+    MAX_RECORD_BYTES: 16 bytes per bus voltage and device current, 1 per
+    device activity flag and 8 per device state."""
+    per_sample = 16 * n_bus + 17 * n_dev + 8 * n_states
+    if n_samples * per_sample > MAX_RECORD_BYTES:
+        raise SchemaError(
+            f"{float(n_samples):.3g} recorded samples of {per_sample} bytes "
+            f"exceed the {MAX_RECORD_BYTES}-byte cap; raise record_decimation "
+            "in the scenario's [sim] section, raise dt or shorten t_end")
 
 
 # --- device adapters --------------------------------------------------------
@@ -530,6 +552,12 @@ class TrapezoidalStepper:
     inv -= (dz + inv @ dr) dr^T / (dr . dr), where the iterate moved by -dz
     and dr is the change of the scaled residual; afterwards inv @ dr = -dz,
     the secant condition.
+
+    The iteration starts from the predictor 3 z_n - 3 z_{n-1} + z_{n-2}
+    over the last three accepted points.  Two gates apply: the previous
+    step must have taken at least one iteration (else z_n itself is used),
+    and the history holds only consecutive accepted steps since the last
+    invalidate(), so no step extrapolates across an event.
     """
 
     # keep the updated inverse while it still converges in fewer iterations
@@ -543,13 +571,20 @@ class TrapezoidalStepper:
         self.cfg = config
         self.jac_inv = None
         self._f_old = None
+        # accepted points z_{n-1}, z_{n-2} of this topology, newest first,
+        # and the iterations the last step took
+        self._history = []
+        self._last_iters = 0
         self.stats = {"newton_iterations": 0, "jacobian_builds": 0,
-                      "worst_residual": 0.0, "steps": 0}
+                      "worst_residual": 0.0, "steps": 0,
+                      "max_step_iterations": 0, "max_step_time": 0.0}
 
     def invalidate(self):
-        """Drop cached Jacobian and RHS after a topology change."""
+        """Drop cached Jacobian, RHS and predictor history after a topology
+        change."""
         self.jac_inv = None
         self._f_old = None
+        self._history = []
 
     def _residual(self, t_new, z, x_old, f_old, dt):
         n_x = self.dae.n_x
@@ -594,7 +629,12 @@ class TrapezoidalStepper:
         if f_old is None:
             f_old = dae.fg(t_old, x_old, y_old)[0]
         t_new = t_old + dt
-        z = np.concatenate([x_old, y_old])
+        z_old = np.concatenate([x_old, y_old])
+        history = self._history
+        if len(history) == 2 and self._last_iters:
+            z = 3.0 * z_old - 3.0 * history[0] + history[1]
+        else:
+            z = z_old
         r = self._residual(t_new, z, x_old, f_old, dt)
         res = float(np.abs(r).max())
         tol = self.cfg.newton_tol
@@ -603,9 +643,15 @@ class TrapezoidalStepper:
         it = 0
         while True:
             if res < tol:
-                self.stats["newton_iterations"] += it
-                self.stats["worst_residual"] = max(self.stats["worst_residual"], res)
-                self.stats["steps"] += 1
+                stats = self.stats
+                stats["newton_iterations"] += it
+                stats["worst_residual"] = max(stats["worst_residual"], res)
+                stats["steps"] += 1
+                if it > stats["max_step_iterations"] or stats["steps"] == 1:
+                    stats["max_step_iterations"] = it
+                    stats["max_step_time"] = t_new
+                self._history = [z_old] + history[:1]
+                self._last_iters = it
                 if it >= self.REBUILD_ITERS:
                     self.jac_inv = None   # converging slowly; refresh next step
                 n_x = dae.n_x
@@ -723,22 +769,24 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
     # t_end and every event must lie on the grid of the dt actually used
     n_steps, event_steps = time_grid(config.dt, config.t_end,
                                      [ev.time for ev in scenario.events])
+    dt = config.dt
+    dec = config.record_decimation
+    n_rec = n_steps // dec + 1
     if scenario.analytic is not None:
         from .scenarios.circuit import run_analytic
+        check_record_size(n_rec, len(scenario.buses), len(scenario.devices), 0)
         return run_analytic(scenario, config)
 
     dae, x, y = initialize(scenario, config)
+    check_record_size(n_rec, dae.n_bus, len(dae.adapters),
+                      sum(a.n_states for a in dae.stateful))
     network = dae.network
     idx = network.bus_index
-    dt = config.dt
-    dec = config.record_decimation
 
     events_by_step = {}
     for k, ev in zip(event_steps, scenario.events):
         events_by_step.setdefault(k, []).append(ev)
 
-    rec_steps = list(range(0, n_steps + 1, dec))
-    n_rec = len(rec_steps)
     bus_ids = [b.id for b in network.buses]
     dev_ids = [a.id for a in dae.adapters]
     volts = {b: np.empty(n_rec, dtype=complex) for b in bus_ids}
@@ -795,10 +843,9 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
                 event_samples.append(slot)
             slot += 1
 
-    t_axis = np.array(rec_steps, dtype=float) * dt
     return SimResult(
         scenario_name=scenario.name,
-        t=t_axis,
+        t=np.arange(0, n_steps + 1, dec) * dt,
         dt=dt * dec,
         omega_b=network.omega_b,
         voltages=volts,

@@ -113,6 +113,17 @@ _RUN = ("run", "--builtin", "smib")
     pytest.param(_smib_edit("tap = 1.0", "tap = nan"), id="tap-nan"),
     pytest.param(_smib_edit("branch = L2", "bus = HV"),
                  id="open-branch-on-bus-fault"),
+    pytest.param(_smib_edit("y_fault_b = -10000.0",
+                            "y_fault_b = -10000.0\nopen_branch = true"),
+                 id="open-branch-on-apply-fault"),
+    pytest.param(_smib_edit("kind = clear_fault", "kind = open_branch"),
+                 id="open-branch-on-open-branch-event"),
+    pytest.param(("file", "motor_condenser",
+                  {"device = SC1": "device = SC1\nopen_branch = true"}),
+                 id="open-branch-on-disconnect"),
+    pytest.param(_smib_edit("d = 5.0", "d = nan"), id="damping-nan"),
+    pytest.param(_smib_edit("x = 0.15", "x = inf"), id="reactance-inf"),
+    pytest.param(_RUN + ("--dt", "1e-300"), id="dt-tiny-record-cap"),
     pytest.param(_smib_edit("t = 1.0", "t = 1e-9"), id="event-at-step-0"),
     pytest.param(_SWEEP + ("--from", "1.10", "--to", "1.11", "--step", "nan"),
                  id="sweep-step-nan"),
@@ -180,9 +191,35 @@ def test_report_schema_valid(smib_outputs):
     assert report["exit_status"] == 0
 
 
+def test_report_solver_block(smib_outputs, tmp_path):
+    """The report carries the stepper's counters; a closed-form scenario,
+    which is not integrated, carries them as nulls."""
+    import importlib.resources as resources
+    schema = json.loads(
+        resources.files("synchrolens").joinpath("report_schema.json").read_text())
+    solver = json.loads((smib_outputs / "smib_report.json").read_text())["solver"]
+    assert solver["steps"] == 6000
+    assert solver["newton_iterations"] >= solver["steps"]
+    assert 1 <= solver["max_step_iterations"] <= 4
+    assert 1.0 <= solver["max_step_time"] <= 6.0
+    assert solver["jacobian_builds"] <= 3
+    assert 0.0 <= solver["worst_residual"] < 1e-10
+    assert run_cli("run", "--builtin", "circuit_dc", "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "circuit_dc_report.json").read_text())
+    _validate(report, schema)
+    assert set(report["solver"]) == set(schema["properties"]["solver"]["required"])
+    assert all(value is None for value in report["solver"].values())
+
+
 def _validate(value, schema, path="$"):
-    """Minimal JSON-schema subset checker (type/required/properties/items)."""
+    """Minimal JSON-schema subset checker (type/required/properties/items);
+    a list of types accepts a value of any of them."""
     kind = schema.get("type")
+    if isinstance(kind, list):
+        if value is None:
+            assert "null" in kind, path
+            return
+        kind = next(k for k in kind if k != "null")
     if kind == "object":
         assert isinstance(value, dict), path
         for key in schema.get("required", ()):
@@ -335,6 +372,33 @@ def test_event_resolve_failure_names_time(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
     assert "interface solve did not converge (at t=1.000000s)" in err
     assert not out.exists() or not list(out.iterdir())
+
+
+def test_record_cap_names_record_decimation(tmp_path, capsys, monkeypatch):
+    """The recorded arrays' size is estimated before they are allocated: a
+    run whose recording would exceed the cap by one byte exits 2 and names
+    record_decimation, the same run at the cap runs, and so does a run over
+    the cap once record_decimation thins its samples.  The cap is lowered
+    to the exact recorded bytes of a 0.2 s smib run, so nothing large is
+    allocated."""
+    scenario = build_builtin("smib")
+    result = sim.run_simulation(scenario, sim.SimConfig.from_scenario(
+        scenario, t_end=0.2))
+    recorded = sum(a.nbytes for table in (result.voltages, result.currents,
+                                          result.states, result.active)
+                   for a in table.values())
+    out = tmp_path / "out"
+    monkeypatch.setattr(sim, "MAX_RECORD_BYTES", recorded - 1)
+    assert run_cli(*_RUN, "--t-end", "0.2", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "record_decimation" in err
+    assert not out.exists() or not list(out.iterdir())
+    path = _scenario_file(tmp_path, "smib", {
+        "t_end = 12.0": "t_end = 0.4",
+        "record_decimation = 1": "record_decimation = 4"})
+    assert run_cli("run", "--file", path, "--out", str(out)) == 0
+    monkeypatch.setattr(sim, "MAX_RECORD_BYTES", recorded)
+    assert run_cli(*_RUN, "--t-end", "0.2", "--out", str(out)) == 0
 
 
 def test_device_without_current_has_no_crosscheck(tmp_path, capsys):
@@ -497,7 +561,8 @@ _MUTANT = st.one_of(_SPECIAL, st.sampled_from([-3.0, 1e-9, 1e9]),
        value=_MUTANT)
 def test_mutated_file_property(name, data, value):
     """A scenario file with one number replaced either runs or is rejected
-    with a documented exit code, without a traceback or partial output."""
+    with a documented exit code, without a traceback or partial output.  A
+    non-finite number is a parse error (exit 2) whatever its key."""
     lines, numeric = _numeric_lines(name)
     k = data.draw(st.sampled_from(numeric), label="line")
     key = lines[k].partition(" = ")[0]
@@ -506,7 +571,10 @@ def test_mutated_file_property(name, data, value):
         path = os.path.join(tmp, f"{name}.ini")
         with open(path, "w") as handle:
             handle.write("\n".join(lines) + "\n")
-        _assert_clean_exit(("run", "--file", path), os.path.join(tmp, "out"))
+        code = _assert_clean_exit(("run", "--file", path),
+                                  os.path.join(tmp, "out"))
+    if not math.isfinite(value):
+        assert code == 2
 
 
 def _mostly(good, bad):
