@@ -12,11 +12,8 @@ import os
 import sys
 import tempfile
 
-from .errors import (AxisMismatch, CurrentTooSmall, InitInfeasible,
-                     ModulationTooSmall, NewtonDivergence, ParamDomain,
-                     ParseError, PfDivergence, SchemaError, SingularY,
-                     SlipSingular, TooFewSamples, UnknownScenario,
-                     VoltageTooSmall, WindowTooShort)
+from .errors import (SOLVER_ERRORS, USAGE_ERRORS, AxisMismatch, SchemaError,
+                     WindowTooShort)
 from .scenarios import (build_builtin, builtin_description, builtin_names,
                         cct_sweep, load_scenario)
 from .scenarios.model import check_positive
@@ -26,13 +23,8 @@ from .synccheck import (DEFAULT_EPSILON, DEFAULT_SETTLE, DEFAULT_TAIL_TOL,
                         crosscheck_chi, evaluate_device, numeric_chi,
                         system_unstable)
 
-# a run too short for the CF stencils and device parameters outside their
-# physical domain are input errors like the rest
-_USAGE_ERRORS = (ParseError, SchemaError, UnknownScenario, TooFewSamples,
-                 ParamDomain)
-_SOLVER_ERRORS = (NewtonDivergence, PfDivergence, InitInfeasible, SingularY,
-                  VoltageTooSmall, CurrentTooSmall, ModulationTooSmall,
-                  SlipSingular)
+# rows per .tolist() call; larger blocks measurably raise peak memory
+_CSV_BLOCK = 256
 
 
 def _atomic_write(path, data):
@@ -46,10 +38,6 @@ def _atomic_write(path, data):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def _load(args):
@@ -78,49 +66,41 @@ def _out_dir(args):
     return out
 
 
-def _traj_csv(result):
-    buses = list(result.voltages)
-    devices = list(result.currents)
-    header = ["t"]
-    header += [f"v_d:{b}" for b in buses] + [f"v_q:{b}" for b in buses]
-    header += [f"i_d:{d}" for d in devices] + [f"i_q:{d}" for d in devices]
-    state_cols = []
-    for dev, names in result.state_names.items():
-        for j, name in enumerate(names):
-            state_cols.append((dev, j, f"state:{dev}:{name}"))
-    header += [c[2] for c in state_cols]
+def _csv(header, columns):
+    """CSV text of equal-length columns, one row per sample, each cell the
+    repr of a Python number (an int column prints 1/0)."""
     lines = [",".join(header)]
-    for k in range(len(result.t)):
-        row = [_fmt(result.t[k])]
-        row += [_fmt(result.voltages[b][k].real) for b in buses]
-        row += [_fmt(result.voltages[b][k].imag) for b in buses]
-        row += [_fmt(result.currents[d][k].real) for d in devices]
-        row += [_fmt(result.currents[d][k].imag) for d in devices]
-        row += [_fmt(result.states[dev][k, j]) for dev, j, _ in state_cols]
-        lines.append(",".join(row))
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        cells = [map(repr, col[start:start + _CSV_BLOCK].tolist())
+                 for col in columns]
+        lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
+
+
+def _traj_csv(result):
+    header, columns = ["t"], [result.t]
+    for part, series in (("v", result.voltages), ("i", result.currents)):
+        header += [f"{part}_d:{k}" for k in series]
+        header += [f"{part}_q:{k}" for k in series]
+        columns += [s.real for s in series.values()]
+        columns += [s.imag for s in series.values()]
+    for dev, names in result.state_names.items():
+        header += [f"state:{dev}:{name}" for name in names]
+        columns += list(result.states[dev].T)
+    return _csv(header, columns)
 
 
 def _chi_csv(result, numeric, analytic):
-    devices = list(numeric)
-    header = ["t"]
-    for dev in devices:
+    header, columns = ["t"], [result.t]
+    for dev, ch in numeric.items():
         header += [f"chi_rho_numeric:{dev}", f"chi_omega_numeric:{dev}"]
+        columns += [ch.values.real, ch.values.imag]
         if dev in analytic:
             header += [f"chi_rho_analytic:{dev}", f"chi_omega_analytic:{dev}"]
+            columns += [analytic[dev].values.real, analytic[dev].values.imag]
         header.append(f"mask:{dev}")
-    lines = [",".join(header)]
-    for k in range(len(result.t)):
-        row = [_fmt(result.t[k])]
-        for dev in devices:
-            ch = numeric[dev]
-            row += [_fmt(ch.values[k].real), _fmt(ch.values[k].imag)]
-            if dev in analytic:
-                an = analytic[dev]
-                row += [_fmt(an.values[k].real), _fmt(an.values[k].imag)]
-            row.append("1" if ch.mask[k] else "0")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        columns.append(ch.mask.astype(int))
+    return _csv(header, columns)
 
 
 # the stepper's deterministic counters, null for a closed-form scenario
@@ -147,17 +127,17 @@ def build_report(scenario, result, config, epsilon=DEFAULT_EPSILON,
     numeric = {dev: numeric_chi(result, dev) for dev in result.currents}
     analytic = analytic_chi_all(result, scenario)
     verdicts, crosschecks = [], []
-    for dev in result.currents:
+    for dev, chi in numeric.items():
         try:
             verdicts.append(_verdict_dict(evaluate_device(
-                result, dev, epsilon=epsilon, tail_tol=tail_tol)))
+                result, dev, chi, epsilon=epsilon, tail_tol=tail_tol)))
         except WindowTooShort as exc:
             verdicts.append({"device": dev, "bls": None, "als": None,
                              "chi_at_t0": float("nan"),
                              "notes": f"not evaluable: {exc}"})
         if dev in analytic:
             try:
-                cc = crosscheck_chi(analytic[dev], numeric[dev], dev)
+                cc = crosscheck_chi(analytic[dev], chi, dev)
             except AxisMismatch:
                 continue   # no sample valid in both (a device carrying no current)
             crosschecks.append({"device": dev, "rms": cc.rms, "max": cc.max,
@@ -234,10 +214,10 @@ def cmd_sweep(args):
     lines = ["t_cl,max_delta_swing,als_pass"]
     for p in result.points:
         if p.error:
-            lines.append(f"{_fmt(p.t_clear)},,error")
+            lines.append(f"{p.t_clear!r},,error")
             continue
-        swing = "" if p.max_swing is None else _fmt(p.max_swing)
-        lines.append(f"{_fmt(p.t_clear)},{swing},"
+        swing = "" if p.max_swing is None else repr(p.max_swing)
+        lines.append(f"{p.t_clear!r},{swing},"
                      f"{'pass' if p.als_pass else 'fail'}")
     path = os.path.join(out, f"{scenario.name}_sweep.csv")
     _atomic_write(path, "\n".join(lines) + "\n")
@@ -326,10 +306,10 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except _USAGE_ERRORS as exc:
+    except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _SOLVER_ERRORS as exc:
+    except SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -96,3 +96,13 @@ class WindowTooShort(SynchroLensError):
 
 class AxisMismatch(SynchroLensError):
     """Series to compare do not share a time axis."""
+
+
+# exit 2, and a sweep stops: a run too short for the CF stencils and device
+# parameters outside their physical domain are input errors like the rest
+USAGE_ERRORS = (ParseError, SchemaError, UnknownScenario, TooFewSamples,
+                ParamDomain)
+# exit 3; a sweep records them as an error row and goes on
+SOLVER_ERRORS = (NewtonDivergence, PfDivergence, InitInfeasible, SingularY,
+                 VoltageTooSmall, CurrentTooSmall, ModulationTooSmall,
+                 SlipSingular)

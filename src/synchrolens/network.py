@@ -19,8 +19,6 @@ from .errors import (NewtonDivergence, PfDivergence, SingularY, UnknownElement)
 @dataclass(frozen=True)
 class Bus:
     id: str
-    v_nom_kv: float = 1.0
-    area: int = 1
 
 
 @dataclass(frozen=True)
@@ -50,13 +48,6 @@ class Branch:
         return 1.0 / z
 
 
-@dataclass(frozen=True)
-class Shunt:
-    bus: str
-    g: float = 0.0
-    b: float = 0.0
-
-
 class EventKind(enum.Enum):
     APPLY_FAULT = "apply_fault"
     CLEAR_FAULT = "clear_fault"
@@ -80,7 +71,6 @@ class Event:
     branch: str | None = None
     device: str | None = None
     y_fault: complex = -1e4j
-    at_midpoint: bool = True
     open_branch: bool = False
 
 
@@ -89,11 +79,9 @@ class Network:
 
     MIDPOINT_SUFFIX = "_mid"
 
-    def __init__(self, buses, branches, shunts=(), base_mva=100.0, f_nom=60.0):
+    def __init__(self, buses, branches, f_nom=60.0):
         self.buses = list(buses)
         self.branches = list(branches)
-        self.shunts = list(shunts)
-        self.base_mva = base_mva
         self.f_nom = f_nom
         self.bus_index = {b.id: k for k, b in enumerate(self.buses)}
         if len(self.bus_index) != len(self.buses):
@@ -143,7 +131,7 @@ class Network:
             raise UnknownElement(f"unknown branch {branch_id}")
         if br.dynamic:
             raise UnknownElement(f"cannot split dynamic branch {branch_id}")
-        mid = Bus(mid_id, self.buses[self.bus_index[br.from_bus]].v_nom_kv)
+        mid = Bus(mid_id)
         half_a = replace(br, id=branch_id + "#a", to_bus=mid_id,
                          r=0.5 * br.r, x=0.5 * br.x, b=0.5 * br.b,
                          parent=branch_id)
@@ -196,8 +184,6 @@ def assemble_y(network: Network, include_dynamic_equivalent=False):
         for br in network.dynamic_branches():
             _stamp_branch(y, idx, replace(br, dynamic=False,
                                           x=br.x - br.x_c, x_c=0.0))
-    for sh in network.shunts:
-        y[idx[sh.bus], idx[sh.bus]] += complex(sh.g, sh.b)
     for bus_id, y_f in network.fault_admittance.items():
         y[idx[bus_id], idx[bus_id]] += y_f
     return y
@@ -251,8 +237,6 @@ def connected_bus_mask(network: Network, device_buses=()):
     for br in network.dynamic_branches():
         mask[idx[br.from_bus]] = True
         mask[idx[br.to_bus]] = True
-    for sh in network.shunts:
-        mask[idx[sh.bus]] = True
     for bus_id in network.fault_admittance:
         mask[idx[bus_id]] = True
     for bus_id in device_buses:

@@ -21,7 +21,6 @@ _KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 _SYSTEM_KEYS = {"name", "f_nom", "base_mva", "slack_device", "analytic",
                 "monitored"}
-_BUS_KEYS = {"v_nom_kv", "area"}
 _BRANCH_KEYS = {"from", "to", "r", "x", "b", "tap", "dynamic", "x_c"}
 _EVENT_KEYS = {"t", "kind", "bus", "branch", "device", "y_fault_g",
                "y_fault_b", "open_branch"}
@@ -130,12 +129,8 @@ def load_scenario(text: str) -> Scenario:
             _check_keys(kind, label, data, _SYSTEM_KEYS)
             system = data
         elif kind == "bus":
-            _check_keys(kind, label, data, _BUS_KEYS)
-            buses.append(Bus(label,
-                             v_nom_kv=_float(data["v_nom_kv"], "v_nom_kv")
-                             if "v_nom_kv" in data else 1.0,
-                             area=_int(data["area"], "area")
-                             if "area" in data else 1))
+            _check_keys(kind, label, data, ())   # a bus is only its id
+            buses.append(Bus(label))
         elif kind == "branch":
             _check_keys(kind, label, data, _BRANCH_KEYS)
             for req in ("from", "to", "x"):
@@ -241,8 +236,7 @@ def serialize_scenario(scenario: Scenario) -> str:
     if scenario.monitored:
         out.append(f"monitored = {','.join(scenario.monitored)}")
     for bus in scenario.buses:
-        out += ["", f"[bus.{bus.id}]", f"v_nom_kv = {_fmt(bus.v_nom_kv)}",
-                f"area = {bus.area}"]
+        out += ["", f"[bus.{bus.id}]"]
     for br in scenario.branches:
         out += ["", f"[branch.{br.id}]", f"from = {br.from_bus}",
                 f"to = {br.to_bus}", f"r = {_fmt(br.r)}", f"x = {_fmt(br.x)}",

@@ -92,8 +92,7 @@ class Scenario:
 
     def build_network(self) -> Network:
         """Fresh Network with fault branches pre-split at their midpoints."""
-        net = Network(self.buses, self.branches, base_mva=self.base_mva,
-                      f_nom=self.f_nom)
+        net = Network(self.buses, self.branches, f_nom=self.f_nom)
         for ev in self.events:
             if ev.kind is EventKind.APPLY_FAULT and ev.branch is not None:
                 net.split_branch_for_fault(ev.branch)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import SchemaError, SynchroLensError
+from ..errors import USAGE_ERRORS, SchemaError, SynchroLensError
 from ..network import EventKind
 from ..sim import run_simulation
 from ..synccheck import evaluate_device, system_unstable
@@ -60,18 +60,21 @@ def _run_point(args):
     scenario, t_clear, device_id, tail_tol = args
     try:
         run = run_simulation(with_clearing_time(scenario, t_clear))
-        verdict = evaluate_device(run, device_id, tail_tol=tail_tol)
+        # bound at call time, so a wrapper on synccheck.numeric_chi sees it
+        from ..synccheck import numeric_chi
+        chi = numeric_chi(run, device_id)
+        verdict = evaluate_device(run, device_id, chi, tail_tol=tail_tol)
         swing = None
         names = run.state_names.get(device_id, ())
         if "delta" in names:
             delta = run.states[device_id][:, names.index("delta")]
             swing = float(np.abs(delta - delta[0]).max())
-        from ..synccheck import numeric_chi
-        chi = numeric_chi(run, device_id)
         window = (chi.t > t_clear) & (chi.t <= t_clear + 5.0) & chi.mask
         im_5s = float(np.abs(chi.values[window].imag).max()) if window.any() else None
         return SweepPoint(t_clear, not system_unstable(run),
                           verdict.als.passed, verdict.als.tail_max, swing, im_5s)
+    except USAGE_ERRORS:
+        raise   # an input error holds at every clearing time
     except SynchroLensError as exc:
         return SweepPoint(t_clear, None, None, None, error=str(exc))
 

@@ -793,7 +793,11 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
     currs = {d: np.empty(n_rec, dtype=complex) for d in dev_ids}
     states = {a.id: np.empty((n_rec, a.n_states)) for a in dae.stateful}
     active = {d: np.ones(n_rec, dtype=bool) for d in dev_ids}
-    event_log, event_samples = [], []
+    event_log = []
+    # the first recorded sample at or after each event, also when the
+    # decimation does not divide the event's step
+    event_samples = sorted(s for s in {-(-k // dec) for k in event_steps}
+                           if s < n_rec)
 
     stepper = TrapezoidalStepper(dae, config)
 
@@ -839,8 +843,6 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
                                    worst_equation=exc.worst_equation)
         if k % dec == 0:
             record(slot, x, y)
-            if k in events_by_step:
-                event_samples.append(slot)
             slot += 1
 
     return SimResult(

@@ -252,7 +252,7 @@ def last_event_time(result: SimResult):
     return max((t for t, _ in result.events), default=0.0)
 
 
-def evaluate_device(result: SimResult, device_id: str,
+def evaluate_device(result: SimResult, device_id: str, chi: ChiSeries,
                     epsilon: float = DEFAULT_EPSILON,
                     tail_tol: float = DEFAULT_TAIL_TOL,
                     settle: float = DEFAULT_SETTLE,
@@ -263,7 +263,6 @@ def evaluate_device(result: SimResult, device_id: str,
     with that alignment an ALS pass implies a BLS pass for every epsilon at
     or above the tail tolerance.
     """
-    chi = numeric_chi(result, device_id)
     t_end = float(chi.t[-1])
     bls_start = max(last_event_time(result) + settle, t_end - tail_window)
     bls = check_bls(chi, bls_start - settle, epsilon, settle)

@@ -93,7 +93,8 @@ def test_criterion_4_kundur_separation_with_local_sync(builtin_run):
     scenario, result, _ = builtin_run("kundur")
     separated = system_unstable(result)
     machines_ok = all(
-        evaluate_device(result, g, epsilon=EPSILON, tail_tol=TAIL_TOL).als.passed
+        evaluate_device(result, g, numeric_chi(result, g), epsilon=EPSILON,
+                        tail_tol=TAIL_TOL).als.passed
         for g in ("G1", "G2", "G3", "G4"))
     z_ok = True
     z_worst = 0.0
@@ -104,7 +105,7 @@ def test_criterion_4_kundur_separation_with_local_sync(builtin_run):
         variation = np.abs(chi.values[chi.mask]).max()
         z_worst = max(z_worst, variation)
         z_ok &= variation <= 1e-6
-        z_ok &= evaluate_device(result, dev).als.passed
+        z_ok &= evaluate_device(result, dev, chi).als.passed
     _report(4, separated and machines_ok and z_ok,
             f"spread={angle_spread(result):.1f} rad, machines_als={machines_ok}, "
             f"zip_variation={z_worst:.1e}")
@@ -112,7 +113,8 @@ def test_criterion_4_kundur_separation_with_local_sync(builtin_run):
 
 def test_criterion_5_motor_stall_dichotomy(builtin_run, motor_stall_run):
     _, ride, _ = builtin_run("motor_condenser")
-    ride_verdict = evaluate_device(ride, "M1", tail_tol=TAIL_TOL)
+    ride_verdict = evaluate_device(ride, "M1", numeric_chi(ride, "M1"),
+                                   tail_tol=TAIL_TOL)
 
     _, stall, _ = motor_stall_run
     sigma = stall.states["M1"][:, 0]
@@ -122,7 +124,7 @@ def test_criterion_5_motor_stall_dichotomy(builtin_run, motor_stall_run):
     pre_median = float(np.median(np.abs(chi.values[pre].real)))
     tail = chi.mask & (chi.t >= stall.t[-1] - 3.0)
     tail_re_max = float(np.abs(chi.values[tail].real).max())
-    stall_verdict = evaluate_device(stall, "M1", tail_tol=TAIL_TOL)
+    stall_verdict = evaluate_device(stall, "M1", chi, tail_tol=TAIL_TOL)
     ratio_ok = tail_re_max > 10.0 * max(pre_median, 1e-30)
     _report(5, ride_verdict.als.passed and stalled and ratio_ok
             and not stall_verdict.als.passed,
@@ -145,7 +147,8 @@ def test_criterion_6_stable_but_not_synchronous(builtin_run):
 
     chi = numeric_chi(result, "CS")
     persistent = np.abs(chi.values[chi.mask]).min() >= 0.9
-    verdict = evaluate_device(result, "CS", epsilon=EPSILON, tail_tol=TAIL_TOL)
+    verdict = evaluate_device(result, "CS", chi, epsilon=EPSILON,
+                              tail_tol=TAIL_TOL)
     _report(6, bounded and power_ok and persistent
             and not verdict.bls.passed and not verdict.als.passed,
             f"max 0.1s avg power={np.abs(rolling).max():.1e}, "
@@ -157,7 +160,8 @@ def test_criterion_7_bounded_but_not_bls(builtin_run):
     bounded = all(np.isfinite(s).all() and np.abs(s).max() < 10.0
                   for s in result.states.values())
     bounded &= all(np.abs(v).max() < 2.0 for v in result.voltages.values())
-    verdict = evaluate_device(result, "G1", epsilon=EPSILON, tail_tol=TAIL_TOL)
+    verdict = evaluate_device(result, "G1", numeric_chi(result, "G1"),
+                              epsilon=EPSILON, tail_tol=TAIL_TOL)
     slope_flat = abs(verdict.als.slope) <= 1e-3
     _report(7, bounded and not verdict.bls.passed and slope_flat,
             f"bls_sup={verdict.bls.sup_norm:.2e}, slope={verdict.als.slope:+.2e}/s")
@@ -174,7 +178,7 @@ def test_criterion_8_gfl_resonance(builtin_run):
     pt, pv = t[1:-1][peaks], y[1:-1][peaks]
     lam = np.polyfit(pt, np.log(pv), 1)[0]
     ratio = float(np.exp(lam * np.median(np.diff(pt))))
-    verdict = evaluate_device(result, "C1", tail_tol=TAIL_TOL)
+    verdict = evaluate_device(result, "C1", chi, tail_tol=TAIL_TOL)
     _report(8, 0.9 < ratio < 1.0 and verdict.als.passed
             and verdict.als.tail_max <= TAIL_TOL,
             f"decay ratio/cycle={ratio:.3f}, tail={verdict.als.tail_max:.1e} "
@@ -217,7 +221,7 @@ def test_criterion_9_numerics(builtin_run):
     b = numeric_chi(rotated, "G1")
     both = a.mask & b.mask
     frame_err = np.abs(a.values[both] - b.values[both]).max()
-    va, vb = evaluate_device(result, "G1"), evaluate_device(rotated, "G1")
+    va, vb = evaluate_device(result, "G1", a), evaluate_device(rotated, "G1", b)
     verdicts_same = (va.bls.passed == vb.bls.passed
                      and va.als.passed == vb.als.passed)
     _report(9, order_ok and cf_ratio >= 3.5 and frame_err <= 1e-9

@@ -7,6 +7,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -108,7 +109,7 @@ _RUN = ("run", "--builtin", "smib")
                  id="base-mva-zero"),
     pytest.param(("file", "gfl_seriescomp", {"v_dc0 = 2.0": "v_dc0 = 0.0"}),
                  id="dc-link-voltage-zero"),
-    pytest.param(_smib_edit("area = 1", "area = inf"), id="area-inf"),
+    pytest.param(_smib_edit("[bus.GEN]", "[bus.GEN]\narea = 1"), id="area-inf"),
     pytest.param(_smib_edit("tap = 1.0", "tap = 0"), id="tap-zero"),
     pytest.param(_smib_edit("tap = 1.0", "tap = nan"), id="tap-nan"),
     pytest.param(_smib_edit("branch = L2", "bus = HV"),
@@ -159,6 +160,24 @@ def test_invalid_input_exit_2(tmp_path, capsys, argv):
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("edit", [
+    pytest.param({"dt = 0.001": "dt = 1e-300"}, id="dt-tiny-record-cap"),
+    pytest.param({"m = 3.0": "m = -3"}, id="inertia-negative"),
+])
+def test_sweep_stops_on_input_error(tmp_path, capsys, edit, workers):
+    """An input error holds at every clearing time, so a sweep exits 2 with
+    a message instead of writing a CSV of error rows."""
+    path = _scenario_file(tmp_path, "smib", edit)
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--file", path, "--from", "1.12", "--to", "1.13",
+                   "--step", "0.01", "--workers", workers,
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error: ")
+    assert not (out / "smib_sweep.csv").exists()
+
+
 def test_run_writes_three_files(smib_outputs, capsys):
     for suffix in ("_traj.csv", "_chi.csv", "_report.json"):
         assert (smib_outputs / f"smib{suffix}").exists()
@@ -180,6 +199,36 @@ def test_chi_csv_header_stable(smib_outputs):
     assert "chi_rho_analytic:G1" in header
     assert "mask:G1" in header
     assert "chi_rho_analytic:IB" not in header   # no closed form for sources
+
+
+def test_csv_rows_match_cell_by_cell_reference(builtin_run):
+    """Both CSVs equal a row-by-row writer that formats each recorded value
+    as repr(float(x)) and each mask flag as 1/0; smib's 12,001 rows span
+    many of the writers' conversion blocks."""
+    from synchrolens import cli
+    from synchrolens.synccheck import analytic_chi_all, numeric_chi
+    scenario, result, _ = builtin_run("smib")
+    numeric = {d: numeric_chi(result, d) for d in result.currents}
+    analytic = analytic_chi_all(result, scenario)
+    fmt = lambda x: repr(float(x))   # noqa: E731
+    traj = cli._traj_csv(result).splitlines()
+    chi = cli._chi_csv(result, numeric, analytic).splitlines()
+    assert len(traj) == len(chi) == len(result.t) + 1 > 3 * cli._CSV_BLOCK
+    for k in range(len(result.t)):
+        row = [result.t[k]]
+        row += [v[k].real for v in result.voltages.values()]
+        row += [v[k].imag for v in result.voltages.values()]
+        row += [i[k].real for i in result.currents.values()]
+        row += [i[k].imag for i in result.currents.values()]
+        row += [x for s in result.states.values() for x in s[k]]
+        assert traj[k + 1] == ",".join(map(fmt, row)), k
+        cells = [fmt(result.t[k])]
+        for dev, ch in numeric.items():
+            series = [ch] + ([analytic[dev]] if dev in analytic else [])
+            cells += [fmt(f(c.values[k])) for c in series
+                      for f in (np.real, np.imag)]
+            cells.append("1" if ch.mask[k] else "0")
+        assert chi[k + 1] == ",".join(cells), k
 
 
 def test_report_schema_valid(smib_outputs):
@@ -552,28 +601,51 @@ def _numeric_lines(name):
     return lines, numeric
 
 
+def _flip(lines, k, key):
+    """Flip the boolean key in the section headed by lines[k]; an absent key
+    reads false, so flipping it adds key = true."""
+    end = next((j for j in range(k + 1, len(lines)) if not lines[j]),
+               len(lines))
+    for j in range(k + 1, end):
+        name, _, value = lines[j].partition(" = ")
+        if name == key:
+            lines[j] = f"{key} = {'false' if value == 'true' else 'true'}"
+            return
+    lines.insert(k + 1, f"{key} = true")
+
+
 _MUTANT = st.one_of(_SPECIAL, st.sampled_from([-3.0, 1e-9, 1e9]),
                     st.floats(-1e3, 1e3))
+_FLAGS = {"[branch.": "dynamic", "[event.": "open_branch"}
 
 
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(["smib", "motor_condenser"]), data=st.data(),
-       value=_MUTANT)
-def test_mutated_file_property(name, data, value):
-    """A scenario file with one number replaced either runs or is rejected
-    with a documented exit code, without a traceback or partial output.  A
-    non-finite number is a parse error (exit 2) whatever its key."""
+       value=_MUTANT, boolean=st.booleans())
+def test_mutated_file_property(name, data, value, boolean):
+    """A scenario file with one number replaced, or one boolean flipped,
+    either runs or is rejected with a documented exit code, without a
+    traceback or partial output.  The booleans are each branch's `dynamic`
+    and each event's `open_branch`, so open_branch = true reaches every
+    event kind.  A non-finite number is a parse error (exit 2) whatever
+    its key."""
     lines, numeric = _numeric_lines(name)
-    k = data.draw(st.sampled_from(numeric), label="line")
-    key = lines[k].partition(" = ")[0]
-    lines[k] = f"{key} = {value!r}"
+    if boolean:
+        flags = [(k, key) for k, line in enumerate(lines)
+                 for head, key in _FLAGS.items() if line.startswith(head)]
+        k, key = data.draw(st.sampled_from(flags), label="flag")
+        _flip(lines, k, key)
+    else:
+        k = data.draw(st.sampled_from(numeric), label="line")
+        key = lines[k].partition(" = ")[0]
+        lines[k] = f"{key} = {value!r}"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, f"{name}.ini")
         with open(path, "w") as handle:
             handle.write("\n".join(lines) + "\n")
         code = _assert_clean_exit(("run", "--file", path),
                                   os.path.join(tmp, "out"))
-    if not math.isfinite(value):
+    if not boolean and not math.isfinite(value):
         assert code == 2
 
 

@@ -65,7 +65,6 @@ name = bad
 slack_device = S
 
 [bus.B1]
-v_nom_kv = 1.0
 
 [device.S]
 kind = voltage_source

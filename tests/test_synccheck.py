@@ -104,7 +104,7 @@ def test_verdict_consistency_als_implies_bls(builtin_run):
         for dev in result.currents:
             if not result.active[dev][-1]:
                 continue
-            verdict = evaluate_device(result, dev)
+            verdict = evaluate_device(result, dev, numeric_chi(result, dev))
             if verdict.als.passed:
                 assert verdict.bls.passed, (name, dev)
 
@@ -116,8 +116,8 @@ def test_frame_invariance_of_chi_and_verdicts(builtin_run):
     rot = numeric_chi(rotated, "G1")
     both = base.mask & rot.mask
     assert np.abs(base.values[both] - rot.values[both]).max() < 1e-9
-    v0 = evaluate_device(result, "G1")
-    v1 = evaluate_device(rotated, "G1")
+    v0 = evaluate_device(result, "G1", base)
+    v1 = evaluate_device(rotated, "G1", rot)
     assert v0.bls.passed == v1.bls.passed
     assert v0.als.passed == v1.als.passed
     an0 = analytic_chi_all(result, scenario)["G1"]
@@ -179,3 +179,19 @@ def test_analytic_chi_matches_xi_terms_composition(builtin_run, name):
             assert abs(composed - chi.values[k]) < 1e-9, (a.id, k)
             checked += 1
         assert checked >= 20, a.id
+
+
+@pytest.mark.parametrize("decimation, samples", [(3, [334, 374]),
+                                                 (7, [143, 160])])
+def test_events_between_recorded_samples_are_masked(decimation, samples):
+    """An event whose step the decimation does not divide masks the first
+    recorded sample after it, so the closed form still matches."""
+    from dataclasses import replace
+    from synchrolens.scenarios import build_builtin
+    from synchrolens.sim import run_simulation
+    scenario = replace(build_builtin("smib"), record_decimation=decimation)
+    result = run_simulation(scenario)
+    assert result.event_samples == samples
+    cc = crosscheck_chi(analytic_chi_all(result, scenario)["G1"],
+                        numeric_chi(result, "G1"), "G1")
+    assert cc.passed, (cc.rms, cc.max)
