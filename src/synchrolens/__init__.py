@@ -1,6 +1,6 @@
 """Phasor-domain transient simulation and complex-frequency synchronization analysis."""
 
-from .cf import MIN_MAG, chi_from_xi_terms
+from .cf import MIN_MAG
 from .errors import SynchroLensError
 from .network import Branch, Bus, Event, EventKind, Network
 from .scenarios import (DeviceSpec, Scenario, build_builtin, builtin_names,
@@ -13,7 +13,7 @@ from .synccheck import (ChiSeries, SyncVerdict, analytic_chi_all, check_als,
 __version__ = "0.1.0"
 
 __all__ = [
-    "MIN_MAG", "chi_from_xi_terms",
+    "MIN_MAG",
     "SynchroLensError",
     "Bus", "Branch", "Event", "EventKind", "Network",
     "Scenario", "DeviceSpec", "build_builtin", "builtin_names",

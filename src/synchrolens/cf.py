@@ -39,11 +39,3 @@ def cf_arrays(values, dt, frame_omega, omega_b):
     omega = _derivative(ang, dt) / omega_b + frame_omega
     return rho, omega
 
-
-def chi_from_xi_terms(xi_a, k_rho, k_omega, rho, omega) -> complex:
-    """Compose the admittance CF from a device's current-CF decomposition.
-
-    chi = xi_a + (k_rho - 1)*rho + (k_omega - j)*omega with rho, omega taken
-    from the terminal-voltage CF.
-    """
-    return complex(xi_a + (k_rho - 1.0) * rho + (k_omega - 1j) * omega)

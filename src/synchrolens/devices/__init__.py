@@ -1,29 +1,26 @@
 """Device models: one broadcasting kernel per model for derivatives and
-injection, one for the closed-form chi, plus initializers and CF terms."""
+injection, one for the closed-form chi, plus initializers."""
 
 from __future__ import annotations
 
-from .base import DeviceKind, XiTerms, from_machine_frame, to_machine_frame
+from .base import DeviceKind, from_machine_frame, to_machine_frame
 from .inverter import (GFL_STATE_NAMES, GFM_STATE_NAMES, GflParams, GfmParams,
-                       gfl_admittance_cf, gfl_fg, gfl_init, gfl_xi_terms,
-                       gfm_admittance_cf, gfm_fg, gfm_init, gfm_injection,
-                       gfm_xi_terms)
+                       gfl_admittance_cf, gfl_fg, gfl_init, gfm_admittance_cf,
+                       gfm_fg, gfm_init, gfm_injection)
 from .loads import ZipParams, zip_admittance_cf, zip_injection, zip_power
 from .machine import (SM_STATE_NAMES, SmParams, sm2_params, sm4_params,
-                      sm6_params, sm_admittance_cf, sm_fg, sm_init,
-                      sm_xi_terms)
+                      sm6_params, sm_admittance_cf, sm_fg, sm_init)
 from .motor import (ImParams, im_admittance, im_admittance_cf, im_fg, im_init,
                     im_injection, im_power, im_pullout, im_torque)
 
 __all__ = [
-    "DeviceKind", "XiTerms", "to_machine_frame", "from_machine_frame",
+    "DeviceKind", "to_machine_frame", "from_machine_frame",
     "SmParams", "sm2_params", "sm4_params", "sm6_params", "SM_STATE_NAMES",
-    "sm_fg", "sm_admittance_cf", "sm_init", "sm_xi_terms",
+    "sm_fg", "sm_admittance_cf", "sm_init",
     "ZipParams", "zip_power", "zip_injection", "zip_admittance_cf",
     "ImParams", "im_torque", "im_power", "im_admittance", "im_injection",
     "im_fg", "im_admittance_cf", "im_pullout", "im_init",
-    "GflParams", "GFL_STATE_NAMES", "gfl_fg", "gfl_xi_terms",
-    "gfl_admittance_cf", "gfl_init",
-    "GfmParams", "GFM_STATE_NAMES", "gfm_injection", "gfm_fg", "gfm_xi_terms",
+    "GflParams", "GFL_STATE_NAMES", "gfl_fg", "gfl_admittance_cf", "gfl_init",
+    "GfmParams", "GFM_STATE_NAMES", "gfm_injection", "gfm_fg",
     "gfm_admittance_cf", "gfm_init",
 ]

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cf import MIN_MAG
-from ..errors import CurrentTooSmall, ModulationTooSmall, ParamDomain
-from .base import XiTerms
+from ..errors import ParamDomain
+from .base import cdiv, cexp, columns, derivatives
 
 GFL_STATE_NAMES = ("x_d", "x_q", "i_dm", "i_qm", "x_pll", "theta_pll")
 GFM_STATE_NAMES = ("e", "delta", "v_m", "p_m")
@@ -66,7 +66,8 @@ def _pll_deviation(x, params: GflParams, v_q):
 def _current_pll(x, params: GflParams, v_pll):
     """Injected current in the PLL frame from the filter algebraic relation."""
     m = gfl_modulation(x, params)
-    return (m * params.v_dc0 - (1.0 + params.z_f * params.y_f) * v_pll) / params.z_f
+    return cdiv(m * params.v_dc0 - (1.0 + params.z_f * params.y_f) * v_pll,
+                params.z_f)
 
 
 def _modulation_rates(x, params: GflParams, m, m2, i_pll):
@@ -83,17 +84,17 @@ def gfl_fg(states, params: GflParams, v):
     """(derivatives of (x_d, x_q, i_dm, i_qm, x_pll, theta_pll) in 1/s,
     injected current in machine base)."""
     p = params
-    x = states.T
-    rot = np.exp(-1j * x[5])
+    x = columns(states)
+    rot = cexp(-1j * x[5])
     v_pll = v * rot
     i_pll = _current_pll(x, p, v_pll)
-    deriv = np.array([p.K_i * (p.i_dref - x[2]),
-                      p.K_i * (p.i_qref - x[3]),
-                      (i_pll.real - x[2]) / p.T_m,
-                      (i_pll.imag - x[3]) / p.T_m,
-                      p.K_i_pll * v_pll.imag,
-                      p.omega_b * _pll_deviation(x, p, v_pll.imag)]).T
-    return deriv, i_pll * np.conj(rot)
+    deriv = derivatives(states, (p.K_i * (p.i_dref - x[2]),
+                                 p.K_i * (p.i_qref - x[3]),
+                                 (i_pll.real - x[2]) / p.T_m,
+                                 (i_pll.imag - x[3]) / p.T_m,
+                                 p.K_i_pll * v_pll.imag,
+                                 p.omega_b * _pll_deviation(x, p, v_pll.imag)))
+    return deriv, i_pll * rot.conjugate()
 
 
 def gfl_admittance_cf(states, params: GflParams, v, i, rho, omega, ratio=1.0):
@@ -117,30 +118,6 @@ def gfl_admittance_cf(states, params: GflParams, v, i, rho, omega, ratio=1.0):
     front = m * p.v_dc0 / (p.z_f * i_safe)
     return front * (m_rate / p.omega_b - rho
                     + 1j * (a_rate / p.omega_b + omega_t - omega))
-
-
-def gfl_xi_terms(state, params: GflParams, v_net, i_net) -> XiTerms:
-    """(xi_a, k_rho, k_omega) for the converter current CF.
-
-    Composed with chi_from_xi_terms it must reproduce gfl_admittance_cf.
-    """
-    theta = state[5]
-    v_pll = v_net * np.exp(-1j * theta)
-    i_pll = i_net * np.exp(-1j * theta)
-    if abs(i_pll) < MIN_MAG:
-        raise CurrentTooSmall(f"|i|={abs(i_pll):.3e} below MIN_MAG")
-    m = gfl_modulation(state, params)
-    m2 = abs(m) ** 2
-    if m2 < MIN_MAG ** 2:
-        raise ModulationTooSmall(f"|m|={abs(m):.3e} below MIN_MAG")
-    m_rate, a_rate = _modulation_rates(state, params, m, m2, i_pll)
-    omega_t = _pll_deviation(state, params, v_pll.imag) + params.omega_ref
-    front = m * params.v_dc0 / (params.z_f * i_pll)
-    xi_a = front * (m_rate / params.omega_b
-                    + 1j * (a_rate / params.omega_b + omega_t))
-    k_rho = 1.0 - front
-    k_omega = 1j * (1.0 - front)
-    return XiTerms(complex(xi_a), complex(k_rho), complex(k_omega))
 
 
 def gfl_init(params: GflParams, v_net: complex):
@@ -177,7 +154,7 @@ class GfmParams:
 
 def gfm_emf(x):
     """Internal EMF e*exp(j*delta) from the state columns."""
-    return x[0] * np.exp(1j * x[1])
+    return x[0] * cexp(1j * x[1])
 
 
 def gfm_speed(x, params: GfmParams):
@@ -193,20 +170,20 @@ def _emf_rate(x, params: GfmParams, v_mag):
 
 def gfm_injection(states, params: GfmParams, v):
     """Injected current (network frame, machine base)."""
-    return (gfm_emf(states.T) - v) / params.z_t
+    return cdiv(gfm_emf(columns(states)) - v, params.z_t)
 
 
 def gfm_fg(states, params: GfmParams, v):
     """(derivatives of (e, delta, v_m, p_m) in 1/s, injected current)."""
     p = params
-    x = states.T
+    x = columns(states)
     i = gfm_injection(states, p, v)
     v_mag = abs(v)
-    power = (v * np.conj(i)).real
-    deriv = np.array([_emf_rate(x, p, v_mag),
-                      p.omega_b * (gfm_speed(x, p) - 1.0),
-                      (v_mag - x[2]) / p.T_v,
-                      (power - x[3]) / p.T_p]).T
+    power = (v * i.conjugate()).real
+    deriv = derivatives(states, (_emf_rate(x, p, v_mag),
+                                 p.omega_b * (gfm_speed(x, p) - 1.0),
+                                 (v_mag - x[2]) / p.T_v,
+                                 (power - x[3]) / p.T_p))
     return deriv, i
 
 
@@ -227,20 +204,6 @@ def gfm_admittance_cf(states, params: GfmParams, v, i, rho, omega, ratio=1.0):
     front = gfm_emf(x) / (p.z_t * i_safe)
     return front * (de / np.maximum(e, MIN_MAG) / p.omega_b - rho
                     + 1j * (gfm_speed(x, p) - omega))
-
-
-def gfm_xi_terms(state, params: GfmParams, v_net, i_net) -> XiTerms:
-    """(xi_a, k_rho, k_omega); composed with chi_from_xi_terms it must
-    reproduce gfm_admittance_cf."""
-    if abs(i_net) < MIN_MAG:
-        raise CurrentTooSmall(f"|i|={abs(i_net):.3e} below MIN_MAG")
-    de = _emf_rate(state, params, abs(v_net))
-    front = gfm_emf(state) / (params.z_t * i_net)
-    xi_a = front * (de / state[0] / params.omega_b
-                    + 1j * gfm_speed(state, params))
-    k_rho = 1.0 - front
-    k_omega = 1j * (1.0 - front)
-    return XiTerms(complex(xi_a), complex(k_rho), complex(k_omega))
 
 
 def gfm_init(params: GfmParams, v_net: complex, s_inj: complex):

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..cf import MIN_MAG
 from ..errors import MixedZipUnsupportedAnalytic, ParamDomain, VoltageTooSmall
-from .base import any_sample
+from .base import any_sample, cdiv
 
 _SHARE_TOL = 1e-9
 
@@ -55,7 +55,7 @@ def zip_injection(params: ZipParams, v):
     if any_sample(v_mag < MIN_MAG):
         raise VoltageTooSmall(f"|v|={np.min(v_mag):.3e} below MIN_MAG")
     p, q = zip_power(params, v_mag)
-    return -np.conj((1j * q + p) / v)
+    return -cdiv(1j * q + p, v).conjugate()
 
 
 def zip_admittance_cf(params: ZipParams, rho):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cf import MIN_MAG
-from ..errors import CurrentTooSmall, ParamDomain
-from .base import XiTerms, from_machine_frame, to_machine_frame
+from ..errors import ParamDomain
+from .base import columns, derivatives, from_machine_frame, to_machine_frame
 
 SM_STATE_NAMES = {
     6: ("delta", "omega_r", "psi2_d", "psi2_q", "e1_d", "e1_q"),
@@ -145,7 +145,7 @@ def sm_flux_rates(x, params, i_d, i_q, v_f):
     """Rates of the flux states that follow (delta, omega_r), in state order, 1/s.
 
     () for order 2, (de1_d, de1_q) for order 4 and (dpsi2_d, dpsi2_q, de1_d,
-    de1_q) for order 6; x holds the state columns (``states.T``).
+    de1_q) for order 6; x holds the state columns (``columns(states)``).
     """
     p = params
     if p.order == 2:
@@ -186,7 +186,7 @@ def _emf_rates(x, params, i_d, i_q, v_f):
 def sm_fg(states, params, v, tau_m, v_f):
     """(state derivatives in 1/s, injected current in machine base)."""
     p = params
-    x = states.T
+    x = columns(states)
     delta, omega_r = x[0], x[1]
     v_m = to_machine_frame(v, delta)
     i_m = _stator_current(x, p, v_m)
@@ -194,7 +194,7 @@ def sm_fg(states, params, v, tau_m, v_f):
     ddelta = p.omega_b * (omega_r - 1.0)
     domega = (tau_m - tau_e - p.D * (omega_r - 1.0)) / p.M
     rates = sm_flux_rates(x, p, i_m.real, i_m.imag, v_f)
-    return (np.array([ddelta, domega, *rates]).T,
+    return (derivatives(states, (ddelta, domega, *rates)),
             from_machine_frame(i_m, delta))
 
 
@@ -229,35 +229,6 @@ def sm_admittance_cf(states, params, v, i, rho, omega, v_f=0.0, ratio=1.0):
     deriv_term = b * (1j * zqc * dE_d - zdc * dE_q) / p.omega_b
     return ((omega_r - omega) * (1j - t_omega) - rho * (1.0 - k_rho)
             + deriv_term)
-
-
-def sm_xi_terms(state, params, v_net, i_net, v_f=0.0) -> XiTerms:
-    """Analytic (xi_a, k_rho, k_omega) of the injected-current CF.
-
-    An independent grouping of the closed form: composed with
-    chi_from_xi_terms it must reproduce sm_admittance_cf.  i_net is the
-    injected current in machine base.
-    """
-    if abs(i_net) < MIN_MAG:
-        raise CurrentTooSmall(f"|i|={abs(i_net):.3e} below MIN_MAG")
-    delta, omega_r = state[0], state[1]
-    v_m = to_machine_frame(v_net, delta)
-    i_m = to_machine_frame(i_net, delta)
-    v_d, v_q = v_m.real, v_m.imag
-
-    zdc = params.R_s - 1j * params.x2_d
-    zqc = params.R_s - 1j * params.x2_q
-    det = params.x2_d * params.x2_q + params.R_s ** 2
-    b = np.conj(i_m) / (det * abs(i_m) ** 2)
-
-    dE_d, dE_q = _emf_rates(state, params, i_m.real, i_m.imag, v_f)
-    dE_dn, dE_qn = dE_d / params.omega_b, dE_q / params.omega_b
-
-    xi_a = 1j * omega_r + b * (1j * zqc * (dE_dn + omega_r * v_d)
-                               - zdc * (dE_qn + omega_r * v_q))
-    k_rho = -b * (zdc * v_d + 1j * zqc * v_q)
-    k_omega = b * (zdc * v_q - 1j * zqc * v_d)
-    return XiTerms(complex(xi_a), complex(k_rho), complex(k_omega))
 
 
 def sm_init(params, v_net, s_inj):

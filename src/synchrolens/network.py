@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .devices.base import cdiv, derivatives
 from .errors import (NewtonDivergence, PfDivergence, SingularY, UnknownElement)
 
 
@@ -253,18 +254,20 @@ def dynamic_branch_derivatives(state, branch: Branch, v_from, v_to, omega_b):
     (C/omega_b) dv_c/dt = i - j C v_c        with C = 1/x_c (susceptance pu)
 
     For branches without compensation the capacitor state is carried but
-    pinned at zero.
+    pinned at zero.  state is a list of two complex numbers (returns a list)
+    or an array (returns an array), like a device kernel's sample.
     """
     i_b, v_c = state
     if branch.x <= 0.0:
         raise SingularY(f"dynamic branch {branch.id} needs positive inductance")
-    di = omega_b * (v_from - v_to - complex(branch.r, branch.x) * i_b - v_c) / branch.x
+    di = cdiv(omega_b * (v_from - v_to - complex(branch.r, branch.x) * i_b - v_c),
+              branch.x)
     if branch.x_c > 0.0:
         c = 1.0 / branch.x_c
-        dv_c = omega_b * (i_b - 1j * c * v_c) / c
+        dv_c = cdiv(omega_b * (i_b - 1j * c * v_c), c)
     else:
         dv_c = -omega_b * v_c   # unused state decays to zero
-    return np.array([di, dv_c])
+    return derivatives(state, (di, dv_c))
 
 
 def dynamic_branch_init(branch: Branch, v_from, v_to):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..devices import DeviceKind
 from ..errors import SchemaError
@@ -97,15 +97,6 @@ class Scenario:
             if ev.kind is EventKind.APPLY_FAULT and ev.branch is not None:
                 net.split_branch_for_fault(ev.branch)
         return net
-
-    def without_disturbances(self) -> "Scenario":
-        """Events removed and torque modulations zeroed (equilibrium-hold runs)."""
-        devices = tuple(
-            replace(d, params={**d.params, "tau_mod_amp": 0.0})
-            if "tau_mod_amp" in d.params else d
-            for d in self.devices
-        )
-        return replace(self, events=(), devices=devices)
 
     def validate(self):
         """Structural checks; raises SchemaError on the first violation."""

@@ -35,6 +35,7 @@ from .devices import (GFL_STATE_NAMES, GFM_STATE_NAMES, DeviceKind, GflParams,
                       im_admittance_cf, im_fg, im_init, im_power, sm2_params,
                       sm4_params, sm6_params, sm_admittance_cf, sm_fg, sm_init,
                       zip_admittance_cf, zip_injection, zip_power)
+from .devices.base import columns
 from .errors import (CurrentTooSmall, InitInfeasible,
                      MixedZipUnsupportedAnalytic, ModulationTooSmall,
                      NewtonDivergence, SchemaError, SlipSingular,
@@ -109,8 +110,9 @@ class Adapter:
 
     Stateful adapters define fg(t, states, v) -> (derivatives, injection),
     and inj is its injection; fg, inj and chi broadcast over a leading
-    sample axis like the device kernels they forward to.  Currents are on
-    the system base.
+    sample axis like the device kernels they forward to, and fg and inj
+    also take the stepper's sample of Python numbers (see devices.base).
+    Currents are on the system base.
     """
 
     n_states = 0
@@ -203,12 +205,13 @@ class SmAdapter(Adapter):
 
     def init(self, v_bus, s_dev):
         state, tau_m, fld = sm_init(self.mp, v_bus, s_dev / self.ratio)
-        self.tau_m0 = tau_m
+        # Python floats, so the stepper's samples stay in Python numbers
+        self.tau_m0 = float(tau_m)
         if self.mp.order == 2:
-            self.mp = dc_replace(self.mp, e_q0=fld)
+            self.mp = dc_replace(self.mp, e_q0=float(fld))
             self.v_f0 = 0.0
         else:
-            self.v_f0 = fld
+            self.v_f0 = float(fld)
         if self.avr:
             state = np.append(state, 0.0)
         return state
@@ -217,19 +220,28 @@ class SmAdapter(Adapter):
         if self.mod_amp == 0.0:
             return self.tau_m0
         return self.tau_m0 * (1.0 + self.mod_amp
-                              * np.sin(2.0 * np.pi * self.mod_hz * t))
+                              * float(np.sin(2.0 * np.pi * self.mod_hz * t)))
 
     def v_field(self, states, v):
         if not self.avr:
             return self.v_f0
-        return self.v_f0 + self.avr_kp * (self.v_ref - abs(v)) + states.T[-1]
+        return (self.v_f0 + self.avr_kp * (self.v_ref - abs(v))
+                + columns(states)[-1])
 
     def fg(self, t, states, v):
-        deriv, i = sm_fg(states[..., :self.mp.n_states], self.mp, v,
-                         self._tau_m(t), self.v_field(states, v))
+        machine = states
+        if self.avr:
+            n = self.mp.n_states
+            machine = states[:n] if isinstance(states, list) else states[..., :n]
+        deriv, i = sm_fg(machine, self.mp, v, self._tau_m(t),
+                         self.v_field(states, v))
         if self.avr:
             dx_avr = self.avr_ki * (self.v_ref - abs(v))
-            deriv = np.concatenate([deriv, np.asarray(dx_avr)[..., None]], axis=-1)
+            if isinstance(deriv, list):
+                deriv.append(dx_avr)
+            else:
+                deriv = np.concatenate([deriv, np.asarray(dx_avr)[..., None]],
+                                       axis=-1)
         return deriv, i * self.ratio
 
     def chi(self, states, v, i, rho, omega):
@@ -429,7 +441,13 @@ _DEVICE_ERRORS = (VoltageTooSmall, CurrentTooSmall, ModulationTooSmall,
 
 
 class PowerSystemDae:
-    """Packs devices, dynamic branches and the network into f/g callables."""
+    """Packs devices, dynamic branches and the network into f/g callables.
+
+    names[j] names equation j of the stepper's residual [x; g]: a device
+    state (``G3:omega_r``), a dynamic-branch state component
+    (``dyn:L7:i_b.re``), a bus KCL component (``KCL:B5.im``) or an ideal
+    source's voltage constraint (``vsrc:IB.re``).
+    """
 
     def __init__(self, network: Network, adapters):
         self.network = network
@@ -451,6 +469,14 @@ class PowerSystemDae:
         self.n_bus = network.n_bus
         self.n_src = len(self.vsrc)
         self.n_y = 2 * self.n_bus + 2 * self.n_src
+        bus_ids = [b.id for b in network.buses]
+        src_ids = [a.id for a in self.vsrc]
+        self.names = (
+            [f"{a.id}:{name}" for a in self.stateful for name in a.state_names]
+            + [f"dyn:{br.id}:{name}" for br in self.dyn_branches
+               for name in ("i_b.re", "i_b.im", "v_c.re", "v_c.im")]
+            + [f"KCL:{b}.{part}" for part in ("re", "im") for b in bus_ids]
+            + [f"vsrc:{a}.{part}" for part in ("re", "im") for a in src_ids])
         self.last_inj = None
         self.refresh_topology()
 
@@ -460,14 +486,13 @@ class PowerSystemDae:
         self.connected = connected_bus_mask(
             self.network,
             device_buses=[a.bus for a in self.adapters if a.active])
-        isolated = np.flatnonzero(~self.connected)
-        self._isolated = isolated if isolated.size else None
+        self._isolated = np.flatnonzero(~self.connected).tolist()
         idx = self.network.bus_index
         self._device_info = [(a, self.slices[a.id] if a.n_states else None,
                               idx[a.bus])
                              for a in self.adapters
                              if a.active and a.kind is not DeviceKind.VOLTAGE_SOURCE]
-        self._branch_info = [(br, self.branch_slices[br.id],
+        self._branch_info = [(br, self.branch_slices[br.id].start,
                               idx[br.from_bus], idx[br.to_bus])
                              for br in self.dyn_branches
                              if self.network.in_service[br.id]]
@@ -483,19 +508,26 @@ class PowerSystemDae:
     def fg(self, t, x, y_vec):
         """(differential RHS, algebraic residual) in one device pass.
 
-        The current each device injects is kept in last_inj, in
-        _device_info order, so the recorder can reuse the converged values.
+        x and y are converted to Python numbers once, so every device,
+        dynamic branch and ideal source runs on Python floats and complexes
+        (see ``devices.base``); the network's matvec stays one complex numpy
+        product.  A phasor is assembled as re + 1j*im, which rounds, signed
+        zeros included, as numpy's y[:n] + 1j*y[n:2n] does.  The current
+        each device injects is kept in last_inj, in _device_info order, so
+        the recorder can reuse the converged values.
         """
-        n = self.n_bus
-        v = y_vec[:n] + 1j * y_vec[n:2 * n]
-        out_f = np.zeros(self.n_x)
-        mismatch = self._neg_y @ v
+        n, n_src = self.n_bus, self.n_src
+        xs = x.tolist()
+        ys = y_vec.tolist()
+        v = [re + 1j * im for re, im in zip(ys[:n], ys[n:2 * n])]
+        f = [0.0] * self.n_x
+        mismatch = (self._neg_y @ np.array(v)).tolist()
         injections = []
         try:
             for a, sl, k in self._device_info:
                 if sl is not None:
-                    d, inj = a.fg(t, x[sl], v[k])
-                    out_f[sl] = d
+                    d, inj = a.fg(t, xs[sl], v[k])
+                    f[sl] = d
                 else:
                     inj = a.inj(t, None, v[k])
                 injections.append(inj)
@@ -504,40 +536,50 @@ class PowerSystemDae:
             # the same error again, naming the device and the time
             raise type(exc)(f"device {a.id} at t={t:.6f}s: {exc}") from exc
         self.last_inj = injections
-        for br, sl, kf, kt in self._branch_info:
-            st = np.array([x[sl.start] + 1j * x[sl.start + 1],
-                           x[sl.start + 2] + 1j * x[sl.start + 3]])
-            d = dynamic_branch_derivatives(st, br, v[kf], v[kt], self.omega_b)
-            out_f[sl] = [d[0].real, d[0].imag, d[1].real, d[1].imag]
-            i_b = st[0]
+        for br, j, kf, kt in self._branch_info:
+            i_b = xs[j] + 1j * xs[j + 1]
+            di, dv_c = dynamic_branch_derivatives(
+                [i_b, xs[j + 2] + 1j * xs[j + 3]], br, v[kf], v[kt],
+                self.omega_b)
+            f[j:j + 4] = di.real, di.imag, dv_c.real, dv_c.imag
             mismatch[kf] -= i_b
             mismatch[kt] += i_b
-        if self.n_src:
-            i_src = y_vec[2 * n:2 * n + self.n_src] + 1j * y_vec[2 * n + self.n_src:]
-            for j, (a, k) in enumerate(self._vsrc_info):
-                if a.active:
-                    mismatch[k] += i_src[j]
-        if self._isolated is not None:
-            mismatch[self._isolated] = v[self._isolated]
-        out_g = np.empty(self.n_y)
-        out_g[:n] = mismatch.real
-        out_g[n:2 * n] = mismatch.imag
-        if self.n_src:
-            for j, (a, k) in enumerate(self._vsrc_info):
-                dv = (v[k] - a.emf) if a.active else i_src[j]
-                out_g[2 * n + j] = dv.real
-                out_g[2 * n + self.n_src + j] = dv.imag
-        return out_f, out_g
+        src = []
+        i_src = [re + 1j * im
+                 for re, im in zip(ys[2 * n:2 * n + n_src], ys[2 * n + n_src:])]
+        for (a, k), i in zip(self._vsrc_info, i_src):
+            if a.active:
+                mismatch[k] += i
+                src.append(v[k] - a.emf)
+            else:
+                src.append(i)
+        for k in self._isolated:
+            mismatch[k] = v[k]
+        return np.array(f), np.array([m.real for m in mismatch]
+                                     + [m.imag for m in mismatch]
+                                     + [s.real for s in src]
+                                     + [s.imag for s in src])
 
     def solve_algebraic(self, t, x, y_guess, tol=1e-10):
         """Re-solve g = 0 at fixed x (event instants, initialization).
 
         The ideal-source currents restart from zero.  The last fg call is at
-        the returned point, so last_inj holds its injections.
+        the returned point, so last_inj holds its injections.  A divergence
+        is raised again naming the time and, when known, the worst
+        equation, its index shifted to the [x; g] order of names.
         """
         y0 = y_guess.copy()
         y0[2 * self.n_bus:] = 0.0
-        return interface_solve(lambda y: self.fg(t, x, y)[1], y0, tol=tol)
+        try:
+            return interface_solve(lambda y: self.fg(t, x, y)[1], y0, tol=tol)
+        except NewtonDivergence as exc:
+            worst = exc.worst_equation
+            where = f"{exc} (at t={t:.6f}s)"
+            if worst is not None:
+                worst += self.n_x
+                where += f", worst equation {self.names[worst]}"
+            raise NewtonDivergence(where, residual=exc.residual,
+                                   worst_equation=worst) from exc
 
 
 # --- trapezoidal stepper ----------------------------------------------------
@@ -663,7 +705,8 @@ class TrapezoidalStepper:
                 if rebuilds >= self.MAX_REBUILDS_PER_STEP:
                     worst = int(np.argmax(np.abs(r)))
                     raise NewtonDivergence(
-                        f"Newton stalled at t={t_new:.6f}s, residual {res:.3e}",
+                        f"Newton stalled at t={t_new:.6f}s, residual {res:.3e}, "
+                        f"worst equation {dae.names[worst]}",
                         residual=res, worst_equation=worst)
                 self.jac_inv = self._build_jacobian(t_new, z, x_old, f_old, dt, r)
                 rebuilds += 1
@@ -823,24 +866,19 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
     slot = 1
     for k in range(1, n_steps + 1):
         t_new = k * dt
-        try:
-            x, y, _ = stepper.step((k - 1) * dt, x, y, dt)
-            if k in events_by_step:
-                for ev in events_by_step[k]:
-                    if ev.kind is EventKind.DISCONNECT_DEVICE:
-                        for a in dae.adapters:
-                            if a.id == ev.device:
-                                a.active = False
-                    else:
-                        apply_event(network, ev)
-                    event_log.append((t_new, ev))
-                dae.refresh_topology()
-                stepper.invalidate()
-                y = dae.solve_algebraic(t_new, x, y, tol=config.newton_tol)
-        except NewtonDivergence as exc:
-            raise NewtonDivergence(f"{exc} (at t={t_new:.6f}s)",
-                                   residual=exc.residual,
-                                   worst_equation=exc.worst_equation)
+        x, y, _ = stepper.step((k - 1) * dt, x, y, dt)
+        if k in events_by_step:
+            for ev in events_by_step[k]:
+                if ev.kind is EventKind.DISCONNECT_DEVICE:
+                    for a in dae.adapters:
+                        if a.id == ev.device:
+                            a.active = False
+                else:
+                    apply_event(network, ev)
+                event_log.append((t_new, ev))
+            dae.refresh_topology()
+            stepper.invalidate()
+            y = dae.solve_algebraic(t_new, x, y, tol=config.newton_tol)
         if k % dec == 0:
             record(slot, x, y)
             slot += 1

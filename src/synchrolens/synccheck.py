@@ -125,18 +125,6 @@ def voltage_cf(result: SimResult, bus_id: str):
     return rho, omega, ok & event_mask(len(v), result.event_samples)
 
 
-def rotate_result(result: SimResult, delta_omega: float) -> SimResult:
-    """Every recorded Park-vector series re-expressed in a faster frame."""
-    from dataclasses import replace
-    phase = np.exp(-1j * delta_omega * result.omega_b * result.t)
-    return replace(
-        result,
-        voltages={b: v * phase for b, v in result.voltages.items()},
-        currents={d: i * phase for d, i in result.currents.items()},
-        frame_omega=result.frame_omega + delta_omega,
-    )
-
-
 def analytic_chi_all(result: SimResult, scenario):
     """Closed-form chi for every device that has one: dict id -> ChiSeries.
 

@@ -1,0 +1,130 @@
+"""Oracles and scenario helpers that only the tests use.
+
+The xi-terms decomposition is an independent grouping of each device's
+closed-form admittance CF: xi = xi_a + k_rho*rho + k_omega*omega is the CF
+of the injected current, and ``chi_from_xi_terms`` composes it with the
+terminal-voltage CF.  The tests check it against the ``*_admittance_cf``
+kernels, so its formulas must stay written out here, not routed through
+those kernels.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from synchrolens.cf import MIN_MAG
+from synchrolens.devices.base import to_machine_frame
+from synchrolens.devices.inverter import (_emf_rate, _modulation_rates,
+                                          _pll_deviation, gfl_modulation,
+                                          gfm_emf, gfm_speed)
+from synchrolens.devices.machine import _emf_rates
+from synchrolens.errors import CurrentTooSmall, ModulationTooSmall
+
+
+@dataclass(frozen=True)
+class XiTerms:
+    """Decomposition of the injected-current CF: xi = xi_a + k_rho*rho + k_omega*omega."""
+
+    xi_a: complex
+    k_rho: complex
+    k_omega: complex
+
+
+def chi_from_xi_terms(xi_a, k_rho, k_omega, rho, omega) -> complex:
+    """Compose the admittance CF from a device's current-CF decomposition.
+
+    chi = xi_a + (k_rho - 1)*rho + (k_omega - j)*omega with rho, omega taken
+    from the terminal-voltage CF.
+    """
+    return complex(xi_a + (k_rho - 1.0) * rho + (k_omega - 1j) * omega)
+
+
+def sm_xi_terms(state, params, v_net, i_net, v_f=0.0) -> XiTerms:
+    """Analytic (xi_a, k_rho, k_omega) of the injected-current CF.
+
+    An independent grouping of the closed form: composed with
+    chi_from_xi_terms it must reproduce sm_admittance_cf.  i_net is the
+    injected current in machine base.
+    """
+    if abs(i_net) < MIN_MAG:
+        raise CurrentTooSmall(f"|i|={abs(i_net):.3e} below MIN_MAG")
+    delta, omega_r = state[0], state[1]
+    v_m = to_machine_frame(v_net, delta)
+    i_m = to_machine_frame(i_net, delta)
+    v_d, v_q = v_m.real, v_m.imag
+
+    zdc = params.R_s - 1j * params.x2_d
+    zqc = params.R_s - 1j * params.x2_q
+    det = params.x2_d * params.x2_q + params.R_s ** 2
+    b = np.conj(i_m) / (det * abs(i_m) ** 2)
+
+    dE_d, dE_q = _emf_rates(state, params, i_m.real, i_m.imag, v_f)
+    dE_dn, dE_qn = dE_d / params.omega_b, dE_q / params.omega_b
+
+    xi_a = 1j * omega_r + b * (1j * zqc * (dE_dn + omega_r * v_d)
+                               - zdc * (dE_qn + omega_r * v_q))
+    k_rho = -b * (zdc * v_d + 1j * zqc * v_q)
+    k_omega = b * (zdc * v_q - 1j * zqc * v_d)
+    return XiTerms(complex(xi_a), complex(k_rho), complex(k_omega))
+
+
+def gfl_xi_terms(state, params, v_net, i_net) -> XiTerms:
+    """(xi_a, k_rho, k_omega) for the converter current CF.
+
+    Composed with chi_from_xi_terms it must reproduce gfl_admittance_cf.
+    """
+    theta = state[5]
+    v_pll = v_net * np.exp(-1j * theta)
+    i_pll = i_net * np.exp(-1j * theta)
+    if abs(i_pll) < MIN_MAG:
+        raise CurrentTooSmall(f"|i|={abs(i_pll):.3e} below MIN_MAG")
+    m = gfl_modulation(state, params)
+    m2 = abs(m) ** 2
+    if m2 < MIN_MAG ** 2:
+        raise ModulationTooSmall(f"|m|={abs(m):.3e} below MIN_MAG")
+    m_rate, a_rate = _modulation_rates(state, params, m, m2, i_pll)
+    omega_t = _pll_deviation(state, params, v_pll.imag) + params.omega_ref
+    front = m * params.v_dc0 / (params.z_f * i_pll)
+    xi_a = front * (m_rate / params.omega_b
+                    + 1j * (a_rate / params.omega_b + omega_t))
+    k_rho = 1.0 - front
+    k_omega = 1j * (1.0 - front)
+    return XiTerms(complex(xi_a), complex(k_rho), complex(k_omega))
+
+
+def gfm_xi_terms(state, params, v_net, i_net) -> XiTerms:
+    """(xi_a, k_rho, k_omega); composed with chi_from_xi_terms it must
+    reproduce gfm_admittance_cf."""
+    if abs(i_net) < MIN_MAG:
+        raise CurrentTooSmall(f"|i|={abs(i_net):.3e} below MIN_MAG")
+    de = _emf_rate(state, params, abs(v_net))
+    front = gfm_emf(state) / (params.z_t * i_net)
+    xi_a = front * (de / state[0] / params.omega_b
+                    + 1j * gfm_speed(state, params))
+    k_rho = 1.0 - front
+    k_omega = 1j * (1.0 - front)
+    return XiTerms(complex(xi_a), complex(k_rho), complex(k_omega))
+
+
+def rotate_result(result, delta_omega: float):
+    """Every recorded Park-vector series re-expressed in a faster frame."""
+    phase = np.exp(-1j * delta_omega * result.omega_b * result.t)
+    return replace(
+        result,
+        voltages={b: v * phase for b, v in result.voltages.items()},
+        currents={d: i * phase for d, i in result.currents.items()},
+        frame_omega=result.frame_omega + delta_omega,
+    )
+
+
+def without_disturbances(scenario):
+    """The scenario with its events removed and torque modulations zeroed
+    (equilibrium-hold runs)."""
+    devices = tuple(
+        replace(d, params={**d.params, "tau_mod_amp": 0.0})
+        if "tau_mod_amp" in d.params else d
+        for d in scenario.devices
+    )
+    return replace(scenario, events=(), devices=devices)

@@ -9,12 +9,13 @@ import time
 import numpy as np
 import pytest
 
+from helpers import rotate_result
 from synchrolens.cf import cf_arrays
 from synchrolens.scenarios import build_builtin, builtin_names, cct_sweep
 from synchrolens.sim import SimConfig, run_simulation
 from synchrolens.synccheck import (analytic_chi_all, angle_spread,
                                    crosscheck_chi, evaluate_device,
-                                   numeric_chi, rotate_result, system_unstable)
+                                   numeric_chi, system_unstable)
 
 RMS_TOL = 1e-3
 MAX_TOL = 1e-2

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synchrolens.cf import cf_arrays, chi_from_xi_terms
+from helpers import chi_from_xi_terms
+from synchrolens.cf import cf_arrays
 from synchrolens.errors import TooFewSamples
 
 OMEGA_B = 2.0 * np.pi * 60.0

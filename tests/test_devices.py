@@ -1,22 +1,28 @@
 """Device models: equilibria, CF terms, closed-form chi and degenerations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from synchrolens.cf import chi_from_xi_terms
+from helpers import chi_from_xi_terms, gfl_xi_terms, gfm_xi_terms, sm_xi_terms
 from synchrolens.devices import (GflParams, GfmParams, ImParams, ZipParams,
                                  gfl_admittance_cf, gfl_fg, gfl_init,
-                                 gfl_xi_terms, gfm_admittance_cf, gfm_fg,
-                                 gfm_init, gfm_injection, gfm_xi_terms,
-                                 im_admittance, im_admittance_cf, im_fg,
-                                 im_init, im_injection, im_pullout, im_torque,
-                                 sm2_params, sm4_params, sm6_params,
+                                 gfm_admittance_cf, gfm_fg, gfm_init,
+                                 gfm_injection, im_admittance, im_admittance_cf,
+                                 im_fg, im_init, im_injection, im_pullout,
+                                 im_torque, sm2_params, sm4_params, sm6_params,
                                  sm_admittance_cf, sm_fg, sm_init,
-                                 sm_xi_terms, to_machine_frame,
-                                 zip_admittance_cf, zip_injection, zip_power)
+                                 to_machine_frame, zip_admittance_cf,
+                                 zip_injection, zip_power)
 from synchrolens.errors import (CurrentTooSmall, InitInfeasible,
                                 MixedZipUnsupportedAnalytic, ParamDomain,
                                 SlipSingular, VoltageTooSmall)
+from synchrolens.devices.base import DeviceKind, cdiv
+from synchrolens.network import (Branch, dynamic_branch_derivatives,
+                                 dynamic_branch_init)
+from synchrolens.scenarios import DeviceSpec
+from synchrolens.sim import SmAdapter
 
 OMEGA_B = 2.0 * np.pi * 60.0
 ETA_SYNC = (0.0, 1.0)   # (rho, omega) of a synchronous terminal voltage
@@ -473,3 +479,108 @@ def test_kernels_broadcast_over_samples(case):
         assert np.max(np.abs(deriv[k] - d_k)) < 1e-9
         assert abs(i_net[k] - i_k) < 1e-12
         assert abs(chi_all[k] - chi(states[k], v[k], i_k, rho[k], om[k])) < 1e-12
+
+
+# --- Python-number samples ---------------------------------------------------
+
+
+def _bits(values):
+    """The IEEE bytes of a number or a sequence of numbers, as complex128."""
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+def _adapter_with_avr():
+    """A subtransient condenser with voltage regulator and torque modulation,
+    initialized through its adapter."""
+    spec = DeviceSpec("SC", DeviceKind.SM6, "B", {
+        "r_s": 0.0025, "x_d": 1.8, "x_q": 1.7, "x1_d": 0.3, "x1_q": 0.55,
+        "x2_d": 0.25, "x2_q": 0.25, "x_l": 0.2, "t1_d0": 8.0, "t1_q0": 0.4,
+        "t2_d0": 0.03, "t2_q0": 0.05, "m": 13.0, "d": 2.0, "v": 1.02,
+        "avr_kp": 2.0, "avr_ki": 10.0, "tau_mod_amp": 0.01, "tau_mod_hz": 1.3})
+    adapter = SmAdapter(spec, 100.0, OMEGA_B)
+    v = 1.02 * np.exp(0.2j)
+    return adapter, adapter.init(v, 0.3 + 0.2j), v
+
+
+def _sample_case(case):
+    """(kernel of (states, v), one-row states, terminal voltage)."""
+    v1 = 1.02 * np.exp(0.2j)
+    if case in ("sm2", "sm4", "sm6"):
+        params = {"sm2": sm2_params(x1_d=0.3, M=7.0, D=0.5, omega_b=OMEGA_B),
+                  "sm4": sm4(), "sm6": sm6()}[case]
+        state, tau_m, fld = sm_init(params, v1, 0.8 + 0.2j)
+        if case == "sm2":
+            params, fld = replace(params, e_q0=float(fld)), 0.0
+        return (lambda st, v: sm_fg(st, params, v, float(tau_m), float(fld)),
+                state, v1)
+    if case == "sm6_avr":
+        adapter, state, v = _adapter_with_avr()
+        return lambda st, v: adapter.fg(0.37, st, v), state, v
+    if case == "gfl":
+        return (lambda st, v: gfl_fg(st, gfl(), v), gfl_init(gfl(), v1), v1)
+    if case == "gfm":
+        return (lambda st, v: gfm_fg(st, gfm(), v),
+                gfm_init(gfm(), v1, 0.5 + 0.1j), v1)
+    if case == "motor":
+        return (lambda st, v: im_fg(st, motor(), v, 0.9),
+                np.array([im_init(motor(), 1.0, 0.9)]), 1.0 + 0.0j)
+    if case == "zip":
+        params = ZipParams(p0=0.8, q0=0.3, k_pp=0.2, k_ip=0.3, k_zp=0.5,
+                           k_pq=0.1, k_iq=0.6, k_zq=0.3)
+        return lambda st, v: (None, zip_injection(params, v)), np.empty(0), v1
+    branch = Branch("C1", "1", "2", 0.01, 0.6, dynamic=True,
+                    x_c=0.35 if case == "branch_comp" else 0.0)
+    state = dynamic_branch_init(branch, 1.0 + 0.0j, v1)
+    return (lambda st, v: (dynamic_branch_derivatives(st, branch, 1.0 + 0.05j,
+                                                      v, OMEGA_B), None),
+            state, v1)
+
+
+@pytest.mark.parametrize("case", ["sm2", "sm4", "sm6", "sm6_avr", "gfl", "gfm",
+                                  "motor", "zip", "branch", "branch_comp"])
+def test_python_sample_equals_one_row_bitwise(case):
+    """The stepper's form of a sample (a list of Python floats and a Python
+    complex voltage) gives bitwise what the one-row array form (a 1-D state
+    array and a numpy voltage) gives, in Python numbers, at 60 random
+    points around the operating point."""
+    kernel, state0, v0 = _sample_case(case)
+    rng = np.random.default_rng(53)
+    for _ in range(60):
+        state = state0 * (1.0 + rng.normal(0.0, 0.05, state0.shape))
+        v = complex(v0 * (1.0 + rng.normal(0.0, 0.05))
+                    * np.exp(1j * rng.normal(0.0, 0.1)))
+        d_py, i_py = kernel(state.tolist(), v)
+        d_row, i_row = kernel(state, np.complex128(v))
+        if d_py is not None:
+            assert type(d_py) is list
+            kinds = {type(d) for d in d_py}
+            assert kinds == ({complex} if case.startswith("branch") else {float})
+            assert _bits(d_py) == _bits(d_row)
+        if i_py is not None:
+            assert type(i_py) is complex
+            assert _bits(i_py) == _bits(i_row)
+
+
+def test_cdiv_rounds_like_numpy():
+    """cdiv against numpy's complex quotient on 10,000 draws spanning six
+    decades: complex divisors with |real| > |imag| and with |imag| > |real|,
+    real divisors and real numerators.  Python's own quotient differs on a
+    large share of them, so a plain '/' in place of cdiv fails here."""
+    rng = np.random.default_rng(61)
+    parts = (rng.normal(size=(10_000, 4))
+             * 10.0 ** rng.uniform(-3.0, 3.0, (10_000, 4)))
+    python_differs = 0
+    for k, (ar, ai, br, bi) in enumerate(parts.tolist()):
+        a = complex(ar, ai) if k % 5 else ar
+        if k % 4 == 0:
+            b = br                                    # real divisor
+        elif k % 4 == 1:
+            b = complex(max(br, bi, key=abs), min(br, bi, key=abs))
+        else:
+            b = complex(min(br, bi, key=abs), max(br, bi, key=abs))
+        expected = np.complex128(a) / np.complex128(b)
+        got = cdiv(a, b)
+        assert type(got) is complex
+        assert _bits(got) == _bits(expected), (a, b)
+        python_differs += _bits(a / b) != _bits(expected)
+    assert python_differs > 2_000

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import without_disturbances
 from synchrolens.cf import cf_arrays
 from synchrolens.errors import ParseError, SchemaError, UnknownScenario
 from synchrolens.network import EventKind
@@ -199,7 +200,7 @@ def test_equilibrium_hold_all_builtins():
         scenario = build_builtin(name)
         if scenario.analytic is not None:
             continue
-        quiet = scenario.without_disturbances()
+        quiet = without_disturbances(scenario)
         config = SimConfig(dt=1e-3, t_end=10.0)
         result = run_simulation(quiet, config)
         for dev, states in result.states.items():

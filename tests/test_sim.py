@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from helpers import without_disturbances
 from synchrolens.devices import DeviceKind
-from synchrolens.errors import InitInfeasible, SchemaError
+from synchrolens import sim
+from synchrolens.errors import InitInfeasible, NewtonDivergence, SchemaError
 from synchrolens.scenarios import build_builtin, with_clearing_time
 from synchrolens.sim import (SimConfig, TrapezoidalStepper, initialize,
                              run_simulation)
@@ -104,7 +106,7 @@ def test_config_validation():
 
 
 def test_equilibrium_is_a_fixed_point():
-    scenario = build_builtin("smib").without_disturbances()
+    scenario = without_disturbances(build_builtin("smib"))
     config = SimConfig.from_scenario(scenario, t_end=1.0)
     dae, x0, y0 = initialize(scenario, config)
     stepper = TrapezoidalStepper(dae, config)
@@ -113,7 +115,7 @@ def test_equilibrium_is_a_fixed_point():
 
 
 def test_no_event_run_holds_equilibrium_ten_seconds():
-    scenario = build_builtin("smib").without_disturbances()
+    scenario = without_disturbances(build_builtin("smib"))
     result = run_simulation(scenario, SimConfig.from_scenario(scenario, t_end=10.0))
     drift = np.max(np.abs(result.states["G1"] - result.states["G1"][0]))
     assert drift <= 1e-9
@@ -251,3 +253,86 @@ def test_recorded_currents_equal_injections(builtin_run, name):
             assert (got.real.tobytes(), got.imag.tobytes()) == (
                 np.float64(expected.real).tobytes(),
                 np.float64(expected.imag).tobytes()), (a.id, k)
+
+
+def test_dae_names_every_equation():
+    """One name per row of [x; g], in that order."""
+    scenario = build_builtin("gfl_seriescomp")
+    dae, _, _ = initialize(scenario)
+    assert len(dae.names) == len(set(dae.names)) == dae.n_x + dae.n_y
+    assert dae.names[dae.slices["C1"].start + 5] == "C1:theta_pll"
+    assert dae.names[dae.branch_slices["LC"].start + 2] == "dyn:LC:v_c.re"
+    k = dae.network.bus_index["POC"]
+    assert dae.names[dae.n_x + dae.n_bus + k] == "KCL:POC.im"
+    assert dae.names[-1] == "vsrc:IB.im"
+
+
+def test_newton_stall_names_equation_and_time():
+    """A machine whose speed derivative jumps against its own sign at
+    omega_r = 1 leaves the step without a root; the stall names the
+    equation and the time."""
+    scenario = build_builtin("smib")
+    config = SimConfig.from_scenario(scenario, t_end=0.01)
+    dae, x0, y0 = initialize(scenario, config)
+    g1 = next(a for a in dae.adapters if a.id == "G1")
+    fg = g1.fg
+
+    def kinked(t, states, v):
+        d, i = fg(t, states, v)
+        d[1] += -1e-3 if states[1] >= 1.0 else 1e-3
+        return d, i
+
+    g1.fg = kinked
+    with pytest.raises(NewtonDivergence) as info:
+        TrapezoidalStepper(dae, config).step(0.0, x0, y0, config.dt)
+    exc = info.value
+    assert dae.names[exc.worst_equation] == "G1:omega_r"
+    assert "t=0.001000s" in str(exc) and "worst equation G1:omega_r" in str(exc)
+
+
+def test_algebraic_resolve_failure_names_equation(monkeypatch):
+    """The re-solve at fixed states shifts the worst g row into the [x; g]
+    order of the name table and names it with the time."""
+    scenario = build_builtin("smib")
+    dae, x0, y0 = initialize(scenario)
+
+    def diverge(*args, **kwargs):
+        raise NewtonDivergence("interface solve did not converge",
+                               residual=1.0, worst_equation=dae.n_bus + 1)
+
+    monkeypatch.setattr(sim, "interface_solve", diverge)
+    with pytest.raises(NewtonDivergence) as info:
+        dae.solve_algebraic(1.25, x0, y0)
+    assert info.value.worst_equation == dae.n_x + dae.n_bus + 1
+    assert str(info.value) == ("interface solve did not converge "
+                               "(at t=1.250000s), worst equation KCL:HV.im")
+
+
+@pytest.mark.parametrize("name", ["kundur", "gfl_seriescomp", "motor_condenser",
+                                  "sustained_oscillation"])
+def test_stepper_samples_stay_python_numbers(name):
+    """The residual hands every device a list of Python floats and a Python
+    complex voltage, and gets back Python floats and complexes.  A numpy
+    scalar slipping in (a parameter, an initial value, a numpy call on the
+    sample) keeps the results bitwise equal but makes each call several
+    times slower, which only this check sees."""
+    scenario = build_builtin(name)
+    config = SimConfig.from_scenario(scenario, t_end=0.01)
+    dae, x, y = initialize(scenario, config)
+    seen = []
+    for a in dae.stateful:
+        def traced(t, states, v, fg=a.fg):
+            d, i = fg(t, states, v)
+            seen.append((states, v, d, i))
+            return d, i
+        a.fg = traced
+    stepper = TrapezoidalStepper(dae, config)
+    for k in range(5):
+        x, y, _ = stepper.step(k * config.dt, x, y, config.dt)
+    assert seen
+    for states, v, d, i in seen:
+        assert type(states) is list and type(v) is complex
+        assert {type(e) for e in states} == {float}
+        assert type(d) is list and {type(e) for e in d} == {float}
+        assert type(i) is complex
+    assert dae.last_inj and {type(i) for i in dae.last_inj} == {complex}

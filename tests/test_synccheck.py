@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from helpers import (chi_from_xi_terms, gfl_xi_terms, rotate_result,
+                     sm_xi_terms)
 from synchrolens.errors import AxisMismatch, WindowTooShort
 from synchrolens.synccheck import (ChiSeries, analytic_chi_all, check_als,
                                    check_bls, crosscheck_chi, evaluate_device,
-                                   numeric_chi, rotate_result)
+                                   numeric_chi)
 
 
 def series(values, dt=1e-2, mask=None):
@@ -151,8 +153,6 @@ def test_low_magnitude_masked_not_raised(builtin_run):
 def test_analytic_chi_matches_xi_terms_composition(builtin_run, name):
     """The production chi kernels, sample by sample, against the independent
     xi-terms route composed with chi_from_xi_terms."""
-    from synchrolens.cf import chi_from_xi_terms
-    from synchrolens.devices import gfl_xi_terms, sm_xi_terms
     from synchrolens.sim import GflAdapter, SmAdapter, build_adapters
     from synchrolens.synccheck import voltage_cf
     scenario, result, _ = builtin_run(name)
