@@ -105,7 +105,8 @@ def _chi_csv(result, numeric, analytic):
 
 # the stepper's deterministic counters, null for a closed-form scenario
 _SOLVER_KEYS = ("steps", "newton_iterations", "max_step_iterations",
-                "max_step_time", "jacobian_builds", "worst_residual")
+                "max_step_time", "jacobian_builds", "residual_evaluations",
+                "worst_residual")
 
 
 def _verdict_dict(v):

@@ -359,6 +359,9 @@ def solve_power_flow(network: Network, specs, tol=1e-10, max_iter=50):
     va = np.full(n, specs[network.buses[slack].id].theta_set)
     th_idx = [k for k in range(n) if k != slack]
     vm_idx = [k for k in range(n) if kinds[k] == "pq"]
+    # names[j] names mismatch equation j: P balance per angle, Q per magnitude
+    names = ([f"PF:P:{network.buses[k].id}" for k in th_idx]
+             + [f"PF:Q:{network.buses[k].id}" for k in vm_idx])
 
     def voltages(x):
         """(bus voltages, their magnitudes) for unknown angles and magnitudes x."""
@@ -385,7 +388,8 @@ def solve_power_flow(network: Network, specs, tol=1e-10, max_iter=50):
                             tol=tol, max_iter=max_iter)
     except NewtonDivergence as exc:
         raise PfDivergence(f"power flow not converged after {max_iter} "
-                           f"iterations; residual {exc.residual:.3e}") from exc
+                           f"iterations; residual {exc.residual:.3e}, "
+                           f"worst equation {names[exc.worst_equation]}") from exc
     v = voltages(x)[0]
     s_all = v * np.conj(y @ v)
     return v, complex(s_all[slack]), s_all

@@ -9,7 +9,7 @@ resistance (the inductor drops nothing at zero stationary frequency).
 
 The circuit is linear, so the sampled waveforms are exact; no integration is
 involved and the admittance CF of the current source can be cross-checked
-against a symbolic oracle.
+against a symbolic oracle (the tests' ``exact_voltage_cf``).
 """
 
 from __future__ import annotations
@@ -53,21 +53,6 @@ def circuit_dc_waveforms(scenario: Scenario, dt: float, t_end: float,
     i_cs = i_dc * rot
     i_vs = -i_dc * rot
     return t, v1, v2, i_cs, i_vs
-
-
-def exact_voltage_cf(scenario: Scenario, t):
-    """Symbolically differentiated CF of the injection-bus voltage.
-
-    For v(t) = E + R*I*exp(-j*w_b*t) the CF is v'/(v*w_b) with the absolute
-    frame speed added back to the omega component.
-    """
-    emf, i_dc, branch, _, _ = circuit_elements(scenario)
-    omega_b = 2.0 * np.pi * scenario.f_nom
-    rot = np.exp(-1j * omega_b * np.asarray(t))
-    v = emf + branch.r * i_dc * rot
-    dv = -1j * omega_b * branch.r * i_dc * rot
-    cf = dv / (v * omega_b)
-    return cf.real, cf.imag + 1.0
 
 
 def run_analytic(scenario: Scenario, config=None):

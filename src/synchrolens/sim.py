@@ -21,6 +21,15 @@ boundaries; the history is cleared there, so no step extrapolates across a
 topology change.  At an event the topology
 changes, g = 0 is re-solved for y holding x, by the plain Newton loop the
 power flow also uses, and integration continues.
+
+A step that starts from z_n needs f and g at z_n, which the previous step
+already evaluated to accept that point.  When no device depends on time
+(``PowerSystemDae.time_varying``; only a torque-modulated machine does),
+that pair is reused instead of calling fg again, so the residual and every
+output stay bitwise the same.  An event drops the pair.  The reuse pays in
+a steady tail: a step from z_n is accepted without moving when
+|dt/2 (f_n + f_{n+1})| < newton_tol, so a state whose derivative stays
+below about 2 newton_tol / dt is held, and every later step reuses.
 """
 
 from __future__ import annotations
@@ -117,6 +126,8 @@ class Adapter:
 
     n_states = 0
     state_names: tuple = ()
+    # whether fg depends on t other than through the states and voltage
+    time_varying = False
 
     def __init__(self, spec: DeviceSpec, system_base, omega_b):
         self.spec = spec
@@ -184,6 +195,7 @@ class SmAdapter(Adapter):
         self.v_ref = p.get("v", 1.0)
         self.mod_amp = p.get("tau_mod_amp", 0.0)
         self.mod_hz = p.get("tau_mod_hz", 0.0)
+        self.time_varying = self.mod_amp != 0.0
         self.n_states = self.mp.n_states + (1 if self.avr else 0)
         self.state_names = self.mp.state_names + (("x_avr",) if self.avr else ())
         self.tau_m0 = 0.0
@@ -446,12 +458,14 @@ class PowerSystemDae:
     names[j] names equation j of the stepper's residual [x; g]: a device
     state (``G3:omega_r``), a dynamic-branch state component
     (``dyn:L7:i_b.re``), a bus KCL component (``KCL:B5.im``) or an ideal
-    source's voltage constraint (``vsrc:IB.re``).
+    source's voltage constraint (``vsrc:IB.re``).  time_varying is whether
+    any device's equations depend on t; the network's do not.
     """
 
     def __init__(self, network: Network, adapters):
         self.network = network
         self.adapters = adapters
+        self.time_varying = any(a.time_varying for a in adapters)
         self.omega_b = network.omega_b
         self.vsrc = [a for a in adapters if a.kind is DeviceKind.VOLTAGE_SOURCE]
         self.stateful = [a for a in adapters if a.n_states > 0]
@@ -600,6 +614,13 @@ class TrapezoidalStepper:
     step must have taken at least one iteration (else z_n itself is used),
     and the history holds only consecutive accepted steps since the last
     invalidate(), so no step extrapolates across an event.
+
+    Each residual evaluation keeps its (f, g), so an accepted step leaves
+    the pair at the accepted point.  A step that starts from that point
+    (same x and y objects, no predictor) of a DAE that is not time_varying
+    builds its first residual from the pair instead of calling fg;
+    dae.last_inj still holds that point's injections.  invalidate() drops
+    the pair, so the first step after an event evaluates fg.
     """
 
     # keep the updated inverse while it still converges in fewer iterations
@@ -617,21 +638,32 @@ class TrapezoidalStepper:
         # and the iterations the last step took
         self._history = []
         self._last_iters = 0
+        # (f, g) of the last residual evaluation, and (x, y, (f, g)) of the
+        # last accepted point when its pair may be reused
+        self._fg_last = None
+        self._held = None
         self.stats = {"newton_iterations": 0, "jacobian_builds": 0,
                       "worst_residual": 0.0, "steps": 0,
-                      "max_step_iterations": 0, "max_step_time": 0.0}
+                      "max_step_iterations": 0, "max_step_time": 0.0,
+                      "residual_evaluations": 0}
 
     def invalidate(self):
-        """Drop cached Jacobian, RHS and predictor history after a topology
-        change."""
+        """Drop cached Jacobian, RHS, predictor history and the accepted
+        point's (f, g) after a topology change."""
         self.jac_inv = None
         self._f_old = None
         self._history = []
+        self._held = None
 
-    def _residual(self, t_new, z, x_old, f_old, dt):
+    def _residual(self, t_new, z, x_old, f_old, dt, fg=None):
+        """The step residual at z; fg, when given, is (f, g) at z."""
         n_x = self.dae.n_x
-        x_new, y_new = z[:n_x], z[n_x:]
-        f_new, g_new = self.dae.fg(t_new, x_new, y_new)
+        x_new = z[:n_x]
+        if fg is None:
+            fg = self.dae.fg(t_new, x_new, z[n_x:])
+            self.stats["residual_evaluations"] += 1
+            self._fg_last = fg
+        f_new, g_new = fg
         r = np.empty(n_x + self.dae.n_y)
         r[:n_x] = x_new - x_old - 0.5 * dt * (f_old + f_new)
         r[n_x:] = g_new
@@ -670,14 +702,19 @@ class TrapezoidalStepper:
         f_old = self._f_old
         if f_old is None:
             f_old = dae.fg(t_old, x_old, y_old)[0]
+            self.stats["residual_evaluations"] += 1
         t_new = t_old + dt
         z_old = np.concatenate([x_old, y_old])
         history = self._history
+        fg = None
         if len(history) == 2 and self._last_iters:
             z = 3.0 * z_old - 3.0 * history[0] + history[1]
         else:
             z = z_old
-        r = self._residual(t_new, z, x_old, f_old, dt)
+            held = self._held
+            if held is not None and held[0] is x_old and held[1] is y_old:
+                fg = held[2]
+        r = self._residual(t_new, z, x_old, f_old, dt, fg)
         res = float(np.abs(r).max())
         tol = self.cfg.newton_tol
         rebuilds = 0
@@ -700,7 +737,11 @@ class TrapezoidalStepper:
                 # recover f(t_new, z) from the converged residual for reuse
                 if n_x:
                     self._f_old = (2.0 / dt) * (z[:n_x] - x_old - r[:n_x]) - f_old
-                return z[:n_x], z[n_x:], it
+                x_new, y_new = z[:n_x], z[n_x:]
+                if not dae.time_varying:
+                    # the last residual evaluation was at the accepted z
+                    self._held = (x_new, y_new, self._fg_last)
+                return x_new, y_new, it
             if self.jac_inv is None or since_build >= self.NEWTON_MAX_ITER:
                 if rebuilds >= self.MAX_REBUILDS_PER_STEP:
                     worst = int(np.argmax(np.abs(r)))

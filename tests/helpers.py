@@ -21,6 +21,7 @@ from synchrolens.devices.inverter import (_emf_rate, _modulation_rates,
                                           gfm_emf, gfm_speed)
 from synchrolens.devices.machine import _emf_rates
 from synchrolens.errors import CurrentTooSmall, ModulationTooSmall
+from synchrolens.scenarios.circuit import circuit_elements
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,21 @@ def gfm_xi_terms(state, params, v_net, i_net) -> XiTerms:
     k_rho = 1.0 - front
     k_omega = 1j * (1.0 - front)
     return XiTerms(complex(xi_a), complex(k_rho), complex(k_omega))
+
+
+def exact_voltage_cf(scenario, t):
+    """Symbolically differentiated CF of circuit_dc's injection-bus voltage.
+
+    For v(t) = E + R*I*exp(-j*w_b*t) the CF is v'/(v*w_b) with the absolute
+    frame speed added back to the omega component.
+    """
+    emf, i_dc, branch, _, _ = circuit_elements(scenario)
+    omega_b = 2.0 * np.pi * scenario.f_nom
+    rot = np.exp(-1j * omega_b * np.asarray(t))
+    v = emf + branch.r * i_dc * rot
+    dv = -1j * omega_b * branch.r * i_dc * rot
+    cf = dv / (v * omega_b)
+    return cf.real, cf.imag + 1.0
 
 
 def rotate_result(result, delta_omega: float):

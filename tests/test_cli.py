@@ -240,9 +240,11 @@ def test_report_schema_valid(smib_outputs):
     assert report["exit_status"] == 0
 
 
-def test_report_solver_block(smib_outputs, tmp_path):
+def test_report_solver_block(smib_outputs, tmp_path, monkeypatch):
     """The report carries the stepper's counters; a closed-form scenario,
-    which is not integrated, carries them as nulls."""
+    which is not integrated, carries them as nulls.  residual_evaluations
+    is every fg call the stepper makes; each step makes at least one unless
+    it reuses the last accepted point's."""
     import importlib.resources as resources
     schema = json.loads(
         resources.files("synchrolens").joinpath("report_schema.json").read_text())
@@ -253,6 +255,34 @@ def test_report_solver_block(smib_outputs, tmp_path):
     assert 1.0 <= solver["max_step_time"] <= 6.0
     assert solver["jacobian_builds"] <= 3
     assert 0.0 <= solver["worst_residual"] < 1e-10
+    assert solver["residual_evaluations"] >= solver["newton_iterations"]
+
+    # fg calls made inside each step, counted from outside the stepper
+    calls, per_step = [0], []
+    fg, step = sim.PowerSystemDae.fg, sim.TrapezoidalStepper.step
+
+    def counted_fg(self, *args):
+        calls[0] += 1
+        return fg(self, *args)
+
+    def counted_step(self, *args):
+        before = calls[0]
+        out = step(self, *args)
+        per_step.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(sim.PowerSystemDae, "fg", counted_fg)
+    monkeypatch.setattr(sim.TrapezoidalStepper, "step", counted_step)
+    out = tmp_path / "spied"
+    assert run_cli("run", "--builtin", "smib", "--out", str(out),
+                   "--t-end", "2.0") == 0
+    spied = json.loads((out / "smib_report.json").read_text())["solver"]
+    # a step without an fg call reused the accepted point's residual (a
+    # reusing step that iterates makes calls, so this counts fewer)
+    reused = per_step.count(0)
+    assert spied["steps"] == len(per_step) == 2000 and reused > 0
+    assert spied["residual_evaluations"] == sum(per_step)
+    assert spied["residual_evaluations"] >= spied["steps"] - reused
     assert run_cli("run", "--builtin", "circuit_dc", "--out", str(tmp_path)) == 0
     report = json.loads((tmp_path / "circuit_dc_report.json").read_text())
     _validate(report, schema)
@@ -493,13 +523,15 @@ k_zp = 0.0
 
 def test_infeasible_power_flow_exit_3(tmp_path, capsys):
     """A 5 pu constant-power load behind x = 0.5 pu (at most 1 pu can be
-    delivered) has no power-flow solution."""
+    delivered) has no power-flow solution; the message names the worst
+    mismatch equation."""
     path = tmp_path / "overload.ini"
     path.write_text(_OVERLOAD)
     out = tmp_path / "out"
     assert run_cli("run", "--file", str(path), "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err and "power flow not converged" in err
+    assert "worst equation PF:Q:B1" in err
     assert not out.exists() or not list(out.iterdir())
 
 

@@ -160,11 +160,13 @@ def test_power_flow_requires_single_slack():
 
 
 def test_power_flow_infeasible_load_diverges():
-    """5 pu drawn over x = 0.5 exceeds the 1 pu the line can carry."""
+    """5 pu drawn over x = 0.5 exceeds the 1 pu the line can carry; the
+    message names the worst mismatch equation."""
     net = Network([Bus("1"), Bus("2")], [Branch("L", "1", "2", 0, 0.5)])
     specs = {"1": PfBusSpec(kind="slack"),
              "2": PfBusSpec(p_fns=[lambda vm: -5.0])}
-    with pytest.raises(PfDivergence, match="power flow not converged"):
+    with pytest.raises(PfDivergence, match=r"power flow not converged .*"
+                                           r"worst equation PF:Q:2$"):
         solve_power_flow(net, specs)
 
 

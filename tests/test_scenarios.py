@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import without_disturbances
+from helpers import exact_voltage_cf, without_disturbances
 from synchrolens.cf import cf_arrays
 from synchrolens.errors import ParseError, SchemaError, UnknownScenario
 from synchrolens.network import EventKind
 from synchrolens.scenarios import (build_builtin, builtin_names, cct_sweep,
-                                   circuit_dc_waveforms, exact_voltage_cf,
-                                   load_scenario, run_analytic,
-                                   serialize_scenario, with_clearing_time)
+                                   circuit_dc_waveforms, load_scenario,
+                                   run_analytic, serialize_scenario,
+                                   with_clearing_time)
 from synchrolens.sim import SimConfig, initialize, run_simulation
 
 OMEGA_B = 2.0 * np.pi * 60.0

@@ -17,6 +17,7 @@ class ScalarDecay:
 
     n_x = 1
     n_y = 0
+    time_varying = False
 
     def __init__(self, lam):
         self.lam = lam
@@ -35,7 +36,11 @@ def test_trapezoidal_amplification_exact():
 
 
 class RecordingDecay(ScalarDecay):
-    """ScalarDecay that logs every state it is evaluated at."""
+    """ScalarDecay that logs every state it is evaluated at.  It declares
+    itself time-varying, so the stepper evaluates every residual it needs
+    instead of reusing the accepted point's."""
+
+    time_varying = True
 
     def __init__(self, lam):
         super().__init__(lam)
@@ -336,3 +341,128 @@ def test_stepper_samples_stay_python_numbers(name):
         assert type(d) is list and {type(e) for e in d} == {float}
         assert type(i) is complex
     assert dae.last_inj and {type(i) for i in dae.last_inj} == {complex}
+
+
+# --- reuse of the accepted point's residual ---------------------------------
+
+
+def _run_keeping_dae(monkeypatch, scenario, config=None, force_time_varying=False):
+    """(result, dae) of one run; with force_time_varying every adapter
+    claims to depend on t, so the stepper evaluates every residual."""
+    built = []
+
+    def build(sc, build_adapters=sim.build_adapters):
+        adapters = build_adapters(sc)
+        if force_time_varying:
+            for a in adapters:
+                a.time_varying = True
+        return adapters
+
+    def init(*args, initialize=sim.initialize, **kwargs):
+        dae, x, y = initialize(*args, **kwargs)
+        built.append(dae)
+        return dae, x, y
+
+    with monkeypatch.context() as m:
+        m.setattr(sim, "build_adapters", build)
+        m.setattr(sim, "initialize", init)
+        result = run_simulation(scenario, config)
+    if force_time_varying:
+        assert built[0].time_varying
+    return result, built[0]
+
+
+def _assert_same_run(a, b):
+    for name in ("t", "voltages", "currents", "states", "active"):
+        left, right = getattr(a, name), getattr(b, name)
+        if isinstance(left, dict):
+            assert left.keys() == right.keys()
+            pairs = [(left[k], right[k]) for k in left]
+        else:
+            pairs = [(left, right)]
+        for u, v in pairs:
+            assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), name
+    assert a.events == b.events and a.event_samples == b.event_samples
+
+
+@pytest.mark.parametrize("name", ["gfl_seriescomp", "motor_condenser", "smib"])
+def test_residual_reuse_is_bitwise_invisible(monkeypatch, name):
+    """Reusing the accepted point's (f, g) changes no recorded bit and no
+    injection; it only saves fg calls, over 50,000 of them on
+    gfl_seriescomp, which sits at its equilibrium from t = 5.19 s on."""
+    scenario = build_builtin(name)
+    reused, dae = _run_keeping_dae(monkeypatch, scenario)
+    fresh, dae_fresh = _run_keeping_dae(monkeypatch, scenario,
+                                        force_time_varying=True)
+    assert not dae.time_varying
+    _assert_same_run(reused, fresh)
+    assert [(i.real.hex(), i.imag.hex()) for i in dae.last_inj] == [
+        (i.real.hex(), i.imag.hex()) for i in dae_fresh.last_inj]
+    saved = (fresh.diagnostics["residual_evaluations"]
+             - reused.diagnostics["residual_evaluations"])
+    for key in ("steps", "newton_iterations", "jacobian_builds",
+                "max_step_iterations", "max_step_time", "worst_residual"):
+        assert reused.diagnostics[key] == fresh.diagnostics[key], key
+    assert saved > 0
+    if name == "gfl_seriescomp":
+        assert saved >= 50_000
+
+
+def _count_fg(monkeypatch):
+    """Counter of PowerSystemDae.fg calls, installed for the test."""
+    calls = [0]
+    fg = sim.PowerSystemDae.fg
+
+    def counted(self, *args):
+        calls[0] += 1
+        return fg(self, *args)
+
+    monkeypatch.setattr(sim.PowerSystemDae, "fg", counted)
+    return calls
+
+
+def test_time_varying_device_evaluates_every_residual(monkeypatch):
+    """sustained_oscillation's torque modulation makes its machines depend
+    on t, so forcing every adapter time-varying changes no fg call."""
+    scenario = build_builtin("sustained_oscillation")
+    config = SimConfig.from_scenario(scenario, t_end=2.0)
+    calls = _count_fg(monkeypatch)
+    _, dae = _run_keeping_dae(monkeypatch, scenario, config)
+    plain = calls[0]
+    calls[0] = 0
+    _run_keeping_dae(monkeypatch, scenario, config, force_time_varying=True)
+    assert dae.time_varying and plain == calls[0]
+    held, _, _ = initialize(without_disturbances(scenario))
+    assert not held.time_varying
+
+
+def test_first_step_after_event_evaluates_fg(monkeypatch):
+    """The step that starts at smib's fault clearing recomputes f at its
+    start and evaluates its first residual there; the step after it,
+    which starts where that one was accepted, reuses that evaluation."""
+    scenario = build_builtin("smib")
+    config = SimConfig.from_scenario(scenario, t_end=1.2)
+    calls = _count_fg(monkeypatch)
+    per_step = {}
+    step = TrapezoidalStepper.step
+
+    def traced(self, t_old, x_old, y_old, dt):
+        before, stats = calls[0], dict(self.stats)
+        out = step(self, t_old, x_old, y_old, dt)
+        n_z = self.dae.n_x + self.dae.n_y
+        # fg calls beyond the iterations and the Jacobian columns
+        per_step[round(t_old / dt)] = (
+            calls[0] - before
+            - (self.stats["newton_iterations"] - stats["newton_iterations"])
+            - n_z * (self.stats["jacobian_builds"] - stats["jacobian_builds"]),
+            self.stats["residual_evaluations"]
+            - stats["residual_evaluations"] - (calls[0] - before))
+        return out
+
+    monkeypatch.setattr(TrapezoidalStepper, "step", traced)
+    run_simulation(scenario, config)
+    clear = 1120   # 1.12 s at dt = 1 ms
+    assert per_step[clear] == (2, 0)       # f at z_n, then the residual
+    assert per_step[clear + 1] == (0, 0)   # reused
+    assert per_step[clear - 1] == (1, 0)   # the fault-on step iterates
+    assert {extra for _, extra in per_step.values()} == {0}
