@@ -17,16 +17,8 @@ class ParamDomain(SynchroLensError):
     """Device parameters outside their physical domain."""
 
 
-class CurrentTooSmall(SynchroLensError):
-    """Terminal current magnitude below MIN_MAG; analytic CF undefined."""
-
-
 class VoltageTooSmall(SynchroLensError):
     """Terminal voltage magnitude below MIN_MAG."""
-
-
-class ModulationTooSmall(SynchroLensError):
-    """Converter modulation magnitude below MIN_MAG."""
 
 
 class SlipSingular(SynchroLensError):
@@ -101,8 +93,7 @@ class AxisMismatch(SynchroLensError):
 # exit 2, and a sweep stops: a run too short for the CF stencils and device
 # parameters outside their physical domain are input errors like the rest
 USAGE_ERRORS = (ParseError, SchemaError, UnknownScenario, TooFewSamples,
-                ParamDomain)
+                ParamDomain, UnknownElement)
 # exit 3; a sweep records them as an error row and goes on
 SOLVER_ERRORS = (NewtonDivergence, PfDivergence, InitInfeasible, SingularY,
-                 VoltageTooSmall, CurrentTooSmall, ModulationTooSmall,
-                 SlipSingular)
+                 VoltageTooSmall, SlipSingular)

@@ -258,8 +258,6 @@ def dynamic_branch_derivatives(state, branch: Branch, v_from, v_to, omega_b):
     or an array (returns an array), like a device kernel's sample.
     """
     i_b, v_c = state
-    if branch.x <= 0.0:
-        raise SingularY(f"dynamic branch {branch.id} needs positive inductance")
     di = cdiv(omega_b * (v_from - v_to - complex(branch.r, branch.x) * i_b - v_c),
               branch.x)
     if branch.x_c > 0.0:

@@ -28,8 +28,8 @@ _SIM_KEYS = {"dt", "t_end", "record_decimation"}
 _EXPECT_KEYS = {"als", "bls"}
 
 _DEVICE_KEYS = {
-    DeviceKind.SM2: {"x1_d", "x_l", "m", "d", "p", "v", "theta",
-                     "tau_mod_amp", "tau_mod_hz"},
+    DeviceKind.SM2: {"x1_d", "m", "d", "p", "v", "theta", "tau_mod_amp",
+                     "tau_mod_hz"},
     DeviceKind.SM4: {"r_s", "x_d", "x_q", "x1_d", "x1_q", "x_l", "t1_d0",
                      "t1_q0", "m", "d", "p", "v", "theta", "avr_kp", "avr_ki",
                      "tau_mod_amp", "tau_mod_hz"},

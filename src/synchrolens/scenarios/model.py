@@ -10,8 +10,8 @@ from ..errors import SchemaError
 from ..network import Branch, Bus, Event, EventKind, Network
 
 # Device kinds whose power-flow role fixes the bus voltage magnitude.
-_VOLTAGE_SETTING = (DeviceKind.SM2, DeviceKind.SM4, DeviceKind.SM6,
-                    DeviceKind.GFM_IBR, DeviceKind.VOLTAGE_SOURCE)
+VOLTAGE_SETTING = (DeviceKind.SM2, DeviceKind.SM4, DeviceKind.SM6,
+                   DeviceKind.GFM_IBR, DeviceKind.VOLTAGE_SOURCE)
 
 
 def check_positive(name, value, element=None):
@@ -56,6 +56,25 @@ def time_grid(dt, t_end, event_times):
             raise SchemaError(f"event time {t} is less than one step "
                               f"(dt={dt}) after t=0")
     return n_steps, event_steps
+
+
+def _check_branch_model(br):
+    """SchemaError for branch fields the DAE would ignore or cannot
+    integrate: a static branch is a pi section without series capacitor, a
+    dynamic one a series R-L(-C) with positive inductance, no charging and
+    no tap; neither has zero series impedance."""
+    if not br.dynamic:
+        if br.x_c != 0.0:
+            raise SchemaError(f"x_c = {br.x_c!r} applies only to a dynamic "
+                              "branch", element=br.id)
+    elif not (br.x > 0.0 and br.x_c >= 0.0 and br.b == 0.0 and br.tap == 1.0):
+        raise SchemaError(
+            "a dynamic branch needs x > 0, x_c >= 0, b = 0 and tap = 1, got "
+            f"x = {br.x!r}, x_c = {br.x_c!r}, b = {br.b!r}, tap = {br.tap!r}",
+            element=br.id)
+    if complex(br.r, br.x - br.x_c) == 0.0:
+        raise SchemaError("zero series impedance r + j(x - x_c)",
+                          element=br.id)
 
 
 @dataclass(frozen=True)
@@ -116,6 +135,7 @@ class Scenario:
                     raise SchemaError(f"references undeclared bus {end}",
                                       element=br.id)
             check_positive("tap", br.tap, element=br.id)
+            _check_branch_model(br)
         dev_ids = set()
         for d in self.devices:
             if d.id in dev_ids:
@@ -137,7 +157,7 @@ class Scenario:
                     f"slack device {self.slack_device!r} is not declared")
         per_bus_vset = {}
         for d in self.devices:
-            if d.kind in _VOLTAGE_SETTING:
+            if d.kind in VOLTAGE_SETTING:
                 per_bus_vset.setdefault(d.bus, []).append(d.id)
         for bus, ids in per_bus_vset.items():
             if len(ids) > 1:
@@ -156,6 +176,10 @@ class Scenario:
             if key in seen:
                 raise SchemaError(f"duplicate event {key}")
             seen.add(key)
+            if (ev.kind in (EventKind.APPLY_FAULT, EventKind.CLEAR_FAULT)
+                    and (ev.bus is None) == (ev.branch is None)):
+                raise SchemaError(f"{ev.kind.value} at t={ev.time} must name "
+                                  "either a bus or a branch")
             if ev.open_branch and ev.kind is not EventKind.CLEAR_FAULT:
                 raise SchemaError("open_branch = true applies only to "
                                   f"clear_fault, not {ev.kind.value} events")

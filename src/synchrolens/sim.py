@@ -22,12 +22,14 @@ topology change.  At an event the topology
 changes, g = 0 is re-solved for y holding x, by the plain Newton loop the
 power flow also uses, and integration continues.
 
-A step that starts from z_n needs f and g at z_n, which the previous step
-already evaluated to accept that point.  When no device depends on time
-(``PowerSystemDae.time_varying``; only a torque-modulated machine does),
-that pair is reused instead of calling fg again, so the residual and every
-output stay bitwise the same.  An event drops the pair.  The reuse pays in
-a steady tail: a step from z_n is accepted without moving when
+A step that starts from z_n needs f and g at z_n.  PowerSystemDae keeps its
+last evaluation, and an accepted step returns the x and y objects that
+evaluation saw, so the next step finds it: it takes f_n from it at the start
+and after an event (initialization and the algebraic re-solve evaluate
+last), and, when no device depends on time (``PowerSystemDae.time_varying``;
+only a torque-modulated machine does), its first residual too, so the
+residual and every output stay bitwise the same.  The reuse pays in a steady
+tail: a step from z_n is accepted without moving when
 |dt/2 (f_n + f_{n+1})| < newton_tol, so a state whose derivative stays
 below about 2 newton_tol / dt is held, and every later step reuses.
 """
@@ -45,15 +47,15 @@ from .devices import (GFL_STATE_NAMES, GFM_STATE_NAMES, DeviceKind, GflParams,
                       sm4_params, sm6_params, sm_admittance_cf, sm_fg, sm_init,
                       zip_admittance_cf, zip_injection, zip_power)
 from .devices.base import columns
-from .errors import (CurrentTooSmall, InitInfeasible,
-                     MixedZipUnsupportedAnalytic, ModulationTooSmall,
+from .errors import (InitInfeasible, MixedZipUnsupportedAnalytic,
                      NewtonDivergence, SchemaError, SlipSingular,
                      VoltageTooSmall)
 from .network import (EventKind, Network, PfBusSpec, apply_event, assemble_y,
                       connected_bus_mask, dynamic_branch_derivatives,
                       dynamic_branch_init, fd_jacobian, interface_solve,
                       solve_power_flow)
-from .scenarios.model import DeviceSpec, Scenario, check_run_settings, time_grid
+from .scenarios.model import (VOLTAGE_SETTING, DeviceSpec, Scenario,
+                              check_run_settings, time_grid)
 
 # the recorded trajectories of one run may take at most this many bytes;
 # a run's peak memory is about eight times its recorded bytes
@@ -148,9 +150,6 @@ class Adapter:
     def inj(self, t, states, v):
         return self.fg(t, states, v)[1] if self.n_states else 0.0j
 
-    def pf_is_pq(self):
-        return True
-
     def chi(self, states, v, i, rho, omega):
         """Closed-form chi over the samples, or None where the model has none."""
         return None
@@ -189,7 +188,7 @@ class SmAdapter(Adapter):
                                  T1_d0=_p(p, "t1_d0"), T1_q0=_p(p, "t1_q0"),
                                  T2_d0=_p(p, "t2_d0"), T2_q0=_p(p, "t2_q0"),
                                  M=_p(p, "m"), D=_p(p, "d", 0.0), omega_b=omega_b)
-        self.avr = "avr_kp" in p
+        self.avr = "avr_kp" in p or "avr_ki" in p
         self.avr_kp = p.get("avr_kp", 0.0)
         self.avr_ki = p.get("avr_ki", 0.0)
         self.v_ref = p.get("v", 1.0)
@@ -211,9 +210,6 @@ class SmAdapter(Adapter):
             pf_spec.v_set = self.spec.params.get("v", 1.0)
             p_set = self.spec.params.get("p", 0.0)
             pf_spec.p_fns.append(lambda vm, p=p_set: p)
-
-    def pf_is_pq(self):
-        return False
 
     def init(self, v_bus, s_dev):
         state, tau_m, fld = sm_init(self.mp, v_bus, s_dev / self.ratio)
@@ -369,9 +365,6 @@ class GfmAdapter(Adapter):
             pf_spec.v_set = self.gp.v_ref
             pf_spec.p_fns.append(lambda vm: self.gp.p_ref * self.ratio)
 
-    def pf_is_pq(self):
-        return False
-
     def init(self, v_bus, s_dev):
         # the droop reference must equal the realized power for omega = 1;
         # a no-op for PV operation, the required back-solve for slack duty
@@ -394,9 +387,6 @@ class DcSourceAdapter(Adapter):
     current CF is exactly (0, 0) and chi follows from the voltage CF alone.
     """
 
-    def pf_contrib(self, pf_spec, is_slack):
-        raise SchemaError("DC current sources exist only in analytic scenarios")
-
     def chi(self, states, v, i, rho, omega):
         return -(rho + 1j * omega)
 
@@ -416,9 +406,6 @@ class VsrcAdapter(Adapter):
         if not is_slack:
             pf_spec.p_fns.append(lambda vm: self.spec.params.get("p", 0.0))
 
-    def pf_is_pq(self):
-        return False
-
 
 _ADAPTERS = {
     DeviceKind.SM2: SmAdapter,
@@ -435,21 +422,14 @@ _ADAPTERS = {
 
 def build_adapters(scenario: Scenario):
     omega_b = 2.0 * np.pi * scenario.f_nom
-    adapters = []
-    for spec in scenario.devices:
-        cls = _ADAPTERS.get(spec.kind)
-        if cls is None:
-            raise SchemaError(f"device kind {spec.kind} cannot be simulated",
-                              element=spec.id)
-        adapters.append(cls(spec, scenario.base_mva, omega_b))
-    return adapters
+    return [_ADAPTERS[spec.kind](spec, scenario.base_mva, omega_b)
+            for spec in scenario.devices]
 
 
 # --- assembled DAE ----------------------------------------------------------
 
 # raised by device models whose equations are singular at the current point
-_DEVICE_ERRORS = (VoltageTooSmall, CurrentTooSmall, ModulationTooSmall,
-                  SlipSingular)
+_DEVICE_ERRORS = (VoltageTooSmall, SlipSingular)
 
 
 class PowerSystemDae:
@@ -459,7 +439,9 @@ class PowerSystemDae:
     state (``G3:omega_r``), a dynamic-branch state component
     (``dyn:L7:i_b.re``), a bus KCL component (``KCL:B5.im``) or an ideal
     source's voltage constraint (``vsrc:IB.re``).  time_varying is whether
-    any device's equations depend on t; the network's do not.
+    any device's equations depend on t; the network's do not.  last is
+    (t, x, y, f, g, injections) of the last fg call, or None after a
+    topology change.
     """
 
     def __init__(self, network: Network, adapters):
@@ -491,10 +473,10 @@ class PowerSystemDae:
                for name in ("i_b.re", "i_b.im", "v_c.re", "v_c.im")]
             + [f"KCL:{b}.{part}" for part in ("re", "im") for b in bus_ids]
             + [f"vsrc:{a}.{part}" for part in ("re", "im") for a in src_ids])
-        self.last_inj = None
         self.refresh_topology()
 
     def refresh_topology(self):
+        self.last = None
         self.y_mat = assemble_y(self.network)
         self._neg_y = -self.y_mat
         self.connected = connected_bus_mask(
@@ -526,9 +508,8 @@ class PowerSystemDae:
         dynamic branch and ideal source runs on Python floats and complexes
         (see ``devices.base``); the network's matvec stays one complex numpy
         product.  A phasor is assembled as re + 1j*im, which rounds, signed
-        zeros included, as numpy's y[:n] + 1j*y[n:2n] does.  The current
-        each device injects is kept in last_inj, in _device_info order, so
-        the recorder can reuse the converged values.
+        zeros included, as numpy's y[:n] + 1j*y[n:2n] does.  The call is
+        kept in last, the device currents in _device_info order.
         """
         n, n_src = self.n_bus, self.n_src
         xs = x.tolist()
@@ -549,7 +530,6 @@ class PowerSystemDae:
         except _DEVICE_ERRORS as exc:
             # the same error again, naming the device and the time
             raise type(exc)(f"device {a.id} at t={t:.6f}s: {exc}") from exc
-        self.last_inj = injections
         for br, j, kf, kt in self._branch_info:
             i_b = xs[j] + 1j * xs[j + 1]
             di, dv_c = dynamic_branch_derivatives(
@@ -569,16 +549,17 @@ class PowerSystemDae:
                 src.append(i)
         for k in self._isolated:
             mismatch[k] = v[k]
-        return np.array(f), np.array([m.real for m in mismatch]
-                                     + [m.imag for m in mismatch]
-                                     + [s.real for s in src]
-                                     + [s.imag for s in src])
+        f = np.array(f)
+        g = np.array([m.real for m in mismatch] + [m.imag for m in mismatch]
+                     + [s.real for s in src] + [s.imag for s in src])
+        self.last = (t, x, y_vec, f, g, injections)
+        return f, g
 
     def solve_algebraic(self, t, x, y_guess, tol=1e-10):
         """Re-solve g = 0 at fixed x (event instants, initialization).
 
         The ideal-source currents restart from zero.  The last fg call is at
-        the returned point, so last_inj holds its injections.  A divergence
+        x and the returned y, so last holds that point.  A divergence
         is raised again naming the time and, when known, the worst
         equation, its index shifted to the [x; g] order of names.
         """
@@ -615,12 +596,10 @@ class TrapezoidalStepper:
     and the history holds only consecutive accepted steps since the last
     invalidate(), so no step extrapolates across an event.
 
-    Each residual evaluation keeps its (f, g), so an accepted step leaves
-    the pair at the accepted point.  A step that starts from that point
-    (same x and y objects, no predictor) of a DAE that is not time_varying
-    builds its first residual from the pair instead of calling fg;
-    dae.last_inj still holds that point's injections.  invalidate() drops
-    the pair, so the first step after an event evaluates fg.
+    A step whose x_old and y_old are the objects of dae.last takes f_old
+    from it, when it has none and the time matches, and, without a
+    predictor and for a DAE that is not time_varying, its first residual.
+    An accepted step returns the x and y of dae.last, the accepted point.
     """
 
     # keep the updated inverse while it still converges in fewer iterations
@@ -638,22 +617,17 @@ class TrapezoidalStepper:
         # and the iterations the last step took
         self._history = []
         self._last_iters = 0
-        # (f, g) of the last residual evaluation, and (x, y, (f, g)) of the
-        # last accepted point when its pair may be reused
-        self._fg_last = None
-        self._held = None
         self.stats = {"newton_iterations": 0, "jacobian_builds": 0,
                       "worst_residual": 0.0, "steps": 0,
                       "max_step_iterations": 0, "max_step_time": 0.0,
                       "residual_evaluations": 0}
 
     def invalidate(self):
-        """Drop cached Jacobian, RHS, predictor history and the accepted
-        point's (f, g) after a topology change."""
+        """Drop cached Jacobian, RHS and predictor history after a
+        topology change."""
         self.jac_inv = None
         self._f_old = None
         self._history = []
-        self._held = None
 
     def _residual(self, t_new, z, x_old, f_old, dt, fg=None):
         """The step residual at z; fg, when given, is (f, g) at z."""
@@ -662,7 +636,6 @@ class TrapezoidalStepper:
         if fg is None:
             fg = self.dae.fg(t_new, x_new, z[n_x:])
             self.stats["residual_evaluations"] += 1
-            self._fg_last = fg
         f_new, g_new = fg
         r = np.empty(n_x + self.dae.n_y)
         r[:n_x] = x_new - x_old - 0.5 * dt * (f_old + f_new)
@@ -699,21 +672,23 @@ class TrapezoidalStepper:
         step is declared divergent.
         """
         dae = self.dae
+        last = dae.last
+        at_start = last is not None and last[1] is x_old and last[2] is y_old
         f_old = self._f_old
         if f_old is None:
-            f_old = dae.fg(t_old, x_old, y_old)[0]
-            self.stats["residual_evaluations"] += 1
+            if not (at_start and last[0] == t_old):
+                dae.fg(t_old, x_old, y_old)
+                self.stats["residual_evaluations"] += 1
+                at_start = True
+            f_old = dae.last[3]
         t_new = t_old + dt
         z_old = np.concatenate([x_old, y_old])
         history = self._history
-        fg = None
+        z, fg = z_old, None
         if len(history) == 2 and self._last_iters:
             z = 3.0 * z_old - 3.0 * history[0] + history[1]
-        else:
-            z = z_old
-            held = self._held
-            if held is not None and held[0] is x_old and held[1] is y_old:
-                fg = held[2]
+        elif not dae.time_varying and at_start:
+            fg = dae.last[3:5]
         r = self._residual(t_new, z, x_old, f_old, dt, fg)
         res = float(np.abs(r).max())
         tol = self.cfg.newton_tol
@@ -737,11 +712,8 @@ class TrapezoidalStepper:
                 # recover f(t_new, z) from the converged residual for reuse
                 if n_x:
                     self._f_old = (2.0 / dt) * (z[:n_x] - x_old - r[:n_x]) - f_old
-                x_new, y_new = z[:n_x], z[n_x:]
-                if not dae.time_varying:
-                    # the last residual evaluation was at the accepted z
-                    self._held = (x_new, y_new, self._fg_last)
-                return x_new, y_new, it
+                # the last evaluation was at the accepted z
+                return dae.last[1], dae.last[2], it
             if self.jac_inv is None or since_build >= self.NEWTON_MAX_ITER:
                 if rebuilds >= self.MAX_REBUILDS_PER_STEP:
                     worst = int(np.argmax(np.abs(r)))
@@ -799,7 +771,7 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
         for a in adapters:
             k = idx[a.bus]
             v_bus = complex(v_vec[k])
-            if a.pf_is_pq():
+            if a.kind not in VOLTAGE_SETTING:
                 if a.n_states:
                     x0[dae.slices[a.id]] = a.init(v_bus, None)
             elif a.n_states:
@@ -833,7 +805,7 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
         y0[dae.n_bus:2 * dae.n_bus] = v_vec.imag
         y0[2 * dae.n_bus:] = 0.0
         y0 = dae.solve_algebraic(0.0, x0, y0, tol=config.newton_tol)
-        f0, g0 = dae.fg(0.0, x0, y0)
+        f0, g0 = dae.last[3:5]
         resid = max(float(np.max(np.abs(f0))) if dae.n_x else 0.0,
                     float(np.max(np.abs(g0))))
         if resid <= 1e-9:
@@ -885,13 +857,14 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
 
     stepper = TrapezoidalStepper(dae, config)
 
-    def record(slot, x_now, y_now):
+    def record(slot):
         """Store one sample.  Every solve ends with an fg call at the point
-        it accepts, so dae.last_inj holds the injections at (x_now, y_now)."""
+        it accepts, so dae.last holds that point and its injections."""
+        _, x_now, y_now, _, _, injections = dae.last
         v, i_src = dae.unpack_y(y_now)
         for b in bus_ids:
             volts[b][slot] = v[idx[b]]
-        for (a, _, _), inj in zip(dae._device_info, dae.last_inj):
+        for (a, _, _), inj in zip(dae._device_info, injections):
             currs[a.id][slot] = inj
         for j, a in enumerate(dae.vsrc):
             if a.active:
@@ -903,7 +876,7 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
         for a in dae.stateful:
             states[a.id][slot] = x_now[dae.slices[a.id]]
 
-    record(0, x, y)
+    record(0)
     slot = 1
     for k in range(1, n_steps + 1):
         t_new = k * dt
@@ -921,7 +894,7 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
             stepper.invalidate()
             y = dae.solve_algebraic(t_new, x, y, tol=config.newton_tol)
         if k % dec == 0:
-            record(slot, x, y)
+            record(slot)
             slot += 1
 
     return SimResult(

@@ -20,8 +20,16 @@ from synchrolens.devices.inverter import (_emf_rate, _modulation_rates,
                                           _pll_deviation, gfl_modulation,
                                           gfm_emf, gfm_speed)
 from synchrolens.devices.machine import _emf_rates
-from synchrolens.errors import CurrentTooSmall, ModulationTooSmall
+from synchrolens.errors import SynchroLensError
 from synchrolens.scenarios.circuit import circuit_elements
+
+
+class CurrentTooSmall(SynchroLensError):
+    """Terminal current magnitude below MIN_MAG; analytic CF undefined."""
+
+
+class ModulationTooSmall(SynchroLensError):
+    """Converter modulation magnitude below MIN_MAG."""
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,13 @@ _RUN = ("run", "--builtin", "smib")
     pytest.param(("file", "motor_condenser",
                   {"device = SC1": "device = SC1\nopen_branch = true"}),
                  id="open-branch-on-disconnect"),
+    pytest.param(("file", "smib", {"branch = L2": "# no fault location",
+                                   "open_branch = true": ""}),
+                 id="fault-names-neither-bus-nor-branch"),
+    pytest.param(_smib_edit("branch = L2", "branch = L2\nbus = HV"),
+                 id="fault-names-bus-and-branch"),
+    pytest.param(_smib_edit("x1_d = 0.3", "x1_d = 0.3\nx_l = 5.0"),
+                 id="sm2-leakage-reactance"),
     pytest.param(_smib_edit("d = 5.0", "d = nan"), id="damping-nan"),
     pytest.param(_smib_edit("x = 0.15", "x = inf"), id="reactance-inf"),
     pytest.param(_RUN + ("--dt", "1e-300"), id="dt-tiny-record-cap"),
@@ -157,6 +164,33 @@ def test_invalid_input_exit_2(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith("error: ")
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("name, edits, branch", [
+    pytest.param("smib", {"x = 0.15": "x = 0.15\nx_c = 0.05"}, "T1",
+                 id="static-series-capacitor"),
+    pytest.param("gfl_seriescomp", {"x = 0.6": "x = 0.0"}, "LC",
+                 id="dynamic-inductance-zero"),
+    pytest.param("gfl_seriescomp", {"x_c = 0.35": "x_c = -0.35"}, "LC",
+                 id="dynamic-capacitor-negative"),
+    pytest.param("gfl_seriescomp", {"b = 0.0": "b = 0.01"}, "LC",
+                 id="dynamic-charging"),
+    pytest.param("gfl_seriescomp", {"tap = 1.0": "tap = 1.05"}, "LC",
+                 id="dynamic-tap"),
+    pytest.param("gfl_seriescomp", {"r = 0.06": "r = 0.0",
+                                    "x_c = 0.35": "x_c = 0.6"}, "LC",
+                 id="dynamic-zero-series-impedance"),
+    pytest.param("smib", {"x = 0.15": "x = 0.0"}, "T1",
+                 id="static-zero-series-impedance"),
+])
+def test_unmodelled_branch_field_exit_2(tmp_path, capsys, name, edits, branch):
+    """A branch field the DAE would ignore or cannot integrate is rejected
+    before any simulation with exit 2, and the message names the branch."""
+    out = tmp_path / "out"
+    assert run_cli("run", "--file", _scenario_file(tmp_path, name, edits),
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {branch}: ")
     assert not out.exists() or not list(out.iterdir())
 
 

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import chi_from_xi_terms, gfl_xi_terms, gfm_xi_terms, sm_xi_terms
+from helpers import (CurrentTooSmall, chi_from_xi_terms, gfl_xi_terms,
+                     gfm_xi_terms, sm_xi_terms)
 from synchrolens.devices import (GflParams, GfmParams, ImParams, ZipParams,
                                  gfl_admittance_cf, gfl_fg, gfl_init,
                                  gfm_admittance_cf, gfm_fg, gfm_init,
@@ -15,9 +16,8 @@ from synchrolens.devices import (GflParams, GfmParams, ImParams, ZipParams,
                                  sm_admittance_cf, sm_fg, sm_init,
                                  to_machine_frame, zip_admittance_cf,
                                  zip_injection, zip_power)
-from synchrolens.errors import (CurrentTooSmall, InitInfeasible,
-                                MixedZipUnsupportedAnalytic, ParamDomain,
-                                SlipSingular, VoltageTooSmall)
+from synchrolens.errors import (InitInfeasible, MixedZipUnsupportedAnalytic,
+                                ParamDomain, SlipSingular, VoltageTooSmall)
 from synchrolens.devices.base import DeviceKind, cdiv
 from synchrolens.network import (Branch, dynamic_branch_derivatives,
                                  dynamic_branch_init)
@@ -500,6 +500,21 @@ def _adapter_with_avr():
     adapter = SmAdapter(spec, 100.0, OMEGA_B)
     v = 1.02 * np.exp(0.2j)
     return adapter, adapter.init(v, 0.3 + 0.2j), v
+
+
+def test_integral_gain_alone_turns_the_regulator_on():
+    """A condenser given avr_ki without avr_kp runs a pure integral
+    regulator: it has the integrator state, which integrates the voltage
+    error, and the field voltage has no proportional part."""
+    spec = DeviceSpec("SC", DeviceKind.SM4, "B", {
+        "x_d": 1.8, "x_q": 1.7, "x1_d": 0.3, "x1_q": 0.55, "x_l": 0.2,
+        "t1_d0": 8.0, "t1_q0": 0.4, "m": 4.0, "v": 1.0, "avr_ki": 5.0})
+    adapter = SmAdapter(spec, 100.0, OMEGA_B)
+    assert adapter.state_names[-1] == "x_avr" and adapter.n_states == 5
+    state = adapter.init(1.0 + 0.0j, 0.1j)
+    deriv, _ = adapter.fg(0.0, state.tolist(), 0.9 + 0.0j)
+    assert deriv[-1] == pytest.approx(5.0 * 0.1, rel=1e-12)
+    assert adapter.v_field(state.tolist(), 0.9 + 0.0j) == adapter.v_f0
 
 
 def _sample_case(case):

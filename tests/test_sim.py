@@ -13,17 +13,21 @@ from synchrolens.sim import (SimConfig, TrapezoidalStepper, initialize,
 
 
 class ScalarDecay:
-    """Minimal DAE: x' = lam*x with no algebraic part."""
+    """Minimal DAE: x' = lam*x with no algebraic part; like PowerSystemDae
+    it keeps its last evaluation in last."""
 
     n_x = 1
     n_y = 0
     time_varying = False
+    last = None
 
     def __init__(self, lam):
         self.lam = lam
 
     def fg(self, t, x, y):
-        return self.lam * x, np.empty(0)
+        f, g = self.lam * x, np.empty(0)
+        self.last = (t, x, y, f, g, [])
+        return f, g
 
 
 def test_trapezoidal_amplification_exact():
@@ -101,6 +105,11 @@ def test_kundur_newton_iterations_bounded():
     assert diag["steps"] == 3000
     assert diag["newton_iterations"] <= 6000
     assert diag["max_step_iterations"] <= 4
+
+
+def test_every_device_kind_has_an_adapter():
+    """build_adapters indexes the adapter table by kind without a fallback."""
+    assert set(sim._ADAPTERS) == set(DeviceKind)
 
 
 def test_config_validation():
@@ -288,6 +297,7 @@ def test_newton_stall_names_equation_and_time():
         return d, i
 
     g1.fg = kinked
+    dae.last = None   # initialize's last evaluation used the unkinked fg
     with pytest.raises(NewtonDivergence) as info:
         TrapezoidalStepper(dae, config).step(0.0, x0, y0, config.dt)
     exc = info.value
@@ -331,6 +341,7 @@ def test_stepper_samples_stay_python_numbers(name):
             seen.append((states, v, d, i))
             return d, i
         a.fg = traced
+    dae.last = None   # evaluate the first step instead of reusing initialize's
     stepper = TrapezoidalStepper(dae, config)
     for k in range(5):
         x, y, _ = stepper.step(k * config.dt, x, y, config.dt)
@@ -340,7 +351,7 @@ def test_stepper_samples_stay_python_numbers(name):
         assert {type(e) for e in states} == {float}
         assert type(d) is list and {type(e) for e in d} == {float}
         assert type(i) is complex
-    assert dae.last_inj and {type(i) for i in dae.last_inj} == {complex}
+    assert dae.last[5] and {type(i) for i in dae.last[5]} == {complex}
 
 
 # --- reuse of the accepted point's residual ---------------------------------
@@ -396,8 +407,8 @@ def test_residual_reuse_is_bitwise_invisible(monkeypatch, name):
                                         force_time_varying=True)
     assert not dae.time_varying
     _assert_same_run(reused, fresh)
-    assert [(i.real.hex(), i.imag.hex()) for i in dae.last_inj] == [
-        (i.real.hex(), i.imag.hex()) for i in dae_fresh.last_inj]
+    assert [(i.real.hex(), i.imag.hex()) for i in dae.last[5]] == [
+        (i.real.hex(), i.imag.hex()) for i in dae_fresh.last[5]]
     saved = (fresh.diagnostics["residual_evaluations"]
              - reused.diagnostics["residual_evaluations"])
     for key in ("steps", "newton_iterations", "jacobian_builds",
@@ -436,10 +447,28 @@ def test_time_varying_device_evaluates_every_residual(monkeypatch):
     assert not held.time_varying
 
 
+def test_start_evaluation_is_reused_only_at_its_time():
+    """A step of a time-varying system that starts at the point the DAE
+    last evaluated, but at another time, evaluates f there again: from
+    sustained_oscillation's initial point (evaluated at t = 0) a step at
+    t = 0.137 s gives the bits of a step with nothing to reuse."""
+    scenario = build_builtin("sustained_oscillation")
+    config = SimConfig.from_scenario(scenario, t_end=1.0)
+    dae, x0, y0 = initialize(scenario, config)
+    assert dae.time_varying and dae.last[0] == 0.0
+    reused = TrapezoidalStepper(dae, config).step(0.137, x0, y0, config.dt)
+    dae.last = None
+    fresh = TrapezoidalStepper(dae, config).step(0.137, x0, y0, config.dt)
+    assert reused[2] == fresh[2]
+    for a, b in zip(reused[:2], fresh[:2]):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_first_step_after_event_evaluates_fg(monkeypatch):
-    """The step that starts at smib's fault clearing recomputes f at its
-    start and evaluates its first residual there; the step after it,
-    which starts where that one was accepted, reuses that evaluation."""
+    """The step that starts at smib's fault clearing takes f at its start
+    and its first residual from the algebraic re-solve's last evaluation,
+    which is at that point; the step after it, which starts where that one
+    was accepted, reuses that step's last evaluation."""
     scenario = build_builtin("smib")
     config = SimConfig.from_scenario(scenario, t_end=1.2)
     calls = _count_fg(monkeypatch)
@@ -462,7 +491,7 @@ def test_first_step_after_event_evaluates_fg(monkeypatch):
     monkeypatch.setattr(TrapezoidalStepper, "step", traced)
     run_simulation(scenario, config)
     clear = 1120   # 1.12 s at dt = 1 ms
-    assert per_step[clear] == (2, 0)       # f at z_n, then the residual
+    assert per_step[clear] == (0, 0)       # the re-solve's evaluation
     assert per_step[clear + 1] == (0, 0)   # reused
     assert per_step[clear - 1] == (1, 0)   # the fault-on step iterates
     assert {extra for _, extra in per_step.values()} == {0}
