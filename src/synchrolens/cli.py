@@ -27,6 +27,11 @@ from .synccheck import (DEFAULT_EPSILON, DEFAULT_SETTLE, DEFAULT_TAIL_TOL,
 _CSV_BLOCK = 256
 
 
+def _json(value):
+    """Strict JSON (RFC 8259 has no NaN or Infinity), indented, keys sorted."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
 def _atomic_write(path, data):
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".synchrolens-")
@@ -134,7 +139,7 @@ def build_report(scenario, result, config, epsilon=DEFAULT_EPSILON,
                 result, dev, chi, epsilon=epsilon, tail_tol=tail_tol)))
         except WindowTooShort as exc:
             verdicts.append({"device": dev, "bls": None, "als": None,
-                             "chi_at_t0": float("nan"),
+                             "chi_at_t0": None,
                              "notes": f"not evaluable: {exc}"})
         if dev in analytic:
             try:
@@ -178,12 +183,12 @@ def cmd_run(args):
     report, numeric, analytic = build_report(scenario, result, config,
                                              epsilon, tail_tol, paths)
     verdicts = report["verdicts"]
+    text = _json(report)
     _atomic_write(paths["trajectories"], _traj_csv(result))
     _atomic_write(paths["chi"], _chi_csv(result, numeric, analytic))
-    _atomic_write(paths["report"], json.dumps(report, indent=2,
-                                              sort_keys=True) + "\n")
+    _atomic_write(paths["report"], text + "\n")
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(text)
     else:
         print(f"{scenario.name}: simulated {config.t_end} s "
               f"({len(result.t)} samples)")
@@ -231,7 +236,7 @@ def cmd_sweep(args):
         "output": path,
     }
     if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        print(_json(summary))
     else:
         print(f"{scenario.name}: sweep of {len(result.points)} points "
               f"({'monotone' if result.monotone else 'NOT monotone'})")
@@ -246,7 +251,7 @@ def cmd_list(args):
     if args.json:
         catalogue = [{"name": n, "description": builtin_description(n)}
                      for n in names]
-        print(json.dumps(catalogue, indent=2, sort_keys=True))
+        print(_json(catalogue))
     else:
         for n in names:
             print(f"{n}: {builtin_description(n)}")

@@ -21,6 +21,11 @@ def check_positive(name, value, element=None):
                           element=element)
 
 
+# the nominal frequencies a scenario may declare, Hz; chi is scaled by
+# 1/omega_b, which for a vanishing f_nom overflows the report's numbers
+F_NOM_RANGE = (1.0, 1000.0)
+
+
 def check_run_settings(dt, t_end, record_decimation):
     """SchemaError unless dt and t_end are finite and positive and the
     recording decimation is an integer of at least 1."""
@@ -120,7 +125,10 @@ class Scenario:
     def validate(self):
         """Structural checks; raises SchemaError on the first violation."""
         check_run_settings(self.dt, self.t_end, self.record_decimation)
-        check_positive("f_nom", self.f_nom)
+        lo, hi = F_NOM_RANGE
+        if not lo <= self.f_nom <= hi:
+            raise SchemaError(f"f_nom must lie in [{lo}, {hi}] Hz, "
+                              f"got {self.f_nom!r}")
         check_positive("base_mva", self.base_mva)
         bus_ids = {b.id for b in self.buses}
         if len(bus_ids) != len(self.buses):

@@ -32,6 +32,19 @@ residual and every output stay bitwise the same.  The reuse pays in a steady
 tail: a step from z_n is accepted without moving when
 |dt/2 (f_n + f_{n+1})| < newton_tol, so a state whose derivative stays
 below about 2 newton_tol / dt is held, and every later step reuses.
+
+Such a held step, one that reuses its start's (f, g) and takes no iteration,
+returns its start and changes nothing but the f_old it hands on, which it
+recovers from its residual.  At a fixed point, dt and time-invariant DAE,
+that new f_old and the step's residual are fixed functions of the f_old it
+got.  So once a held step hands on the bits it got, or the bits the step
+before it got, the steps that follow repeat that cycle of one or two steps
+until the next topology change.  The main loop then skips the steps before
+the next event step (or up to the end): it counts them, takes f_old by the
+parity of their number and records the held point in their slots, and
+counters, f_old and every output keep the bits of stepping each one.
+Samples are kept by reference and converted to the result arrays in blocks
+(Recorder).
 """
 
 from __future__ import annotations
@@ -58,7 +71,9 @@ from .scenarios.model import (VOLTAGE_SETTING, DeviceSpec, Scenario,
                               check_run_settings, time_grid)
 
 # the recorded trajectories of one run may take at most this many bytes;
-# a run's peak memory is about eight times its recorded bytes
+# a `synchrolens run` peaks at about ten times its recorded bytes above its
+# size after initialization (kundur 9.1x, gfl_seriescomp 9.7x), most of it
+# the CSV text
 MAX_RECORD_BYTES = 1 << 27
 
 
@@ -495,10 +510,12 @@ class PowerSystemDae:
         self._vsrc_info = [(a, idx[a.bus]) for a in self.vsrc]
 
     def unpack_y(self, y_vec):
+        """(bus voltages, ideal-source currents) of y, also of a block of
+        samples, one per row."""
         n = self.n_bus
-        v = y_vec[:n] + 1j * y_vec[n:2 * n]
-        i_src = (y_vec[2 * n:2 * n + self.n_src]
-                 + 1j * y_vec[2 * n + self.n_src:])
+        v = y_vec[..., :n] + 1j * y_vec[..., n:2 * n]
+        i_src = (y_vec[..., 2 * n:2 * n + self.n_src]
+                 + 1j * y_vec[..., 2 * n + self.n_src:])
         return v, i_src
 
     def fg(self, t, x, y_vec):
@@ -600,6 +617,12 @@ class TrapezoidalStepper:
     from it, when it has none and the time matches, and, without a
     predictor and for a DAE that is not time_varying, its first residual.
     An accepted step returns the x and y of dae.last, the accepted point.
+
+    Such a step that takes no iteration is held: it returns its start, and
+    its residual and the f_old it hands on depend on the f_old it got
+    alone.  The stepper keeps the f_old in and out of consecutive held
+    steps, and fast_forward(m) skips m held steps once they cycle with
+    period 1 or 2.
     """
 
     # keep the updated inverse while it still converges in fewer iterations
@@ -617,17 +640,42 @@ class TrapezoidalStepper:
         # and the iterations the last step took
         self._history = []
         self._last_iters = 0
+        # f_old in and out of the consecutive held steps since the last
+        # step that was not held, oldest first, at most three
+        self._held = []
         self.stats = {"newton_iterations": 0, "jacobian_builds": 0,
                       "worst_residual": 0.0, "steps": 0,
                       "max_step_iterations": 0, "max_step_time": 0.0,
                       "residual_evaluations": 0}
 
     def invalidate(self):
-        """Drop cached Jacobian, RHS and predictor history after a
-        topology change."""
+        """Drop cached Jacobian, RHS, predictor history and held stretch
+        after a topology change."""
         self.jac_inv = None
         self._f_old = None
         self._history = []
+        self._held = []
+
+    def fast_forward(self, m):
+        """Take m more held steps at once if the held stretch has become
+        periodic; returns the number of steps taken, m or 0.
+
+        Only the step counter and f_old change: a held step makes no fg
+        call and takes no iteration, and both residuals of the period were
+        already seen by worst_residual.  The caller's point stays as it is.
+        """
+        held = self._held
+        if m <= 0 or len(held) < 2:
+            return 0
+        last = held[-1].tobytes()
+        if not (last == held[-2].tobytes()
+                or len(held) > 2 and last == held[-3].tobytes()):
+            return 0
+        if m % 2:
+            self._held = [held[-2], held[-1], held[-2]]
+            self._f_old = held[-2]
+        self.stats["steps"] += m
+        return m
 
     def _residual(self, t_new, z, x_old, f_old, dt, fg=None):
         """The step residual at z; fg, when given, is (f, g) at z."""
@@ -711,7 +759,13 @@ class TrapezoidalStepper:
                 n_x = dae.n_x
                 # recover f(t_new, z) from the converged residual for reuse
                 if n_x:
-                    self._f_old = (2.0 / dt) * (z[:n_x] - x_old - r[:n_x]) - f_old
+                    f_new = (2.0 / dt) * (z[:n_x] - x_old - r[:n_x]) - f_old
+                    self._f_old = f_new
+                    # a held step maps f_old to f_new and nothing else
+                    if fg is not None and it == 0:
+                        self._held = (self._held or [f_old])[-2:] + [f_new]
+                    else:
+                        self._held = []
                 # the last evaluation was at the accepted z
                 return dae.last[1], dae.last[2], it
             if self.jac_inv is None or since_build >= self.NEWTON_MAX_ITER:
@@ -739,6 +793,80 @@ class TrapezoidalStepper:
                 if dr2 != 0.0:
                     inv -= np.outer(dz + inv @ dr, dr / dr2)
             r = r_new
+
+
+# --- recording ---------------------------------------------------------------
+
+
+class Recorder:
+    """The recorded samples of one run, kept by reference and converted in
+    blocks.
+
+    add() keeps the x, y and device injections of dae.last, the accepted
+    point, and flush() turns the pending samples into the result arrays
+    with one np.array each for x, y and the injections.  The
+    pending samples must share the topology the flush sees, so the caller
+    flushes before every event; add() flushes every BLOCK samples, which
+    bounds the memory the references hold.  A device that is not active
+    records no current and False.
+    """
+
+    # a smib run peaks 0.49 MB above the per-sample recorder at 256 and
+    # 0.70 MB at 1024; the per-block cost is a few µs
+    BLOCK = 256
+
+    def __init__(self, dae, n_rec):
+        self.dae = dae
+        network = dae.network
+        self._bus_cols = [(b.id, network.bus_index[b.id])
+                          for b in network.buses]
+        self.volts = {b: np.empty(n_rec, dtype=complex)
+                      for b, _ in self._bus_cols}
+        self.currs = {a.id: np.empty(n_rec, dtype=complex) for a in dae.adapters}
+        self.states = {a.id: np.empty((n_rec, a.n_states)) for a in dae.stateful}
+        self.active = {a.id: np.ones(n_rec, dtype=bool) for a in dae.adapters}
+        self.pending = []
+        self.slot = 0      # the slot of pending[0]
+
+    def add(self, count=1):
+        """Record dae.last in the next count slots."""
+        _, x, y, _, _, injections = self.dae.last
+        if count == 1:
+            self.pending.append((x, y, injections))
+            if len(self.pending) >= self.BLOCK:
+                self.flush()
+        elif count:
+            self.flush()
+            self._write([(x, y, injections)], count)
+
+    def flush(self):
+        if self.pending:
+            self._write(self.pending, len(self.pending))
+            self.pending = []
+
+    def _write(self, samples, count):
+        """Fill the next count slots from samples, one per slot, or from
+        its one sample in every slot."""
+        dae = self.dae
+        rows = slice(self.slot, self.slot + count)
+        self.slot += count
+        xs, ys, injections = zip(*samples)
+        v, i_src = dae.unpack_y(np.array(ys))
+        for b, col in self._bus_cols:
+            self.volts[b][rows] = v[:, col]
+        inj = np.array(injections, dtype=complex)
+        for j, (a, _, _) in enumerate(dae._device_info):
+            self.currs[a.id][rows] = inj[:, j]
+        for j, a in enumerate(dae.vsrc):
+            if a.active:
+                self.currs[a.id][rows] = i_src[:, j]
+        for a in dae.adapters:
+            if not a.active:
+                self.currs[a.id][rows] = 0.0
+                self.active[a.id][rows] = False
+        x = np.array(xs)
+        for a in dae.stateful:
+            self.states[a.id][rows] = x[:, dae.slices[a.id]]
 
 
 # --- initialization and the main loop --------------------------------------
@@ -837,18 +965,11 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
     check_record_size(n_rec, dae.n_bus, len(dae.adapters),
                       sum(a.n_states for a in dae.stateful))
     network = dae.network
-    idx = network.bus_index
 
     events_by_step = {}
     for k, ev in zip(event_steps, scenario.events):
         events_by_step.setdefault(k, []).append(ev)
 
-    bus_ids = [b.id for b in network.buses]
-    dev_ids = [a.id for a in dae.adapters]
-    volts = {b: np.empty(n_rec, dtype=complex) for b in bus_ids}
-    currs = {d: np.empty(n_rec, dtype=complex) for d in dev_ids}
-    states = {a.id: np.empty((n_rec, a.n_states)) for a in dae.stateful}
-    active = {d: np.ones(n_rec, dtype=bool) for d in dev_ids}
     event_log = []
     # the first recorded sample at or after each event, also when the
     # decimation does not divide the event's step
@@ -856,32 +977,21 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
                            if s < n_rec)
 
     stepper = TrapezoidalStepper(dae, config)
-
-    def record(slot):
-        """Store one sample.  Every solve ends with an fg call at the point
-        it accepts, so dae.last holds that point and its injections."""
-        _, x_now, y_now, _, _, injections = dae.last
-        v, i_src = dae.unpack_y(y_now)
-        for b in bus_ids:
-            volts[b][slot] = v[idx[b]]
-        for (a, _, _), inj in zip(dae._device_info, injections):
-            currs[a.id][slot] = inj
-        for j, a in enumerate(dae.vsrc):
-            if a.active:
-                currs[a.id][slot] = i_src[j]
-        for a in dae.adapters:
-            if not a.active:
-                currs[a.id][slot] = 0.0
-                active[a.id][slot] = False
-        for a in dae.stateful:
-            states[a.id][slot] = x_now[dae.slices[a.id]]
-
-    record(0)
-    slot = 1
-    for k in range(1, n_steps + 1):
+    recorder = Recorder(dae, n_rec)
+    # a fast-forward ends before the next event step, or at n_steps
+    stops = iter(sorted(k for k in events_by_step if k <= n_steps)
+                 + [n_steps + 1])
+    stop = next(stops)
+    recorder.add()
+    k = 0
+    while k < n_steps:
+        k += 1
         t_new = k * dt
         x, y, _ = stepper.step((k - 1) * dt, x, y, dt)
-        if k in events_by_step:
+        if k == stop:
+            stop = next(stops)
+            # the pending samples were taken in the topology ending here
+            recorder.flush()
             for ev in events_by_step[k]:
                 if ev.kind is EventKind.DISCONNECT_DEVICE:
                     for a in dae.adapters:
@@ -894,19 +1004,24 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
             stepper.invalidate()
             y = dae.solve_algebraic(t_new, x, y, tol=config.newton_tol)
         if k % dec == 0:
-            record(slot)
-            slot += 1
+            recorder.add()
+        skipped = stepper.fast_forward(stop - 1 - k)
+        if skipped:
+            # every skipped step holds the point of dae.last
+            recorder.add((k + skipped) // dec - k // dec)
+            k += skipped
+    recorder.flush()
 
     return SimResult(
         scenario_name=scenario.name,
         t=np.arange(0, n_steps + 1, dec) * dt,
         dt=dt * dec,
         omega_b=network.omega_b,
-        voltages=volts,
-        currents=currs,
-        states={a.id: states[a.id] for a in dae.stateful},
+        voltages=recorder.volts,
+        currents=recorder.currs,
+        states=recorder.states,
         state_names={a.id: tuple(a.state_names) for a in dae.stateful},
-        active=active,
+        active=recorder.active,
         device_bus={a.id: a.bus for a in dae.adapters},
         device_kind={a.id: a.kind for a in dae.adapters},
         events=event_log,

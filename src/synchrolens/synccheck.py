@@ -58,7 +58,7 @@ class SyncVerdict:
     device: str
     bls: BlsCheck
     als: AlsCheck
-    chi_at_t0: float
+    chi_at_t0: float | None   # None when no sample has a valid chi
     notes: str = ""
 
 
@@ -256,7 +256,7 @@ def evaluate_device(result: SimResult, device_id: str, chi: ChiSeries,
     bls = check_bls(chi, bls_start - settle, epsilon, settle)
     als = check_als(chi, tail_tol, tail_window)
     first = np.flatnonzero(chi.mask)
-    chi_t0 = float(np.abs(chi.values[first[0]])) if len(first) else float("nan")
+    chi_t0 = float(np.abs(chi.values[first[0]])) if len(first) else None
     notes = ""
     if not result.active[device_id][-1]:
         notes = "device disconnected during the run; verdict covers active span"

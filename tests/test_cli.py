@@ -107,6 +107,8 @@ _RUN = ("run", "--builtin", "smib")
                  id="zip-shares-not-one"),
     pytest.param(_smib_edit("base_mva = 100.0", "base_mva = 0.0"),
                  id="base-mva-zero"),
+    pytest.param(_smib_edit("f_nom = 60.0", "f_nom = 2.2250738585e-313"),
+                 id="f-nom-subnormal"),
     pytest.param(("file", "gfl_seriescomp", {"v_dc0 = 2.0": "v_dc0 = 0.0"}),
                  id="dc-link-voltage-zero"),
     pytest.param(_smib_edit("[bus.GEN]", "[bus.GEN]\narea = 1"), id="area-inf"),
@@ -274,11 +276,26 @@ def test_report_schema_valid(smib_outputs):
     assert report["exit_status"] == 0
 
 
+def test_unevaluable_device_writes_null(tmp_path, capsys):
+    """A run too short for a device's verdict windows writes chi_at_t0 as
+    null, not NaN, which is no JSON number; --json prints the same text."""
+    assert run_cli("run", "--builtin", "smib", "--t-end", "3",
+                   "--out", str(tmp_path), "--json") == 0
+    text = (tmp_path / "smib_report.json").read_text()
+    assert capsys.readouterr().out == text
+    report = _strict_json(text)
+    short = [v for v in report["verdicts"] if v["bls"] is None]
+    assert len(short) == 2
+    assert all(v["chi_at_t0"] is None for v in short)
+
+
 def test_report_solver_block(smib_outputs, tmp_path, monkeypatch):
     """The report carries the stepper's counters; a closed-form scenario,
     which is not integrated, carries them as nulls.  residual_evaluations
     is every fg call the stepper makes; each step makes at least one unless
-    it reuses the last accepted point's."""
+    it reuses the last accepted point's.  A fast-forward counts its held
+    steps without calling step(), and the counters are those of a run
+    that steps each of them."""
     import importlib.resources as resources
     schema = json.loads(
         resources.files("synchrolens").joinpath("report_schema.json").read_text())
@@ -292,8 +309,9 @@ def test_report_solver_block(smib_outputs, tmp_path, monkeypatch):
     assert solver["residual_evaluations"] >= solver["newton_iterations"]
 
     # fg calls made inside each step, counted from outside the stepper
-    calls, per_step = [0], []
+    calls, per_step, skipped = [0], [], []
     fg, step = sim.PowerSystemDae.fg, sim.TrapezoidalStepper.step
+    fast_forward = sim.TrapezoidalStepper.fast_forward
 
     def counted_fg(self, *args):
         calls[0] += 1
@@ -305,18 +323,35 @@ def test_report_solver_block(smib_outputs, tmp_path, monkeypatch):
         per_step.append(calls[0] - before)
         return out
 
+    def counted_fast_forward(self, m):
+        before = calls[0]
+        taken = fast_forward(self, m)
+        assert calls[0] == before
+        skipped.append(taken)
+        return taken
+
+    def solver_block(name):
+        out = tmp_path / name
+        assert run_cli("run", "--builtin", "smib", "--out", str(out),
+                       "--t-end", "2.0") == 0
+        return json.loads((out / "smib_report.json").read_text())["solver"]
+
     monkeypatch.setattr(sim.PowerSystemDae, "fg", counted_fg)
     monkeypatch.setattr(sim.TrapezoidalStepper, "step", counted_step)
-    out = tmp_path / "spied"
-    assert run_cli("run", "--builtin", "smib", "--out", str(out),
-                   "--t-end", "2.0") == 0
-    spied = json.loads((out / "smib_report.json").read_text())["solver"]
+    monkeypatch.setattr(sim.TrapezoidalStepper, "fast_forward",
+                        counted_fast_forward)
+    spied = solver_block("spied")
     # a step without an fg call reused the accepted point's residual (a
     # reusing step that iterates makes calls, so this counts fewer)
     reused = per_step.count(0)
-    assert spied["steps"] == len(per_step) == 2000 and reused > 0
+    assert spied["steps"] == len(per_step) + sum(skipped) == 2000
+    assert reused > 0 and sum(skipped) > 0
     assert spied["residual_evaluations"] == sum(per_step)
-    assert spied["residual_evaluations"] >= spied["steps"] - reused
+    assert spied["residual_evaluations"] >= len(per_step) - reused
+    # every step taken one by one: the same block
+    monkeypatch.setattr(sim.TrapezoidalStepper, "fast_forward",
+                        lambda self, m: 0)
+    assert solver_block("stepped") == spied
     assert run_cli("run", "--builtin", "circuit_dc", "--out", str(tmp_path)) == 0
     report = json.loads((tmp_path / "circuit_dc_report.json").read_text())
     _validate(report, schema)
@@ -632,9 +667,18 @@ def test_sweep_pool_is_bounded_by_points(tmp_path, capsys, monkeypatch):
     assert pools == [2]
 
 
+def _strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, which RFC 8259
+    does not allow."""
+    def reject(token):
+        raise AssertionError(f"{token} in a JSON file")
+    return json.loads(text, parse_constant=reject)
+
+
 def _assert_clean_exit(argv, out):
-    """Run argv; the exit code is documented, stderr has no traceback and a
-    non-zero exit leaves no output files.  Returns the exit code."""
+    """Run argv; the exit code is documented, stderr has no traceback, a
+    non-zero exit leaves no output files and every report written is strict
+    JSON.  Returns the exit code."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
@@ -645,6 +689,10 @@ def _assert_clean_exit(argv, out):
     left = os.listdir(out) if os.path.isdir(out) else []
     if code != 0:
         assert left == [] and err.getvalue()
+    for name in left:
+        if name.endswith("_report.json"):
+            with open(os.path.join(out, name), encoding="utf-8") as handle:
+                _strict_json(handle.read())
     return code
 
 

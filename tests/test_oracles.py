@@ -124,7 +124,8 @@ def test_report_schema_valid_for_every_builtin(builtin_run):
         scenario, result, _ = builtin_run(name)
         config = SimConfig.from_scenario(scenario)
         report, _, _ = build_report(scenario, result, config)
-        payload = json.loads(json.dumps(report))   # must serialize cleanly
+        # must serialize as strict JSON
+        payload = json.loads(json.dumps(report, allow_nan=False))
         _validate(payload, schema)
         reports[name] = report
 

@@ -495,3 +495,103 @@ def test_first_step_after_event_evaluates_fg(monkeypatch):
     assert per_step[clear + 1] == (0, 0)   # reused
     assert per_step[clear - 1] == (1, 0)   # the fault-on step iterates
     assert {extra for _, extra in per_step.values()} == {0}
+
+
+_FAST_FORWARD = TrapezoidalStepper.fast_forward
+
+
+def _run_spying_fast_forward(monkeypatch, scenario, config, fast=True):
+    """(result, stepper, steps each fast_forward call took) of one run; with
+    fast false every call takes none, so every step is stepped."""
+    calls, stepper = [], []
+
+    def spied(self, m):
+        stepper[:] = [self]
+        calls.append(_FAST_FORWARD(self, m) if fast else 0)
+        return calls[-1]
+
+    monkeypatch.setattr(TrapezoidalStepper, "fast_forward", spied)
+    result = run_simulation(scenario, config)
+    return result, stepper[0], calls
+
+
+def _assert_fast_forward_invisible(monkeypatch, scenario, config):
+    """Fast-forwarding changes no recorded bit, no counter and no bit of
+    the stepper's f_old and history; returns (steps each fast_forward
+    call took, the stepper)."""
+    fast, stepper, calls = _run_spying_fast_forward(monkeypatch, scenario,
+                                                    config)
+    stepped, reference, _ = _run_spying_fast_forward(monkeypatch, scenario,
+                                                     config, fast=False)
+    assert sum(calls) > 0
+    _assert_same_run(fast, stepped)
+    assert fast.diagnostics == stepped.diagnostics
+    assert stepper._f_old.tobytes() == reference._f_old.tobytes()
+    assert ([z.tobytes() for z in stepper._history]
+            == [z.tobytes() for z in reference._history])
+    assert stepper._last_iters == reference._last_iters
+    return calls, stepper
+
+
+@pytest.mark.parametrize("dec", [1, 7])
+def test_fast_forward_is_bitwise_invisible(monkeypatch, dec):
+    """smib holds its equilibrium for the pre-fault second (period 1),
+    which is fast-forwarded up to the fault step; decimation 7 does not
+    divide that step (1000), so the skipped slots end between samples."""
+    scenario = build_builtin("smib")
+    config = SimConfig.from_scenario(scenario, t_end=2.0,
+                                     record_decimation=dec)
+    calls, _ = _assert_fast_forward_invisible(monkeypatch, scenario, config)
+    assert sum(calls) == 998
+
+
+def test_fast_forward_of_either_parity_keeps_f_old_bits(monkeypatch):
+    """gfl_seriescomp is held from step 25,966 (t = 5.19 s) on, with an
+    f_old that alternates between two bit patterns.  Runs to 6 s and one
+    step further end fast-forwards of both parities, and each leaves f_old
+    with the bits of stepping every held step."""
+    scenario = build_builtin("gfl_seriescomp")
+    parities = set()
+    for t_end in (6.0, 6.0002):
+        config = SimConfig.from_scenario(scenario, t_end=t_end)
+        calls, stepper = _assert_fast_forward_invisible(monkeypatch, scenario,
+                                                        config)
+        taken = [m for m in calls if m]
+        assert len(taken) == 2 and taken[1] > 3000
+        parities.add(taken[1] % 2)
+        held = stepper._held
+        assert held[-1].tobytes() != held[-2].tobytes()
+    assert parities == {0, 1}
+
+
+def test_time_varying_run_never_fast_forwards(monkeypatch):
+    """sustained_oscillation's machines depend on t, so no step reuses its
+    start's residual, none is held and none is skipped."""
+    scenario = build_builtin("sustained_oscillation")
+    config = SimConfig.from_scenario(scenario, t_end=2.0)
+    result, stepper, calls = _run_spying_fast_forward(monkeypatch, scenario,
+                                                      config)
+    assert len(calls) == result.diagnostics["steps"] == 2000
+    assert not any(calls) and stepper._held == []
+
+
+def test_recorder_flushes_in_blocks(monkeypatch):
+    """The pending samples never outgrow Recorder.BLOCK, and blocks of 5
+    record the bits of the default blocks."""
+    scenario = build_builtin("smib")
+    config = SimConfig.from_scenario(scenario, t_end=2.0)
+    sizes = []
+    flush = sim.Recorder.flush
+
+    def spied(self):
+        sizes.append(len(self.pending))
+        flush(self)
+
+    monkeypatch.setattr(sim.Recorder, "flush", spied)
+    default = run_simulation(scenario, config)
+    assert max(sizes) == sim.Recorder.BLOCK
+    sizes.clear()
+    monkeypatch.setattr(sim.Recorder, "BLOCK", 5)
+    small = run_simulation(scenario, config)
+    assert max(sizes) == 5 and sizes.count(5) > 100
+    _assert_same_run(default, small)
