@@ -1,16 +1,16 @@
 """Shared device-layer types and frame helpers.
 
-Every device kernel broadcasts over a leading sample axis: states has shape
-(k,) for one sample or (n, k) for n samples, and v, i are scalars or (n,)
-arrays.  The stepper passes one sample as Python numbers instead: states as
-a list of k floats, v as a complex.  Kernels read state columns through
-``columns``, return derivatives through ``derivatives`` and exponentiate
-with ``cexp``, so the Python-number sample stays in Python floats and
-complexes (several times cheaper than numpy 0-d scalars) while sample arrays
-run as ufuncs.  Python and numpy round complex products and exponentials
-alike but not complex quotients: a quotient that the one-row form (a (k,)
-state array and a numpy voltage) leaves to numpy goes through ``cdiv``,
-which rounds as numpy does, so both forms of one sample agree bitwise.
+Each device model has two kernels, each with one sample form.  The DAE side
+(``*_fg`` and ``zip_injection``) evaluates one sample of the stepper: states
+as a list of Python floats and v as a Python complex; it returns the
+derivatives as a list and the injected current as a complex, so the step
+residual stays in Python numbers, several times cheaper than numpy 0-d
+scalars.  The chi side (``*_admittance_cf``) evaluates the recorded arrays:
+states of shape (n, k) and v, i of shape (n,).  Helpers both sides share
+read states by index (a sample list, or the columns ``states.T``) and
+exponentiate with ``cexp``.  Python rounds complex quotients differently from
+numpy, so the DAE side divides complexes with ``cdiv``, which rounds as numpy
+does and keeps every output bit of the numpy formulation.
 """
 
 from __future__ import annotations
@@ -38,17 +38,6 @@ def any_sample(mask) -> bool:
     return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def columns(states):
-    """State columns: a list sample as it is, else ``states.T``."""
-    return states if isinstance(states, list) else states.T
-
-
-def derivatives(states, parts):
-    """Derivative columns in the form of states: a list for a list sample,
-    else stacked along the last axis."""
-    return list(parts) if isinstance(states, list) else np.array(parts).T
-
-
 def cexp(z):
     """exp(z): cmath for a number, numpy for an array."""
     return np.exp(z) if isinstance(z, np.ndarray) else cmath.exp(z)
@@ -59,10 +48,7 @@ def cdiv(a, b):
 
     numpy divides by Smith's method with a reciprocal, Python without one,
     so their quotients differ in the last bit for about 40% of operands.
-    Arrays are left to numpy.
     """
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return a / b
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     if abs(br) >= abs(bi):
         rat = bi / br

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import cmath
+
 import numpy as np
 
 from ..cf import MIN_MAG
 from ..errors import ParamDomain
-from .base import cdiv, cexp, columns, derivatives
+from .base import cdiv, cexp
 
 GFL_STATE_NAMES = ("x_d", "x_q", "i_dm", "i_qm", "x_pll", "theta_pll")
 GFM_STATE_NAMES = ("e", "delta", "v_m", "p_m")
@@ -84,16 +86,16 @@ def gfl_fg(states, params: GflParams, v):
     """(derivatives of (x_d, x_q, i_dm, i_qm, x_pll, theta_pll) in 1/s,
     injected current in machine base)."""
     p = params
-    x = columns(states)
-    rot = cexp(-1j * x[5])
+    x = states
+    rot = cmath.exp(-1j * x[5])
     v_pll = v * rot
     i_pll = _current_pll(x, p, v_pll)
-    deriv = derivatives(states, (p.K_i * (p.i_dref - x[2]),
-                                 p.K_i * (p.i_qref - x[3]),
-                                 (i_pll.real - x[2]) / p.T_m,
-                                 (i_pll.imag - x[3]) / p.T_m,
-                                 p.K_i_pll * v_pll.imag,
-                                 p.omega_b * _pll_deviation(x, p, v_pll.imag)))
+    deriv = [p.K_i * (p.i_dref - x[2]),
+             p.K_i * (p.i_qref - x[3]),
+             (i_pll.real - x[2]) / p.T_m,
+             (i_pll.imag - x[3]) / p.T_m,
+             p.K_i_pll * v_pll.imag,
+             p.omega_b * _pll_deviation(x, p, v_pll.imag)]
     return deriv, i_pll * rot.conjugate()
 
 
@@ -168,22 +170,18 @@ def _emf_rate(x, params: GfmParams, v_mag):
             - (params.K_p / params.T_v) * (x[2] - v_mag))
 
 
-def gfm_injection(states, params: GfmParams, v):
-    """Injected current (network frame, machine base)."""
-    return cdiv(gfm_emf(columns(states)) - v, params.z_t)
-
-
 def gfm_fg(states, params: GfmParams, v):
-    """(derivatives of (e, delta, v_m, p_m) in 1/s, injected current)."""
+    """(derivatives of (e, delta, v_m, p_m) in 1/s, injected current in the
+    network frame and machine base)."""
     p = params
-    x = columns(states)
-    i = gfm_injection(states, p, v)
+    x = states
+    i = cdiv(gfm_emf(x) - v, p.z_t)
     v_mag = abs(v)
     power = (v * i.conjugate()).real
-    deriv = derivatives(states, (_emf_rate(x, p, v_mag),
-                                 p.omega_b * (gfm_speed(x, p) - 1.0),
-                                 (v_mag - x[2]) / p.T_v,
-                                 (power - x[3]) / p.T_p))
+    deriv = [_emf_rate(x, p, v_mag),
+             p.omega_b * (gfm_speed(x, p) - 1.0),
+             (v_mag - x[2]) / p.T_v,
+             (power - x[3]) / p.T_p]
     return deriv, i
 
 

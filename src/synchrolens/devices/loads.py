@@ -4,11 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..cf import MIN_MAG
 from ..errors import MixedZipUnsupportedAnalytic, ParamDomain, VoltageTooSmall
-from .base import any_sample, cdiv
+from .base import cdiv
 
 _SHARE_TOL = 1e-9
 
@@ -52,8 +50,8 @@ def zip_power(params: ZipParams, v_mag: float):
 def zip_injection(params: ZipParams, v):
     """Current injected into the network (the negative of the drawn current)."""
     v_mag = abs(v)
-    if any_sample(v_mag < MIN_MAG):
-        raise VoltageTooSmall(f"|v|={np.min(v_mag):.3e} below MIN_MAG")
+    if v_mag < MIN_MAG:
+        raise VoltageTooSmall(f"|v|={v_mag:.3e} below MIN_MAG")
     p, q = zip_power(params, v_mag)
     return -cdiv(1j * q + p, v).conjugate()
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..cf import MIN_MAG
 from ..errors import ParamDomain
-from .base import columns, derivatives, from_machine_frame, to_machine_frame
+from .base import from_machine_frame, to_machine_frame
 
 SM_STATE_NAMES = {
     6: ("delta", "omega_r", "psi2_d", "psi2_q", "e1_d", "e1_q"),
@@ -145,7 +145,8 @@ def sm_flux_rates(x, params, i_d, i_q, v_f):
     """Rates of the flux states that follow (delta, omega_r), in state order, 1/s.
 
     () for order 2, (de1_d, de1_q) for order 4 and (dpsi2_d, dpsi2_q, de1_d,
-    de1_q) for order 6; x holds the state columns (``columns(states)``).
+    de1_q) for order 6; x holds the states by index (a sample list, or the
+    columns ``states.T``).
     """
     p = params
     if p.order == 2:
@@ -184,18 +185,19 @@ def _emf_rates(x, params, i_d, i_q, v_f):
 
 
 def sm_fg(states, params, v, tau_m, v_f):
-    """(state derivatives in 1/s, injected current in machine base)."""
+    """(state derivatives in 1/s, injected current in machine base).
+
+    Reads the machine states by index, so states may carry more after them.
+    """
     p = params
-    x = columns(states)
-    delta, omega_r = x[0], x[1]
+    delta, omega_r = states[0], states[1]
     v_m = to_machine_frame(v, delta)
-    i_m = _stator_current(x, p, v_m)
+    i_m = _stator_current(states, p, v_m)
     tau_e = _air_gap_torque(v_m, i_m, p.R_s)
     ddelta = p.omega_b * (omega_r - 1.0)
     domega = (tau_m - tau_e - p.D * (omega_r - 1.0)) / p.M
-    rates = sm_flux_rates(x, p, i_m.real, i_m.imag, v_f)
-    return (derivatives(states, (ddelta, domega, *rates)),
-            from_machine_frame(i_m, delta))
+    rates = sm_flux_rates(states, p, i_m.real, i_m.imag, v_f)
+    return [ddelta, domega, *rates], from_machine_frame(i_m, delta)
 
 
 def sm_admittance_cf(states, params, v, i, rho, omega, v_f=0.0, ratio=1.0):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InitInfeasible, ParamDomain, SlipSingular
-from .base import any_sample, columns, derivatives
+from .base import any_sample
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ def im_power(params: ImParams, sigma: float, v_mag: float):
 
 def im_admittance(params: ImParams, sigma):
     """Complex admittance seen from the terminals at slip sigma."""
-    # z is a Python complex for a sample of either form (1j*x comes first),
-    # so its quotient rounds alike without cdiv
+    # z is a Python complex (1j*x comes first), so its quotient keeps the
+    # bits of numpy's without cdiv
     z = 1j * params.x + _rotor_r(params, sigma)
     return 1.0 / (1j * params.x_mu) + 1.0 / z
 
@@ -72,15 +72,12 @@ def _slip_rate(params: ImParams, sigma, v, tau_m):
     return (tau_m - im_torque(params, sigma, abs(v))) / (2.0 * params.H_m)
 
 
-def im_injection(states, params: ImParams, v):
-    """Current injected into the network (load: the negative drawn current)."""
-    return -im_admittance(params, columns(states)[0]) * v
-
-
 def im_fg(states, params: ImParams, v, tau_m):
-    """(slip derivative in 1/s, injected current in machine base)."""
-    sigma_dot = _slip_rate(params, columns(states)[0], v, tau_m)
-    return derivatives(states, (sigma_dot,)), im_injection(states, params, v)
+    """(slip derivative in 1/s, injected current in machine base; a load
+    injects the negative of the current it draws)."""
+    sigma = states[0]
+    sigma_dot = _slip_rate(params, sigma, v, tau_m)
+    return [sigma_dot], -im_admittance(params, sigma) * v
 
 
 def im_admittance_cf(states, params: ImParams, v, tau_m):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .devices.base import cdiv, derivatives
+from .devices.base import cdiv
 from .errors import (NewtonDivergence, PfDivergence, SingularY, UnknownElement)
 
 
@@ -254,8 +254,8 @@ def dynamic_branch_derivatives(state, branch: Branch, v_from, v_to, omega_b):
     (C/omega_b) dv_c/dt = i - j C v_c        with C = 1/x_c (susceptance pu)
 
     For branches without compensation the capacitor state is carried but
-    pinned at zero.  state is a list of two complex numbers (returns a list)
-    or an array (returns an array), like a device kernel's sample.
+    pinned at zero.  state is [i_branch, v_cap] as two complex numbers, and
+    so is the returned list.
     """
     i_b, v_c = state
     di = cdiv(omega_b * (v_from - v_to - complex(branch.r, branch.x) * i_b - v_c),
@@ -265,7 +265,7 @@ def dynamic_branch_derivatives(state, branch: Branch, v_from, v_to, omega_b):
         dv_c = cdiv(omega_b * (i_b - 1j * c * v_c), c)
     else:
         dv_c = -omega_b * v_c   # unused state decays to zero
-    return derivatives(state, (di, dv_c))
+    return [di, dv_c]
 
 
 def dynamic_branch_init(branch: Branch, v_from, v_to):

@@ -59,7 +59,6 @@ from .devices import (GFL_STATE_NAMES, GFM_STATE_NAMES, DeviceKind, GflParams,
                       im_admittance_cf, im_fg, im_init, im_power, sm2_params,
                       sm4_params, sm6_params, sm_admittance_cf, sm_fg, sm_init,
                       zip_admittance_cf, zip_injection, zip_power)
-from .devices.base import columns
 from .errors import (InitInfeasible, MixedZipUnsupportedAnalytic,
                      NewtonDivergence, SchemaError, SlipSingular,
                      VoltageTooSmall)
@@ -135,10 +134,12 @@ class Adapter:
     """Couples one device spec to the DAE and to the closed-form chi.
 
     Stateful adapters define fg(t, states, v) -> (derivatives, injection),
-    and inj is its injection; fg, inj and chi broadcast over a leading
-    sample axis like the device kernels they forward to, and fg and inj
-    also take the stepper's sample of Python numbers (see devices.base).
-    Currents are on the system base.
+    and inj(t, states, v) is its injection.  Both take one sample in the
+    stepper's form: states as a list of Python floats (None for a device
+    without states) and v as a Python complex; they return a list and a
+    complex (see devices.base).  chi takes the recorded arrays of a whole
+    run, states of shape (n, n_states) and v, i of shape (n,).  Currents
+    are on the system base.
     """
 
     n_states = 0
@@ -163,7 +164,7 @@ class Adapter:
         return np.empty(0)
 
     def inj(self, t, states, v):
-        return self.fg(t, states, v)[1] if self.n_states else 0.0j
+        return self.fg(t, states, v)[1]
 
     def chi(self, states, v, i, rho, omega):
         """Closed-form chi over the samples, or None where the model has none."""
@@ -245,31 +246,25 @@ class SmAdapter(Adapter):
         return self.tau_m0 * (1.0 + self.mod_amp
                               * float(np.sin(2.0 * np.pi * self.mod_hz * t)))
 
-    def v_field(self, states, v):
+    def v_field(self, x_avr, v):
+        """Field voltage given the regulator state x_avr, which a machine
+        without a regulator ignores."""
         if not self.avr:
             return self.v_f0
-        return (self.v_f0 + self.avr_kp * (self.v_ref - abs(v))
-                + columns(states)[-1])
+        return self.v_f0 + self.avr_kp * (self.v_ref - abs(v)) + x_avr
 
     def fg(self, t, states, v):
-        machine = states
+        # sm_fg reads the machine states by index; the regulator's is last
+        deriv, i = sm_fg(states, self.mp, v, self._tau_m(t),
+                         self.v_field(states[-1], v))
         if self.avr:
-            n = self.mp.n_states
-            machine = states[:n] if isinstance(states, list) else states[..., :n]
-        deriv, i = sm_fg(machine, self.mp, v, self._tau_m(t),
-                         self.v_field(states, v))
-        if self.avr:
-            dx_avr = self.avr_ki * (self.v_ref - abs(v))
-            if isinstance(deriv, list):
-                deriv.append(dx_avr)
-            else:
-                deriv = np.concatenate([deriv, np.asarray(dx_avr)[..., None]],
-                                       axis=-1)
+            deriv.append(self.avr_ki * (self.v_ref - abs(v)))
         return deriv, i * self.ratio
 
     def chi(self, states, v, i, rho, omega):
-        return sm_admittance_cf(states[..., :self.mp.n_states], self.mp, v, i,
-                                rho, omega, self.v_field(states, v), self.ratio)
+        return sm_admittance_cf(states[:, :self.mp.n_states], self.mp, v, i,
+                                rho, omega, self.v_field(states[:, -1], v),
+                                self.ratio)
 
 
 class ZipAdapter(Adapter):
@@ -911,6 +906,7 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
                         if other.n_states:
                             st = other.init(v_bus, None)
                             x0[dae.slices[other.id]] = st
+                            st = st.tolist()
                         i_other = other.inj(0.0, st, v_bus)
                         s_dev -= v_bus * np.conj(i_other)
                 x0[dae.slices[a.id]] = a.init(v_bus, s_dev)

@@ -249,10 +249,13 @@ def test_dynamic_branch_energy_decays_when_shorted():
     energies = []
     for _ in range(20000):
         # classic RK4 on the 2-state complex system
-        k1 = dynamic_branch_derivatives(state, br, 0.0, 0.0, OMEGA_B)
-        k2 = dynamic_branch_derivatives(state + 0.5 * dt * k1, br, 0, 0, OMEGA_B)
-        k3 = dynamic_branch_derivatives(state + 0.5 * dt * k2, br, 0, 0, OMEGA_B)
-        k4 = dynamic_branch_derivatives(state + dt * k3, br, 0, 0, OMEGA_B)
+        k1 = np.array(dynamic_branch_derivatives(state, br, 0.0, 0.0, OMEGA_B))
+        k2 = np.array(dynamic_branch_derivatives(state + 0.5 * dt * k1, br, 0, 0,
+                                                 OMEGA_B))
+        k3 = np.array(dynamic_branch_derivatives(state + 0.5 * dt * k2, br, 0, 0,
+                                                 OMEGA_B))
+        k4 = np.array(dynamic_branch_derivatives(state + dt * k3, br, 0, 0,
+                                                 OMEGA_B))
         state = state + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         energies.append(0.5 * br.x * abs(state[0]) ** 2
                         + 0.5 * (1.0 / br.x_c) * abs(state[1]) ** 2)

@@ -90,7 +90,7 @@ def test_finite_difference_derivative_oracle(builtin_run, name, devices):
             if not result.active[dev][k]:
                 continue
             fd = (states[k + 1] - states[k - 1]) / (2.0 * dt)
-            rhs, _ = a.fg(result.t[k], states[k], complex(v_bus[k]))
+            rhs, _ = a.fg(result.t[k], states[k].tolist(), complex(v_bus[k]))
             worst = max(worst, float(np.max(np.abs(fd - rhs))))
         assert worst < 1e-6, (name, dev, worst)
 
@@ -106,7 +106,7 @@ def test_finite_difference_derivative_oracle(builtin_run, name, devices):
             if not (result.active[dev][k - 1:k + 2].all()):
                 continue
             fd = (states[k + 1] - states[k - 1]) / (2.0 * dt)
-            rhs, _ = a.fg(result.t[k], states[k], complex(v_bus[k]))
+            rhs, _ = a.fg(result.t[k], states[k].tolist(), complex(v_bus[k]))
             worst = max(worst, float(np.max(np.abs(fd - rhs))))
         assert worst < 5e-2, (name, dev, worst)
 

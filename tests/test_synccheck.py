@@ -170,7 +170,7 @@ def test_analytic_chi_matches_xi_terms_composition(builtin_run, name):
             st, v_k, i_k = result.states[a.id][k], v[k], i[k] / a.ratio
             if isinstance(a, SmAdapter):
                 terms = sm_xi_terms(st[:a.mp.n_states], a.mp, v_k, i_k,
-                                    v_f=a.v_field(st, v_k))
+                                    v_f=a.v_field(st[-1], v_k))
             else:
                 terms = gfl_xi_terms(st, a.gp, v_k, i_k)
             composed = chi_from_xi_terms(terms.xi_a, terms.k_rho,
