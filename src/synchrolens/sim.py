@@ -567,26 +567,37 @@ class PowerSystemDae:
         self.last = (t, x, y_vec, f, g, injections)
         return f, g
 
-    def solve_algebraic(self, t, x, y_guess, tol=1e-10):
+    def solve_algebraic(self, t, x, y_guess, tol=1e-10, n_free=0):
         """Re-solve g = 0 at fixed x (event instants, initialization).
 
-        The ideal-source currents restart from zero.  The last fg call is at
-        x and the returned y, so last holds that point.  A divergence
-        is raised again naming the time and, when known, the worst
-        equation, its index shifted to the [x; g] order of names.
+        The last n_free entries of x are solved together with y, on the
+        residual [f[-n_free:]; g], and written into x; initialization frees
+        the dynamic-branch states this way.  The ideal-source currents
+        restart from zero.  The last fg call is at x and the returned y, so
+        last holds that point.  A divergence is raised again naming the time
+        and, when known, the worst equation, its index shifted to the
+        [x; g] order of names.
         """
+        m = self.n_x - n_free
         y0 = y_guess.copy()
         y0[2 * self.n_bus:] = 0.0
+
+        def residual(z):
+            x[m:] = z[:n_free]
+            f, g = self.fg(t, x, z[n_free:])
+            return np.concatenate([f[m:], g])
+
         try:
-            return interface_solve(lambda y: self.fg(t, x, y)[1], y0, tol=tol)
+            interface_solve(residual, np.concatenate([x[m:], y0]), tol=tol)
         except NewtonDivergence as exc:
             worst = exc.worst_equation
             where = f"{exc} (at t={t:.6f}s)"
             if worst is not None:
-                worst += self.n_x
+                worst += m
                 where += f", worst equation {self.names[worst]}"
             raise NewtonDivergence(where, residual=exc.residual,
                                    worst_equation=worst) from exc
+        return self.last[2]
 
 
 # --- trapezoidal stepper ----------------------------------------------------
@@ -919,7 +930,10 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
 
     # re-deriving device states from the refined algebraic solution converges
     # the combined residual in a couple of passes (the power flow uses static
-    # equivalents, so the first algebraic solve can shift voltages slightly)
+    # equivalents, so the first algebraic solve can shift voltages slightly);
+    # the dynamic-branch states are algebraic at t = 0, so each pass solves
+    # them together with y (PSAT's order: power flow, device states, then
+    # the remaining consistency)
     v_vec = v_pf.copy()
     y0 = np.empty(dae.n_y)
     resid = np.inf
@@ -928,7 +942,8 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
         y0[:dae.n_bus] = v_vec.real
         y0[dae.n_bus:2 * dae.n_bus] = v_vec.imag
         y0[2 * dae.n_bus:] = 0.0
-        y0 = dae.solve_algebraic(0.0, x0, y0, tol=config.newton_tol)
+        y0 = dae.solve_algebraic(0.0, x0, y0, tol=config.newton_tol,
+                                 n_free=4 * len(dae.dyn_branches))
         f0, g0 = dae.last[3:5]
         resid = max(float(np.max(np.abs(f0))) if dae.n_x else 0.0,
                     float(np.max(np.abs(g0))))

@@ -1,5 +1,7 @@
 """Integrator properties: fixed points, exact amplification, convergence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from synchrolens.errors import InitInfeasible, NewtonDivergence, SchemaError
 from synchrolens.scenarios import build_builtin, with_clearing_time
 from synchrolens.sim import (SimConfig, TrapezoidalStepper, initialize,
                              run_simulation)
+from synchrolens.synccheck import evaluate_device, numeric_chi
 
 
 class ScalarDecay:
@@ -191,6 +194,33 @@ def test_initialize_smib_residual_and_speed():
     assert x0[dae.slices["G1"].start + 1] == pytest.approx(1.0)
 
 
+def _smib_with_t1(dynamic, r):
+    """smib with its machine transformer T1 given resistance r, and made a
+    dynamic branch when dynamic."""
+    scenario = build_builtin("smib")
+    branches = tuple(replace(br, dynamic=dynamic, r=r) if br.id == "T1"
+                     else br for br in scenario.branches)
+    return replace(scenario, branches=branches).validate()
+
+
+def test_dynamic_branch_at_machine_bus_initializes():
+    """At t = 0 the dynamic-branch states are solved together with y, so
+    smib with a dynamic T1 at the machine bus starts at an equilibrium
+    (re-deriving them from the last pass's voltages diverged).  With a
+    little resistance on T1, G1 and IB get the verdicts of a static T1."""
+    dae, x0, y0 = initialize(_smib_with_t1(True, 0.0))
+    f0, g0 = dae.fg(0.0, x0, y0)
+    assert max(np.max(np.abs(f0)), np.max(np.abs(g0))) <= 1e-8
+    verdicts = {}
+    for dynamic in (False, True):
+        result = run_simulation(_smib_with_t1(dynamic, 0.005))
+        verdicts[dynamic] = [
+            (verdict.bls.passed, verdict.als.passed)
+            for verdict in (evaluate_device(result, dev, numeric_chi(result, dev))
+                            for dev in ("G1", "IB"))]
+    assert verdicts[True] == verdicts[False] == [(True, True), (True, True)]
+
+
 def test_ideal_source_emf_is_the_power_flow_voltage():
     """gfl_seriescomp needs several initialization passes; the infinite
     bus keeps the slack voltage of its file exactly, not the noise of the
@@ -230,7 +260,6 @@ def test_initialize_kundur_tie_flow_matches_power_flow():
 
 def test_motor_above_pullout_raises():
     scenario = build_builtin("motor_condenser")
-    from dataclasses import replace
     devices = tuple(replace(d, params={**d.params, "tau_m": 2.2})
                     if d.id == "M1" else d for d in scenario.devices)
     with pytest.raises(InitInfeasible):
