@@ -152,6 +152,8 @@ class GfmParams:
             raise ParamDomain("voltage-measurement time constant must be positive")
         if self.T_p is None:
             object.__setattr__(self, "T_p", self.T_v)
+        if not self.T_p > 0.0:
+            raise ParamDomain("power-measurement time constant must be positive")
 
 
 def gfm_emf(x):

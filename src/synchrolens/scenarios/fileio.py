@@ -1,7 +1,7 @@
 """Scenario file format: flat INI-style sections, strictly parsed.
 
-Sections: [system], [bus.<id>], [branch.<id>], [device.<id>], [event.<n>],
-[sim] and optional [expect.<device>].  Keys are lower_snake_case; quantities
+Sections: [system], [bus.<id>], [branch.<id>], [device.<id>], [event.<n>]
+and [sim].  Keys are lower_snake_case; quantities
 are per-unit on the declared bases.  Unknown sections or keys are errors.
 The grammar is documented in the README.
 """
@@ -25,7 +25,6 @@ _BRANCH_KEYS = {"from", "to", "r", "x", "b", "tap", "dynamic", "x_c"}
 _EVENT_KEYS = {"t", "kind", "bus", "branch", "device", "y_fault_g",
                "y_fault_b", "open_branch"}
 _SIM_KEYS = {"dt", "t_end", "record_decimation"}
-_EXPECT_KEYS = {"als", "bls"}
 
 _DEVICE_KEYS = {
     DeviceKind.SM2: {"x1_d", "m", "d", "p", "v", "theta", "tau_mod_amp",
@@ -123,7 +122,6 @@ def load_scenario(text: str) -> Scenario:
     system = {}
     sim = {}
     buses, branches, devices, events = [], [], [], []
-    expectations = {}
     for kind, label, data in sections:
         if kind == "system":
             _check_keys(kind, label, data, _SYSTEM_KEYS)
@@ -187,9 +185,6 @@ def load_scenario(text: str) -> Scenario:
         elif kind == "sim":
             _check_keys(kind, label, data, _SIM_KEYS)
             sim = data
-        elif kind == "expect":
-            _check_keys(kind, label, data, _EXPECT_KEYS)
-            expectations[label] = {k: v[0] for k, v in data.items()}
         else:
             raise SchemaError(f"unknown section [{kind}]")
     if "name" not in system:
@@ -211,7 +206,6 @@ def load_scenario(text: str) -> Scenario:
         analytic=system["analytic"][0] if "analytic" in system else None,
         monitored=tuple(v for v in system["monitored"][0].split(",") if v)
         if "monitored" in system else (),
-        expectations=expectations,
     )
     return scenario.validate()
 
@@ -265,8 +259,4 @@ def serialize_scenario(scenario: Scenario) -> str:
     out += ["", "[sim]", f"dt = {_fmt(scenario.dt)}",
             f"t_end = {_fmt(scenario.t_end)}",
             f"record_decimation = {scenario.record_decimation}"]
-    for dev_id in sorted(scenario.expectations):
-        out += ["", f"[expect.{dev_id}]"]
-        for key in sorted(scenario.expectations[dev_id]):
-            out.append(f"{key} = {scenario.expectations[dev_id][key]}")
     return "\n".join(out) + "\n"

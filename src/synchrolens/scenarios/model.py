@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..devices import DeviceKind
 from ..errors import SchemaError
@@ -82,6 +82,22 @@ def _check_branch_model(br):
                           element=br.id)
 
 
+def _check_torque_modulation(d):
+    """SchemaError unless a machine's torque modulation, if any, is whole:
+    tau_mod_amp and tau_mod_hz together, a finite nonzero amplitude and a
+    finite positive frequency (either alone, or a zero one, would leave the
+    torque unmodulated)."""
+    amp, hz = d.params.get("tau_mod_amp"), d.params.get("tau_mod_hz")
+    if amp is None and hz is None:
+        return
+    if (amp is None or hz is None or not math.isfinite(amp) or amp == 0.0
+            or not (math.isfinite(hz) and hz > 0.0)):
+        raise SchemaError(
+            "a torque modulation needs both tau_mod_amp != 0 and "
+            f"tau_mod_hz > 0, got tau_mod_amp = {amp!r}, tau_mod_hz = {hz!r}",
+            element=d.id)
+
+
 @dataclass(frozen=True)
 class DeviceSpec:
     """One device instance: kind, terminal bus and raw numeric parameters.
@@ -112,7 +128,6 @@ class Scenario:
     record_decimation: int = 1
     analytic: str | None = None
     monitored: tuple[str, ...] = ()
-    expectations: dict = field(default_factory=dict)
 
     def build_network(self) -> Network:
         """Fresh Network with fault branches pre-split at their midpoints."""
@@ -154,6 +169,7 @@ class Scenario:
                                   element=d.id)
             if d.base_mva is not None:
                 check_positive("base_mva", d.base_mva, element=d.id)
+            _check_torque_modulation(d)
             if (d.kind is DeviceKind.DC_CURRENT_SOURCE
                     and self.analytic is None):
                 raise SchemaError(

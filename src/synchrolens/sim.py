@@ -60,7 +60,7 @@ from .devices import (GFL_STATE_NAMES, GFM_STATE_NAMES, DeviceKind, GflParams,
                       sm4_params, sm6_params, sm_admittance_cf, sm_fg, sm_init,
                       zip_admittance_cf, zip_injection, zip_power)
 from .errors import (InitInfeasible, MixedZipUnsupportedAnalytic,
-                     NewtonDivergence, SchemaError, SlipSingular,
+                     NewtonDivergence, ParamDomain, SchemaError, SlipSingular,
                      VoltageTooSmall)
 from .network import (EventKind, Network, PfBusSpec, apply_event, assemble_y,
                       connected_bus_mask, dynamic_branch_derivatives,
@@ -432,8 +432,15 @@ _ADAPTERS = {
 
 def build_adapters(scenario: Scenario):
     omega_b = 2.0 * np.pi * scenario.f_nom
-    return [_ADAPTERS[spec.kind](spec, scenario.base_mva, omega_b)
-            for spec in scenario.devices]
+    adapters = []
+    for spec in scenario.devices:
+        try:
+            adapters.append(_ADAPTERS[spec.kind](spec, scenario.base_mva,
+                                                 omega_b))
+        except (ParamDomain, SchemaError) as exc:
+            # the same error again, naming the device
+            raise type(exc)(f"{spec.id}: {exc}") from exc
+    return adapters
 
 
 # --- assembled DAE ----------------------------------------------------------

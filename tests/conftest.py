@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from helpers import gfm_probe_scenario
 from synchrolens.devices import DeviceKind
 from synchrolens.network import Branch, Bus, Event, EventKind
 from synchrolens.scenarios import DeviceSpec, Scenario, build_builtin, with_clearing_time
@@ -84,29 +85,4 @@ def zip_probe_run():
 
 @pytest.fixture(scope="session")
 def gfm_probe_run():
-    """Grid-forming converter against a grid, load step on its bus.
-
-    A lone grid-forming island sees a constant admittance (chi identically
-    zero), so the probe pairs it with a stiff source to make the droop and
-    voltage-loop transients visible in chi.
-    """
-    scenario = Scenario(
-        name="gfm_probe",
-        buses=(Bus("B0"), Bus("B1"), Bus("B2")),
-        branches=(Branch("LG", "B0", "B1", 0.01, 0.4),
-                  Branch("L1", "B1", "B2", 0.01, 0.3)),
-        devices=(
-            DeviceSpec("IB", DeviceKind.VOLTAGE_SOURCE, "B0",
-                       {"v": 1.0, "theta": 0.0}),
-            DeviceSpec("F1", DeviceKind.GFM_IBR, "B1",
-                       {"k_p": 1.0, "k_i": 8.0, "t_v": 0.02, "m_p": 0.04,
-                        "p_ref": 0.5, "v_ref": 1.0, "z_t_r": 0.01,
-                        "z_t_x": 0.2}),
-            DeviceSpec("Z1", DeviceKind.ZIP, "B2", {"p0": 0.3, "q0": 0.05}),
-            DeviceSpec("Z2", DeviceKind.ZIP, "B2", {"p0": 0.2, "q0": 0.05}),
-        ),
-        events=(Event(1.0, EventKind.DISCONNECT_DEVICE, device="Z2"),),
-        slack_device="IB",
-        t_end=8.0,
-    ).validate()
-    return _cached_run(("gfm_probe",), scenario)
+    return _cached_run(("gfm_probe",), gfm_probe_scenario())

@@ -15,12 +15,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from synchrolens.cf import MIN_MAG
-from synchrolens.devices.base import to_machine_frame
+from synchrolens.devices.base import DeviceKind, to_machine_frame
 from synchrolens.devices.inverter import (_emf_rate, _modulation_rates,
                                           _pll_deviation, gfl_modulation,
                                           gfm_emf, gfm_speed)
 from synchrolens.devices.machine import _emf_rates
 from synchrolens.errors import SynchroLensError
+from synchrolens.network import Branch, Bus, Event, EventKind
+from synchrolens.scenarios import DeviceSpec, Scenario
 from synchrolens.scenarios.circuit import circuit_elements
 
 
@@ -144,11 +146,39 @@ def rotate_result(result, delta_omega: float):
 
 
 def without_disturbances(scenario):
-    """The scenario with its events removed and torque modulations zeroed
+    """The scenario with its events and torque modulations removed
     (equilibrium-hold runs)."""
     devices = tuple(
-        replace(d, params={**d.params, "tau_mod_amp": 0.0})
-        if "tau_mod_amp" in d.params else d
+        replace(d, params={k: v for k, v in d.params.items()
+                           if k not in ("tau_mod_amp", "tau_mod_hz")})
         for d in scenario.devices
     )
     return replace(scenario, events=(), devices=devices)
+
+
+def gfm_probe_scenario():
+    """Grid-forming converter against a grid, load step on its bus.
+
+    A lone grid-forming island sees a constant admittance (chi identically
+    zero), so the probe pairs it with a stiff source to make the droop and
+    voltage-loop transients visible in chi.
+    """
+    return Scenario(
+        name="gfm_probe",
+        buses=(Bus("B0"), Bus("B1"), Bus("B2")),
+        branches=(Branch("LG", "B0", "B1", 0.01, 0.4),
+                  Branch("L1", "B1", "B2", 0.01, 0.3)),
+        devices=(
+            DeviceSpec("IB", DeviceKind.VOLTAGE_SOURCE, "B0",
+                       {"v": 1.0, "theta": 0.0}),
+            DeviceSpec("F1", DeviceKind.GFM_IBR, "B1",
+                       {"k_p": 1.0, "k_i": 8.0, "t_v": 0.02, "m_p": 0.04,
+                        "p_ref": 0.5, "v_ref": 1.0, "z_t_r": 0.01,
+                        "z_t_x": 0.2}),
+            DeviceSpec("Z1", DeviceKind.ZIP, "B2", {"p0": 0.3, "q0": 0.05}),
+            DeviceSpec("Z2", DeviceKind.ZIP, "B2", {"p0": 0.2, "q0": 0.05}),
+        ),
+        events=(Event(1.0, EventKind.DISCONNECT_DEVICE, device="Z2"),),
+        slack_device="IB",
+        t_end=8.0,
+    ).validate()

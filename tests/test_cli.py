@@ -12,6 +12,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from helpers import gfm_probe_scenario
 from synchrolens import sim
 from synchrolens.cli import main
 from synchrolens.errors import NewtonDivergence
@@ -68,10 +69,16 @@ def test_sweep_without_fault_pair_exit_2(tmp_path, capsys):
                    "--step", "0.01") == 2
 
 
+def _scenario(name):
+    """The built-in `name`, or the grid-forming probe (no built-in has a
+    grid-forming converter)."""
+    return gfm_probe_scenario() if name == "gfm_probe" else build_builtin(name)
+
+
 def _scenario_file(tmp_path, name, edits):
-    """The built-in `name` as a scenario file in which every line equal to
+    """The scenario `name` as a scenario file in which every line equal to
     a key of edits reads the matching value instead."""
-    lines = serialize_scenario(build_builtin(name)).splitlines()
+    lines = serialize_scenario(_scenario(name)).splitlines()
     assert set(edits) <= set(lines)
     path = tmp_path / "in" / f"{name}.ini"
     path.parent.mkdir()
@@ -81,6 +88,11 @@ def _scenario_file(tmp_path, name, edits):
 
 def _smib_edit(old, new):
     return ("file", "smib", {old: new})
+
+
+def _device_edit(name, edits, device):
+    """A file case whose error message must name device."""
+    return ("file", name, edits, device)
 
 
 _SWEEP = ("sweep", "--builtin", "smib")
@@ -156,16 +168,43 @@ _RUN = ("run", "--builtin", "smib")
                  id="t-end-off-dt-grid"),
     pytest.param(_RUN + ("--dt", "0.01", "--t-end", "0.01"),
                  id="too-few-samples"),
+    pytest.param(_device_edit("sustained_oscillation",
+                              {"tau_mod_hz = 2.0": ""}, "G1"),
+                 id="torque-mod-amp-without-hz"),
+    pytest.param(_device_edit("sustained_oscillation",
+                              {"tau_mod_amp = 0.05": ""}, "G1"),
+                 id="torque-mod-hz-without-amp"),
+    pytest.param(_device_edit("sustained_oscillation",
+                              {"tau_mod_amp = 0.05": "tau_mod_amp = 0.0"}, "G1"),
+                 id="torque-mod-amp-zero"),
+    pytest.param(_device_edit("sustained_oscillation",
+                              {"tau_mod_hz = 2.0": "tau_mod_hz = 0.0"}, "G1"),
+                 id="torque-mod-hz-zero"),
+    pytest.param(_device_edit("sustained_oscillation",
+                              {"tau_mod_hz = 2.0": "tau_mod_hz = -2.0"}, "G1"),
+                 id="torque-mod-hz-negative"),
+    pytest.param(_device_edit("gfm_probe",
+                              {"t_v = 0.02": "t_v = 0.02\nt_p = 0.0"}, "F1"),
+                 id="gfm-power-lag-zero"),
+    pytest.param(_device_edit("gfm_probe",
+                              {"t_v = 0.02": "t_v = 0.02\nt_p = -0.02"}, "F1"),
+                 id="gfm-power-lag-negative"),
+    pytest.param(_smib_edit("[sim]", "[expect.NOSUCH]\nals = banana\n\n[sim]"),
+                 id="expect-section"),
 ])
 def test_invalid_input_exit_2(tmp_path, capsys, argv):
     """Bad settings are rejected with exit 2 and a message, before any
-    simulation and without a traceback or partial output."""
+    simulation and without a traceback or partial output; a device case's
+    message names the device."""
+    prefix = "error: "
     if argv[0] == "file":
-        argv = ("run", "--file", _scenario_file(tmp_path, *argv[1:]))
+        if len(argv) > 3:
+            prefix += f"{argv[3]}: "
+        argv = ("run", "--file", _scenario_file(tmp_path, *argv[1:3]))
     out = tmp_path / "out"
     assert run_cli(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert "Traceback" not in err and err.startswith("error: ")
+    assert "Traceback" not in err and err.startswith(prefix)
     assert not out.exists() or not list(out.iterdir())
 
 
@@ -701,7 +740,7 @@ def _numeric_lines(name):
     holding a number other than dt and t_end).  A random dt or t_end would
     only change the step count, and a tiny dt would run for hours."""
     lines = ["t_end = 1.2" if line.startswith("t_end = ") else line
-             for line in serialize_scenario(build_builtin(name)).splitlines()]
+             for line in serialize_scenario(_scenario(name)).splitlines()]
     numeric = []
     for k, line in enumerate(lines):
         key, sep, value = line.partition(" = ")
@@ -734,7 +773,8 @@ _FLAGS = {"[branch.": "dynamic", "[event.": "open_branch"}
 
 
 @settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(["smib", "motor_condenser"]), data=st.data(),
+@given(name=st.sampled_from(["smib", "motor_condenser", "gfm_probe"]),
+       data=st.data(),
        value=_MUTANT, boolean=st.booleans())
 def test_mutated_file_property(name, data, value, boolean):
     """A scenario file with one number replaced, or one boolean flipped,

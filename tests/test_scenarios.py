@@ -222,15 +222,6 @@ def test_initialize_residual_all_builtins():
         assert resid <= 1e-8, (name, resid)
 
 
-def test_expectations_section_round_trip():
-    from dataclasses import replace
-    sc = replace(build_builtin("smib"),
-                 expectations={"G1": {"als": "pass", "bls": "pass"}})
-    text = serialize_scenario(sc)
-    assert "[expect.G1]" in text
-    assert load_scenario(text) == sc
-
-
 def test_record_decimation_thins_uniformly():
     from dataclasses import replace
     sc = replace(build_builtin("smib"), record_decimation=5, t_end=2.0)
