@@ -185,10 +185,8 @@ def _emf_rates(x, params, i_d, i_q, v_f):
 
 
 def sm_fg(states, params, v, tau_m, v_f):
-    """(state derivatives in 1/s, injected current in machine base).
-
-    Reads the machine states by index, so states may carry more after them.
-    """
+    """(state derivatives in 1/s, injected current in machine base); the
+    machine states are read by index, so more states may follow them."""
     p = params
     delta, omega_r = states[0], states[1]
     v_m = to_machine_frame(v, delta)

@@ -83,19 +83,14 @@ def _check_branch_model(br):
 
 
 def _check_torque_modulation(d):
-    """SchemaError unless a machine's torque modulation, if any, is whole:
-    tau_mod_amp and tau_mod_hz together, a finite nonzero amplitude and a
-    finite positive frequency (either alone, or a zero one, would leave the
-    torque unmodulated)."""
+    """SchemaError unless a torque modulation, if any, has a finite nonzero
+    tau_mod_amp and a finite positive tau_mod_hz (one alone does nothing)."""
     amp, hz = d.params.get("tau_mod_amp"), d.params.get("tau_mod_hz")
-    if amp is None and hz is None:
-        return
-    if (amp is None or hz is None or not math.isfinite(amp) or amp == 0.0
-            or not (math.isfinite(hz) and hz > 0.0)):
-        raise SchemaError(
-            "a torque modulation needs both tau_mod_amp != 0 and "
-            f"tau_mod_hz > 0, got tau_mod_amp = {amp!r}, tau_mod_hz = {hz!r}",
-            element=d.id)
+    if (amp is not None or hz is not None) and not (
+            amp and hz and math.isfinite(amp) and math.isfinite(hz) and hz > 0.0):
+        raise SchemaError("a torque modulation needs tau_mod_amp != 0 and "
+                          f"tau_mod_hz > 0, got tau_mod_amp = {amp!r}, "
+                          f"tau_mod_hz = {hz!r}", element=d.id)
 
 
 @dataclass(frozen=True)

@@ -254,7 +254,8 @@ class SmAdapter(Adapter):
         return self.v_f0 + self.avr_kp * (self.v_ref - abs(v)) + x_avr
 
     def fg(self, t, states, v):
-        # sm_fg reads the machine states by index; the regulator's is last
+        # the machine kernels read the machine states by index, so the
+        # regulator's, last, can follow them
         deriv, i = sm_fg(states, self.mp, v, self._tau_m(t),
                          self.v_field(states[-1], v))
         if self.avr:
@@ -262,9 +263,8 @@ class SmAdapter(Adapter):
         return deriv, i * self.ratio
 
     def chi(self, states, v, i, rho, omega):
-        return sm_admittance_cf(states[:, :self.mp.n_states], self.mp, v, i,
-                                rho, omega, self.v_field(states[:, -1], v),
-                                self.ratio)
+        return sm_admittance_cf(states, self.mp, v, i, rho, omega,
+                                self.v_field(states[:, -1], v), self.ratio)
 
 
 class ZipAdapter(Adapter):
@@ -438,7 +438,6 @@ def build_adapters(scenario: Scenario):
             adapters.append(_ADAPTERS[spec.kind](spec, scenario.base_mva,
                                                  omega_b))
         except (ParamDomain, SchemaError) as exc:
-            # the same error again, naming the device
             raise type(exc)(f"{spec.id}: {exc}") from exc
     return adapters
 
@@ -577,13 +576,12 @@ class PowerSystemDae:
     def solve_algebraic(self, t, x, y_guess, tol=1e-10, n_free=0):
         """Re-solve g = 0 at fixed x (event instants, initialization).
 
-        The last n_free entries of x are solved together with y, on the
-        residual [f[-n_free:]; g], and written into x; initialization frees
-        the dynamic-branch states this way.  The ideal-source currents
-        restart from zero.  The last fg call is at x and the returned y, so
-        last holds that point.  A divergence is raised again naming the time
-        and, when known, the worst equation, its index shifted to the
-        [x; g] order of names.
+        The last n_free entries of x (the dynamic-branch states at t = 0)
+        are solved with y, on their f and g, and written into x.  The
+        ideal-source currents restart from zero.  The last fg call is at x
+        and the returned y, so last holds that point.  A divergence is
+        raised again naming the time and, when known, the worst equation,
+        its index shifted to the [x; g] order of names.
         """
         m = self.n_x - n_free
         y0 = y_guess.copy()
@@ -938,9 +936,7 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
     # re-deriving device states from the refined algebraic solution converges
     # the combined residual in a couple of passes (the power flow uses static
     # equivalents, so the first algebraic solve can shift voltages slightly);
-    # the dynamic-branch states are algebraic at t = 0, so each pass solves
-    # them together with y (PSAT's order: power flow, device states, then
-    # the remaining consistency)
+    # each pass solves the dynamic-branch states, algebraic at t = 0, with y
     v_vec = v_pf.copy()
     y0 = np.empty(dae.n_y)
     resid = np.inf
