@@ -11,9 +11,8 @@ enter per-unit CF expressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import cmath
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,9 +1,9 @@
 """Scenario file format: flat INI-style sections, strictly parsed.
 
 Sections: [system], [bus.<id>], [branch.<id>], [device.<id>], [event.<n>]
-and [sim].  Keys are lower_snake_case; quantities
-are per-unit on the declared bases.  Unknown sections or keys are errors.
-The grammar is documented in the README.
+and [sim].  Keys are lower_snake_case; quantities are per-unit on the
+declared bases.  Unknown sections or keys are errors.  The grammar is
+documented in the README.
 """
 
 from __future__ import annotations

@@ -584,8 +584,8 @@ class PowerSystemDae:
         its index shifted to the [x; g] order of names.
         """
         m = self.n_x - n_free
-        y0 = y_guess.copy()
-        y0[2 * self.n_bus:] = 0.0
+        z0 = np.concatenate([x[m:], y_guess])
+        z0[n_free + 2 * self.n_bus:] = 0.0
 
         def residual(z):
             x[m:] = z[:n_free]
@@ -593,7 +593,7 @@ class PowerSystemDae:
             return np.concatenate([f[m:], g])
 
         try:
-            interface_solve(residual, np.concatenate([x[m:], y0]), tol=tol)
+            interface_solve(residual, z0, tol=tol)
         except NewtonDivergence as exc:
             worst = exc.worst_equation
             where = f"{exc} (at t={t:.6f}s)"
