@@ -11,10 +11,10 @@ from synchrolens.devices import (GflParams, GfmParams, ImParams, ZipParams,
                                  gfl_admittance_cf, gfl_fg, gfl_init,
                                  gfm_admittance_cf, gfm_fg, gfm_init,
                                  im_admittance, im_admittance_cf, im_fg,
-                                 im_init, im_pullout, im_torque, sm2_params, sm4_params, sm6_params,
-                                 sm_admittance_cf, sm_fg, sm_init,
-                                 to_machine_frame, zip_admittance_cf,
-                                 zip_injection, zip_power)
+                                 im_init, im_pullout, im_torque, sm2_params,
+                                 sm4_params, sm6_params, sm_admittance_cf,
+                                 sm_fg, sm_init, to_machine_frame,
+                                 zip_admittance_cf, zip_injection, zip_power)
 from synchrolens.errors import (InitInfeasible, MixedZipUnsupportedAnalytic,
                                 ParamDomain, SlipSingular, VoltageTooSmall)
 from synchrolens.devices.base import DeviceKind, cdiv
@@ -474,8 +474,8 @@ def test_kernels_broadcast_over_samples(case):
     chi_all = chi(states, v, i_net, rho, om)
     assert chi_all.shape == v.shape
     for k in range(len(v)):
-        i_k = i_net[k]
-        assert abs(chi_all[k] - chi(states[k], v[k], i_k, rho[k], om[k])) < 1e-12
+        assert abs(chi_all[k] - chi(states[k], v[k], i_net[k], rho[k],
+                                    om[k])) < 1e-12
 
 
 # --- Python-number samples ---------------------------------------------------
