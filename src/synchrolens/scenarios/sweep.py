@@ -99,14 +99,18 @@ def cct_sweep(scenario: Scenario, t_from: float, t_to: float, step: float,
             raise SchemaError("no monitored device to sweep on")
         device_id = scenario.monitored[0]
     with_clearing_time(scenario, max(t_to, t_from))   # fault-pair validation
-    # every clearing time must lie on the dt grid, checked before any point
-    # runs; on-grid times are reported as the grid instant
+    # the first clearing time and the step must lie on the dt grid, checked
+    # before any point runs; the times are whole steps apart, so none
+    # repeats, and are reported as the grid instant
+    k_step = grid_steps("sweep --step", step, scenario.dt)
+    if k_step < 1:
+        raise SchemaError(f"sweep --step {step} is less than one step "
+                          f"(dt={scenario.dt})")
     times = []
-    t = t_from
-    while t <= t_to + 1e-9:
-        k = grid_steps("clearing time", t, scenario.dt)
+    k = grid_steps("clearing time", t_from, scenario.dt)
+    while k * scenario.dt <= t_to + 1e-9:
         times.append(round(k * scenario.dt, 12))
-        t += step
+        k += k_step
     jobs = [(scenario, tc, device_id, tail_tol) for tc in times]
     # the pool starts all its processes at once: no more than there are points
     workers = min(workers, len(jobs))

@@ -161,6 +161,10 @@ _RUN = ("run", "--builtin", "smib")
                            "0.01"), id="sweep-from-off-grid"),
     pytest.param(_SWEEP + ("--from", "1.10", "--to", "1.12", "--step",
                            "0.0105"), id="sweep-step-off-grid"),
+    pytest.param(_SWEEP + ("--from", "1.12", "--to", "1.12", "--step",
+                           "0.0105"), id="sweep-step-off-grid-one-point"),
+    pytest.param(_SWEEP + ("--from", "1.12", "--to", "1.12", "--step",
+                           "4e-10"), id="sweep-step-below-one-dt"),
     pytest.param(_SWEEP + ("--from", "1.10", "--to", "1.11", "--step", "0.01",
                            "--workers", "0"), id="sweep-workers-zero"),
     pytest.param(_RUN + ("--dt", "7e-4"), id="events-off-dt-grid"),
@@ -819,9 +823,10 @@ def _mostly(good, bad):
        workers=st.sampled_from([1, 2]))
 def test_sweep_flags_property(t_from, step, extra, tail_tol, workers):
     """Any sweep flags either run or are rejected with a documented exit
-    code, without a traceback or partial output.  --to is --from plus 0 to 2
-    steps (at most 3 clearing times) or a special value; the smib file runs
-    to t_end = 1.2 s, so each point is short."""
+    code, without a traceback or partial output, and the clearing times of
+    a written CSV strictly increase.  --to is --from plus 0 to 2 steps (at
+    most 3 clearing times) or a special value; the smib file runs to
+    t_end = 1.2 s, so each point is short."""
     if isinstance(extra, int) and math.isfinite(t_from + extra * step):
         t_to = t_from + extra * step
     else:
@@ -838,3 +843,7 @@ def test_sweep_flags_property(t_from, step, extra, tail_tol, workers):
         out = os.path.join(tmp, "out")
         if _assert_clean_exit(("sweep", "--file", path, *flags), out) == 0:
             assert os.listdir(out) == ["smib_sweep.csv"]
+            with open(os.path.join(out, "smib_sweep.csv")) as handle:
+                t_cl = [float(line.split(",")[0])
+                        for line in handle.read().splitlines()[1:]]
+            assert t_cl and all(a < b for a, b in zip(t_cl, t_cl[1:]))
