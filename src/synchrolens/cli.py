@@ -12,6 +12,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from .errors import (SOLVER_ERRORS, USAGE_ERRORS, AxisMismatch, SchemaError,
                      WindowTooShort)
 from .scenarios import (build_builtin, builtin_description, builtin_names,
@@ -71,13 +73,28 @@ def _out_dir(args):
     return out
 
 
+def _cells(col):
+    """Cell strings of one block of a column: the repr of each value.  A float
+    block where at most half the cells differ in bits from the one above
+    (a held equilibrium, a constant closed form) calls repr once per run."""
+    if col.dtype.kind == "f":
+        bits = col.view(np.int64)
+        new_run = np.empty(len(col), dtype=bool)
+        new_run[0] = True
+        np.not_equal(bits[1:], bits[:-1], out=new_run[1:])
+        starts = np.flatnonzero(new_run)
+        if 2 * (len(starts) - 1) <= len(col):
+            runs = np.array(list(map(repr, col[starts].tolist())), dtype=object)
+            return runs[np.cumsum(new_run) - 1].tolist()
+    return map(repr, col.tolist())
+
+
 def _csv(header, columns):
     """CSV text of equal-length columns, one row per sample, each cell the
     repr of a Python number (an int column prints 1/0)."""
     lines = [",".join(header)]
     for start in range(0, len(columns[0]), _CSV_BLOCK):
-        cells = [map(repr, col[start:start + _CSV_BLOCK].tolist())
-                 for col in columns]
+        cells = [_cells(col[start:start + _CSV_BLOCK]) for col in columns]
         lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 

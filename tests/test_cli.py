@@ -310,6 +310,84 @@ def test_csv_rows_match_cell_by_cell_reference(builtin_run):
         assert chi[k + 1] == ",".join(cells), k
 
 
+
+def _assert_rows(text, columns):
+    """The rows of CSV text (header skipped) equal a writer that formats
+    each cell of the columns as repr of its Python number."""
+    rows = text.splitlines()[1:]
+    reference = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
+    assert len(rows) == len(columns[0])
+    for k, (row, want) in enumerate(zip(rows, reference)):
+        assert row == want, k
+
+
+def test_csv_edge_values_match_repr():
+    """_csv on synthetic columns spanning three blocks and a partial one:
+    signed zeros alternating and in a -0.0 run that crosses a block
+    boundary into 0.0 (a cache keyed by value would merge them, as
+    -0.0 == 0.0), NaNs with two payloads and a sign bit (all print nan),
+    infinities, the smallest subnormal, a constant column, runs that end
+    at rows 255, 256 and 257, columns read through a complex array's
+    strided .real/.imag views, and an int mask column."""
+    from synchrolens import cli
+    block = cli._CSV_BLOCK
+    n = 3 * block + 5
+    rows = np.arange(n)
+    rng = np.random.default_rng(3)
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001,
+                     0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+    signed_run = np.full(n, 1.5)
+    signed_run[block - 3:block + 3] = -0.0
+    signed_run[block + 3:2 * block] = 0.0
+    mixed = np.resize([np.inf, np.inf, -np.inf, 5e-324, 5e-324, -5e-324,
+                       -0.0, 0.0], n)
+    complex_col = np.empty(n, dtype=complex)
+    complex_col.real = np.resize(nans.repeat(7), n)
+    complex_col.imag = mixed
+    columns = [
+        rows * 1e-3,
+        np.where(rows % 2, -0.0, 0.0),
+        signed_run,
+        np.resize(nans.repeat(5), n),
+        mixed,
+        complex_col.real,
+        complex_col.imag,
+        np.full(n, 0.1),
+        rng.random(n),
+        np.repeat(rng.random(n), 2)[:n],
+        *[np.where(rows <= end, 1 / 3, 2 / 3)
+          for end in (block - 1, block, block + 1)],
+        (rows % 3 == 0).astype(int),
+    ]
+    _assert_rows(cli._csv([f"c{k}" for k in range(len(columns))], columns),
+                 columns)
+
+
+def test_csv_held_stretch_matches_reference(builtin_run):
+    """gfl_seriescomp is held at its equilibrium from t = 5.19 s on, so
+    almost every state cell there repeats the one above and the writers
+    format it once per run; both CSVs still equal a writer that formats
+    every cell."""
+    from synchrolens import cli
+    from synchrolens.synccheck import analytic_chi_all, numeric_chi
+    scenario, result, _ = builtin_run("gfl_seriescomp")
+    held = result.states["C1"][result.t >= 5.19]
+    assert (held[1:] == held[:-1]).mean() > 0.99
+    traj = [result.t]
+    for series in (result.voltages, result.currents):
+        traj += [s.real for s in series.values()]
+        traj += [s.imag for s in series.values()]
+    traj += [x for s in result.states.values() for x in s.T]
+    _assert_rows(cli._traj_csv(result), traj)
+    numeric = {d: numeric_chi(result, d) for d in result.currents}
+    analytic = analytic_chi_all(result, scenario)
+    chi = [result.t]
+    for dev, ch in numeric.items():
+        for c in [ch] + ([analytic[dev]] if dev in analytic else []):
+            chi += [c.values.real, c.values.imag]
+        chi.append(ch.mask.astype(int))
+    _assert_rows(cli._chi_csv(result, numeric, analytic), chi)
+
 def test_report_schema_valid(smib_outputs):
     report = json.loads((smib_outputs / "smib_report.json").read_text())
     import importlib.resources as resources
