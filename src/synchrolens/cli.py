@@ -96,7 +96,8 @@ def _csv(header, columns):
     for start in range(0, len(columns[0]), _CSV_BLOCK):
         cells = [_cells(col[start:start + _CSV_BLOCK]) for col in columns]
         lines.extend(map(",".join, zip(*cells)))
-    return "\n".join(lines) + "\n"
+    lines.append("")   # the final newline, without a copy of the text
+    return "\n".join(lines)
 
 
 def _traj_csv(result):

@@ -313,7 +313,9 @@ def test_csv_rows_match_cell_by_cell_reference(builtin_run):
 
 def _assert_rows(text, columns):
     """The rows of CSV text (header skipped) equal a writer that formats
-    each cell of the columns as repr of its Python number."""
+    each cell of the columns as repr of its Python number, and the text
+    ends with one newline."""
+    assert text.endswith("\n") and not text.endswith("\n\n")
     rows = text.splitlines()[1:]
     reference = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
     assert len(rows) == len(columns[0])
