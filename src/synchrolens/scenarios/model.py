@@ -174,6 +174,10 @@ class Scenario:
             if self.slack_device not in dev_ids:
                 raise SchemaError(
                     f"slack device {self.slack_device!r} is not declared")
+            slack = next(d for d in self.devices if d.id == self.slack_device)
+            if slack.kind not in VOLTAGE_SETTING:
+                raise SchemaError(f"slack device of kind {slack.kind.value} "
+                                  "cannot hold its bus voltage", element=slack.id)
         per_bus_vset = {}
         for d in self.devices:
             if d.kind in VOLTAGE_SETTING:

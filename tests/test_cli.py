@@ -195,6 +195,12 @@ _RUN = ("run", "--builtin", "smib")
                  id="gfm-power-lag-negative"),
     pytest.param(_smib_edit("[sim]", "[expect.NOSUCH]\nals = banana\n\n[sim]"),
                  id="expect-section"),
+    pytest.param(_device_edit("kundur", {"slack_device = G3":
+                                         "slack_device = Zload7"}, "Zload7"),
+                 id="slack-zip-load"),
+    pytest.param(_device_edit("motor_condenser", {"slack_device = IB":
+                                                  "slack_device = M1"}, "M1"),
+                 id="slack-induction-motor"),
 ])
 def test_invalid_input_exit_2(tmp_path, capsys, argv):
     """Bad settings are rejected with exit 2 and a message, before any
