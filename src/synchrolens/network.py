@@ -101,13 +101,9 @@ class Network:
     def n_bus(self):
         return len(self.buses)
 
-    def static_branches(self, in_service_only=True):
-        for br in self.branches:
-            if br.dynamic:
-                continue
-            if in_service_only and not self.in_service[br.id]:
-                continue
-            yield br
+    def static_branches(self):
+        return (br for br in self.branches
+                if not br.dynamic and self.in_service[br.id])
 
     def dynamic_branches(self, in_service_only=True):
         for br in self.branches:
@@ -232,12 +228,10 @@ def connected_bus_mask(network: Network, device_buses=()):
     n = network.n_bus
     mask = np.zeros(n, dtype=bool)
     idx = network.bus_index
-    for br in network.static_branches():
-        mask[idx[br.from_bus]] = True
-        mask[idx[br.to_bus]] = True
-    for br in network.dynamic_branches():
-        mask[idx[br.from_bus]] = True
-        mask[idx[br.to_bus]] = True
+    for br in network.branches:
+        if network.in_service[br.id]:
+            mask[idx[br.from_bus]] = True
+            mask[idx[br.to_bus]] = True
     for bus_id in network.fault_admittance:
         mask[idx[bus_id]] = True
     for bus_id in device_buses:
@@ -278,7 +272,11 @@ def dynamic_branch_init(branch: Branch, v_from, v_to):
 
 # --- Newton on a residual ---------------------------------------------------
 
-def interface_solve(residual, z0, tol=1e-10, max_iter=30):
+# max-norm residual below which every Newton iteration stops by default
+NEWTON_TOL = 1e-10
+
+
+def interface_solve(residual, z0, tol=NEWTON_TOL, max_iter=30):
     """Newton iteration for residual(z) = 0 from z0; returns the root.
 
     The forward-difference Jacobian is kept while each iteration at least
@@ -338,11 +336,12 @@ class PfBusSpec:
     q_fns: list = field(default_factory=list)
 
 
-def solve_power_flow(network: Network, specs, tol=1e-10, max_iter=50):
+def solve_power_flow(network: Network, specs, tol=NEWTON_TOL, max_iter=50):
     """Newton-Raphson power flow on polar mismatches, flat start.
 
-    specs maps bus id -> PfBusSpec with exactly one slack.  Returns
-    (v complex array, slack complex power, per-bus injected complex power).
+    specs maps bus id -> PfBusSpec with exactly one slack.  Returns the
+    complex bus voltages v; bus k injects (v * conj(Y @ v))[k], Y = assemble_y
+    with include_dynamic_equivalent.
     """
     n = network.n_bus
     y = assemble_y(network, include_dynamic_equivalent=True)
@@ -388,6 +387,4 @@ def solve_power_flow(network: Network, specs, tol=1e-10, max_iter=50):
         raise PfDivergence(f"power flow not converged after {max_iter} "
                            f"iterations; residual {exc.residual:.3e}, "
                            f"worst equation {names[exc.worst_equation]}") from exc
-    v = voltages(x)[0]
-    s_all = v * np.conj(y @ v)
-    return v, complex(s_all[slack]), s_all
+    return voltages(x)[0]

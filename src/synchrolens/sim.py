@@ -62,10 +62,10 @@ from .devices import (GFL_STATE_NAMES, GFM_STATE_NAMES, DeviceKind, GflParams,
 from .errors import (InitInfeasible, MixedZipUnsupportedAnalytic,
                      NewtonDivergence, ParamDomain, SchemaError, SlipSingular,
                      VoltageTooSmall)
-from .network import (EventKind, Network, PfBusSpec, apply_event, assemble_y,
-                      connected_bus_mask, dynamic_branch_derivatives,
-                      dynamic_branch_init, fd_jacobian, interface_solve,
-                      solve_power_flow)
+from .network import (NEWTON_TOL, EventKind, Network, PfBusSpec, apply_event,
+                      assemble_y, connected_bus_mask,
+                      dynamic_branch_derivatives, dynamic_branch_init,
+                      fd_jacobian, interface_solve, solve_power_flow)
 from .scenarios.model import (VOLTAGE_SETTING, DeviceSpec, Scenario,
                               check_run_settings, time_grid)
 
@@ -80,7 +80,7 @@ MAX_RECORD_BYTES = 1 << 27
 class SimConfig:
     dt: float = 1e-3
     t_end: float = 10.0
-    newton_tol: float = 1e-10
+    newton_tol: float = NEWTON_TOL
     record_decimation: int = 1
 
     def __post_init__(self):
@@ -139,7 +139,10 @@ class Adapter:
     without states) and v as a Python complex; they return a list and a
     complex (see devices.base).  chi takes the recorded arrays of a whole
     run, states of shape (n, n_states) and v, i of shape (n,).  Currents
-    are on the system base.
+    are on the system base.  For the power flow (power_flow_specs) a PQ
+    device's pf_contrib(pf_spec) adds its injected p and q, functions of |v|,
+    to its bus; a voltage-setting device's pf_setpoint() returns (v, theta,
+    p), the voltage it holds, its angle as the slack and its power as PV.
     """
 
     n_states = 0
@@ -155,9 +158,6 @@ class Adapter:
         self.ratio = (spec.base_mva or system_base) / system_base
         self.omega_b = omega_b
         self.active = True
-
-    def pf_contrib(self, pf_spec: PfBusSpec, is_slack):
-        raise NotImplementedError
 
     def init(self, v_bus, s_dev):
         """Back-solve the steady state given terminal (v, s) in system base."""
@@ -216,16 +216,9 @@ class SmAdapter(Adapter):
         self.tau_m0 = 0.0
         self.v_f0 = 0.0
 
-    def pf_contrib(self, pf_spec, is_slack):
-        if is_slack:
-            pf_spec.kind = "slack"
-            pf_spec.v_set = self.spec.params.get("v", 1.0)
-            pf_spec.theta_set = self.spec.params.get("theta", 0.0)
-        else:
-            pf_spec.kind = "pv"
-            pf_spec.v_set = self.spec.params.get("v", 1.0)
-            p_set = self.spec.params.get("p", 0.0)
-            pf_spec.p_fns.append(lambda vm, p=p_set: p)
+    def pf_setpoint(self):
+        p = self.spec.params
+        return p.get("v", 1.0), p.get("theta", 0.0), p.get("p", 0.0)
 
     def init(self, v_bus, s_dev):
         state, tau_m, fld = sm_init(self.mp, v_bus, s_dev / self.ratio)
@@ -276,7 +269,7 @@ class ZipAdapter(Adapter):
                             k_zp=p.get("k_zp", 1.0), k_pq=p.get("k_pq", 0.0),
                             k_iq=p.get("k_iq", 0.0), k_zq=p.get("k_zq", 1.0))
 
-    def pf_contrib(self, pf_spec, is_slack):
+    def pf_contrib(self, pf_spec):
         pf_spec.p_fns.append(lambda vm: -zip_power(self.zp, vm)[0])
         pf_spec.q_fns.append(lambda vm: -zip_power(self.zp, vm)[1])
 
@@ -303,7 +296,7 @@ class MotorAdapter(Adapter):
                             omega_b=omega_b)
         self.tau_m = _p(p, "tau_m")
 
-    def pf_contrib(self, pf_spec, is_slack):
+    def pf_contrib(self, pf_spec):
         def drawn(vm):
             sigma = im_init(self.imp, vm, self.tau_m)
             return im_power(self.imp, sigma, vm)
@@ -337,7 +330,7 @@ class GflAdapter(Adapter):
                             i_dref=_p(p, "i_dref"), i_qref=p.get("i_qref", 0.0),
                             omega_b=omega_b)
 
-    def pf_contrib(self, pf_spec, is_slack):
+    def pf_contrib(self, pf_spec):
         pf_spec.p_fns.append(lambda vm: vm * self.gp.i_dref * self.ratio)
         pf_spec.q_fns.append(lambda vm: -vm * self.gp.i_qref * self.ratio)
 
@@ -366,14 +359,8 @@ class GfmAdapter(Adapter):
                             z_t=complex(_p(p, "z_t_r", 0.0), _p(p, "z_t_x")),
                             omega_b=omega_b, T_p=p.get("t_p"))
 
-    def pf_contrib(self, pf_spec, is_slack):
-        if is_slack:
-            pf_spec.kind = "slack"
-            pf_spec.v_set = self.gp.v_ref
-        else:
-            pf_spec.kind = "pv"
-            pf_spec.v_set = self.gp.v_ref
-            pf_spec.p_fns.append(lambda vm: self.gp.p_ref * self.ratio)
+    def pf_setpoint(self):
+        return self.gp.v_ref, 0.0, self.gp.p_ref * self.ratio
 
     def init(self, v_bus, s_dev):
         # the droop reference must equal the realized power for omega = 1;
@@ -409,12 +396,9 @@ class VsrcAdapter(Adapter):
         self.emf = spec.params.get("v", 1.0) * np.exp(
             1j * spec.params.get("theta", 0.0))
 
-    def pf_contrib(self, pf_spec, is_slack):
-        pf_spec.kind = "slack" if is_slack else "pv"
-        pf_spec.v_set = abs(self.emf)
-        pf_spec.theta_set = float(np.angle(self.emf))
-        if not is_slack:
-            pf_spec.p_fns.append(lambda vm: self.spec.params.get("p", 0.0))
+    def pf_setpoint(self):
+        return (abs(self.emf), float(np.angle(self.emf)),
+                self.spec.params.get("p", 0.0))
 
 
 _ADAPTERS = {
@@ -428,6 +412,25 @@ _ADAPTERS = {
     DeviceKind.VOLTAGE_SOURCE: VsrcAdapter,
     DeviceKind.DC_CURRENT_SOURCE: DcSourceAdapter,
 }
+
+
+def power_flow_specs(network: Network, adapters, slack_device):
+    """Power-flow input, bus id -> PfBusSpec: slack_device's bus is the
+    slack, the bus of every other voltage-setting device PV and every other
+    bus PQ; the PQ devices add their injections in adapter order."""
+    specs = {b.id: PfBusSpec() for b in network.buses}
+    for a in adapters:
+        spec = specs[a.bus]
+        if a.kind not in VOLTAGE_SETTING:
+            a.pf_contrib(spec)
+            continue
+        spec.v_set, theta, p = a.pf_setpoint()
+        if a.id == slack_device:
+            spec.kind, spec.theta_set = "slack", theta
+        else:
+            spec.kind = "pv"
+            spec.p_fns.append(lambda vm, p=p: p)
+    return specs
 
 
 def build_adapters(scenario: Scenario):
@@ -573,7 +576,7 @@ class PowerSystemDae:
         self.last = (t, x, y_vec, f, g, injections)
         return f, g
 
-    def solve_algebraic(self, t, x, y_guess, tol=1e-10, n_free=0):
+    def solve_algebraic(self, t, x, y_guess, tol=NEWTON_TOL, n_free=0):
         """Re-solve g = 0 at fixed x (event instants, initialization).
 
         The last n_free entries of x (the dynamic-branch states at t = 0)
@@ -894,38 +897,34 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
     network = scenario.build_network()
     adapters = build_adapters(scenario)
 
-    specs = {b.id: PfBusSpec() for b in network.buses}
-    for a in adapters:
-        a.pf_contrib(specs[a.bus], is_slack=(a.id == scenario.slack_device))
-    v_pf, slack_s, s_all = solve_power_flow(network, specs)
+    v_vec = solve_power_flow(
+        network, power_flow_specs(network, adapters, scenario.slack_device))
     idx = network.bus_index
+    y_eq = assemble_y(network, include_dynamic_equivalent=True)
 
     dae = PowerSystemDae(network, adapters)
     # each ideal source holds the power-flow voltage of its bus from here on
     for a in dae.vsrc:
-        a.emf = complex(v_pf[idx[a.bus]])
+        a.emf = complex(v_vec[idx[a.bus]])
 
-    def init_devices(v_vec, s_vec):
+    # PQ devices first, in adapter order; a voltage-setting device takes
+    # what they leave of the power its bus injects into the network
+    order = sorted(adapters, key=lambda a: a.kind in VOLTAGE_SETTING)
+
+    def init_devices(v_vec):
+        s_bus = (v_vec * np.conj(y_eq @ v_vec)).tolist()
         x0 = np.zeros(dae.n_x)
-        for a in adapters:
+        for a in order:
             k = idx[a.bus]
             v_bus = complex(v_vec[k])
             if a.kind not in VOLTAGE_SETTING:
+                st = None
                 if a.n_states:
-                    x0[dae.slices[a.id]] = a.init(v_bus, None)
+                    st = a.init(v_bus, None).tolist()
+                    x0[dae.slices[a.id]] = st
+                s_bus[k] -= v_bus * np.conj(a.inj(0.0, st, v_bus))
             elif a.n_states:
-                # non-PQ device absorbs the bus balance left by its PQ neighbours
-                s_dev = complex(s_vec[k])
-                for other in adapters:
-                    if other is not a and other.bus == a.bus:
-                        st = None
-                        if other.n_states:
-                            st = other.init(v_bus, None)
-                            x0[dae.slices[other.id]] = st
-                            st = st.tolist()
-                        i_other = other.inj(0.0, st, v_bus)
-                        s_dev -= v_bus * np.conj(i_other)
-                x0[dae.slices[a.id]] = a.init(v_bus, s_dev)
+                x0[dae.slices[a.id]] = a.init(v_bus, s_bus[k])
         for br in dae.dyn_branches:
             sl = dae.branch_slices[br.id]
             st = dynamic_branch_init(br, complex(v_vec[idx[br.from_bus]]),
@@ -937,11 +936,10 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
     # the combined residual in a couple of passes (the power flow uses static
     # equivalents, so the first algebraic solve can shift voltages slightly);
     # each pass solves the dynamic-branch states, algebraic at t = 0, with y
-    v_vec = v_pf.copy()
     y0 = np.empty(dae.n_y)
     resid = np.inf
     for _ in range(4):
-        x0 = init_devices(v_vec, s_all)
+        x0 = init_devices(v_vec)
         y0[:dae.n_bus] = v_vec.real
         y0[dae.n_bus:2 * dae.n_bus] = v_vec.imag
         y0[2 * dae.n_bus:] = 0.0
@@ -953,8 +951,6 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
         if resid <= 1e-9:
             break
         v_vec, _ = dae.unpack_y(y0)
-        s_all = v_vec * np.conj(assemble_y(
-            network, include_dynamic_equivalent=True) @ v_vec)
     if resid > 1e-8:
         raise InitInfeasible(
             f"initialization residual {resid:.3e} exceeds 1e-8")

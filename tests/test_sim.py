@@ -230,16 +230,42 @@ def test_ideal_source_emf_is_the_power_flow_voltage():
     assert source.emf == 1.0 + 0.0j
 
 
+@pytest.mark.parametrize("name", ["motor_condenser", "kundur",
+                                  "gfl_seriescomp"])
+def test_each_device_is_back_solved_once_per_pass(monkeypatch, name):
+    """initialize back-solves every device with states once per algebraic
+    pass, also the motor M1 that shares its bus with the condenser SC1 in
+    motor_condenser, and over gfl_seriescomp's several passes."""
+    counts, passes = {}, [0]
+    build, solve = sim.build_adapters, sim.PowerSystemDae.solve_algebraic
+
+    def counting_adapters(scenario):
+        adapters = build(scenario)
+        for a in adapters:
+            def counted(*args, a=a, init=a.init):
+                counts[a.id] = counts.get(a.id, 0) + 1
+                return init(*args)
+            a.init = counted
+        return adapters
+
+    def counting_solve(self, *args, **kwargs):
+        passes[0] += 1
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "build_adapters", counting_adapters)
+    monkeypatch.setattr(sim.PowerSystemDae, "solve_algebraic", counting_solve)
+    dae, _, _ = initialize(build_builtin(name))
+    assert passes[0] >= (2 if name == "gfl_seriescomp" else 1)
+    assert counts == {a.id: passes[0] for a in dae.stateful}
+
+
 def test_initialize_kundur_tie_flow_matches_power_flow():
     scenario = build_builtin("kundur")
-    from synchrolens.network import PfBusSpec, solve_power_flow
-    from synchrolens.sim import build_adapters
+    from synchrolens.network import solve_power_flow
+    from synchrolens.sim import build_adapters, power_flow_specs
     net = scenario.build_network()
-    adapters = build_adapters(scenario)
-    specs = {b.id: PfBusSpec() for b in net.buses}
-    for a in adapters:
-        a.pf_contrib(specs[a.bus], is_slack=(a.id == scenario.slack_device))
-    v_pf, _, _ = solve_power_flow(net, specs)
+    v_pf = solve_power_flow(net, power_flow_specs(
+        net, build_adapters(scenario), scenario.slack_device))
 
     dae, x0, y0 = initialize(scenario)
     v_init, _ = dae.unpack_y(y0)
