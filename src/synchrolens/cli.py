@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -132,19 +133,6 @@ _SOLVER_KEYS = ("steps", "newton_iterations", "max_step_iterations",
                 "worst_residual")
 
 
-def _verdict_dict(v):
-    return {
-        "device": v.device,
-        "bls": {"passed": v.bls.passed, "epsilon": v.bls.epsilon,
-                "sup_norm": v.bls.sup_norm, "window": list(v.bls.window)},
-        "als": {"passed": v.als.passed, "tail_tol": v.als.tail_tol,
-                "tail_max": v.als.tail_max, "slope": v.als.slope,
-                "window": list(v.als.window)},
-        "chi_at_t0": v.chi_at_t0,
-        "notes": v.notes,
-    }
-
-
 def build_report(scenario, result, config, epsilon=DEFAULT_EPSILON,
                  tail_tol=DEFAULT_TAIL_TOL, paths=None):
     """Report dict plus the chi series a run command writes out."""
@@ -153,7 +141,7 @@ def build_report(scenario, result, config, epsilon=DEFAULT_EPSILON,
     verdicts, crosschecks = [], []
     for dev, chi in numeric.items():
         try:
-            verdicts.append(_verdict_dict(evaluate_device(
+            verdicts.append(asdict(evaluate_device(
                 result, dev, chi, epsilon=epsilon, tail_tol=tail_tol)))
         except WindowTooShort as exc:
             verdicts.append({"device": dev, "bls": None, "als": None,
@@ -161,13 +149,10 @@ def build_report(scenario, result, config, epsilon=DEFAULT_EPSILON,
                              "notes": f"not evaluable: {exc}"})
         if dev in analytic:
             try:
-                cc = crosscheck_chi(analytic[dev], chi, dev)
+                crosschecks.append(asdict(crosscheck_chi(analytic[dev], chi,
+                                                         dev)))
             except AxisMismatch:
                 continue   # no sample valid in both (a device carrying no current)
-            crosschecks.append({"device": dev, "rms": cc.rms, "max": cc.max,
-                                "worst_time": cc.worst_time,
-                                "n_samples": cc.n_samples,
-                                "passed": cc.passed})
     report = {
         "scenario": scenario.name,
         "config": {"dt": config.dt, "t_end": config.t_end,

@@ -26,6 +26,10 @@ DEFAULT_TAIL_WINDOW = 3.0
 # ||chi|| floor below which the envelope slope is treated as settled
 _SLOPE_FLOOR = 1e-12
 
+# master-oracle bounds on the RMS and sup of |closed-form chi - numeric chi|
+ORACLE_RMS_TOL = 1e-3
+ORACLE_MAX_TOL = 1e-2
+
 
 @dataclass(frozen=True)
 class ChiSeries:
@@ -69,12 +73,7 @@ class ChiCrossCheck:
     max: float
     worst_time: float
     n_samples: int
-    rms_tol: float = 1e-3
-    max_tol: float = 1e-2
-
-    @property
-    def passed(self):
-        return self.rms <= self.rms_tol and self.max <= self.max_tol
+    passed: bool
 
 
 def event_mask(n_samples, event_samples, half_width=EVENT_MASK_HALF_WIDTH):
@@ -85,44 +84,40 @@ def event_mask(n_samples, event_samples, half_width=EVENT_MASK_HALF_WIDTH):
     return mask
 
 
-def _cf_with_mask(values, valid, dt, omega_b, frame_omega=1.0):
-    """CF arrays tolerant of invalid samples; differentiation across an
-    invalid neighbour invalidates the sample (mask dilation by one)."""
-    safe = np.where(np.abs(values) >= MIN_MAG, values, 1.0 + 0.0j)
-    rho, omega = cf_arrays(safe, dt, frame_omega, omega_b)
+def _cf_with_mask(values, result: SimResult, valid=True):
+    """CF arrays of a recorded signal and where they are usable: where
+    |values| >= MIN_MAG and valid hold at the sample and at both neighbours,
+    as the derivative stencil reaches across them (mask erosion by one)."""
+    big = np.abs(values) >= MIN_MAG
+    safe = np.where(big, values, 1.0 + 0.0j)
+    rho, omega = cf_arrays(safe, result.dt, result.frame_omega, result.omega_b)
+    valid = big & valid
     ok = valid.copy()
     ok[1:] &= valid[:-1]
     ok[:-1] &= valid[1:]
     return rho, omega, ok
 
 
+def voltage_cf(result: SimResult, bus_id: str):
+    """(rho, omega, valid) of a bus voltage; samples of a small voltage,
+    next to one, or within +-2 samples of an event are not valid."""
+    v = result.voltages[bus_id]
+    rho, omega, ok = _cf_with_mask(v, result)
+    return rho, omega, ok & event_mask(len(v), result.event_samples)
+
+
 def numeric_chi(result: SimResult, device_id: str) -> ChiSeries:
     """chi = CF(injected current) - CF(bus voltage) on the recorded grid.
 
-    Low-magnitude regions, inactive-device spans and +-2 samples around each
-    event are masked rather than reported as failures.
+    Samples where the bus voltage's CF is not valid (voltage_cf), or where
+    the current is small or the device inactive there or at a neighbour, are
+    masked rather than reported as failures.
     """
-    bus = result.device_bus[device_id]
-    v = result.voltages[bus]
-    i = result.currents[device_id]
-    valid = ((np.abs(v) >= MIN_MAG) & (np.abs(i) >= MIN_MAG)
-             & result.active[device_id])
-    rho_v, om_v, ok_v = _cf_with_mask(v, valid, result.dt, result.omega_b,
-                                      result.frame_omega)
-    rho_i, om_i, ok_i = _cf_with_mask(i, valid, result.dt, result.omega_b,
-                                      result.frame_omega)
+    rho_v, om_v, ok_v = voltage_cf(result, result.device_bus[device_id])
+    rho_i, om_i, ok_i = _cf_with_mask(result.currents[device_id], result,
+                                      result.active[device_id])
     chi = (rho_i - rho_v) + 1j * (om_i - om_v)
-    mask = ok_v & ok_i & event_mask(len(v), result.event_samples)
-    return ChiSeries(result.t, chi, mask)
-
-
-def voltage_cf(result: SimResult, bus_id: str):
-    """(rho, omega, valid) of a bus voltage, masked like numeric_chi."""
-    v = result.voltages[bus_id]
-    valid = np.abs(v) >= MIN_MAG
-    rho, omega, ok = _cf_with_mask(v, valid, result.dt, result.omega_b,
-                                   result.frame_omega)
-    return rho, omega, ok & event_mask(len(v), result.event_samples)
+    return ChiSeries(result.t, chi, ok_v & ok_i)
 
 
 def analytic_chi_all(result: SimResult, scenario):
@@ -149,8 +144,7 @@ def analytic_chi_all(result: SimResult, scenario):
         rho_v, om_v, ok_v = eta_cache[bus]
         chi = a.chi(states, v, i, rho_v, om_v)
         if chi is not None:
-            valid = (ok_v & (np.abs(i) >= MIN_MAG) & result.active[a.id]
-                     & event_mask(len(v), result.event_samples))
+            valid = ok_v & (np.abs(i) >= MIN_MAG) & result.active[a.id]
             out[a.id] = ChiSeries(result.t, chi, valid)
     return out
 
@@ -218,9 +212,9 @@ def check_als(chi: ChiSeries, tail_tol: float = DEFAULT_TAIL_TOL,
 
 
 def crosscheck_chi(analytic: ChiSeries, numeric: ChiSeries,
-                   device: str = "", rms_tol: float = 1e-3,
-                   max_tol: float = 1e-2) -> ChiCrossCheck:
-    """RMS and sup norm of the componentwise difference on shared valid samples."""
+                   device: str = "") -> ChiCrossCheck:
+    """RMS and sup norm of the componentwise difference on shared valid
+    samples, passed when within ORACLE_RMS_TOL and ORACLE_MAX_TOL."""
     if len(analytic.t) != len(numeric.t) or not np.array_equal(analytic.t, numeric.t):
         raise AxisMismatch("chi series do not share a time axis")
     both = analytic.mask & numeric.mask
@@ -228,12 +222,11 @@ def crosscheck_chi(analytic: ChiSeries, numeric: ChiSeries,
         raise AxisMismatch("no commonly valid samples")
     diff = np.abs(analytic.values[both] - numeric.values[both])
     worst = int(np.argmax(diff))
-    return ChiCrossCheck(device=device,
-                         rms=float(np.sqrt(np.mean(diff ** 2))),
-                         max=float(diff.max()),
+    rms, sup = float(np.sqrt(np.mean(diff ** 2))), float(diff.max())
+    return ChiCrossCheck(device=device, rms=rms, max=sup,
                          worst_time=float(numeric.t[both][worst]),
                          n_samples=int(both.sum()),
-                         rms_tol=rms_tol, max_tol=max_tol)
+                         passed=rms <= ORACLE_RMS_TOL and sup <= ORACLE_MAX_TOL)
 
 
 def last_event_time(result: SimResult):

@@ -13,7 +13,8 @@ from helpers import rotate_result
 from synchrolens.cf import cf_arrays
 from synchrolens.scenarios import build_builtin, builtin_names, cct_sweep
 from synchrolens.sim import SimConfig, run_simulation
-from synchrolens.synccheck import (analytic_chi_all, angle_spread,
+from synchrolens.synccheck import (ORACLE_MAX_TOL, ORACLE_RMS_TOL,
+                                   analytic_chi_all, angle_spread,
                                    crosscheck_chi, evaluate_device,
                                    numeric_chi, system_unstable)
 
@@ -31,6 +32,7 @@ def _report(criterion, passed, detail=""):
 
 def test_criterion_1_master_oracle_all_builtins(builtin_run):
     """Analytic vs numerically differentiated chi on every built-in."""
+    assert (ORACLE_RMS_TOL, ORACLE_MAX_TOL) == (RMS_TOL, MAX_TOL)
     worst_rms, worst_max, total_runtime = 0.0, 0.0, 0.0
     checked = 0
     for name in builtin_names():
@@ -39,8 +41,7 @@ def test_criterion_1_master_oracle_all_builtins(builtin_run):
         analytic = analytic_chi_all(result, scenario)
         assert analytic, f"{name}: no device offered a closed form"
         for dev, series in analytic.items():
-            cc = crosscheck_chi(series, numeric_chi(result, dev), dev,
-                                rms_tol=RMS_TOL, max_tol=MAX_TOL)
+            cc = crosscheck_chi(series, numeric_chi(result, dev), dev)
             worst_rms = max(worst_rms, cc.rms)
             worst_max = max(worst_max, cc.max)
             checked += 1
