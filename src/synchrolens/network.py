@@ -285,9 +285,10 @@ def interface_solve(residual, z0, tol=NEWTON_TOL, max_iter=30):
     """
     z = z0
     r = residual(z)
+    res = np.max(np.abs(r))
     jac = None
     for _ in range(max_iter):
-        if np.max(np.abs(r)) < tol:
+        if res < tol:
             return z
         if jac is None:
             jac = fd_jacobian(residual, z, r)
@@ -296,14 +297,15 @@ def interface_solve(residual, z0, tol=NEWTON_TOL, max_iter=30):
         except np.linalg.LinAlgError as exc:
             raise SingularY(f"Newton Jacobian singular: {exc}") from exc
         z = z + dz
-        r_new = residual(z)
-        if np.max(np.abs(r_new)) > 0.5 * np.max(np.abs(r)) and np.max(np.abs(r_new)) > tol:
+        r = residual(z)
+        res_new = np.max(np.abs(r))
+        if res_new > 0.5 * res and res_new > tol:
             jac = None  # stale Jacobian; rebuild next pass
-        r = r_new
-    if np.max(np.abs(r)) < tol:
+        res = res_new
+    if res < tol:
         return z
     raise NewtonDivergence("interface solve did not converge",
-                           residual=float(np.max(np.abs(r))),
+                           residual=float(res),
                            worst_equation=int(np.argmax(np.abs(r))))
 
 

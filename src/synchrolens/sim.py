@@ -12,10 +12,10 @@ is kept across iterations and steps and, after every iteration that has not
 converged, corrected by Broyden's second ("bad") rank-1 update, so it
 follows phasors that keep rotating in the synchronous frame without new
 residual evaluations.  It is rebuilt only when a step stalls or converges
-slowly.  Each step starts iterating from the quadratic extrapolation
-3 z_n - 3 z_{n-1} + z_{n-2} of the last three accepted points (the
-predictor of predictor-corrector DAE codes such as DASSL) when the previous
-step took at least one iteration, and from z_n otherwise, as near steady
+slowly.  Each step starts iterating from the polynomial through the last
+PREDICTOR_POINTS accepted points (fewer, down to three, after an event),
+written in backward differences as DASSL's predictor is, when the previous
+step moved by at least newton_tol, and from z_n otherwise, as near steady
 state z_n already meets the tolerance.  Events must lie on step
 boundaries; the history is cleared there, so no step extrapolates across a
 topology change.  At an event the topology
@@ -49,6 +49,7 @@ Samples are kept by reference and converted to the result arrays in blocks
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -611,6 +612,30 @@ class PowerSystemDae:
 # --- trapezoidal stepper ----------------------------------------------------
 
 
+# the predictor's polynomial runs through at most this many accepted points
+# (4 to 8 measured: 5 or 6 suit kundur, 8 smib's pole slips)
+PREDICTOR_POINTS = 6
+# minus the weights of the m newest first differences, m = 2 ...
+# PREDICTOR_POINTS - 1
+_PREDICTOR_WEIGHTS = {
+    m: np.array([(-1) ** (j + 1) * math.comb(m, j + 1) for j in range(m)],
+                dtype=float)
+    for m in range(2, PREDICTOR_POINTS)}
+
+
+def extrapolate(z, diffs):
+    """The next point of the polynomial through the last len(diffs) + 1
+    points, from the newest point z and the first differences
+    d_j = z_{n-j} - z_{n-j-1}, newest first:
+    z + sum_j (-1)^j C(m, j + 1) d_j for m = len(diffs) >= 2.
+
+    A component whose differences are all +0.0 comes back bit for bit:
+    its weighted sum is +0.0 (the weights alternate in sign), and
+    x - 0.0 is x for every x, -0.0 included.
+    """
+    return z - _PREDICTOR_WEIGHTS[len(diffs)] @ np.array(diffs)
+
+
 class TrapezoidalStepper:
     """Quasi-Newton implicit trapezoidal stepper over (f, g).
 
@@ -621,10 +646,11 @@ class TrapezoidalStepper:
     and dr is the change of the scaled residual; afterwards inv @ dr = -dz,
     the secant condition.
 
-    The iteration starts from the predictor 3 z_n - 3 z_{n-1} + z_{n-2}
-    over the last three accepted points.  Two gates apply: the previous
-    step must have taken at least one iteration (else z_n itself is used),
-    and the history holds only consecutive accepted steps since the last
+    The iteration starts from extrapolate(z_n, d) over the first
+    differences d of up to PREDICTOR_POINTS accepted points.  Two gates
+    apply: at least three points must be kept, and the previous step must
+    have moved, max|z_n - z_{n-1}| >= newton_tol (else z_n itself is used);
+    the history holds only consecutive accepted steps since the last
     invalidate(), so no step extrapolates across an event.
 
     A step whose x_old and y_old are the objects of dae.last takes f_old
@@ -650,10 +676,9 @@ class TrapezoidalStepper:
         self.cfg = config
         self.jac_inv = None
         self._f_old = None
-        # accepted points z_{n-1}, z_{n-2} of this topology, newest first,
-        # and the iterations the last step took
-        self._history = []
-        self._last_iters = 0
+        # first differences of the accepted points of this topology,
+        # z_n - z_{n-1} first, at most PREDICTOR_POINTS - 1
+        self._diffs = []
         # f_old in and out of the consecutive held steps since the last
         # step that was not held, oldest first, at most three
         self._held = []
@@ -667,16 +692,17 @@ class TrapezoidalStepper:
         after a topology change."""
         self.jac_inv = None
         self._f_old = None
-        self._history = []
+        self._diffs = []
         self._held = []
 
     def fast_forward(self, m):
         """Take m more held steps at once if the held stretch has become
         periodic; returns the number of steps taken, m or 0.
 
-        Only the step counter and f_old change: a held step makes no fg
-        call and takes no iteration, and both residuals of the period were
-        already seen by worst_residual.  The caller's point stays as it is.
+        Only the step counter, f_old and the differences change: a held
+        step makes no fg call, takes no iteration and does not move, and
+        both residuals of the period were already seen by worst_residual.
+        The caller's point stays as it is.
         """
         held = self._held
         if m <= 0 or len(held) < 2:
@@ -688,6 +714,9 @@ class TrapezoidalStepper:
         if m % 2:
             self._held = [held[-2], held[-1], held[-2]]
             self._f_old = held[-2]
+        zero = np.zeros_like(self._diffs[0])
+        keep = PREDICTOR_POINTS - 1
+        self._diffs = ([zero] * min(m, keep) + self._diffs)[:keep]
         self.stats["steps"] += m
         return m
 
@@ -745,15 +774,15 @@ class TrapezoidalStepper:
             f_old = dae.last[3]
         t_new = t_old + dt
         z_old = np.concatenate([x_old, y_old])
-        history = self._history
+        diffs = self._diffs
+        tol = self.cfg.newton_tol
         z, fg = z_old, None
-        if len(history) == 2 and self._last_iters:
-            z = 3.0 * z_old - 3.0 * history[0] + history[1]
+        if len(diffs) >= 2 and float(np.abs(diffs[0]).max()) >= tol:
+            z = extrapolate(z_old, diffs)
         elif not dae.time_varying and at_start:
             fg = dae.last[3:5]
         r = self._residual(t_new, z, x_old, f_old, dt, fg)
         res = float(np.abs(r).max())
-        tol = self.cfg.newton_tol
         rebuilds = 0
         since_build = self.NEWTON_MAX_ITER if self.jac_inv is None else 0
         it = 0
@@ -766,8 +795,7 @@ class TrapezoidalStepper:
                 if it > stats["max_step_iterations"] or stats["steps"] == 1:
                     stats["max_step_iterations"] = it
                     stats["max_step_time"] = t_new
-                self._history = [z_old] + history[:1]
-                self._last_iters = it
+                self._diffs = [z - z_old] + diffs[:PREDICTOR_POINTS - 2]
                 if it >= self.REBUILD_ITERS:
                     self.jac_inv = None   # converging slowly; refresh next step
                 n_x = dae.n_x
@@ -922,7 +950,7 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
                 if a.n_states:
                     st = a.init(v_bus, None).tolist()
                     x0[dae.slices[a.id]] = st
-                s_bus[k] -= v_bus * np.conj(a.inj(0.0, st, v_bus))
+                s_bus[k] -= v_bus * a.inj(0.0, st, v_bus).conjugate()
             elif a.n_states:
                 x0[dae.slices[a.id]] = a.init(v_bus, s_bus[k])
         for br in dae.dyn_branches:

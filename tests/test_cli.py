@@ -372,14 +372,14 @@ def test_csv_edge_values_match_repr():
 
 
 def test_csv_held_stretch_matches_reference(builtin_run):
-    """gfl_seriescomp is held at its equilibrium from t = 5.19 s on, so
+    """gfl_seriescomp is held at its equilibrium from t = 5.27 s on, so
     almost every state cell there repeats the one above and the writers
     format it once per run; both CSVs still equal a writer that formats
     every cell."""
     from synchrolens import cli
     from synchrolens.synccheck import analytic_chi_all, numeric_chi
     scenario, result, _ = builtin_run("gfl_seriescomp")
-    held = result.states["C1"][result.t >= 5.19]
+    held = result.states["C1"][result.t >= 5.27]
     assert (held[1:] == held[:-1]).mean() > 0.99
     traj = [result.t]
     for series in (result.voltages, result.currents):
@@ -430,7 +430,8 @@ def test_report_solver_block(smib_outputs, tmp_path, monkeypatch):
         resources.files("synchrolens").joinpath("report_schema.json").read_text())
     solver = json.loads((smib_outputs / "smib_report.json").read_text())["solver"]
     assert solver["steps"] == 6000
-    assert solver["newton_iterations"] >= solver["steps"]
+    # 8,102 from the quadratic predictor
+    assert solver["newton_iterations"] <= 5_500
     assert 1 <= solver["max_step_iterations"] <= 4
     assert 1.0 <= solver["max_step_time"] <= 6.0
     assert solver["jacobian_builds"] <= 3

@@ -1,5 +1,6 @@
 """Integrator properties: fixed points, exact amplification, convergence."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,9 @@ from helpers import without_disturbances
 from synchrolens.devices import DeviceKind
 from synchrolens import sim
 from synchrolens.errors import InitInfeasible, NewtonDivergence, SchemaError
-from synchrolens.scenarios import build_builtin, with_clearing_time
+from synchrolens.scenarios import (build_builtin, builtin_names,
+                                  with_clearing_time)
+from synchrolens.scenarios.model import VOLTAGE_SETTING
 from synchrolens.sim import (SimConfig, TrapezoidalStepper, initialize,
                              run_simulation)
 from synchrolens.synccheck import evaluate_device, numeric_chi
@@ -59,10 +62,12 @@ class RecordingDecay(ScalarDecay):
 
 
 def test_predictor_and_its_gates():
-    """With three accepted points and an iterating previous step, the first
-    residual is evaluated at 3 x_n - 3 x_{n-1} + x_{n-2}.  After a step that
-    took no iteration, and for the first two steps after invalidate(), it
-    is evaluated at x_n."""
+    """With m + 1 >= 3 accepted points kept (at most PREDICTOR_POINTS) and a
+    previous step that moved by at least newton_tol, the first residual is
+    evaluated at x_n + sum_j (-1)^j C(m, j + 1) (x_{n-j} - x_{n-j-1}), also
+    after a step that converged at the predictor without iterating.  After
+    a step that moved less, and for the first two steps after
+    invalidate(), it is evaluated at x_n."""
     dt = 1e-3
     dae = RecordingDecay(-1.0)
     stepper = TrapezoidalStepper(dae, SimConfig(dt=dt, t_end=1.0))
@@ -75,39 +80,86 @@ def test_predictor_and_its_gates():
         xs.append(x)
         return list(dae.points), it
 
-    for _ in range(3):
-        step()
-    points, it = step()
-    assert points[0] == 3.0 * xs[-2][0] - 3.0 * xs[-3][0] + xs[-4][0]
-    assert points[0] != xs[-2][0] and it >= 1
+    def predicted(m):
+        """The documented start over the m newest differences of xs."""
+        x = [float(v[0]) for v in xs[::-1]]
+        return x[0] + sum((-1) ** j * math.comb(m, j + 1) * (x[j] - x[j + 1])
+                          for j in range(m))
 
-    # a loose tolerance accepts the extrapolation without iterating, so the
+    assert sim.PREDICTOR_POINTS == 6
+    for _ in range(5):
+        step()
+    # five differences kept: the quintic through the last six points, which
+    # meets the tolerance without an iteration; the start after such a
+    # step is the quintic again (six points at most)
+    for _ in range(2):
+        start = predicted(5)
+        points, it = step()
+        assert points[0] == pytest.approx(start, rel=0, abs=1e-15)
+        assert it == 0
+    quadratic = 3.0 * xs[-2][0] - 3.0 * xs[-3][0] + xs[-4][0]
+    assert abs(points[0] - quadratic) > 1e-11
+
+    # the last step moved by about 1e-3, less than this tolerance, so the
     # next step starts from x_n
-    stepper.cfg = SimConfig(dt=dt, t_end=1.0, newton_tol=1e-6)
-    assert step()[1] == 0
+    stepper.cfg = SimConfig(dt=dt, t_end=1.0, newton_tol=1e-2)
+    assert step()[0][0] == xs[-2][0]
     stepper.cfg = SimConfig(dt=dt, t_end=1.0)
-    points, it = step()
-    assert points[0] == xs[-2][0] and it >= 1
 
     # f_old is recomputed at x_n after invalidate(), then the residual is
-    # evaluated at the start iterate
+    # evaluated at the start iterate; the third step has three points
     stepper.invalidate()
     assert step()[0][:2] == [xs[-2][0]] * 2
     assert step()[0][0] == xs[-2][0]
-    assert step()[0][0] != xs[-2][0]
+    start = predicted(2)
+    assert step()[0][0] == pytest.approx(start, rel=0, abs=1e-15)
+    assert start != xs[-2][0]
+
+
+@pytest.mark.parametrize("m", range(2, sim.PREDICTOR_POINTS))
+def test_predictor_extrapolates_polynomials_exactly(m):
+    """extrapolate continues integer samples of polynomials of every degree
+    up to m bit for bit from the m newest first differences, and returns a
+    constant component bit for bit, the sign of a zero included."""
+    rng = np.random.default_rng(m)
+    polys = [rng.integers(-50, 51, size=deg + 1).tolist()
+             for deg in range(m + 1) for _ in range(3)]
+    constants = [0.1, -0.0, 0.0, 5e-324, -1e300, 1.0 / 3.0]
+    t0 = int(rng.integers(-10, 10))
+
+    def sample(t):
+        return np.array([float(sum(c * t ** k for k, c in enumerate(p)))
+                         for p in polys] + constants)
+
+    points = [sample(t0 + k) for k in range(m + 1)]
+    diffs = [points[-1 - j] - points[-2 - j] for j in range(m)]
+    predicted = sim.extrapolate(points[-1], diffs)
+    assert predicted.tobytes() == sample(t0 + m + 1).tobytes()
 
 
 def test_kundur_newton_iterations_bounded():
     """The predictor's gain, deterministically: kundur through its tie
-    fault and clearing to 3 s in at most 6,000 Newton iterations (8,915
-    starting every step from z_n) and no step above 4 iterations."""
+    fault and clearing to 3 s in at most 3,000 Newton iterations (8,915
+    starting every step from z_n, 4,798 from the quadratic predictor) and
+    no step above 3 iterations."""
     scenario = build_builtin("kundur")
     result = run_simulation(scenario,
                             SimConfig.from_scenario(scenario, t_end=3.0))
     diag = result.diagnostics
     assert diag["steps"] == 3000
-    assert diag["newton_iterations"] <= 6000
-    assert diag["max_step_iterations"] <= 4
+    assert diag["newton_iterations"] <= 3000
+    assert diag["max_step_iterations"] <= 3
+
+
+def test_smib_pole_slip_residual_evaluations_bounded():
+    """smib cleared at 1.13 s slips poles after clearing; the predictor
+    carries its stepper through in at most 36,000 residual evaluations
+    (49,828 from the quadratic predictor)."""
+    scenario = with_clearing_time(build_builtin("smib"), 1.13)
+    result = run_simulation(scenario, SimConfig.from_scenario(scenario))
+    diag = result.diagnostics
+    assert diag["steps"] == 12000
+    assert diag["residual_evaluations"] <= 36000
 
 
 def test_every_device_kind_has_an_adapter():
@@ -257,6 +309,36 @@ def test_each_device_is_back_solved_once_per_pass(monkeypatch, name):
     dae, _, _ = initialize(build_builtin(name))
     assert passes[0] >= (2 if name == "gfl_seriescomp" else 1)
     assert counts == {a.id: passes[0] for a in dae.stateful}
+
+
+def test_every_init_gets_python_complex(monkeypatch):
+    """initialize hands every device's init a Python complex bus voltage,
+    and a voltage-setting device a Python complex injection, also where a
+    PQ neighbour's injection was subtracted first (motor_condenser's SC1,
+    sustained_oscillation's G1): sm_init rounds a numpy complex128
+    differently."""
+    seen = []
+    build = sim.build_adapters
+
+    def typed_adapters(scenario):
+        adapters = build(scenario)
+        for a in adapters:
+            def typed(v_bus, s_dev, a=a, init=a.init):
+                seen.append((a.id, a.kind, type(v_bus), type(s_dev)))
+                return init(v_bus, s_dev)
+            a.init = typed
+        return adapters
+
+    monkeypatch.setattr(sim, "build_adapters", typed_adapters)
+    for name in builtin_names():
+        scenario = build_builtin(name)
+        if scenario.analytic is None:
+            initialize(scenario)
+    assert {"SC1", "G1", "M1"} <= {dev for dev, *_ in seen}
+    for dev, kind, v_type, s_type in seen:
+        assert v_type is complex, dev
+        assert s_type is (complex if kind in VOLTAGE_SETTING
+                          else type(None)), dev
 
 
 def test_initialize_kundur_tie_flow_matches_power_flow():
@@ -455,7 +537,7 @@ def _assert_same_run(a, b):
 def test_residual_reuse_is_bitwise_invisible(monkeypatch, name):
     """Reusing the accepted point's (f, g) changes no recorded bit and no
     injection; it only saves fg calls, over 50,000 of them on
-    gfl_seriescomp, which sits at its equilibrium from t = 5.19 s on."""
+    gfl_seriescomp, which sits at its equilibrium from t = 5.27 s on."""
     scenario = build_builtin(name)
     reused, dae = _run_keeping_dae(monkeypatch, scenario)
     fresh, dae_fresh = _run_keeping_dae(monkeypatch, scenario,
@@ -572,8 +654,8 @@ def _run_spying_fast_forward(monkeypatch, scenario, config, fast=True):
 
 def _assert_fast_forward_invisible(monkeypatch, scenario, config):
     """Fast-forwarding changes no recorded bit, no counter and no bit of
-    the stepper's f_old and history; returns (steps each fast_forward
-    call took, the stepper)."""
+    the stepper's f_old and predictor differences; returns (steps each
+    fast_forward call took, the stepper)."""
     fast, stepper, calls = _run_spying_fast_forward(monkeypatch, scenario,
                                                     config)
     stepped, reference, _ = _run_spying_fast_forward(monkeypatch, scenario,
@@ -582,9 +664,8 @@ def _assert_fast_forward_invisible(monkeypatch, scenario, config):
     _assert_same_run(fast, stepped)
     assert fast.diagnostics == stepped.diagnostics
     assert stepper._f_old.tobytes() == reference._f_old.tobytes()
-    assert ([z.tobytes() for z in stepper._history]
-            == [z.tobytes() for z in reference._history])
-    assert stepper._last_iters == reference._last_iters
+    assert ([d.tobytes() for d in stepper._diffs]
+            == [d.tobytes() for d in reference._diffs])
     return calls, stepper
 
 
@@ -601,7 +682,7 @@ def test_fast_forward_is_bitwise_invisible(monkeypatch, dec):
 
 
 def test_fast_forward_of_either_parity_keeps_f_old_bits(monkeypatch):
-    """gfl_seriescomp is held from step 25,966 (t = 5.19 s) on, with an
+    """gfl_seriescomp is held from step 26,357 (t = 5.27 s) on, with an
     f_old that alternates between two bit patterns.  Runs to 6 s and one
     step further end fast-forwards of both parities, and each leaves f_old
     with the bits of stepping every held step."""
