@@ -327,15 +327,14 @@ class PfBusSpec:
     """Per-bus power-flow role.
 
     kind: 'slack' (v, theta fixed), 'pv' (v fixed, p specified) or 'pq'.
-    p_fns/q_fns are callables of the bus voltage magnitude returning injected
-    power (system base); constants wrap as lambdas upstream.
+    s_fns are callables of the bus voltage magnitude returning injected
+    complex power (system base); constants wrap as lambdas upstream.
     """
 
     kind: str = "pq"
     v_set: float = 1.0
     theta_set: float = 0.0
-    p_fns: list = field(default_factory=list)
-    q_fns: list = field(default_factory=list)
+    s_fns: list = field(default_factory=list)
 
 
 def solve_power_flow(network: Network, specs, tol=NEWTON_TOL, max_iter=50):
@@ -372,15 +371,12 @@ def solve_power_flow(network: Network, specs, tol=NEWTON_TOL, max_iter=50):
     def mismatch(x):
         v, vmag = voltages(x)
         s_net = v * np.conj(y @ v)
-        p, q = np.zeros(n), np.zeros(n)
+        s = np.zeros(n, dtype=complex)
         for k, b in enumerate(network.buses):
-            sp = specs[b.id]
-            for fn in sp.p_fns:
-                p[k] += fn(vmag[k])
-            for fn in sp.q_fns:
-                q[k] += fn(vmag[k])
-        return np.concatenate([(p - s_net.real)[th_idx],
-                               (q - s_net.imag)[vm_idx]])
+            for fn in specs[b.id].s_fns:
+                s[k] += fn(vmag[k])
+        return np.concatenate([(s.real - s_net.real)[th_idx],
+                               (s.imag - s_net.imag)[vm_idx]])
 
     try:
         x = interface_solve(mismatch, np.concatenate([va[th_idx], vm[vm_idx]]),

@@ -33,8 +33,9 @@ def circuit_elements(scenario: Scenario):
     branch = scenario.branches[0]
     if {branch.from_bus, branch.to_bus} != {vs[0].bus, cs[0].bus}:
         raise SchemaError("circuit_dc branch must join the two source buses")
-    emf = vs[0].params.get("v", 1.0) * np.exp(1j * vs[0].params.get("theta", 0.0))
-    i_dc = cs[0].params["i_mag"] * np.exp(1j * cs[0].params.get("phase", 0.0))
+    v, c = vs[0].values(), cs[0].values()
+    emf = v["v"] * np.exp(1j * v["theta"])
+    i_dc = c["i_mag"] * np.exp(1j * c["phase"])
     if branch.x <= 0.0:
         raise ParamDomain("circuit branch needs positive reactance")
     return emf, i_dc, branch, vs[0], cs[0]

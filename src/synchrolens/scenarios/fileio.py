@@ -19,37 +19,6 @@ from .model import DeviceSpec, Scenario
 _SECTION_RE = re.compile(r"^\[([a-z_]+)(?:\.([A-Za-z0-9_#-]+))?\]$")
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
-_SYSTEM_KEYS = {"name", "f_nom", "base_mva", "slack_device", "analytic",
-                "monitored"}
-_BRANCH_KEYS = {"from", "to", "r", "x", "b", "tap", "dynamic", "x_c"}
-_EVENT_KEYS = {"t", "kind", "bus", "branch", "device", "y_fault_g",
-               "y_fault_b", "open_branch"}
-_SIM_KEYS = {"dt", "t_end", "record_decimation"}
-
-_DEVICE_KEYS = {
-    DeviceKind.SM2: {"x1_d", "m", "d", "p", "v", "theta", "tau_mod_amp",
-                     "tau_mod_hz"},
-    DeviceKind.SM4: {"r_s", "x_d", "x_q", "x1_d", "x1_q", "x_l", "t1_d0",
-                     "t1_q0", "m", "d", "p", "v", "theta", "avr_kp", "avr_ki",
-                     "tau_mod_amp", "tau_mod_hz"},
-    DeviceKind.SM6: {"r_s", "x_d", "x_q", "x1_d", "x1_q", "x2_d", "x2_q",
-                     "x_l", "t1_d0", "t1_q0", "t2_d0", "t2_q0", "m", "d", "p",
-                     "v", "theta", "avr_kp", "avr_ki", "tau_mod_amp",
-                     "tau_mod_hz"},
-    DeviceKind.ZIP: {"p0", "q0", "k_pp", "k_ip", "k_zp", "k_pq", "k_iq",
-                     "k_zq"},
-    DeviceKind.INDUCTION_MOTOR: {"r_s", "x_s", "r_r1", "x_r1", "x_mu", "h_m",
-                                 "tau_m"},
-    DeviceKind.GFL_IBR: {"k_p", "k_i", "t_m", "k_p_pll", "k_i_pll", "v_dc0",
-                         "z_f_r", "z_f_x", "y_f_g", "y_f_b", "i_dref",
-                         "i_qref"},
-    DeviceKind.GFM_IBR: {"k_p", "k_i", "t_v", "t_p", "m_p", "p_ref", "v_ref",
-                         "z_t_r", "z_t_x"},
-    DeviceKind.VOLTAGE_SOURCE: {"v", "theta", "p"},
-    DeviceKind.DC_CURRENT_SOURCE: {"i_mag", "phase"},
-}
-
-
 def _parse_sections(text):
     """[(kind, label, {key: (value, line)}), ...] in file order."""
     sections = []
@@ -109,105 +78,102 @@ def _bool(entry, name):
                      line=lineno, column=1)
 
 
-def _check_keys(kind, label, data, allowed):
+def _str(entry, name):
+    return entry[0]
+
+
+def _ids(entry, name):
+    """A comma-separated list of ids, empty items dropped."""
+    return tuple(v for v in entry[0].split(",") if v)
+
+
+def _member(enum):
+    """Converter to the member of enum with the entry's value."""
+    def convert(entry, name):
+        try:
+            return enum(entry[0])
+        except ValueError:
+            raise SchemaError(f"unknown {name} {entry[0]!r}") from None
+    return convert
+
+
+def _same(converter, *keys):
+    """Table rows for keys whose dataclass field has the key's name."""
+    return {key: (key, converter) for key in keys}
+
+
+# each section's keys: file key -> (dataclass field, converter); a key a
+# section lacks keeps the field's dataclass default
+_SYSTEM = {**_same(_str, "name", "slack_device", "analytic"),
+           **_same(_float, "f_nom", "base_mva"),
+           "monitored": ("monitored", _ids)}
+_SIM = {**_same(_float, "dt", "t_end"),
+        "record_decimation": ("record_decimation", _int)}
+_BRANCH = {"from": ("from_bus", _str), "to": ("to_bus", _str),
+           **_same(_float, "r", "x", "b", "tap", "x_c"),
+           "dynamic": ("dynamic", _bool)}
+_EVENT = {"t": ("time", _float), "kind": ("kind", _member(EventKind)),
+          **_same(_str, "bus", "branch", "device"),
+          **_same(_float, "y_fault_g", "y_fault_b"),
+          "open_branch": ("open_branch", _bool)}
+# a device's other keys are its parameters, which Scenario.validate checks
+_DEVICE = {"kind": ("kind", _member(DeviceKind)), "bus": ("bus", _str),
+           "base_mva": ("base_mva", _float)}
+
+
+def _section(kind, label, data, keys, required=()):
+    """{field: value} of a section's entries by keys' (field, converter)
+    table; SchemaError naming the section for an unknown key, a missing
+    required one and a value its converter rejects."""
+    element = f"{kind}.{label}" if label else kind
     for key in data:
-        if key not in allowed:
-            raise SchemaError(f"unknown key {key!r}",
-                              element=f"{kind}.{label}" if label else kind)
+        if key not in keys:
+            raise SchemaError(f"unknown key {key!r}", element=element)
+    for key in required:
+        if key not in data:
+            raise SchemaError(f"missing key {key!r}", element=element)
+    try:
+        return {keys[k][0]: keys[k][1](entry, k) for k, entry in data.items()}
+    except SchemaError as exc:
+        raise SchemaError(str(exc), element=element) from None
 
 
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario file."""
-    sections = _parse_sections(text)
-    system = {}
-    sim = {}
+    system, sim = {}, {}
     buses, branches, devices, events = [], [], [], []
-    for kind, label, data in sections:
+    for kind, label, data in _parse_sections(text):
         if kind == "system":
-            _check_keys(kind, label, data, _SYSTEM_KEYS)
             system = data
+        elif kind == "sim":
+            sim = data
         elif kind == "bus":
-            _check_keys(kind, label, data, ())   # a bus is only its id
+            _section(kind, label, data, {})   # a bus is only its id
             buses.append(Bus(label))
         elif kind == "branch":
-            _check_keys(kind, label, data, _BRANCH_KEYS)
-            for req in ("from", "to", "x"):
-                if req not in data:
-                    raise SchemaError(f"missing key {req!r}",
-                                      element=f"branch.{label}")
-            branches.append(Branch(
-                label, data["from"][0], data["to"][0],
-                r=_float(data["r"], "r") if "r" in data else 0.0,
-                x=_float(data["x"], "x"),
-                b=_float(data["b"], "b") if "b" in data else 0.0,
-                tap=_float(data["tap"], "tap") if "tap" in data else 1.0,
-                dynamic=_bool(data["dynamic"], "dynamic")
-                if "dynamic" in data else False,
-                x_c=_float(data["x_c"], "x_c") if "x_c" in data else 0.0))
+            fields = _section(kind, label, data, _BRANCH, ("from", "to", "x"))
+            # Branch.r has no default; a file's is 0
+            branches.append(Branch(label, **{"r": 0.0, **fields}))
         elif kind == "device":
-            if "kind" not in data or "bus" not in data:
-                raise SchemaError("device needs kind and bus",
-                                  element=f"device.{label}")
-            try:
-                dev_kind = DeviceKind(data["kind"][0])
-            except ValueError:
-                raise SchemaError(f"unknown device kind {data['kind'][0]!r}",
-                                  element=f"device.{label}")
-            allowed = _DEVICE_KEYS[dev_kind] | {"kind", "bus", "base_mva"}
-            _check_keys("device", label, data, allowed)
+            fields = _section(kind, label,
+                              {k: v for k, v in data.items() if k in _DEVICE},
+                              _DEVICE, ("kind", "bus"))
             params = {k: _float(v, k) for k, v in data.items()
-                      if k not in ("kind", "bus", "base_mva")}
-            devices.append(DeviceSpec(
-                label, dev_kind, data["bus"][0], params,
-                base_mva=_float(data["base_mva"], "base_mva")
-                if "base_mva" in data else None))
+                      if k not in _DEVICE}
+            devices.append(DeviceSpec(label, params=params, **fields))
         elif kind == "event":
-            _check_keys(kind, label, data, _EVENT_KEYS)
-            if "t" not in data or "kind" not in data:
-                raise SchemaError("event needs t and kind",
-                                  element=f"event.{label}")
-            try:
-                ev_kind = EventKind(data["kind"][0])
-            except ValueError:
-                raise SchemaError(f"unknown event kind {data['kind'][0]!r}",
-                                  element=f"event.{label}")
-            y_fault = complex(
-                _float(data["y_fault_g"], "y_fault_g") if "y_fault_g" in data else 0.0,
-                _float(data["y_fault_b"], "y_fault_b") if "y_fault_b" in data else -1e4)
-            events.append(Event(
-                time=_float(data["t"], "t"), kind=ev_kind,
-                bus=data["bus"][0] if "bus" in data else None,
-                branch=data["branch"][0] if "branch" in data else None,
-                device=data["device"][0] if "device" in data else None,
-                y_fault=y_fault,
-                open_branch=_bool(data["open_branch"], "open_branch")
-                if "open_branch" in data else False))
-        elif kind == "sim":
-            _check_keys(kind, label, data, _SIM_KEYS)
-            sim = data
+            fields = _section(kind, label, data, _EVENT, ("t", "kind"))
+            # a part the file leaves out is the default admittance's
+            fields["y_fault"] = complex(
+                fields.pop("y_fault_g", Event.y_fault.real),
+                fields.pop("y_fault_b", Event.y_fault.imag))
+            events.append(Event(**fields))
         else:
             raise SchemaError(f"unknown section [{kind}]")
-    if "name" not in system:
-        raise SchemaError("missing [system] name")
-    scenario = Scenario(
-        name=system["name"][0],
-        buses=tuple(buses),
-        branches=tuple(branches),
-        devices=tuple(devices),
-        events=tuple(events),
-        slack_device=system["slack_device"][0] if "slack_device" in system else "",
-        f_nom=_float(system["f_nom"], "f_nom") if "f_nom" in system else 60.0,
-        base_mva=_float(system["base_mva"], "base_mva")
-        if "base_mva" in system else 100.0,
-        dt=_float(sim["dt"], "dt") if "dt" in sim else 1e-3,
-        t_end=_float(sim["t_end"], "t_end") if "t_end" in sim else 10.0,
-        record_decimation=_int(sim["record_decimation"], "record_decimation")
-        if "record_decimation" in sim else 1,
-        analytic=system["analytic"][0] if "analytic" in system else None,
-        monitored=tuple(v for v in system["monitored"][0].split(",") if v)
-        if "monitored" in system else (),
-    )
-    return scenario.validate()
+    return Scenario(buses=tuple(buses), branches=tuple(branches),
+                    devices=tuple(devices), events=tuple(events),
+                    **_section("system", None, system, _SYSTEM, ("name",)),
+                    **_section("sim", None, sim, _SIM)).validate()
 
 
 def _fmt(value):

@@ -3,15 +3,53 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
-from ..devices import DeviceKind
+from ..devices import DeviceKind, ZipParams
 from ..errors import SchemaError
 from ..network import Branch, Bus, Event, EventKind, Network
 
 # Device kinds whose power-flow role fixes the bus voltage magnitude.
 VOLTAGE_SETTING = (DeviceKind.SM2, DeviceKind.SM4, DeviceKind.SM6,
                    DeviceKind.GFM_IBR, DeviceKind.VOLTAGE_SOURCE)
+
+# marks a device parameter that has no default
+REQUIRED = object()
+
+
+def _required(*keys):
+    return dict.fromkeys(keys, REQUIRED)
+
+
+# what every machine takes: inertia, damping, power-flow setpoints (v and
+# theta as the slack, p as PV) and a torque modulation
+_SM = {"m": REQUIRED, "d": 0.0, "p": 0.0, "v": 1.0, "theta": 0.0,
+       "tau_mod_amp": 0.0, "tau_mod_hz": 0.0}
+_SM4 = {**_required("x_d", "x_q", "x1_d", "x1_q", "x_l", "t1_d0", "t1_q0"),
+        "r_s": 0.0, **_SM, "avr_kp": 0.0, "avr_ki": 0.0}
+
+# each device kind's parameter keys: key -> default, or REQUIRED; GFM's t_p
+# defaults to t_v (GfmParams), and the ZIP shares to constant impedance
+DEVICE_PARAMS = {
+    DeviceKind.SM2: {"x1_d": REQUIRED, **_SM},
+    DeviceKind.SM4: _SM4,
+    DeviceKind.SM6: {**_SM4, **_required("x2_d", "x2_q", "t2_d0", "t2_q0")},
+    DeviceKind.ZIP: {"p0": REQUIRED, "q0": 0.0,
+                     **{f.name: f.default for f in fields(ZipParams)
+                        if f.default is not MISSING}},
+    DeviceKind.INDUCTION_MOTOR: {
+        **_required("x_s", "r_r1", "x_r1", "x_mu", "h_m", "tau_m"),
+        "r_s": 0.0},
+    DeviceKind.GFL_IBR: {
+        **_required("k_p", "k_i", "t_m", "k_p_pll", "k_i_pll", "v_dc0",
+                    "z_f_x", "i_dref"),
+        "z_f_r": 0.0, "y_f_g": 0.0, "y_f_b": 0.0, "i_qref": 0.0},
+    DeviceKind.GFM_IBR: {
+        **_required("k_p", "k_i", "t_v", "m_p", "p_ref", "v_ref", "z_t_x"),
+        "t_p": None, "z_t_r": 0.0},
+    DeviceKind.VOLTAGE_SOURCE: {"v": 1.0, "theta": 0.0, "p": 0.0},
+    DeviceKind.DC_CURRENT_SOURCE: {"i_mag": REQUIRED, "phase": 0.0},
+}
 
 
 def check_positive(name, value, element=None):
@@ -82,6 +120,19 @@ def _check_branch_model(br):
                           element=br.id)
 
 
+def _check_params(d):
+    """SchemaError for the parameters the device's kind does not take, in
+    sorted order, and for the required ones it lacks (DEVICE_PARAMS)."""
+    table = DEVICE_PARAMS[d.kind]
+    unknown = sorted(set(d.params) - set(table))
+    missing = [k for k in table if table[k] is REQUIRED and k not in d.params]
+    for problem, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise SchemaError(f"{problem} parameter{'s' * (len(keys) > 1)} "
+                              f"{', '.join(map(repr, keys))} for kind "
+                              f"{d.kind.value}", element=d.id)
+
+
 def _check_torque_modulation(d):
     """SchemaError unless a torque modulation, if any, has a finite nonzero
     tau_mod_amp and a finite positive tau_mod_hz (one alone does nothing)."""
@@ -97,8 +148,8 @@ def _check_torque_modulation(d):
 class DeviceSpec:
     """One device instance: kind, terminal bus and raw numeric parameters.
 
-    params keys are kind-specific and documented in the scenario-file
-    grammar; base_mva of None means the device runs on the system base.
+    params keys are kind-specific (DEVICE_PARAMS); base_mva of None means
+    the device runs on the system base.
     """
 
     id: str
@@ -106,6 +157,10 @@ class DeviceSpec:
     bus: str
     params: dict
     base_mva: float | None = None
+
+    def values(self):
+        """The params laid over the kind's defaults (DEVICE_PARAMS)."""
+        return {**DEVICE_PARAMS[self.kind], **self.params}
 
 
 @dataclass(frozen=True)
@@ -164,6 +219,7 @@ class Scenario:
                                   element=d.id)
             if d.base_mva is not None:
                 check_positive("base_mva", d.base_mva, element=d.id)
+            _check_params(d)
             _check_torque_modulation(d)
             if (d.kind is DeviceKind.DC_CURRENT_SOURCE
                     and self.analytic is None):

@@ -134,16 +134,18 @@ def check_record_size(n_samples, n_bus, n_dev, n_states):
 class Adapter:
     """Couples one device spec to the DAE and to the closed-form chi.
 
-    Stateful adapters define fg(t, states, v) -> (derivatives, injection),
-    and inj(t, states, v) is its injection.  Both take one sample in the
-    stepper's form: states as a list of Python floats (None for a device
-    without states) and v as a Python complex; they return a list and a
-    complex (see devices.base).  chi takes the recorded arrays of a whole
-    run, states of shape (n, n_states) and v, i of shape (n,).  Currents
-    are on the system base.  For the power flow (power_flow_specs) a PQ
-    device's pf_contrib(pf_spec) adds its injected p and q, functions of |v|,
-    to its bus; a voltage-setting device's pf_setpoint() returns (v, theta,
-    p), the voltage it holds, its angle as the slack and its power as PV.
+    Stateful adapters define fg(t, states, v) -> (derivatives, injection)
+    and init(v_bus, s_dev), the steady state back-solved from the terminal
+    voltage and power (system base); inj(t, states, v) is the injection.
+    fg and inj take one sample in the stepper's form: states as a list of
+    Python floats (None for a device without states) and v as a Python
+    complex; they return a list and a complex (see devices.base).  chi
+    takes the recorded arrays of a whole run, states of shape (n, n_states)
+    and v, i of shape (n,).  Currents are on the system base.  For the power
+    flow (power_flow_specs) a PQ device's pf_injection(vm) is the complex
+    power it injects at voltage magnitude vm; a voltage-setting device's
+    pf_setpoint() returns (v, theta, p), the voltage it holds, its angle as
+    the slack and its power as PV.
     """
 
     n_states = 0
@@ -160,10 +162,6 @@ class Adapter:
         self.omega_b = omega_b
         self.active = True
 
-    def init(self, v_bus, s_dev):
-        """Back-solve the steady state given terminal (v, s) in system base."""
-        return np.empty(0)
-
     def inj(self, t, states, v):
         return self.fg(t, states, v)[1]
 
@@ -172,45 +170,34 @@ class Adapter:
         return None
 
 
-def _p(params, key, default=None):
-    if key in params:
-        return params[key]
-    if default is None:
-        raise SchemaError(f"missing device parameter {key!r}")
-    return default
-
-
 class SmAdapter(Adapter):
     """Synchronous machine, optionally with the condenser PI voltage regulator
     and a sinusoidal torque modulation (forced-oscillation studies)."""
 
     def __init__(self, spec, system_base, omega_b):
         super().__init__(spec, system_base, omega_b)
-        p = spec.params
-        order = {DeviceKind.SM2: 2, DeviceKind.SM4: 4, DeviceKind.SM6: 6}[spec.kind]
-        if order == 2:
-            self.mp = sm2_params(x1_d=_p(p, "x1_d"), M=_p(p, "m"),
-                                 D=_p(p, "d", 0.0), omega_b=omega_b)
-        elif order == 4:
-            self.mp = sm4_params(R_s=_p(p, "r_s", 0.0), x_d=_p(p, "x_d"),
-                                 x_q=_p(p, "x_q"), x1_d=_p(p, "x1_d"),
-                                 x1_q=_p(p, "x1_q"), x_l=_p(p, "x_l"),
-                                 T1_d0=_p(p, "t1_d0"), T1_q0=_p(p, "t1_q0"),
-                                 M=_p(p, "m"), D=_p(p, "d", 0.0), omega_b=omega_b)
+        p = spec.values()
+        if spec.kind is DeviceKind.SM2:
+            self.mp = sm2_params(x1_d=p["x1_d"], M=p["m"], D=p["d"],
+                                 omega_b=omega_b)
+        elif spec.kind is DeviceKind.SM4:
+            self.mp = sm4_params(R_s=p["r_s"], x_d=p["x_d"], x_q=p["x_q"],
+                                 x1_d=p["x1_d"], x1_q=p["x1_q"], x_l=p["x_l"],
+                                 T1_d0=p["t1_d0"], T1_q0=p["t1_q0"],
+                                 M=p["m"], D=p["d"], omega_b=omega_b)
         else:
-            self.mp = sm6_params(R_s=_p(p, "r_s", 0.0), x_d=_p(p, "x_d"),
-                                 x_q=_p(p, "x_q"), x1_d=_p(p, "x1_d"),
-                                 x1_q=_p(p, "x1_q"), x2_d=_p(p, "x2_d"),
-                                 x2_q=_p(p, "x2_q"), x_l=_p(p, "x_l"),
-                                 T1_d0=_p(p, "t1_d0"), T1_q0=_p(p, "t1_q0"),
-                                 T2_d0=_p(p, "t2_d0"), T2_q0=_p(p, "t2_q0"),
-                                 M=_p(p, "m"), D=_p(p, "d", 0.0), omega_b=omega_b)
-        self.avr = "avr_kp" in p or "avr_ki" in p
-        self.avr_kp = p.get("avr_kp", 0.0)
-        self.avr_ki = p.get("avr_ki", 0.0)
-        self.v_ref = p.get("v", 1.0)
-        self.mod_amp = p.get("tau_mod_amp", 0.0)
-        self.mod_hz = p.get("tau_mod_hz", 0.0)
+            self.mp = sm6_params(R_s=p["r_s"], x_d=p["x_d"], x_q=p["x_q"],
+                                 x1_d=p["x1_d"], x1_q=p["x1_q"],
+                                 x2_d=p["x2_d"], x2_q=p["x2_q"], x_l=p["x_l"],
+                                 T1_d0=p["t1_d0"], T1_q0=p["t1_q0"],
+                                 T2_d0=p["t2_d0"], T2_q0=p["t2_q0"],
+                                 M=p["m"], D=p["d"], omega_b=omega_b)
+        # a given gain, not its default, turns the regulator on
+        self.avr = "avr_kp" in spec.params or "avr_ki" in spec.params
+        if self.avr:
+            self.avr_kp, self.avr_ki = p["avr_kp"], p["avr_ki"]
+        self.v_ref = p["v"]
+        self.mod_amp, self.mod_hz = p["tau_mod_amp"], p["tau_mod_hz"]
         self.time_varying = self.mod_amp != 0.0
         self.n_states = self.mp.n_states + (1 if self.avr else 0)
         self.state_names = self.mp.state_names + (("x_avr",) if self.avr else ())
@@ -218,8 +205,8 @@ class SmAdapter(Adapter):
         self.v_f0 = 0.0
 
     def pf_setpoint(self):
-        p = self.spec.params
-        return p.get("v", 1.0), p.get("theta", 0.0), p.get("p", 0.0)
+        p = self.spec.values()
+        return p["v"], p["theta"], p["p"]
 
     def init(self, v_bus, s_dev):
         state, tau_m, fld = sm_init(self.mp, v_bus, s_dev / self.ratio)
@@ -264,15 +251,11 @@ class SmAdapter(Adapter):
 class ZipAdapter(Adapter):
     def __init__(self, spec, system_base, omega_b):
         super().__init__(spec, system_base, omega_b)
-        p = spec.params
-        self.zp = ZipParams(p0=_p(p, "p0"), q0=_p(p, "q0", 0.0),
-                            k_pp=p.get("k_pp", 0.0), k_ip=p.get("k_ip", 0.0),
-                            k_zp=p.get("k_zp", 1.0), k_pq=p.get("k_pq", 0.0),
-                            k_iq=p.get("k_iq", 0.0), k_zq=p.get("k_zq", 1.0))
+        self.zp = ZipParams(**spec.values())
 
-    def pf_contrib(self, pf_spec):
-        pf_spec.p_fns.append(lambda vm: -zip_power(self.zp, vm)[0])
-        pf_spec.q_fns.append(lambda vm: -zip_power(self.zp, vm)[1])
+    def pf_injection(self, vm):
+        p, q = zip_power(self.zp, vm)
+        return complex(-p, -q)
 
     def inj(self, t, states, v):
         return zip_injection(self.zp, v)
@@ -290,19 +273,15 @@ class MotorAdapter(Adapter):
 
     def __init__(self, spec, system_base, omega_b):
         super().__init__(spec, system_base, omega_b)
-        p = spec.params
-        self.imp = ImParams(r_S=_p(p, "r_s", 0.0), x_S=_p(p, "x_s"),
-                            r_R1=_p(p, "r_r1"), x_R1=_p(p, "x_r1"),
-                            x_mu=_p(p, "x_mu"), H_m=_p(p, "h_m"),
+        p = spec.values()
+        self.imp = ImParams(r_S=p["r_s"], x_S=p["x_s"], r_R1=p["r_r1"],
+                            x_R1=p["x_r1"], x_mu=p["x_mu"], H_m=p["h_m"],
                             omega_b=omega_b)
-        self.tau_m = _p(p, "tau_m")
+        self.tau_m = p["tau_m"]
 
-    def pf_contrib(self, pf_spec):
-        def drawn(vm):
-            sigma = im_init(self.imp, vm, self.tau_m)
-            return im_power(self.imp, sigma, vm)
-        pf_spec.p_fns.append(lambda vm: -drawn(vm)[0] * self.ratio)
-        pf_spec.q_fns.append(lambda vm: -drawn(vm)[1] * self.ratio)
+    def pf_injection(self, vm):
+        p, q = im_power(self.imp, im_init(self.imp, vm, self.tau_m), vm)
+        return complex(-p * self.ratio, -q * self.ratio)
 
     def init(self, v_bus, s_dev):
         sigma = im_init(self.imp, abs(v_bus), self.tau_m)
@@ -322,18 +301,18 @@ class GflAdapter(Adapter):
 
     def __init__(self, spec, system_base, omega_b):
         super().__init__(spec, system_base, omega_b)
-        p = spec.params
-        self.gp = GflParams(K_p=_p(p, "k_p"), K_i=_p(p, "k_i"),
-                            T_m=_p(p, "t_m"), K_p_pll=_p(p, "k_p_pll"),
-                            K_i_pll=_p(p, "k_i_pll"), v_dc0=_p(p, "v_dc0"),
-                            z_f=complex(_p(p, "z_f_r", 0.0), _p(p, "z_f_x")),
-                            y_f=complex(p.get("y_f_g", 0.0), p.get("y_f_b", 0.0)),
-                            i_dref=_p(p, "i_dref"), i_qref=p.get("i_qref", 0.0),
+        p = spec.values()
+        self.gp = GflParams(K_p=p["k_p"], K_i=p["k_i"], T_m=p["t_m"],
+                            K_p_pll=p["k_p_pll"], K_i_pll=p["k_i_pll"],
+                            v_dc0=p["v_dc0"],
+                            z_f=complex(p["z_f_r"], p["z_f_x"]),
+                            y_f=complex(p["y_f_g"], p["y_f_b"]),
+                            i_dref=p["i_dref"], i_qref=p["i_qref"],
                             omega_b=omega_b)
 
-    def pf_contrib(self, pf_spec):
-        pf_spec.p_fns.append(lambda vm: vm * self.gp.i_dref * self.ratio)
-        pf_spec.q_fns.append(lambda vm: -vm * self.gp.i_qref * self.ratio)
+    def pf_injection(self, vm):
+        return complex(vm * self.gp.i_dref * self.ratio,
+                       -vm * self.gp.i_qref * self.ratio)
 
     def init(self, v_bus, s_dev):
         return gfl_init(self.gp, v_bus)
@@ -353,12 +332,11 @@ class GfmAdapter(Adapter):
 
     def __init__(self, spec, system_base, omega_b):
         super().__init__(spec, system_base, omega_b)
-        p = spec.params
-        self.gp = GfmParams(K_p=_p(p, "k_p"), K_i=_p(p, "k_i"),
-                            T_v=_p(p, "t_v"), m_p=_p(p, "m_p"),
-                            p_ref=_p(p, "p_ref"), v_ref=_p(p, "v_ref"),
-                            z_t=complex(_p(p, "z_t_r", 0.0), _p(p, "z_t_x")),
-                            omega_b=omega_b, T_p=p.get("t_p"))
+        p = spec.values()
+        self.gp = GfmParams(K_p=p["k_p"], K_i=p["k_i"], T_v=p["t_v"],
+                            m_p=p["m_p"], p_ref=p["p_ref"], v_ref=p["v_ref"],
+                            z_t=complex(p["z_t_r"], p["z_t_x"]),
+                            omega_b=omega_b, T_p=p["t_p"])
 
     def pf_setpoint(self):
         return self.gp.v_ref, 0.0, self.gp.p_ref * self.ratio
@@ -394,12 +372,12 @@ class VsrcAdapter(Adapter):
 
     def __init__(self, spec, system_base, omega_b):
         super().__init__(spec, system_base, omega_b)
-        self.emf = spec.params.get("v", 1.0) * np.exp(
-            1j * spec.params.get("theta", 0.0))
+        p = spec.values()
+        self.emf = p["v"] * np.exp(1j * p["theta"])
 
     def pf_setpoint(self):
         return (abs(self.emf), float(np.angle(self.emf)),
-                self.spec.params.get("p", 0.0))
+                self.spec.values()["p"])
 
 
 _ADAPTERS = {
@@ -423,14 +401,14 @@ def power_flow_specs(network: Network, adapters, slack_device):
     for a in adapters:
         spec = specs[a.bus]
         if a.kind not in VOLTAGE_SETTING:
-            a.pf_contrib(spec)
+            spec.s_fns.append(a.pf_injection)
             continue
         spec.v_set, theta, p = a.pf_setpoint()
         if a.id == slack_device:
             spec.kind, spec.theta_set = "slack", theta
         else:
             spec.kind = "pv"
-            spec.p_fns.append(lambda vm, p=p: p)
+            spec.s_fns.append(lambda vm, p=p: p)
     return specs
 
 
@@ -441,8 +419,8 @@ def build_adapters(scenario: Scenario):
         try:
             adapters.append(_ADAPTERS[spec.kind](spec, scenario.base_mva,
                                                  omega_b))
-        except (ParamDomain, SchemaError) as exc:
-            raise type(exc)(f"{spec.id}: {exc}") from exc
+        except ParamDomain as exc:
+            raise ParamDomain(f"{spec.id}: {exc}") from exc
     return adapters
 
 

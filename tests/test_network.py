@@ -125,7 +125,7 @@ def test_power_flow_no_load_flat():
 def test_power_flow_two_bus_closed_form():
     net = Network([Bus("1"), Bus("2")], [Branch("L", "1", "2", 0.0, 0.5)])
     specs = {"1": PfBusSpec(kind="slack", v_set=1.0),
-             "2": PfBusSpec(kind="pv", v_set=1.0, p_fns=[lambda v: 0.5])}
+             "2": PfBusSpec(kind="pv", v_set=1.0, s_fns=[lambda v: 0.5])}
     v = solve_power_flow(net, specs)
     assert np.angle(v[1]) == pytest.approx(np.arcsin(0.25), abs=1e-10)
 
@@ -139,13 +139,11 @@ def test_power_flow_kundur_residual():
     v = solve_power_flow(net, specs)
     y = assemble_y(net, include_dynamic_equivalent=True)
     s_net = v * np.conj(y @ v)
-    p_spec = np.zeros(len(v))
-    q_spec = np.zeros(len(v))
+    s_spec = np.zeros(len(v), dtype=complex)
     for k, b in enumerate(net.buses):
-        for fn in specs[b.id].p_fns:
-            p_spec[k] += fn(abs(v[k]))
-        for fn in specs[b.id].q_fns:
-            q_spec[k] += fn(abs(v[k]))
+        for fn in specs[b.id].s_fns:
+            s_spec[k] += fn(abs(v[k]))
+    p_spec, q_spec = s_spec.real, s_spec.imag
     slack_idx = net.bus_index["B3"]
     pq = [k for k, b in enumerate(net.buses) if specs[b.id].kind == "pq"]
     non_slack = [k for k in range(len(v)) if k != slack_idx]
@@ -164,7 +162,7 @@ def test_power_flow_infeasible_load_diverges():
     message names the worst mismatch equation."""
     net = Network([Bus("1"), Bus("2")], [Branch("L", "1", "2", 0, 0.5)])
     specs = {"1": PfBusSpec(kind="slack"),
-             "2": PfBusSpec(p_fns=[lambda vm: -5.0])}
+             "2": PfBusSpec(s_fns=[lambda vm: -5.0])}
     with pytest.raises(PfDivergence, match=r"power flow not converged .*"
                                            r"worst equation PF:Q:2$"):
         solve_power_flow(net, specs)

@@ -293,7 +293,8 @@ def test_each_device_is_back_solved_once_per_pass(monkeypatch, name):
 
     def counting_adapters(scenario):
         adapters = build(scenario)
-        for a in adapters:
+        # only an adapter with states has an init
+        for a in (a for a in adapters if hasattr(a, "init")):
             def counted(*args, a=a, init=a.init):
                 counts[a.id] = counts.get(a.id, 0) + 1
                 return init(*args)
@@ -322,7 +323,7 @@ def test_every_init_gets_python_complex(monkeypatch):
 
     def typed_adapters(scenario):
         adapters = build(scenario)
-        for a in adapters:
+        for a in (a for a in adapters if hasattr(a, "init")):
             def typed(v_bus, s_dev, a=a, init=a.init):
                 seen.append((a.id, a.kind, type(v_bus), type(s_dev)))
                 return init(v_bus, s_dev)
