@@ -24,7 +24,9 @@ ANALYTIC_KIND = "circuit_dc"
 
 
 def circuit_elements(scenario: Scenario):
-    """(EMF, I_dc, branch) extracted from a circuit_dc scenario."""
+    """(EMF, I_dc, branch) extracted from a circuit_dc scenario; SchemaError
+    for what the closed form would ignore: line charging, a tap, a dynamic
+    branch or an event."""
     vs = [d for d in scenario.devices if d.kind is DeviceKind.VOLTAGE_SOURCE]
     cs = [d for d in scenario.devices if d.kind is DeviceKind.DC_CURRENT_SOURCE]
     if len(vs) != 1 or len(cs) != 1 or len(scenario.branches) != 1:
@@ -33,6 +35,15 @@ def circuit_elements(scenario: Scenario):
     branch = scenario.branches[0]
     if {branch.from_bus, branch.to_bus} != {vs[0].bus, cs[0].bus}:
         raise SchemaError("circuit_dc branch must join the two source buses")
+    if branch.b != 0.0 or branch.tap != 1.0 or branch.dynamic:
+        raise SchemaError("circuit_dc takes a static branch with b = 0 and "
+                          f"tap = 1, got b = {branch.b!r}, tap = "
+                          f"{branch.tap!r}, dynamic = {branch.dynamic!r}",
+                          element=branch.id)
+    if scenario.events:
+        ev = scenario.events[0]
+        raise SchemaError("circuit_dc takes no events",
+                          element=f"{ev.kind.value} at t={ev.time!r}")
     v, c = vs[0].values(), cs[0].values()
     emf = v["v"] * np.exp(1j * v["theta"])
     i_dc = c["i_mag"] * np.exp(1j * c["phase"])

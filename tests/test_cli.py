@@ -95,6 +95,19 @@ def _device_edit(name, edits, device):
     return ("file", name, edits, device)
 
 
+# an apply/clear fault pair on circuit_dc's branch, ahead of its [sim]
+_CIRCUIT_DC_FAULT = """[event.1]
+t = 1.0
+kind = apply_fault
+branch = Z1
+
+[event.2]
+t = 1.1
+kind = clear_fault
+branch = Z1
+
+[sim]"""
+
 _SWEEP = ("sweep", "--builtin", "smib")
 _RUN = ("run", "--builtin", "smib")
 
@@ -201,6 +214,12 @@ _RUN = ("run", "--builtin", "smib")
     pytest.param(_device_edit("motor_condenser", {"slack_device = IB":
                                                   "slack_device = M1"}, "M1"),
                  id="slack-induction-motor"),
+    pytest.param(_device_edit("circuit_dc", {"b = 0.0": "b = 0.5",
+                                             "tap = 1.0": "tap = 1.2"}, "Z1"),
+                 id="circuit-dc-charging-and-tap"),
+    pytest.param(_device_edit("circuit_dc", {"[sim]": _CIRCUIT_DC_FAULT},
+                              "apply_fault at t=1.0"),
+                 id="circuit-dc-fault"),
 ])
 def test_invalid_input_exit_2(tmp_path, capsys, argv):
     """Bad settings are rejected with exit 2 and a message, before any
