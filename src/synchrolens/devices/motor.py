@@ -99,8 +99,7 @@ def im_pullout(params: ImParams, v_mag: float = 1.0):
     return sigma_star, im_torque(params, sigma_star, v_mag)
 
 
-def im_init(params: ImParams, v_mag: float, tau_m: float,
-            tol: float = 1e-12, max_iter: int = 200) -> float:
+def im_init(params: ImParams, v_mag: float, tau_m: float) -> float:
     """Equilibrium slip on the stable branch via bisection of tau_e - tau_m.
 
     The stable branch is sigma in (0, sigma_pullout]; raises InitInfeasible
@@ -116,13 +115,14 @@ def im_init(params: ImParams, v_mag: float, tau_m: float,
     if tau_m == 0.0:
         raise InitInfeasible("zero-torque equilibrium is the singular sigma=0 point")
     lo, hi = 1e-12, sigma_star
-    # tau_e is increasing on (0, sigma*): bisect the monotone branch
-    for _ in range(max_iter):
+    # tau_e is increasing on (0, sigma*): bisect the monotone branch down to
+    # a width of 1e-12 relative to max(1, hi)
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if im_torque(params, mid, v_mag) < tau_m:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol * max(1.0, hi):
+        if hi - lo < 1e-12 * max(1.0, hi):
             break
     return 0.5 * (lo + hi)

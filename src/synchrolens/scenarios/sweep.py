@@ -11,7 +11,7 @@ import numpy as np
 from ..errors import USAGE_ERRORS, SchemaError, SynchroLensError
 from ..network import EventKind
 from ..sim import run_simulation
-from ..synccheck import evaluate_device, system_unstable
+from ..synccheck import DEFAULT_TAIL_TOL, evaluate_device, system_unstable
 from .model import Scenario, grid_steps
 
 
@@ -80,9 +80,10 @@ def _run_point(args):
 
 
 def cct_sweep(scenario: Scenario, t_from: float, t_to: float, step: float,
-              device_id: str | None = None, tail_tol: float = 1e-4,
+              tail_tol: float = DEFAULT_TAIL_TOL,
               workers: int = 1) -> SweepResult:
-    """ALS/stability verdicts over a clearing-time range.
+    """ALS/stability verdicts of the first monitored device over a
+    clearing-time range.
 
     Runs keep going past individual failures; the returned boundary is the
     (largest passing, smallest failing) pair by ALS verdict, with a flag for
@@ -94,10 +95,8 @@ def cct_sweep(scenario: Scenario, t_from: float, t_to: float, step: float,
         raise SchemaError("empty or inverted sweep range")
     if workers < 1:
         raise SchemaError(f"workers must be at least 1, got {workers}")
-    if device_id is None:
-        if not scenario.monitored:
-            raise SchemaError("no monitored device to sweep on")
-        device_id = scenario.monitored[0]
+    if not scenario.monitored:
+        raise SchemaError("no monitored device to sweep on")
     with_clearing_time(scenario, max(t_to, t_from))   # fault-pair validation
     # the first clearing time and the step must lie on the dt grid, checked
     # before any point runs; the times are whole steps apart, so none
@@ -111,7 +110,7 @@ def cct_sweep(scenario: Scenario, t_from: float, t_to: float, step: float,
     while k * scenario.dt <= t_to + 1e-9:
         times.append(round(k * scenario.dt, 12))
         k += k_step
-    jobs = [(scenario, tc, device_id, tail_tol) for tc in times]
+    jobs = [(scenario, tc, scenario.monitored[0], tail_tol) for tc in times]
     # the pool starts all its processes at once: no more than there are points
     workers = min(workers, len(jobs))
     if workers > 1:

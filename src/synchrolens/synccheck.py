@@ -76,11 +76,13 @@ class ChiCrossCheck:
     passed: bool
 
 
-def event_mask(n_samples, event_samples, half_width=EVENT_MASK_HALF_WIDTH):
-    """Validity mask excluding +-half_width samples around each event."""
+def event_mask(n_samples, event_samples):
+    """Validity mask excluding +-EVENT_MASK_HALF_WIDTH samples around each
+    event."""
+    w = EVENT_MASK_HALF_WIDTH
     mask = np.ones(n_samples, dtype=bool)
     for s in event_samples:
-        mask[max(0, s - half_width):min(n_samples, s + half_width + 1)] = False
+        mask[max(0, s - w):min(n_samples, s + w + 1)] = False
     return mask
 
 
@@ -235,9 +237,7 @@ def last_event_time(result: SimResult):
 
 def evaluate_device(result: SimResult, device_id: str, chi: ChiSeries,
                     epsilon: float = DEFAULT_EPSILON,
-                    tail_tol: float = DEFAULT_TAIL_TOL,
-                    settle: float = DEFAULT_SETTLE,
-                    tail_window: float = DEFAULT_TAIL_WINDOW) -> SyncVerdict:
+                    tail_tol: float = DEFAULT_TAIL_TOL) -> SyncVerdict:
     """BLS + ALS verdict for one device from its numeric chi.
 
     The BLS window is anchored so it never starts before the ALS tail does;
@@ -245,9 +245,10 @@ def evaluate_device(result: SimResult, device_id: str, chi: ChiSeries,
     or above the tail tolerance.
     """
     t_end = float(chi.t[-1])
-    bls_start = max(last_event_time(result) + settle, t_end - tail_window)
-    bls = check_bls(chi, bls_start - settle, epsilon, settle)
-    als = check_als(chi, tail_tol, tail_window)
+    bls_start = max(last_event_time(result) + DEFAULT_SETTLE,
+                    t_end - DEFAULT_TAIL_WINDOW)
+    bls = check_bls(chi, bls_start - DEFAULT_SETTLE, epsilon, DEFAULT_SETTLE)
+    als = check_als(chi, tail_tol, DEFAULT_TAIL_WINDOW)
     first = np.flatnonzero(chi.mask)
     chi_t0 = float(np.abs(chi.values[first[0]])) if len(first) else None
     notes = ""
@@ -273,6 +274,6 @@ def angle_spread(result: SimResult):
     return float(spread.max())
 
 
-def system_unstable(result: SimResult, threshold=np.pi):
+def system_unstable(result: SimResult):
     """Angle-separation instability flag (spread beyond 180 degrees)."""
-    return bool(angle_spread(result) > threshold)
+    return bool(angle_spread(result) > np.pi)
