@@ -103,6 +103,27 @@ def test_parse_error_carries_location():
     assert err.value.line == 2
 
 
+def test_validate_rejects_parameters_outside_the_kind():
+    """A scenario built in code is held to its device kinds' parameter keys
+    as a file is: a misspelled key on kundur's G2 is rejected, not run with
+    the default in its place, and several are named in sorted order."""
+    from dataclasses import replace
+    sc = build_builtin("kundur")
+
+    def with_g2_params(**extra):
+        return replace(sc, devices=tuple(
+            replace(d, params={**d.params, **extra}) if d.id == "G2" else d
+            for d in sc.devices))
+
+    with pytest.raises(SchemaError) as err:
+        with_g2_params(x1d=0.3).validate()
+    assert str(err.value) == "G2: unknown parameter 'x1d' for kind sm4"
+    with pytest.raises(SchemaError) as err:
+        with_g2_params(zeta=1.0, alpha=2.0).validate()
+    assert str(err.value) == ("G2: unknown parameters 'alpha', 'zeta' for "
+                              "kind sm4")
+
+
 def test_unknown_device_kind():
     text = """
 [system]
