@@ -63,9 +63,8 @@ def _load(args):
 def _check_tolerances(args):
     """Reject a non-finite or non-positive --epsilon/--tail-tol up front."""
     for name in ("epsilon", "tail_tol"):
-        value = getattr(args, name, None)
-        if value is not None:
-            check_positive("--" + name.replace("_", "-"), value)
+        if hasattr(args, name):
+            check_positive("--" + name.replace("_", "-"), getattr(args, name))
 
 
 def _out_dir(args):
@@ -176,15 +175,14 @@ def cmd_run(args):
     result = run_simulation(scenario, config)
     out = _out_dir(args)
 
-    epsilon = args.epsilon if args.epsilon is not None else DEFAULT_EPSILON
-    tail_tol = args.tail_tol if args.tail_tol is not None else DEFAULT_TAIL_TOL
     paths = {
         "trajectories": os.path.join(out, f"{scenario.name}_traj.csv"),
         "chi": os.path.join(out, f"{scenario.name}_chi.csv"),
         "report": os.path.join(out, f"{scenario.name}_report.json"),
     }
     report, numeric, analytic = build_report(scenario, result, config,
-                                             epsilon, tail_tol, paths)
+                                             args.epsilon, args.tail_tol,
+                                             paths)
     verdicts = report["verdicts"]
     text = _json(report)
     _atomic_write(paths["trajectories"], _traj_csv(result))
@@ -215,9 +213,7 @@ def cmd_sweep(args):
     if args.t_from is None or args.t_to is None or args.step is None:
         raise SchemaError("sweep needs --from, --to and --step")
     result = cct_sweep(scenario, args.t_from, args.t_to, args.step,
-                       tail_tol=args.tail_tol if args.tail_tol is not None
-                       else DEFAULT_TAIL_TOL,
-                       workers=args.workers)
+                       tail_tol=args.tail_tol, workers=args.workers)
     out = _out_dir(args)
     device = scenario.monitored[0]
     lines = ["t_cl,max_delta_swing,als_pass"]
@@ -283,9 +279,9 @@ def _build_parser():
     run_p.add_argument("--t-end", type=float, help="simulated span override, s")
     run_p.add_argument("--clear-time", type=float,
                        help="move the fault-clearing event to this time, s")
-    run_p.add_argument("--epsilon", type=float,
+    run_p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                        help="bounded-synchronization tolerance")
-    run_p.add_argument("--tail-tol", type=float,
+    run_p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL,
                        help="asymptotic-synchronization tail tolerance")
     run_p.set_defaults(fn=cmd_run)
 
@@ -296,7 +292,7 @@ def _build_parser():
     sweep_p.add_argument("--to", dest="t_to", type=float,
                          help="last clearing time, s")
     sweep_p.add_argument("--step", type=float, help="clearing-time step, s")
-    sweep_p.add_argument("--tail-tol", type=float)
+    sweep_p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL)
     sweep_p.add_argument("--workers", type=int, default=1,
                          help="parallel sweep workers")
     sweep_p.set_defaults(fn=cmd_sweep)

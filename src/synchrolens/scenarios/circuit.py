@@ -37,9 +37,8 @@ def circuit_elements(scenario: Scenario):
         raise SchemaError("circuit_dc branch must join the two source buses")
     if branch.b != 0.0 or branch.tap != 1.0 or branch.dynamic:
         raise SchemaError("circuit_dc takes a static branch with b = 0 and "
-                          f"tap = 1, got b = {branch.b!r}, tap = "
-                          f"{branch.tap!r}, dynamic = {branch.dynamic!r}",
-                          element=branch.id)
+                          f"tap = 1, got b = {branch.b!r}, tap = {branch.tap!r}"
+                          f", dynamic = {branch.dynamic!r}", element=branch.id)
     if scenario.events:
         ev = scenario.events[0]
         raise SchemaError("circuit_dc takes no events",
@@ -73,6 +72,7 @@ def run_analytic(scenario: Scenario, config=None):
 
     if scenario.analytic != ANALYTIC_KIND:
         raise SchemaError(f"unsupported analytic scenario {scenario.analytic!r}")
+    scenario.validate()
     config = config or SimConfig.from_scenario(scenario)
     _, _, branch, vs, cs = circuit_elements(scenario)
     dec = config.record_decimation

@@ -97,24 +97,21 @@ def _member(enum):
     return convert
 
 
-def _same(converter, *keys):
-    """Table rows for keys whose dataclass field has the key's name."""
-    return {key: (key, converter) for key in keys}
-
-
 # each section's keys: file key -> (dataclass field, converter); a key a
 # section lacks keeps the field's dataclass default
-_SYSTEM = {**_same(_str, "name", "slack_device", "analytic"),
-           **_same(_float, "f_nom", "base_mva"),
-           "monitored": ("monitored", _ids)}
-_SIM = {**_same(_float, "dt", "t_end"),
+_SYSTEM = {"name": ("name", _str), "slack_device": ("slack_device", _str),
+           "analytic": ("analytic", _str), "f_nom": ("f_nom", _float),
+           "base_mva": ("base_mva", _float), "monitored": ("monitored", _ids)}
+_SIM = {"dt": ("dt", _float), "t_end": ("t_end", _float),
         "record_decimation": ("record_decimation", _int)}
 _BRANCH = {"from": ("from_bus", _str), "to": ("to_bus", _str),
-           **_same(_float, "r", "x", "b", "tap", "x_c"),
-           "dynamic": ("dynamic", _bool)}
+           "r": ("r", _float), "x": ("x", _float), "b": ("b", _float),
+           "tap": ("tap", _float), "dynamic": ("dynamic", _bool),
+           "x_c": ("x_c", _float)}
 _EVENT = {"t": ("time", _float), "kind": ("kind", _member(EventKind)),
-          **_same(_str, "bus", "branch", "device"),
-          **_same(_float, "y_fault_g", "y_fault_b"),
+          "bus": ("bus", _str), "branch": ("branch", _str),
+          "device": ("device", _str), "y_fault_g": ("y_fault_g", _float),
+          "y_fault_b": ("y_fault_b", _float),
           "open_branch": ("open_branch", _bool)}
 # a device's other keys are its parameters, which Scenario.validate checks
 _DEVICE = {"kind": ("kind", _member(DeviceKind)), "bus": ("bus", _str),

@@ -180,18 +180,15 @@ class SmAdapter(Adapter):
         if spec.kind is DeviceKind.SM2:
             self.mp = sm2_params(x1_d=p["x1_d"], M=p["m"], D=p["d"],
                                  omega_b=omega_b)
-        elif spec.kind is DeviceKind.SM4:
-            self.mp = sm4_params(R_s=p["r_s"], x_d=p["x_d"], x_q=p["x_q"],
-                                 x1_d=p["x1_d"], x1_q=p["x1_q"], x_l=p["x_l"],
-                                 T1_d0=p["t1_d0"], T1_q0=p["t1_q0"],
-                                 M=p["m"], D=p["d"], omega_b=omega_b)
         else:
-            self.mp = sm6_params(R_s=p["r_s"], x_d=p["x_d"], x_q=p["x_q"],
-                                 x1_d=p["x1_d"], x1_q=p["x1_q"],
-                                 x2_d=p["x2_d"], x2_q=p["x2_q"], x_l=p["x_l"],
-                                 T1_d0=p["t1_d0"], T1_q0=p["t1_q0"],
-                                 T2_d0=p["t2_d0"], T2_q0=p["t2_q0"],
-                                 M=p["m"], D=p["d"], omega_b=omega_b)
+            transient = dict(R_s=p["r_s"], x_d=p["x_d"], x_q=p["x_q"],
+                             x1_d=p["x1_d"], x1_q=p["x1_q"], x_l=p["x_l"],
+                             T1_d0=p["t1_d0"], T1_q0=p["t1_q0"], M=p["m"],
+                             D=p["d"], omega_b=omega_b)
+            self.mp = (sm4_params(**transient) if spec.kind is DeviceKind.SM4
+                       else sm6_params(**transient, x2_d=p["x2_d"],
+                                       x2_q=p["x2_q"], T2_d0=p["t2_d0"],
+                                       T2_q0=p["t2_q0"]))
         # a given gain, not its default, turns the regulator on
         self.avr = "avr_kp" in spec.params or "avr_ki" in spec.params
         if self.avr:

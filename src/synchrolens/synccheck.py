@@ -77,8 +77,7 @@ class ChiCrossCheck:
 
 
 def event_mask(n_samples, event_samples):
-    """Validity mask excluding +-EVENT_MASK_HALF_WIDTH samples around each
-    event."""
+    """Validity mask excluding EVENT_MASK_HALF_WIDTH samples around events."""
     w = EVENT_MASK_HALF_WIDTH
     mask = np.ones(n_samples, dtype=bool)
     for s in event_samples:
