@@ -17,7 +17,6 @@ from synchrolens import sim
 from synchrolens.cli import main
 from synchrolens.errors import NewtonDivergence
 from synchrolens.scenarios import build_builtin, serialize_scenario
-from synchrolens.scenarios.model import DEVICE_PARAMS, REQUIRED
 
 
 def run_cli(*argv):
@@ -215,6 +214,24 @@ _RUN = ("run", "--builtin", "smib")
     pytest.param(_device_edit("motor_condenser", {"slack_device = IB":
                                                   "slack_device = M1"}, "M1"),
                  id="slack-induction-motor"),
+    # one required parameter missing, per device kind that has one
+    pytest.param(_device_edit("smib", {"x1_d = 0.3": ""}, "G1"),
+                 id="missing-sm2-x1_d"),
+    pytest.param(_device_edit("kundur", {"x_d = 1.8": ""}, "G1"),
+                 id="missing-sm4-x_d"),
+    pytest.param(_device_edit("motor_condenser",
+                              {"kind = sm4": "kind = sm6"}, "SC1"),
+                 id="missing-sm6-subtransient"),
+    pytest.param(_device_edit("kundur", {"p0 = 10.0": ""}, "Zload7"),
+                 id="missing-zip-p0"),
+    pytest.param(_device_edit("motor_condenser", {"tau_m = 0.9": ""}, "M1"),
+                 id="missing-induction-motor-tau_m"),
+    pytest.param(_device_edit("gfl_seriescomp", {"i_dref = 0.5": ""}, "C1"),
+                 id="missing-gfl-i_dref"),
+    pytest.param(_device_edit("gfm_probe", {"t_v = 0.02": ""}, "F1"),
+                 id="missing-gfm-t_v"),
+    pytest.param(_device_edit("circuit_dc", {"i_mag = 0.1": ""}, "CS"),
+                 id="missing-dc-current-source-i_mag"),
     pytest.param(_device_edit("circuit_dc", {"b = 0.0": "b = 0.5",
                                              "tap = 1.0": "tap = 1.2"}, "Z1"),
                  id="circuit-dc-charging-and-tap"),
@@ -236,54 +253,6 @@ def test_invalid_input_exit_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith(prefix)
     assert not out.exists() or not list(out.iterdir())
-
-
-_MISSING_PARAMETER_CASES = [
-    pytest.param("smib", "G1", "x1_d", None, id="sm2"),
-    pytest.param("kundur", "G2", "x_d", None, id="sm4"),
-    # an sm4 declared sm6 lacks the subtransient keys, x2_d first
-    pytest.param("motor_condenser", "SC1", "x2_d", "sm6", id="sm6"),
-    pytest.param("kundur", "Zload7", "p0", None, id="zip"),
-    pytest.param("motor_condenser", "M1", "tau_m", None, id="induction_motor"),
-    pytest.param("gfl_seriescomp", "C1", "i_dref", None, id="gfl_ibr"),
-    pytest.param("gfm_probe", "F1", "t_v", None, id="gfm_ibr"),
-    pytest.param("circuit_dc", "CS", "i_mag", None, id="dc_current_source"),
-]
-
-
-def test_missing_parameter_cases_cover_every_kind():
-    """Every device kind with a required parameter has a case below."""
-    required = {kind.value for kind, table in DEVICE_PARAMS.items()
-                if REQUIRED in table.values()}
-    assert {case.id for case in _MISSING_PARAMETER_CASES} == required
-
-
-@pytest.mark.parametrize("name, device, key, kind", _MISSING_PARAMETER_CASES)
-def test_missing_device_parameter_exit_2(tmp_path, capsys, name, device, key,
-                                         kind):
-    """A device without a required parameter of its kind (its key line
-    dropped, or its kind changed to one that needs the key) is rejected
-    with exit 2 before any simulation; the message names the device and
-    the key."""
-    lines = serialize_scenario(_scenario(name)).splitlines()
-    start = lines.index(f"[device.{device}]")
-    end = lines.index("", start)
-    section = [line for line in lines[start:end]
-               if not line.startswith(f"{key} = ")]
-    if kind is None:
-        assert len(section) == end - start - 1
-    else:
-        section = [f"kind = {kind}" if line.startswith("kind = ") else line
-                   for line in section]
-    path = tmp_path / f"{name}.ini"
-    path.write_text("\n".join(lines[:start] + section + lines[end:]) + "\n")
-    out = tmp_path / "out"
-    assert run_cli("run", "--file", str(path), "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.startswith(f"error: {device}: missing parameter")
-    assert repr(key) in err.splitlines()[0]
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, edits, branch", [
