@@ -39,7 +39,6 @@ class GflParams:
     i_dref: float
     i_qref: float
     omega_b: float
-    omega_ref: float = 1.0
 
     def __post_init__(self):
         if abs(self.z_f) == 0.0:
@@ -60,7 +59,7 @@ def gfl_modulation(x, params: GflParams):
 
 
 def _pll_deviation(x, params: GflParams, v_q):
-    """PLL speed deviation delta_omega_pll in pu (add omega_ref for the speed)."""
+    """PLL speed deviation delta_omega_pll in pu (add 1 for the speed)."""
     return params.K_p_pll * v_q + x[4]
 
 
@@ -115,7 +114,7 @@ def gfl_admittance_cf(states, params: GflParams, v, i, rho, omega, ratio=1.0):
     m = gfl_modulation(x, p)
     m2 = np.maximum(np.abs(m) ** 2, MIN_MAG ** 2)
     m_rate, a_rate = _modulation_rates(x, p, m, m2, i_pll)
-    omega_t = _pll_deviation(x, p, v_pll.imag) + p.omega_ref
+    omega_t = _pll_deviation(x, p, v_pll.imag) + 1.0
     front = m * p.v_dc0 / (p.z_f * i_safe)
     return front * (m_rate / p.omega_b - rho
                     + 1j * (a_rate / p.omega_b + omega_t - omega))

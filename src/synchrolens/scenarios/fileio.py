@@ -2,8 +2,9 @@
 
 Sections: [system], [bus.<id>], [branch.<id>], [device.<id>], [event.<n>]
 and [sim].  Keys are lower_snake_case; quantities are per-unit on the
-declared bases.  Unknown sections or keys are errors.  The grammar is
-documented in the README.
+declared bases.  Unknown sections or keys are errors, and [system] and
+[sim] come at most once each, without a label.  The grammar is documented
+in the README.
 """
 
 from __future__ import annotations
@@ -137,13 +138,16 @@ def _section(kind, label, data, keys, required=()):
 
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario file."""
-    system, sim = {}, {}
+    single = {}   # the entries of [system] and [sim], each at most once
     buses, branches, devices, events = [], [], [], []
     for kind, label, data in _parse_sections(text):
-        if kind == "system":
-            system = data
-        elif kind == "sim":
-            sim = data
+        if kind in ("system", "sim"):
+            if label is not None:
+                raise SchemaError("the section takes no label",
+                                  element=f"{kind}.{label}")
+            if kind in single:
+                raise SchemaError("a second section", element=kind)
+            single[kind] = data
         elif kind == "bus":
             _section(kind, label, data, {})   # a bus is only its id
             buses.append(Bus(label))
@@ -169,8 +173,10 @@ def load_scenario(text: str) -> Scenario:
             raise SchemaError(f"unknown section [{kind}]")
     return Scenario(buses=tuple(buses), branches=tuple(branches),
                     devices=tuple(devices), events=tuple(events),
-                    **_section("system", None, system, _SYSTEM, ("name",)),
-                    **_section("sim", None, sim, _SIM)).validate()
+                    **_section("system", None, single.get("system", {}),
+                               _SYSTEM, ("name",)),
+                    **_section("sim", None, single.get("sim", {}),
+                               _SIM)).validate()
 
 
 def _fmt(value):

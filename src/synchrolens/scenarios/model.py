@@ -50,6 +50,10 @@ DEVICE_PARAMS = {
     DeviceKind.VOLTAGE_SOURCE: {"v": 1.0, "theta": 0.0, "p": 0.0},
     DeviceKind.DC_CURRENT_SOURCE: {"i_mag": REQUIRED, "phase": 0.0},
 }
+# the kinds whose models are on a device base (DeviceSpec.base_mva); the
+# others' equations do not scale with one
+DEVICE_BASE_KINDS = frozenset(DEVICE_PARAMS) - {
+    DeviceKind.ZIP, DeviceKind.VOLTAGE_SOURCE, DeviceKind.DC_CURRENT_SOURCE}
 
 
 def check_positive(name, value, element=None):
@@ -149,7 +153,8 @@ class DeviceSpec:
     """One device instance: kind, terminal bus and raw numeric parameters.
 
     params keys are kind-specific (DEVICE_PARAMS); base_mva of None means
-    the device runs on the system base.
+    the device runs on the system base, and only DEVICE_BASE_KINDS take
+    another.
     """
 
     id: str
@@ -218,6 +223,9 @@ class Scenario:
                 raise SchemaError(f"device on undeclared bus {d.bus}",
                                   element=d.id)
             if d.base_mva is not None:
+                if d.kind not in DEVICE_BASE_KINDS:
+                    raise SchemaError(f"kind {d.kind.value} takes no base_mva",
+                                      element=d.id)
                 check_positive("base_mva", d.base_mva, element=d.id)
             _check_params(d)
             _check_torque_modulation(d)

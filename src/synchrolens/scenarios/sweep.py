@@ -33,10 +33,6 @@ class SweepResult:
     last_passing: float | None
     first_failing: float | None
 
-    @property
-    def boundary(self):
-        return (self.last_passing, self.first_failing)
-
 
 def with_clearing_time(scenario: Scenario, t_clear: float) -> Scenario:
     """Copy of the scenario with its fault-clearing event moved to t_clear."""

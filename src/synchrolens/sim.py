@@ -33,15 +33,12 @@ tail: a step from z_n is accepted without moving when
 |dt/2 (f_n + f_{n+1})| < newton_tol, so a state whose derivative stays
 below about 2 newton_tol / dt is held, and every later step reuses.
 
-Such a held step, one that reuses its start's (f, g) and takes no iteration,
-returns its start and changes nothing but the f_old it hands on, which it
-recovers from its residual.  At a fixed point, dt and time-invariant DAE,
-that new f_old and the step's residual are fixed functions of the f_old it
-got.  So once a held step hands on the bits it got, or the bits the step
-before it got, the steps that follow repeat that cycle of one or two steps
-until the next topology change.  The main loop then skips the steps before
-the next event step (or up to the end): it counts them, takes f_old by the
-parity of their number and records the held point in their slots, and
+An accepted step hands on the f of dae.last, f at the accepted point.  A
+held step, one that reuses its start's (f, g) and takes no iteration,
+returns its start and hands on the f it reused, so it changes nothing, and
+every later step up to the next topology change repeats it exactly.  The
+main loop then skips the steps before the next event step (or up to the
+end): it counts them and records the held point in their slots, and
 counters, f_old and every output keep the bits of stepping each one.
 Samples are kept by reference and converted to the result arrays in blocks
 (Recorder).
@@ -631,13 +628,12 @@ class TrapezoidalStepper:
     A step whose x_old and y_old are the objects of dae.last takes f_old
     from it, when it has none and the time matches, and, without a
     predictor and for a DAE that is not time_varying, its first residual.
-    An accepted step returns the x and y of dae.last, the accepted point.
+    An accepted step returns the x and y of dae.last, the accepted point,
+    and keeps its f as the next f_old.
 
-    Such a step that takes no iteration is held: it returns its start, and
-    its residual and the f_old it hands on depend on the f_old it got
-    alone.  The stepper keeps the f_old in and out of consecutive held
-    steps, and fast_forward(m) skips m held steps once they cycle with
-    period 1 or 2.
+    Such a step that takes no iteration is held: it returns its start and
+    hands on the f_old it got, so the steps after it repeat it, and
+    fast_forward(m) skips m of them.
     """
 
     # keep the updated inverse while it still converges in fewer iterations
@@ -654,41 +650,32 @@ class TrapezoidalStepper:
         # first differences of the accepted points of this topology,
         # z_n - z_{n-1} first, at most PREDICTOR_POINTS - 1
         self._diffs = []
-        # f_old in and out of the consecutive held steps since the last
-        # step that was not held, oldest first, at most three
-        self._held = []
+        # whether the last step was held
+        self._held = False
         self.stats = {"newton_iterations": 0, "jacobian_builds": 0,
                       "worst_residual": 0.0, "steps": 0,
                       "max_step_iterations": 0, "max_step_time": 0.0,
                       "residual_evaluations": 0}
 
     def invalidate(self):
-        """Drop cached Jacobian, RHS, predictor history and held stretch
+        """Drop cached Jacobian, RHS, predictor history and held flag
         after a topology change."""
         self.jac_inv = None
         self._f_old = None
         self._diffs = []
-        self._held = []
+        self._held = False
 
     def fast_forward(self, m):
-        """Take m more held steps at once if the held stretch has become
-        periodic; returns the number of steps taken, m or 0.
+        """Take m more held steps at once if the last step was held;
+        returns the number of steps taken, m or 0.
 
-        Only the step counter, f_old and the differences change: a held
-        step makes no fg call, takes no iteration and does not move, and
-        both residuals of the period were already seen by worst_residual.
-        The caller's point stays as it is.
+        Only the step counter and the differences change: a held step makes
+        no fg call, takes no iteration, does not move and hands on its
+        f_old, and its residual was already seen by worst_residual.  The
+        caller's point stays as it is.
         """
-        held = self._held
-        if m <= 0 or len(held) < 2:
+        if m <= 0 or not self._held:
             return 0
-        last = held[-1].tobytes()
-        if not (last == held[-2].tobytes()
-                or len(held) > 2 and last == held[-3].tobytes()):
-            return 0
-        if m % 2:
-            self._held = [held[-2], held[-1], held[-2]]
-            self._f_old = held[-2]
         zero = np.zeros_like(self._diffs[0])
         keep = PREDICTOR_POINTS - 1
         self._diffs = ([zero] * min(m, keep) + self._diffs)[:keep]
@@ -773,17 +760,9 @@ class TrapezoidalStepper:
                 self._diffs = [z - z_old] + diffs[:PREDICTOR_POINTS - 2]
                 if it >= self.REBUILD_ITERS:
                     self.jac_inv = None   # converging slowly; refresh next step
-                n_x = dae.n_x
-                # recover f(t_new, z) from the converged residual for reuse
-                if n_x:
-                    f_new = (2.0 / dt) * (z[:n_x] - x_old - r[:n_x]) - f_old
-                    self._f_old = f_new
-                    # a held step maps f_old to f_new and nothing else
-                    if fg is not None and it == 0:
-                        self._held = (self._held or [f_old])[-2:] + [f_new]
-                    else:
-                        self._held = []
                 # the last evaluation was at the accepted z
+                self._f_old = dae.last[3]
+                self._held = fg is not None and it == 0
                 return dae.last[1], dae.last[2], it
             if self.jac_inv is None or since_build >= self.NEWTON_MAX_ITER:
                 if rebuilds >= self.MAX_REBUILDS_PER_STEP:

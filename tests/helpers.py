@@ -96,7 +96,7 @@ def gfl_xi_terms(state, params, v_net, i_net) -> XiTerms:
     if m2 < MIN_MAG ** 2:
         raise ModulationTooSmall(f"|m|={abs(m):.3e} below MIN_MAG")
     m_rate, a_rate = _modulation_rates(state, params, m, m2, i_pll)
-    omega_t = _pll_deviation(state, params, v_pll.imag) + params.omega_ref
+    omega_t = _pll_deviation(state, params, v_pll.imag) + 1.0
     front = m * params.v_dc0 / (params.z_f * i_pll)
     xi_a = front * (m_rate / params.omega_b
                     + 1j * (a_rate / params.omega_b + omega_t))

@@ -79,15 +79,16 @@ def test_criterion_3_smib_clearing_time_dichotomy():
     assert all(p.error == "" for p in sweep.points)
     flags = [p.als_pass for p in sweep.points]
     transitions = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
+    boundary = (sweep.last_passing, sweep.first_failing)
     boundary_ok = (sweep.monotone and transitions == 1
-                   and sweep.boundary == (1.12, 1.13))
+                   and boundary == (1.12, 1.13))
 
     tails_ok = all(p.als_tail_max <= TAIL_TOL
                    for p in sweep.points if p.als_pass)
     # divergence side: Im chi beyond 1 pu within 5 s of clearing
     im_ok = all(p.im_chi_5s > 1.0 for p in sweep.points if not p.als_pass)
     _report(3, boundary_ok and tails_ok and im_ok,
-            f"boundary={sweep.boundary}, monotone={sweep.monotone}, "
+            f"boundary={boundary}, monotone={sweep.monotone}, "
             f"tails_ok={tails_ok}, divergence_ok={im_ok}")
 
 

@@ -238,6 +238,21 @@ _RUN = ("run", "--builtin", "smib")
     pytest.param(_device_edit("circuit_dc", {"[sim]": _CIRCUIT_DC_FAULT},
                               "apply_fault at t=1.0"),
                  id="circuit-dc-fault"),
+    pytest.param(_device_edit("kundur", {"[device.Zload7]":
+                                         "[device.Zload7]\nbase_mva = 50"},
+                              "Zload7"),
+                 id="base-mva-on-zip-load"),
+    # [system] and [sim] each come once and without a label
+    pytest.param(_device_edit("smib", {"record_decimation = 1":
+                                       "record_decimation = 1\n\n[sim]\n"
+                                       "dt = 0.002"}, "sim"),
+                 id="second-sim-section"),
+    pytest.param(_device_edit("smib", {"[sim]": "[system]\nname = other\n"
+                                                "slack_device = IB\n\n[sim]"},
+                              "system"),
+                 id="second-system-section"),
+    pytest.param(_device_edit("smib", {"[sim]": "[sim.extra]"}, "sim.extra"),
+                 id="labelled-sim-section"),
 ])
 def test_invalid_input_exit_2(tmp_path, capsys, argv):
     """Bad settings are rejected with exit 2 and a message, before any

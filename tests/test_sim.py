@@ -162,6 +162,16 @@ def test_smib_pole_slip_residual_evaluations_bounded():
     assert diag["residual_evaluations"] <= 36000
 
 
+@pytest.mark.parametrize("name, ceiling", [
+    ("smib", 21_500), ("gfl_seriescomp", 43_000), ("motor_condenser", 8_920)])
+def test_residual_evaluations_bounded(builtin_run, name, ceiling):
+    """A full built-in run's residual_evaluations, the report's count of
+    stepper fg calls, stays below its ceiling (21,686, 43,599 and 8,969
+    when each step recovered f at its accepted point from the residual)."""
+    _, result, _ = builtin_run(name)
+    assert result.diagnostics["residual_evaluations"] <= ceiling
+
+
 def test_every_device_kind_has_an_adapter():
     """build_adapters indexes the adapter table by kind without a fallback."""
     assert set(sim._ADAPTERS) == set(DeviceKind)
@@ -672,9 +682,9 @@ def _assert_fast_forward_invisible(monkeypatch, scenario, config):
 
 @pytest.mark.parametrize("dec", [1, 7])
 def test_fast_forward_is_bitwise_invisible(monkeypatch, dec):
-    """smib holds its equilibrium for the pre-fault second (period 1),
-    which is fast-forwarded up to the fault step; decimation 7 does not
-    divide that step (1000), so the skipped slots end between samples."""
+    """smib holds its equilibrium for the pre-fault second, which is
+    fast-forwarded up to the fault step; decimation 7 does not divide that
+    step (1000), so the skipped slots end between samples."""
     scenario = build_builtin("smib")
     config = SimConfig.from_scenario(scenario, t_end=2.0,
                                      record_decimation=dec)
@@ -682,23 +692,43 @@ def test_fast_forward_is_bitwise_invisible(monkeypatch, dec):
     assert sum(calls) == 998
 
 
-def test_fast_forward_of_either_parity_keeps_f_old_bits(monkeypatch):
-    """gfl_seriescomp is held from step 26,357 (t = 5.27 s) on, with an
-    f_old that alternates between two bit patterns.  Runs to 6 s and one
-    step further end fast-forwards of both parities, and each leaves f_old
-    with the bits of stepping every held step."""
+def test_accepted_step_hands_on_its_points_f(monkeypatch):
+    """Every accepted smib step keeps f of dae.last, its accepted point, as
+    the next step's f_old: the very array, with the bits of a fresh
+    evaluation there."""
+    scenario = build_builtin("smib")
+    config = SimConfig.from_scenario(scenario, t_end=2.0)
+    step = TrapezoidalStepper.step
+    checked = []
+
+    def checking(self, t_old, x_old, y_old, dt):
+        x, y, it = step(self, t_old, x_old, y_old, dt)
+        dae = self.dae
+        last = dae.last
+        assert self._f_old is last[3]
+        f, _ = dae.fg(t_old + dt, x, y)
+        dae.last = last
+        checked.append(f.tobytes() == self._f_old.tobytes())
+        return x, y, it
+
+    monkeypatch.setattr(TrapezoidalStepper, "step", checking)
+    run_simulation(scenario, config)
+    assert len(checked) == 2000 - 998 and all(checked)
+
+
+def test_held_tail_is_fast_forwarded_in_one_call(monkeypatch):
+    """gfl_seriescomp is held from step 26,356 (t = 5.27 s) on.  Its first
+    held step hands on the f it reused, so one fast_forward call skips the
+    rest of a run to 6 s or one step further, and leaves f_old and the
+    differences with the bits of stepping every held step."""
     scenario = build_builtin("gfl_seriescomp")
-    parities = set()
     for t_end in (6.0, 6.0002):
         config = SimConfig.from_scenario(scenario, t_end=t_end)
         calls, stepper = _assert_fast_forward_invisible(monkeypatch, scenario,
                                                         config)
-        taken = [m for m in calls if m]
-        assert len(taken) == 2 and taken[1] > 3000
-        parities.add(taken[1] % 2)
-        held = stepper._held
-        assert held[-1].tobytes() != held[-2].tobytes()
-    assert parities == {0, 1}
+        n_steps = round(t_end / config.dt)
+        assert [m for m in calls if m] == [4998, n_steps - 26356]
+        assert stepper._held is True
 
 
 def test_time_varying_run_never_fast_forwards(monkeypatch):
@@ -709,7 +739,7 @@ def test_time_varying_run_never_fast_forwards(monkeypatch):
     result, stepper, calls = _run_spying_fast_forward(monkeypatch, scenario,
                                                       config)
     assert len(calls) == result.diagnostics["steps"] == 2000
-    assert not any(calls) and stepper._held == []
+    assert not any(calls) and stepper._held is False
 
 
 def test_recorder_flushes_in_blocks(monkeypatch):
