@@ -4,21 +4,23 @@ arrays, plus initializers (see ``devices.base``)."""
 
 from __future__ import annotations
 
-from .base import DeviceKind, from_machine_frame, to_machine_frame
+from .base import DeviceKind, to_machine_frame
 from .inverter import (GFL_STATE_NAMES, GFM_STATE_NAMES, GflParams, GfmParams,
                        gfl_admittance_cf, gfl_fg, gfl_init, gfm_admittance_cf,
                        gfm_fg, gfm_init)
-from .loads import ZipParams, zip_admittance_cf, zip_injection, zip_power
+from .loads import (ZipParams, zip_admittance_cf, zip_injection, zip_power,
+                    zip_shunt_current)
 from .machine import (SM_STATE_NAMES, SmParams, sm2_params, sm4_params,
                       sm6_params, sm_admittance_cf, sm_fg, sm_init)
 from .motor import (ImParams, im_admittance, im_admittance_cf, im_fg, im_init,
                     im_power, im_pullout, im_torque)
 
 __all__ = [
-    "DeviceKind", "to_machine_frame", "from_machine_frame",
+    "DeviceKind", "to_machine_frame",
     "SmParams", "sm2_params", "sm4_params", "sm6_params", "SM_STATE_NAMES",
     "sm_fg", "sm_admittance_cf", "sm_init",
-    "ZipParams", "zip_power", "zip_injection", "zip_admittance_cf",
+    "ZipParams", "zip_power", "zip_injection", "zip_shunt_current",
+    "zip_admittance_cf",
     "ImParams", "im_torque", "im_power", "im_admittance",
     "im_fg", "im_admittance_cf", "im_pullout", "im_init",
     "GflParams", "GFL_STATE_NAMES", "gfl_fg", "gfl_admittance_cf", "gfl_init",

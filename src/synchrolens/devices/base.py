@@ -62,8 +62,3 @@ def cdiv(a, b):
 def to_machine_frame(z_net, delta):
     """Network Park vector -> machine dq components (d + j*q)."""
     return 1j * cexp(-1j * delta) * z_net
-
-
-def from_machine_frame(z_m, delta):
-    """Machine dq components -> network Park vector."""
-    return -1j * cexp(1j * delta) * z_m

@@ -56,6 +56,18 @@ def zip_injection(params: ZipParams, v):
     return -cdiv(1j * q + p, v).conjugate()
 
 
+def zip_shunt_current(y_l, v):
+    """(re, im) of -y_l*v, the current a constant-impedance load with
+    y_l = conj(S0) injects, for a voltage number or array.
+
+    Written in real arithmetic, so an array and a number round alike:
+    numpy's complex array product can differ in the last bit from the
+    scalar one on some SIMD levels.
+    """
+    a, b = y_l.real, y_l.imag
+    return -(a * v.real - b * v.imag), -(a * v.imag + b * v.real)
+
+
 def zip_admittance_cf(params: ZipParams, rho):
     """Closed-form chi: 0 (Z), -rho (I) or -2*rho (P); omega part is zero."""
     kind = params.pure_kind()

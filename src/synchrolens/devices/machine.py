@@ -11,13 +11,14 @@ characteristic.  All device math is in machine base; time derivatives are in
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..cf import MIN_MAG
 from ..errors import ParamDomain
-from .base import from_machine_frame, to_machine_frame
+from .base import to_machine_frame
 
 SM_STATE_NAMES = {
     6: ("delta", "omega_r", "psi2_d", "psi2_q", "e1_d", "e1_q"),
@@ -189,13 +190,16 @@ def sm_fg(states, params, v, tau_m, v_f):
     machine states are read by index, so more states may follow them."""
     p = params
     delta, omega_r = states[0], states[1]
-    v_m = to_machine_frame(v, delta)
+    # one exponential for both rotations: conj(exp(-j*delta)) is
+    # exp(j*delta) bit for bit
+    rot = cmath.exp(-1j * delta)
+    v_m = 1j * rot * v
     i_m = _stator_current(states, p, v_m)
     tau_e = _air_gap_torque(v_m, i_m, p.R_s)
     ddelta = p.omega_b * (omega_r - 1.0)
     domega = (tau_m - tau_e - p.D * (omega_r - 1.0)) / p.M
     rates = sm_flux_rates(states, p, i_m.real, i_m.imag, v_f)
-    return [ddelta, domega, *rates], from_machine_frame(i_m, delta)
+    return [ddelta, domega, *rates], -1j * rot.conjugate() * i_m
 
 
 def sm_admittance_cf(states, params, v, i, rho, omega, v_f=0.0, ratio=1.0):

@@ -2,9 +2,9 @@
 
 Sections: [system], [bus.<id>], [branch.<id>], [device.<id>], [event.<n>]
 and [sim].  Keys are lower_snake_case; quantities are per-unit on the
-declared bases.  Unknown sections or keys are errors, and [system] and
-[sim] come at most once each, without a label.  The grammar is documented
-in the README.
+declared bases.  Unknown sections or keys are errors, [system] and [sim]
+come at most once each, without a label, and every other section needs
+one.  The grammar is documented in the README.
 """
 
 from __future__ import annotations
@@ -148,6 +148,8 @@ def load_scenario(text: str) -> Scenario:
             if kind in single:
                 raise SchemaError("a second section", element=kind)
             single[kind] = data
+        elif kind in ("bus", "branch", "device", "event") and label is None:
+            raise SchemaError("the section needs a label", element=kind)
         elif kind == "bus":
             _section(kind, label, data, {})   # a bus is only its id
             buses.append(Bus(label))

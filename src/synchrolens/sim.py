@@ -51,12 +51,14 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
+from .cf import MIN_MAG
 from .devices import (GFL_STATE_NAMES, GFM_STATE_NAMES, DeviceKind, GflParams,
                       GfmParams, ImParams, ZipParams, gfl_admittance_cf,
                       gfl_fg, gfl_init, gfm_admittance_cf, gfm_fg, gfm_init,
                       im_admittance_cf, im_fg, im_init, im_power, sm2_params,
                       sm4_params, sm6_params, sm_admittance_cf, sm_fg, sm_init,
-                      zip_admittance_cf, zip_injection, zip_power)
+                      zip_admittance_cf, zip_injection, zip_power,
+                      zip_shunt_current)
 from .errors import (InitInfeasible, MixedZipUnsupportedAnalytic,
                      NewtonDivergence, ParamDomain, SchemaError, SlipSingular,
                      VoltageTooSmall)
@@ -149,6 +151,8 @@ class Adapter:
     state_names: tuple = ()
     # whether fg depends on t other than through the states and voltage
     time_varying = False
+    # the shunt admittance that stands for an active device in Y, or None
+    y_shunt = None
 
     def __init__(self, spec: DeviceSpec, system_base, omega_b):
         self.spec = spec
@@ -243,16 +247,24 @@ class SmAdapter(Adapter):
 
 
 class ZipAdapter(Adapter):
+    """ZIP load.  A pure constant-impedance one (k_zp = k_zq = 1 exactly)
+    draws conj(S0)*v, so PowerSystemDae stamps y_shunt = conj(S0) into Y
+    instead of evaluating it; the power flow still sees its polynomial."""
+
     def __init__(self, spec, system_base, omega_b):
         super().__init__(spec, system_base, omega_b)
-        self.zp = ZipParams(**spec.values())
+        zp = self.zp = ZipParams(**spec.values())
+        if zp.k_zp == 1.0 and zp.k_zq == 1.0:
+            self.y_shunt = complex(zp.p0, -zp.q0)
 
     def pf_injection(self, vm):
         p, q = zip_power(self.zp, vm)
         return complex(-p, -q)
 
     def inj(self, t, states, v):
-        return zip_injection(self.zp, v)
+        if self.y_shunt is None:
+            return zip_injection(self.zp, v)
+        return complex(*zip_shunt_current(self.y_shunt, v))
 
     def chi(self, states, v, i, rho, omega):
         try:
@@ -433,7 +445,8 @@ class PowerSystemDae:
     source's voltage constraint (``vsrc:IB.re``).  time_varying is whether
     any device's equations depend on t; the network's do not.  last is
     (t, x, y, f, g, injections) of the last fg call, or None after a
-    topology change.
+    topology change.  An active device with a y_shunt is stamped into
+    y_mat and left out of the device pass (_shunts holds it and its bus).
     """
 
     def __init__(self, network: Network, adapters):
@@ -469,17 +482,22 @@ class PowerSystemDae:
 
     def refresh_topology(self):
         self.last = None
+        active = [a for a in self.adapters if a.active]
+        idx = self.network.bus_index
         self.y_mat = assemble_y(self.network)
+        self._shunts = [(a, idx[a.bus]) for a in active
+                        if a.y_shunt is not None]
+        for a, k in self._shunts:
+            self.y_mat[k, k] += a.y_shunt
         self._neg_y = -self.y_mat
         self.connected = connected_bus_mask(
-            self.network,
-            device_buses=[a.bus for a in self.adapters if a.active])
+            self.network, device_buses=[a.bus for a in active])
         self._isolated = np.flatnonzero(~self.connected).tolist()
-        idx = self.network.bus_index
         self._device_info = [(a, self.slices[a.id] if a.n_states else None,
                               idx[a.bus])
-                             for a in self.adapters
-                             if a.active and a.kind is not DeviceKind.VOLTAGE_SOURCE]
+                             for a in active
+                             if a.y_shunt is None
+                             and a.kind is not DeviceKind.VOLTAGE_SOURCE]
         self._branch_info = [(br, self.branch_slices[br.id].start,
                               idx[br.from_bus], idx[br.to_bus])
                              for br in self.dyn_branches
@@ -501,14 +519,21 @@ class PowerSystemDae:
         x and y are converted to Python numbers once, so every device,
         dynamic branch and ideal source runs on Python floats and complexes
         (see ``devices.base``); the network's matvec stays one complex numpy
-        product.  A phasor is assembled as re + 1j*im, which rounds, signed
-        zeros included, as numpy's y[:n] + 1j*y[n:2n] does.  The call is
-        kept in last, the device currents in _device_info order.
+        product, which also carries the stamped shunts' currents.  A phasor
+        is assembled as re + 1j*im, which rounds, signed zeros included, as
+        numpy's y[:n] + 1j*y[n:2n] does.  The call is kept in last, the
+        device currents in _device_info order.
         """
         n, n_src = self.n_bus, self.n_src
         xs = x.tolist()
         ys = y_vec.tolist()
         v = [re + 1j * im for re, im in zip(ys[:n], ys[n:2 * n])]
+        for a, k in self._shunts:
+            # the load model's own rule: no ZIP load at a vanishing voltage
+            if abs(v[k]) < MIN_MAG:
+                raise VoltageTooSmall(
+                    f"device {a.id} at t={t:.6f}s: |v|={abs(v[k]):.3e} "
+                    "below MIN_MAG")
         f = [0.0] * self.n_x
         mismatch = (self._neg_y @ np.array(v)).tolist()
         injections = []
@@ -800,7 +825,8 @@ class Recorder:
 
     add() keeps the x, y and device injections of dae.last, the accepted
     point, and flush() turns the pending samples into the result arrays
-    with one np.array each for x, y and the injections.  The
+    with one np.array each for x, y and the injections; a stamped shunt's
+    current is computed there from the recorded bus voltages.  The
     pending samples must share the topology the flush sees, so the caller
     flushes before every event; add() flushes every BLOCK samples, which
     bounds the memory the references hold.  A device that is not active
@@ -853,6 +879,10 @@ class Recorder:
         inj = np.array(injections, dtype=complex)
         for j, (a, _, _) in enumerate(dae._device_info):
             self.currs[a.id][rows] = inj[:, j]
+        for a, k in dae._shunts:
+            curr = self.currs[a.id]
+            curr.real[rows], curr.imag[rows] = zip_shunt_current(a.y_shunt,
+                                                                 v[:, k])
         for j, a in enumerate(dae.vsrc):
             if a.active:
                 self.currs[a.id][rows] = i_src[:, j]

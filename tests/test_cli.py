@@ -253,6 +253,22 @@ _RUN = ("run", "--builtin", "smib")
                  id="second-system-section"),
     pytest.param(_device_edit("smib", {"[sim]": "[sim.extra]"}, "sim.extra"),
                  id="labelled-sim-section"),
+    # every element section needs a label
+    pytest.param(_device_edit("smib", {"[sim]": "[bus]\n\n[sim]"}, "bus"),
+                 id="unlabelled-bus-section"),
+    pytest.param(_device_edit("smib", {"[sim]": "[branch]\nfrom = GEN\n"
+                                                "to = HV\nx = 0.1\n\n[sim]"},
+                              "branch"),
+                 id="unlabelled-branch-section"),
+    pytest.param(_device_edit("smib", {"[sim]": "[device]\nkind = zip\n"
+                                                "bus = HV\np0 = 0.1\n\n[sim]"},
+                              "device"),
+                 id="unlabelled-device-section"),
+    pytest.param(_device_edit("smib", {"[sim]": "[event]\nt = 5.0\n"
+                                                "kind = open_branch\n"
+                                                "branch = L2\n\n[sim]"},
+                              "event"),
+                 id="unlabelled-event-section"),
 ])
 def test_invalid_input_exit_2(tmp_path, capsys, argv):
     """Bad settings are rejected with exit 2 and a message, before any

@@ -1,5 +1,6 @@
 """Device models: equilibria, CF terms, closed-form chi and degenerations."""
 
+import cmath
 from dataclasses import replace
 
 import numpy as np
@@ -14,10 +15,12 @@ from synchrolens.devices import (GflParams, GfmParams, ImParams, ZipParams,
                                  im_init, im_pullout, im_torque, sm2_params,
                                  sm4_params, sm6_params, sm_admittance_cf,
                                  sm_fg, sm_init, to_machine_frame,
-                                 zip_admittance_cf, zip_injection, zip_power)
+                                 zip_admittance_cf, zip_injection, zip_power,
+                                 zip_shunt_current)
 from synchrolens.errors import (InitInfeasible, MixedZipUnsupportedAnalytic,
                                 ParamDomain, SlipSingular, VoltageTooSmall)
 from synchrolens.devices.base import DeviceKind, cdiv
+from synchrolens.devices.machine import _stator_current
 from synchrolens.network import (Branch, dynamic_branch_derivatives,
                                  dynamic_branch_init)
 from synchrolens.scenarios import DeviceSpec
@@ -85,6 +88,26 @@ def test_torque_step_accelerates_by_swing_equation():
     state, tau_m, v_f = sm_init(params, v, 0.7 + 0.1j)
     deriv, _ = sm_fg(state, params, v, 1.1 * tau_m, v_f)
     assert deriv[1] == pytest.approx(0.1 * tau_m / params.M, rel=1e-9)
+
+
+@pytest.mark.parametrize("params", [
+    sm6(), sm4(), sm2_params(x1_d=0.3, M=7.0, D=0.0, omega_b=OMEGA_B,
+                             e_q0=1.1)], ids=["sm6", "sm4", "sm2"])
+def test_sm_fg_rotates_current_back_by_exp_j_delta(params):
+    """sm_fg takes exp(-j*delta) once and rotates its current out of the
+    machine frame by the conjugate; that is bitwise -1j*exp(1j*delta)*i_m,
+    over angles within +-4 rad and pole-slip angles of tens of radians."""
+    rng = np.random.default_rng(43)
+    state0, _, _ = sm_init(params, 1.02 * np.exp(0.2j), 0.8 + 0.2j)
+    for reach in (4.0, 50.0):
+        for _ in range(2000):
+            state = (state0 + rng.normal(0.0, 0.05, len(state0))).tolist()
+            state[0] = float(rng.uniform(-reach, reach))
+            v = complex(*rng.normal(0.0, 0.6, 2))
+            i_m = _stator_current(state, params, to_machine_frame(v, state[0]))
+            expected = -1j * cmath.exp(1j * state[0]) * i_m
+            got = sm_fg(state, params, v, 0.0, 0.0)[1]
+            assert _bits(got) == _bits(expected), state[0]
 
 
 def test_reactance_ordering_rejected():
@@ -257,6 +280,21 @@ def test_zip_current_mixed_matches_polynomials():
 def test_zip_current_rejects_small_voltage():
     with pytest.raises(VoltageTooSmall):
         zip_injection(ZipParams(p0=1.0, q0=0.0), 1e-9 + 0.0j)
+
+
+def test_zip_shunt_current_is_the_pure_z_injection():
+    """zip_shunt_current is -conj(S0)*v: within rounding of zip_injection of
+    the constant-impedance load, and bitwise the same for a voltage array
+    as for each of its elements."""
+    rng = np.random.default_rng(47)
+    params = ZipParams(p0=0.7, q0=-0.3)
+    y_l = complex(params.p0, -params.q0)
+    v = rng.normal(0.0, 0.6, 500) + 1j * rng.normal(0.0, 0.6, 500)
+    re, im = zip_shunt_current(y_l, v)
+    for k, v_k in enumerate(v.tolist()):
+        got = complex(*zip_shunt_current(y_l, v_k))
+        assert _bits(got) == _bits(complex(re[k], im[k]))
+        assert abs(got - zip_injection(params, v_k)) <= 1e-14 * abs(y_l * v_k)
 
 
 def test_zip_chi_boxed_values():

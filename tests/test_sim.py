@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from helpers import without_disturbances
-from synchrolens.devices import DeviceKind
-from synchrolens import sim
+from synchrolens.devices import DeviceKind, zip_injection
+from synchrolens import cli, sim
 from synchrolens.errors import InitInfeasible, NewtonDivergence, SchemaError
+from synchrolens.network import Event, EventKind, apply_event, assemble_y
 from synchrolens.scenarios import (build_builtin, builtin_names,
-                                  with_clearing_time)
+                                  serialize_scenario, with_clearing_time)
 from synchrolens.scenarios.model import VOLTAGE_SETTING
 from synchrolens.sim import (SimConfig, TrapezoidalStepper, initialize,
                              run_simulation)
@@ -163,11 +164,13 @@ def test_smib_pole_slip_residual_evaluations_bounded():
 
 
 @pytest.mark.parametrize("name, ceiling", [
-    ("smib", 21_500), ("gfl_seriescomp", 43_000), ("motor_condenser", 8_920)])
+    ("smib", 21_500), ("gfl_seriescomp", 43_000), ("motor_condenser", 8_920),
+    ("kundur", 42_008)])
 def test_residual_evaluations_bounded(builtin_run, name, ceiling):
     """A full built-in run's residual_evaluations, the report's count of
     stepper fg calls, stays below its ceiling (21,686, 43,599 and 8,969
-    when each step recovered f at its accepted point from the residual)."""
+    when each step recovered f at its accepted point from the residual;
+    kundur's is its count when its loads went through zip_injection)."""
     _, result, _ = builtin_run(name)
     assert result.diagnostics["residual_evaluations"] <= ceiling
 
@@ -415,6 +418,109 @@ def test_recorded_currents_equal_injections(builtin_run, name):
             assert (got.real.tobytes(), got.imag.tobytes()) == (
                 np.float64(expected.real).tobytes(),
                 np.float64(expected.imag).tobytes()), (a.id, k)
+
+
+# --- constant-impedance loads stamped into Y ---------------------------------
+
+
+def _g_from_zip_polynomials(dae, t, x, y):
+    """g rebuilt without stamps: the network's own Y and every active
+    device's injection, each ZIP load's through zip_injection (for a DAE
+    without dynamic branches and ideal sources)."""
+    assert not dae.dyn_branches and not dae.vsrc
+    v, _ = dae.unpack_y(y)
+    mismatch = -assemble_y(dae.network) @ v
+    for a in dae.adapters:
+        if a.active:
+            k = dae.network.bus_index[a.bus]
+            if a.kind is DeviceKind.ZIP:
+                mismatch[k] += zip_injection(a.zp, complex(v[k]))
+            else:
+                mismatch[k] += a.fg(t, x[dae.slices[a.id]].tolist(),
+                                    complex(v[k]))[1]
+    mismatch[~dae.connected] = v[~dae.connected]
+    return np.concatenate([mismatch.real, mismatch.imag])
+
+
+def test_stamped_loads_match_zip_polynomials():
+    """kundur's four constant-impedance loads are stamped into Y and left
+    out of the device pass; fg's g matches g built from the unstamped Y and
+    each load's zip_injection at the initial point and inside the fault."""
+    scenario = build_builtin("kundur")
+    config = SimConfig.from_scenario(scenario)
+    dae, x, y = initialize(scenario, config)
+    loads = ["Zload7", "Zcap7", "Zload9", "Zcap9"]
+    assert [a.id for a, _ in dae._shunts] == loads
+    assert not {a.id for a, _, _ in dae._device_info} & set(loads)
+    _, g = dae.fg(0.0, x, y)
+    assert np.abs(g - _g_from_zip_polynomials(dae, 0.0, x, y)).max() <= 1e-12
+    fault = scenario.events[0]
+    assert fault.kind is EventKind.APPLY_FAULT and fault.time == 1.0
+    apply_event(dae.network, fault)
+    dae.refresh_topology()
+    y = dae.solve_algebraic(1.0, x, y)
+    stepper = TrapezoidalStepper(dae, config)
+    for k in range(50):
+        x, y, _ = stepper.step(1.0 + k * config.dt, x, y, config.dt)
+    t = 1.0 + 50 * config.dt
+    _, g = dae.fg(t, x, y)
+    assert np.abs(g - _g_from_zip_polynomials(dae, t, x, y)).max() <= 1e-12
+
+
+def test_only_exact_impedance_shares_are_stamped():
+    """A load whose shares pure_kind accepts as constant impedance within
+    its tolerance, but are not exactly 1, stays in the device pass on the
+    zip_injection path."""
+    scenario = build_builtin("kundur")
+    devices = tuple(
+        replace(d, params={**d.params, "k_zp": 1.0 - 1e-10, "k_pp": 1e-10})
+        if d.id == "Zload7" else d for d in scenario.devices)
+    dae, _, y = initialize(replace(scenario, devices=devices))
+    near = next(a for a in dae.adapters if a.id == "Zload7")
+    assert near.zp.pure_kind() == "z" and near.y_shunt is None
+    assert near in [a for a, _, _ in dae._device_info]
+    assert [a.id for a, _ in dae._shunts] == ["Zcap7", "Zload9", "Zcap9"]
+    v = complex(dae.unpack_y(y)[0][dae.network.bus_index["B7"]])
+    assert near.inj(0.0, None, v) == zip_injection(near.zp, v)
+
+
+def test_disconnected_stamped_load_leaves_y(monkeypatch, tmp_path):
+    """kundur with Zcap7 disconnected at the fault (t = 1 s) runs to
+    t = 1.5 s with exit 0; from the event sample on Zcap7 records no
+    current and inactive, and B7's diagonal of Y holds Zload7's shunt
+    only."""
+    base = build_builtin("kundur")
+    trip = Event(1.0, EventKind.DISCONNECT_DEVICE, device="Zcap7")
+    scenario = replace(base, t_end=1.5,
+                       events=(base.events[0], trip, base.events[1]))
+    path = tmp_path / "kundur.ini"
+    path.write_text(serialize_scenario(scenario))
+    daes, results = [], []
+
+    def init(*args, initialize=sim.initialize, **kwargs):
+        out = initialize(*args, **kwargs)
+        daes.append(out[0])
+        return out
+
+    def run(*args, run_simulation=cli.run_simulation, **kwargs):
+        results.append(run_simulation(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(sim, "initialize", init)
+    monkeypatch.setattr(cli, "run_simulation", run)
+    assert cli.main(["run", "--file", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+    (dae,), (result,) = daes, results
+    k = result.event_samples[0]
+    assert result.t[k] == 1.0
+    current = result.currents["Zcap7"]
+    assert abs(current[k - 1]) > 1.0
+    assert not current[k:].any() and not result.active["Zcap7"][k:].any()
+    assert result.active["Zcap7"][:k].all()
+    assert [a.id for a, _ in dae._shunts] == ["Zload7", "Zload9", "Zcap9"]
+    b7 = dae.network.bus_index["B7"]
+    zload7 = next(a for a in dae.adapters if a.id == "Zload7")
+    assert dae.y_mat[b7, b7] == assemble_y(dae.network)[b7, b7] + zload7.y_shunt
 
 
 def test_dae_names_every_equation():
