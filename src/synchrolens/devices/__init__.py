@@ -9,7 +9,7 @@ from .inverter import (GFL_STATE_NAMES, GFM_STATE_NAMES, GflParams, GfmParams,
                        gfl_admittance_cf, gfl_fg, gfl_init, gfm_admittance_cf,
                        gfm_fg, gfm_init)
 from .loads import (ZipParams, zip_admittance_cf, zip_injection, zip_power,
-                    zip_shunt_current)
+                    zip_shunt_current, zip_voltage_magnitude)
 from .machine import (SM_STATE_NAMES, SmParams, sm2_params, sm4_params,
                       sm6_params, sm_admittance_cf, sm_fg, sm_init)
 from .motor import (ImParams, im_admittance, im_admittance_cf, im_fg, im_init,
@@ -20,7 +20,7 @@ __all__ = [
     "SmParams", "sm2_params", "sm4_params", "sm6_params", "SM_STATE_NAMES",
     "sm_fg", "sm_admittance_cf", "sm_init",
     "ZipParams", "zip_power", "zip_injection", "zip_shunt_current",
-    "zip_admittance_cf",
+    "zip_voltage_magnitude", "zip_admittance_cf",
     "ImParams", "im_torque", "im_power", "im_admittance",
     "im_fg", "im_admittance_cf", "im_pullout", "im_init",
     "GflParams", "GFL_STATE_NAMES", "gfl_fg", "gfl_admittance_cf", "gfl_init",

@@ -47,12 +47,17 @@ def zip_power(params: ZipParams, v_mag: float):
     return p, q
 
 
-def zip_injection(params: ZipParams, v):
-    """Current injected into the network (the negative of the drawn current)."""
+def zip_voltage_magnitude(v):
+    """|v|, or VoltageTooSmall below MIN_MAG, where no ZIP load is defined."""
     v_mag = abs(v)
     if v_mag < MIN_MAG:
         raise VoltageTooSmall(f"|v|={v_mag:.3e} below MIN_MAG")
-    p, q = zip_power(params, v_mag)
+    return v_mag
+
+
+def zip_injection(params: ZipParams, v):
+    """Current injected into the network (the negative of the drawn current)."""
+    p, q = zip_power(params, zip_voltage_magnitude(v))
     return -cdiv(1j * q + p, v).conjugate()
 
 

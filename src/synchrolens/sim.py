@@ -51,14 +51,13 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .cf import MIN_MAG
 from .devices import (GFL_STATE_NAMES, GFM_STATE_NAMES, DeviceKind, GflParams,
                       GfmParams, ImParams, ZipParams, gfl_admittance_cf,
                       gfl_fg, gfl_init, gfm_admittance_cf, gfm_fg, gfm_init,
                       im_admittance_cf, im_fg, im_init, im_power, sm2_params,
                       sm4_params, sm6_params, sm_admittance_cf, sm_fg, sm_init,
                       zip_admittance_cf, zip_injection, zip_power,
-                      zip_shunt_current)
+                      zip_shunt_current, zip_voltage_magnitude)
 from .errors import (InitInfeasible, MixedZipUnsupportedAnalytic,
                      NewtonDivergence, ParamDomain, SchemaError, SlipSingular,
                      VoltageTooSmall)
@@ -247,14 +246,16 @@ class SmAdapter(Adapter):
 
 
 class ZipAdapter(Adapter):
-    """ZIP load.  A pure constant-impedance one (k_zp = k_zq = 1 exactly)
-    draws conj(S0)*v, so PowerSystemDae stamps y_shunt = conj(S0) into Y
-    instead of evaluating it; the power flow still sees its polynomial."""
+    """ZIP load.  A pure constant-impedance one (shares exactly 0, 0, 1 for
+    both P and Q) draws conj(S0)*v, so PowerSystemDae stamps
+    y_shunt = conj(S0) into Y instead of evaluating it; the power flow
+    still sees its polynomial."""
 
     def __init__(self, spec, system_base, omega_b):
         super().__init__(spec, system_base, omega_b)
         zp = self.zp = ZipParams(**spec.values())
-        if zp.k_zp == 1.0 and zp.k_zq == 1.0:
+        if (zp.k_pp, zp.k_ip, zp.k_zp, zp.k_pq, zp.k_iq, zp.k_zq) == (
+                0.0, 0.0, 1.0, 0.0, 0.0, 1.0):
             self.y_shunt = complex(zp.p0, -zp.q0)
 
     def pf_injection(self, vm):
@@ -528,16 +529,13 @@ class PowerSystemDae:
         xs = x.tolist()
         ys = y_vec.tolist()
         v = [re + 1j * im for re, im in zip(ys[:n], ys[n:2 * n])]
-        for a, k in self._shunts:
-            # the load model's own rule: no ZIP load at a vanishing voltage
-            if abs(v[k]) < MIN_MAG:
-                raise VoltageTooSmall(
-                    f"device {a.id} at t={t:.6f}s: |v|={abs(v[k]):.3e} "
-                    "below MIN_MAG")
         f = [0.0] * self.n_x
         mismatch = (self._neg_y @ np.array(v)).tolist()
         injections = []
         try:
+            for a, k in self._shunts:
+                # the load model's own rule: no ZIP load at a vanishing voltage
+                zip_voltage_magnitude(v[k])
             for a, sl, k in self._device_info:
                 if sl is not None:
                     d, inj = a.fg(t, xs[sl], v[k])

@@ -467,14 +467,19 @@ def test_stamped_loads_match_zip_polynomials():
     assert np.abs(g - _g_from_zip_polynomials(dae, t, x, y)).max() <= 1e-12
 
 
-def test_only_exact_impedance_shares_are_stamped():
-    """A load whose shares pure_kind accepts as constant impedance within
-    its tolerance, but are not exactly 1, stays in the device pass on the
-    zip_injection path."""
+@pytest.mark.parametrize("shares", [
+    {"k_zp": 1.0 - 1e-10, "k_pp": 1e-10},
+    {"k_zp": 1.0, "k_pp": 0.5, "k_ip": -0.5},
+    {"k_zq": 1.0, "k_pq": 5e-10},
+], ids=["near-one", "negative-share", "tiny-q-share"])
+def test_only_exact_impedance_shares_are_stamped(shares):
+    """A load whose shares are not exactly (0, 0, 1) for both P and Q, be
+    they accepted as constant impedance within pure_kind's tolerance or
+    summing to 1 with k_zp = 1 and a negative share, stays in the device
+    pass on the zip_injection path."""
     scenario = build_builtin("kundur")
-    devices = tuple(
-        replace(d, params={**d.params, "k_zp": 1.0 - 1e-10, "k_pp": 1e-10})
-        if d.id == "Zload7" else d for d in scenario.devices)
+    devices = tuple(replace(d, params={**d.params, **shares})
+                    if d.id == "Zload7" else d for d in scenario.devices)
     dae, _, y = initialize(replace(scenario, devices=devices))
     near = next(a for a in dae.adapters if a.id == "Zload7")
     assert near.zp.pure_kind() == "z" and near.y_shunt is None
