@@ -1,6 +1,8 @@
 """Device models: per model, one kernel for derivatives and injection over
-one sample of Python numbers, one for the closed-form chi over sample
-arrays, plus initializers (see ``devices.base``)."""
+one sample of Python numbers (``zip_injection`` for the stateless ZIP
+load), one for the closed-form chi over sample arrays, which every model
+has, for every ZIP share mix too, plus initializers for the models with
+states (see ``devices.base``)."""
 
 from __future__ import annotations
 

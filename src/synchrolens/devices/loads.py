@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..cf import MIN_MAG
-from ..errors import MixedZipUnsupportedAnalytic, ParamDomain, VoltageTooSmall
+from ..errors import ParamDomain, VoltageTooSmall
 from .base import cdiv
 
 _SHARE_TOL = 1e-9
@@ -29,15 +31,6 @@ class ZipParams:
             raise ParamDomain("active-power shares must sum to 1")
         if abs(self.k_pq + self.k_iq + self.k_zq - 1.0) > _SHARE_TOL:
             raise ParamDomain("reactive-power shares must sum to 1")
-
-    def pure_kind(self):
-        """'z', 'i' or 'p' when both quantities are single-component, else None."""
-        for kind, kp, kq in (("p", self.k_pp, self.k_pq),
-                             ("i", self.k_ip, self.k_iq),
-                             ("z", self.k_zp, self.k_zq)):
-            if abs(kp - 1.0) <= _SHARE_TOL and abs(kq - 1.0) <= _SHARE_TOL:
-                return kind
-        return None
 
 
 def zip_power(params: ZipParams, v_mag: float):
@@ -73,12 +66,25 @@ def zip_shunt_current(y_l, v):
     return -(a * v.real - b * v.imag), -(a * v.imag + b * v.real)
 
 
-def zip_admittance_cf(params: ZipParams, rho):
-    """Closed-form chi: 0 (Z), -rho (I) or -2*rho (P); omega part is zero."""
-    kind = params.pure_kind()
-    if kind is None:
-        raise MixedZipUnsupportedAnalytic(
-            "mixed ZIP loads have no closed-form chi; use the numeric route"
-        )
-    factor = {"z": 0.0, "i": -1.0, "p": -2.0}[kind]
-    return factor * rho + 0.0j
+def zip_admittance_cf(params: ZipParams, v, rho):
+    """Closed-form chi = rho*u*Y'(u)/Y(u) of the load's admittance
+    Y(u) = conj(S(u))/u**2, with u = max(|v|, MIN_MAG) and S = p + jq the
+    zip_power polynomial: rho*conj(u*S' - 2*S)/conj(S), which is 0 for
+    constant impedance, -rho for constant current and -2*rho for constant
+    power.  Where the load draws nothing (S = 0) chi is 0.
+
+    Built from real arrays and one complex quotient: numpy's complex array
+    product and abs can round differently on other SIMD levels, its hypot
+    and complex quotient do not.  Exact zeros come out as +0.0.
+    """
+    u = np.maximum(np.hypot(v.real, v.imag), MIN_MAG)
+    p, q = zip_power(params, u)
+    drawn = (p != 0.0) | (q != 0.0)
+    # rho*conj(u*S' - 2*S): every term carries a P or I share, so it is
+    # exactly 0 for a constant-impedance load
+    num = (-params.p0 * (2.0 * params.k_pp + params.k_ip * u)
+           * rho).astype(complex)
+    num.imag = params.q0 * (2.0 * params.k_pq + params.k_iq * u) * rho
+    den = np.where(drawn, p, 1.0).astype(complex)
+    den.imag = -q
+    return np.where(drawn, num / den, 0.0) + 0.0

@@ -25,10 +25,6 @@ class SlipSingular(SynchroLensError):
     """Induction-motor slip is zero; rotor branch resistance singular."""
 
 
-class MixedZipUnsupportedAnalytic(SynchroLensError):
-    """Closed-form chi exists only for pure Z, I or P loads."""
-
-
 class InitInfeasible(SynchroLensError):
     """No steady state exists for the requested operating point."""
 

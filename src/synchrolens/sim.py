@@ -58,9 +58,8 @@ from .devices import (GFL_STATE_NAMES, GFM_STATE_NAMES, DeviceKind, GflParams,
                       sm4_params, sm6_params, sm_admittance_cf, sm_fg, sm_init,
                       zip_admittance_cf, zip_injection, zip_power,
                       zip_shunt_current, zip_voltage_magnitude)
-from .errors import (InitInfeasible, MixedZipUnsupportedAnalytic,
-                     NewtonDivergence, ParamDomain, SchemaError, SlipSingular,
-                     VoltageTooSmall)
+from .errors import (InitInfeasible, NewtonDivergence, ParamDomain,
+                     SchemaError, SlipSingular, VoltageTooSmall)
 from .network import (NEWTON_TOL, EventKind, Network, PfBusSpec, apply_event,
                       assemble_y, connected_bus_mask,
                       dynamic_branch_derivatives, dynamic_branch_init,
@@ -143,7 +142,7 @@ class Adapter:
     flow (power_flow_specs) a PQ device's pf_injection(vm) is the complex
     power it injects at voltage magnitude vm; a voltage-setting device's
     pf_setpoint() returns (v, theta, p), the voltage it holds, its angle as
-    the slack and its power as PV.
+    the slack and its power as PV; by default the parameters as given.
     """
 
     n_states = 0
@@ -159,8 +158,11 @@ class Adapter:
         self.bus = spec.bus
         self.kind = spec.kind
         self.ratio = (spec.base_mva or system_base) / system_base
-        self.omega_b = omega_b
         self.active = True
+
+    def pf_setpoint(self):
+        p = self.spec.values()
+        return p["v"], p["theta"], p["p"]
 
     def inj(self, t, states, v):
         return self.fg(t, states, v)[1]
@@ -200,10 +202,6 @@ class SmAdapter(Adapter):
         self.state_names = self.mp.state_names + (("x_avr",) if self.avr else ())
         self.tau_m0 = 0.0
         self.v_f0 = 0.0
-
-    def pf_setpoint(self):
-        p = self.spec.values()
-        return p["v"], p["theta"], p["p"]
 
     def init(self, v_bus, s_dev):
         state, tau_m, fld = sm_init(self.mp, v_bus, s_dev / self.ratio)
@@ -268,10 +266,7 @@ class ZipAdapter(Adapter):
         return complex(*zip_shunt_current(self.y_shunt, v))
 
     def chi(self, states, v, i, rho, omega):
-        try:
-            return zip_admittance_cf(self.zp, rho)
-        except MixedZipUnsupportedAnalytic:
-            return None
+        return zip_admittance_cf(self.zp, v, rho)
 
 
 class MotorAdapter(Adapter):
@@ -375,16 +370,8 @@ class DcSourceAdapter(Adapter):
 
 
 class VsrcAdapter(Adapter):
-    """Ideal EMF; the injected current is an algebraic unknown."""
-
-    def __init__(self, spec, system_base, omega_b):
-        super().__init__(spec, system_base, omega_b)
-        p = spec.values()
-        self.emf = p["v"] * np.exp(1j * p["theta"])
-
-    def pf_setpoint(self):
-        return (abs(self.emf), float(np.angle(self.emf)),
-                self.spec.values()["p"])
+    """Ideal EMF; the injected current is an algebraic unknown.  initialize
+    sets the EMF it holds, emf, to its bus's power-flow voltage."""
 
 
 _ADAPTERS = {

@@ -13,10 +13,11 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from helpers import gfm_probe_scenario
-from synchrolens import sim
+from synchrolens import errors, sim
 from synchrolens.cli import main
 from synchrolens.errors import NewtonDivergence
 from synchrolens.scenarios import build_builtin, serialize_scenario
+from synchrolens.synccheck import ORACLE_RMS_TOL
 
 
 def run_cli(*argv):
@@ -757,6 +758,41 @@ def test_device_without_current_has_no_crosscheck(tmp_path, capsys):
     assert run_cli("run", "--file", str(path), "--out", str(tmp_path)) == 0
     report = json.loads((tmp_path / "island_report.json").read_text())
     assert [c["device"] for c in report["crosschecks"]] == []
+
+
+@pytest.mark.parametrize("shares, rms_bound", [
+    ("k_pp = 0.3\nk_ip = 0.3\nk_zp = 0.4\nk_pq = 0.1\nk_iq = 0.2\nk_zq = 0.7",
+     ORACLE_RMS_TOL),
+    ("k_zp = 1.0\nk_pp = 0.5\nk_ip = -0.5", 1e-6),
+], ids=["mixed", "negative-share"])
+def test_mixed_zip_load_is_crosschecked(tmp_path, capsys, shares, rms_bound):
+    """kundur with Zload7 a mixed ZIP load, or with k_zp = 1 next to a
+    negative share, writes Zload7's closed-form chi columns and a passing
+    cross-check row.  The negative-share load's rms is also below 1e-6:
+    the constant-impedance chi of 0 misses its numeric chi by 1.7e-4."""
+    path = _scenario_file(tmp_path, "kundur",
+                          {"p0 = 10.0": "p0 = 10.0\n" + shares})
+    out = tmp_path / "out"
+    assert run_cli("run", "--file", path, "--out", str(out),
+                   "--t-end", "5.0") == 0
+    with open(out / "kundur_chi.csv") as f:
+        header = f.readline().rstrip("\n").split(",")
+    assert {"chi_rho_analytic:Zload7",
+            "chi_omega_analytic:Zload7"} <= set(header)
+    report = json.loads((out / "kundur_report.json").read_text())
+    row = next(c for c in report["crosschecks"] if c["device"] == "Zload7")
+    assert row["passed"] and row["rms"] <= rms_bound
+
+
+def test_every_error_has_an_exit_code():
+    """Every SynchroLensError the package defines exits 2 or 3, or is one
+    that build_report handles, so none ends a run in a traceback."""
+    handled = {*errors.USAGE_ERRORS, *errors.SOLVER_ERRORS,
+               errors.WindowTooShort, errors.AxisMismatch}
+    defined = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.SynchroLensError)
+               and c is not errors.SynchroLensError}
+    assert defined - handled == set()
 
 
 _OVERLOAD = """\

@@ -11,11 +11,11 @@ from synchrolens.devices import DeviceKind, zip_injection
 from synchrolens import cli, sim
 from synchrolens.errors import InitInfeasible, NewtonDivergence, SchemaError
 from synchrolens.network import Event, EventKind, apply_event, assemble_y
-from synchrolens.scenarios import (build_builtin, builtin_names,
+from synchrolens.scenarios import (DeviceSpec, build_builtin, builtin_names,
                                   serialize_scenario, with_clearing_time)
 from synchrolens.scenarios.model import VOLTAGE_SETTING
-from synchrolens.sim import (SimConfig, TrapezoidalStepper, initialize,
-                             run_simulation)
+from synchrolens.sim import (SimConfig, TrapezoidalStepper, VsrcAdapter,
+                             initialize, run_simulation)
 from synchrolens.synccheck import evaluate_device, numeric_chi
 
 
@@ -380,6 +380,14 @@ def test_initialize_kundur_tie_flow_matches_power_flow():
     assert 3.0 < tie < 4.5   # exporting area sends a few pu across the tie
 
 
+def test_voltage_source_setpoint_is_taken_as_given():
+    """An ideal source hands the power flow its v, theta and p unrounded
+    (v*exp(j*theta) taken apart again returns v = 0.9599999999999999)."""
+    spec = DeviceSpec("IB", DeviceKind.VOLTAGE_SOURCE, "B0",
+                      {"v": 0.96, "theta": 0.3})
+    assert VsrcAdapter(spec, 100.0, 377.0).pf_setpoint() == (0.96, 0.3, 0.0)
+
+
 def test_motor_above_pullout_raises():
     scenario = build_builtin("motor_condenser")
     devices = tuple(replace(d, params={**d.params, "tau_m": 2.2})
@@ -473,16 +481,16 @@ def test_stamped_loads_match_zip_polynomials():
     {"k_zq": 1.0, "k_pq": 5e-10},
 ], ids=["near-one", "negative-share", "tiny-q-share"])
 def test_only_exact_impedance_shares_are_stamped(shares):
-    """A load whose shares are not exactly (0, 0, 1) for both P and Q, be
-    they accepted as constant impedance within pure_kind's tolerance or
-    summing to 1 with k_zp = 1 and a negative share, stays in the device
-    pass on the zip_injection path."""
+    """A load whose shares are not exactly (0, 0, 1) for both P and Q
+    stays in the device pass on the zip_injection path: a share at most
+    1e-9 off, which the share-sum check accepts, or k_zp = 1 next to a
+    pair of shares that cancel, one of them negative."""
     scenario = build_builtin("kundur")
     devices = tuple(replace(d, params={**d.params, **shares})
                     if d.id == "Zload7" else d for d in scenario.devices)
     dae, _, y = initialize(replace(scenario, devices=devices))
     near = next(a for a in dae.adapters if a.id == "Zload7")
-    assert near.zp.pure_kind() == "z" and near.y_shunt is None
+    assert near.y_shunt is None
     assert near in [a for a, _, _ in dae._device_info]
     assert [a.id for a, _ in dae._shunts] == ["Zcap7", "Zload9", "Zcap9"]
     v = complex(dae.unpack_y(y)[0][dae.network.bus_index["B7"]])
