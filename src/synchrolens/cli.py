@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import asdict
 
 import numpy as np
@@ -28,6 +27,8 @@ from .synccheck import (DEFAULT_EPSILON, DEFAULT_SETTLE, DEFAULT_TAIL_TOL,
 
 # rows per .tolist() call; larger blocks measurably raise peak memory
 _CSV_BLOCK = 256
+# characters encoded per write, so a file's bytes never exist whole
+_WRITE_CHUNK = 1 << 20
 
 
 def _json(value):
@@ -36,15 +37,20 @@ def _json(value):
 
 
 def _atomic_write(path, data):
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".synchrolens-")
+    """Write the str data to path through a new file beside it, so a reader
+    sees the old file or the whole new one.  The file is created like a
+    plain open() (O_CREAT | O_EXCL, 0o666 under the umask), and data is
+    encoded one slice at a time, never as a whole."""
+    tmp = os.path.join(os.path.dirname(path),
+                       f".synchrolens-{os.urandom(8).hex()}")
+    handle = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(data)
+        with handle:
+            for start in range(0, len(data), _WRITE_CHUNK):
+                handle.write(data[start:start + _WRITE_CHUNK])
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -92,12 +98,15 @@ def _cells(col):
 def _csv(header, columns):
     """CSV text of equal-length columns, one row per sample, each cell the
     repr of a Python number (an int column prints 1/0)."""
-    lines = [",".join(header)]
+    # CPython grows a str in place on `text += ...` while this local holds
+    # its only reference, so the text is held once, not next to its rows
+    text = ",".join(header)
     for start in range(0, len(columns[0]), _CSV_BLOCK):
         cells = [_cells(col[start:start + _CSV_BLOCK]) for col in columns]
-        lines.extend(map(",".join, zip(*cells)))
-    lines.append("")   # the final newline, without a copy of the text
-    return "\n".join(lines)
+        text += "\n"
+        text += "\n".join(map(",".join, zip(*cells)))
+    text += "\n"
+    return text
 
 
 def _traj_csv(result):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import MISSING, dataclass, fields
 
 from ..devices import DeviceKind, ZipParams
@@ -15,6 +16,10 @@ VOLTAGE_SETTING = (DeviceKind.SM2, DeviceKind.SM4, DeviceKind.SM6,
 
 # marks a device parameter that has no default
 REQUIRED = object()
+
+# a scenario's name begins its output file names, so it holds no path
+# separator and is neither empty nor hidden
+_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
 
 def _required(*keys):
@@ -194,6 +199,9 @@ class Scenario:
 
     def validate(self):
         """Structural checks; raises SchemaError on the first violation."""
+        if not _NAME.fullmatch(self.name):
+            raise SchemaError(f"name {self.name!r} must be letters, digits, "
+                              "'_', '-' and '.', not starting with '.'")
         check_run_settings(self.dt, self.t_end, self.record_decimation)
         lo, hi = F_NOM_RANGE
         if not lo <= self.f_nom <= hi:

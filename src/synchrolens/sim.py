@@ -68,8 +68,8 @@ from .scenarios.model import (VOLTAGE_SETTING, DeviceSpec, Scenario,
                               check_run_settings, time_grid)
 
 # the recorded trajectories of one run may take at most this many bytes;
-# a `synchrolens run` peaks at about ten times its recorded bytes above its
-# size after initialization (kundur 9.1x, gfl_seriescomp 9.7x), most of it
+# a `synchrolens run` peaks at about five times its recorded bytes above its
+# size after initialization (kundur 4.8x, gfl_seriescomp 5.1x), most of it
 # the CSV text
 MAX_RECORD_BYTES = 1 << 27
 

@@ -8,11 +8,14 @@ perfbench/selftest.py needs; this guard fails first.
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_TRACER = _ROOT / "perfbench" / "tracer.py"
 
 
 def _bindings():
@@ -29,3 +32,14 @@ def test_traced_binding_exists(module, owner, attr, span):
     if owner is not None:
         found = found.__dict__[owner]
     assert callable(found.__dict__.get(attr)), f"{module}.{owner}.{attr}"
+
+
+def test_perfbench_selftest_passes():
+    """perfbench's self-test runs every workload under the tracer and
+    checks its output checks and spans, so a writer that breaks the
+    tracer's str contract or drops a span fails here rather than in a
+    benchmark run."""
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                          cwd=_ROOT, capture_output=True, text=True,
+                          timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr

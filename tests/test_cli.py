@@ -5,7 +5,9 @@ import io
 import json
 import math
 import os
+import stat
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -464,6 +466,71 @@ def test_csv_held_stretch_matches_reference(builtin_run):
             chi += [c.values.real, c.values.imag]
         chi.append(ch.mask.astype(int))
     _assert_rows(cli._chi_csv(result, numeric, analytic), chi)
+
+
+def test_traj_csv_holds_its_text_once():
+    """_traj_csv of a 4 s smib run allocates at most 1.3 times the text it
+    returns: the text grows in place, with no list of row strings beside
+    it (a join of such a list peaked at 2.3 times)."""
+    from synchrolens import cli
+    scenario = build_builtin("smib")
+    result = sim.run_simulation(scenario, sim.SimConfig.from_scenario(
+        scenario, t_end=4.0))
+    tracemalloc.start()
+    try:
+        text = cli._traj_csv(result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.isascii() and peak <= 1.3 * len(text)
+
+
+def test_atomic_write_encodes_in_slices(tmp_path):
+    """Writing an 8 MiB str allocates at most 2.5 MiB (a slice and its
+    bytes), not the whole file's bytes, and writes every character."""
+    from synchrolens import cli
+    data = ("x" * 63 + "\n") * (1 << 17)
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        cli._atomic_write(str(path), data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (1 << 20)
+    assert path.read_text() == data
+    assert os.listdir(tmp_path) == ["big.csv"]
+
+
+def test_outputs_follow_the_umask(tmp_path, capsys):
+    """Under umask 022 a run's three outputs are mode 0644, as a plain
+    open() would create them, not owner-only."""
+    old = os.umask(0o022)
+    try:
+        assert run_cli("run", "--builtin", "circuit_dc",
+                       "--out", str(tmp_path)) == 0
+    finally:
+        os.umask(old)
+    names = sorted(os.listdir(tmp_path))
+    assert names == ["circuit_dc_chi.csv", "circuit_dc_report.json",
+                     "circuit_dc_traj.csv"]
+    for name in names:
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/dir", ""])
+def test_scenario_name_cannot_leave_out_dir(tmp_path, capsys, name):
+    """A scenario name begins the output file names, so one holding a path
+    separator, or an empty one, exits 2 naming the field, and nothing is
+    written in --out or its parent."""
+    path = _scenario_file(tmp_path, "smib",
+                          {"name = smib": f"name = {name}".rstrip()})
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    assert run_cli("run", "--file", path, "--out", str(parent / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: name {name!r} must be")
+    assert [p for p in parent.rglob("*") if not p.is_dir()] == []
 
 def test_report_schema_valid(smib_outputs):
     report = json.loads((smib_outputs / "smib_report.json").read_text())
