@@ -4,7 +4,7 @@ The GFL model lives in its PLL frame (z_pll = z_net * exp(-j*theta_pll));
 states are the two current-PI integrators, the measured currents, the PLL
 integrator and the PLL angle.  The GFM is an EMF behind z_t with droop on
 filtered power and integral control on filtered voltage; its measurement
-filters use first-order lags with time constants T_v (voltage) and T_p
+filters use first-order lags with time constants t_v (voltage) and t_p
 (power).  State derivatives are 1/s and are divided by omega_b wherever they
 enter per-unit CF expressions.
 """
@@ -12,55 +12,57 @@ enter per-unit CF expressions.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..cf import MIN_MAG
 from ..errors import ParamDomain
-from .base import cdiv, cexp
-
-GFL_STATE_NAMES = ("x_d", "x_q", "i_dm", "i_qm", "x_pll", "theta_pll")
-GFM_STATE_NAMES = ("e", "delta", "v_m", "p_m")
+from .base import Adapter, Declaration, DeviceKind, cdiv, cexp, param_keys
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GflParams:
-    """Grid-following converter constants."""
+    """Grid-following converter constants; the filter impedance z_f, shunt
+    admittance y_f and current reference i_ref are formed once."""
 
-    K_p: float
-    K_i: float
-    T_m: float
-    K_p_pll: float
-    K_i_pll: float
+    k_p: float
+    k_i: float
+    t_m: float
+    k_p_pll: float
+    k_i_pll: float
     v_dc0: float
-    z_f: complex
-    y_f: complex
+    z_f_x: float
     i_dref: float
-    i_qref: float
+    z_f_r: float = 0.0
+    y_f_g: float = 0.0
+    y_f_b: float = 0.0
+    i_qref: float = 0.0
     omega_b: float
+    z_f: complex = field(init=False)
+    y_f: complex = field(init=False)
+    i_ref: complex = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "z_f", complex(self.z_f_r, self.z_f_x))
+        object.__setattr__(self, "y_f", complex(self.y_f_g, self.y_f_b))
+        object.__setattr__(self, "i_ref", complex(self.i_dref, self.i_qref))
         if abs(self.z_f) == 0.0:
             raise ParamDomain("filter impedance must be nonzero")
-        if not self.T_m > 0.0:
+        if not self.t_m > 0.0:
             raise ParamDomain("current-measurement time constant must be positive")
         if not self.v_dc0 > 0.0:
             raise ParamDomain("dc-link voltage must be positive")
 
-    @property
-    def i_ref(self):
-        return complex(self.i_dref, self.i_qref)
-
 
 def gfl_modulation(x, params: GflParams):
-    """Modulation vector m = x_bar + K_p*(i_ref - i_m) from the state columns."""
-    return 1j * x[1] + x[0] + params.K_p * (params.i_ref - (1j * x[3] + x[2]))
+    """Modulation vector m = x_bar + k_p*(i_ref - i_m) from the state columns."""
+    return 1j * x[1] + x[0] + params.k_p * (params.i_ref - (1j * x[3] + x[2]))
 
 
 def _pll_deviation(x, params: GflParams, v_q):
     """PLL speed deviation delta_omega_pll in pu (add 1 for the speed)."""
-    return params.K_p_pll * v_q + x[4]
+    return params.k_p_pll * v_q + x[4]
 
 
 def _current_pll(x, params: GflParams, v_pll):
@@ -72,10 +74,10 @@ def _current_pll(x, params: GflParams, v_pll):
 
 def _modulation_rates(x, params: GflParams, m, m2, i_pll):
     """(m_dot/m, alpha_dot) of the modulation vector given |m|^2, 1/s."""
-    dm_d = (params.K_i * (params.i_dref - x[2])
-            - (params.K_p / params.T_m) * (i_pll.real - x[2]))
-    dm_q = (params.K_i * (params.i_qref - x[3])
-            - (params.K_p / params.T_m) * (i_pll.imag - x[3]))
+    dm_d = (params.k_i * (params.i_dref - x[2])
+            - (params.k_p / params.t_m) * (i_pll.real - x[2]))
+    dm_q = (params.k_i * (params.i_qref - x[3])
+            - (params.k_p / params.t_m) * (i_pll.imag - x[3]))
     return ((m.real * dm_d + m.imag * dm_q) / m2,
             (m.real * dm_q - m.imag * dm_d) / m2)
 
@@ -88,11 +90,11 @@ def gfl_fg(states, params: GflParams, v):
     rot = cmath.exp(-1j * x[5])
     v_pll = v * rot
     i_pll = _current_pll(x, p, v_pll)
-    deriv = [p.K_i * (p.i_dref - x[2]),
-             p.K_i * (p.i_qref - x[3]),
-             (i_pll.real - x[2]) / p.T_m,
-             (i_pll.imag - x[3]) / p.T_m,
-             p.K_i_pll * v_pll.imag,
+    deriv = [p.k_i * (p.i_dref - x[2]),
+             p.k_i * (p.i_qref - x[3]),
+             (i_pll.real - x[2]) / p.t_m,
+             (i_pll.imag - x[3]) / p.t_m,
+             p.k_i_pll * v_pll.imag,
              p.omega_b * _pll_deviation(x, p, v_pll.imag)]
     return deriv, i_pll * rot.conjugate()
 
@@ -129,28 +131,31 @@ def gfl_init(params: GflParams, v_net: complex):
     return np.array([m.real, m.imag, params.i_dref, params.i_qref, 0.0, theta])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GfmParams:
     """Grid-forming converter constants (droop + integral voltage control)."""
 
-    K_p: float
-    K_i: float
-    T_v: float
+    k_p: float
+    k_i: float
+    t_v: float
     m_p: float
     p_ref: float
     v_ref: float
-    z_t: complex
+    z_t_x: float
+    t_p: float | None = None  # power-measurement lag; defaults to t_v
+    z_t_r: float = 0.0
     omega_b: float
-    T_p: float | None = None  # power-measurement lag; defaults to T_v
+    z_t: complex = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "z_t", complex(self.z_t_r, self.z_t_x))
         if abs(self.z_t) == 0.0:
             raise ParamDomain("coupling impedance must be nonzero")
-        if not self.T_v > 0.0:
+        if not self.t_v > 0.0:
             raise ParamDomain("voltage-measurement time constant must be positive")
-        if self.T_p is None:
-            object.__setattr__(self, "T_p", self.T_v)
-        if not self.T_p > 0.0:
+        if self.t_p is None:
+            object.__setattr__(self, "t_p", self.t_v)
+        if not self.t_p > 0.0:
             raise ParamDomain("power-measurement time constant must be positive")
 
 
@@ -166,8 +171,8 @@ def gfm_speed(x, params: GfmParams):
 
 def _emf_rate(x, params: GfmParams, v_mag):
     """d/dt of the EMF magnitude e, 1/s."""
-    return (params.K_i * (params.v_ref - x[2])
-            - (params.K_p / params.T_v) * (x[2] - v_mag))
+    return (params.k_i * (params.v_ref - x[2])
+            - (params.k_p / params.t_v) * (x[2] - v_mag))
 
 
 def gfm_fg(states, params: GfmParams, v):
@@ -180,8 +185,8 @@ def gfm_fg(states, params: GfmParams, v):
     power = (v * i.conjugate()).real
     deriv = [_emf_rate(x, p, v_mag),
              p.omega_b * (gfm_speed(x, p) - 1.0),
-             (v_mag - x[2]) / p.T_v,
-             (power - x[3]) / p.T_p]
+             (v_mag - x[2]) / p.t_v,
+             (power - x[3]) / p.t_p]
     return deriv, i
 
 
@@ -210,3 +215,51 @@ def gfm_init(params: GfmParams, v_net: complex, s_inj: complex):
     e_bar = v_net + params.z_t * i_net
     return np.array([abs(e_bar), float(np.angle(e_bar)),
                      abs(v_net), float(s_inj.real)])
+
+
+class GflAdapter(Adapter):
+    """Grid-following converter, a PQ source of its current references."""
+
+    def pf_injection(self, vm):
+        return complex(vm * self.params.i_dref * self.ratio,
+                       -vm * self.params.i_qref * self.ratio)
+
+    def init(self, v_bus, s_dev):
+        return gfl_init(self.params, v_bus)
+
+    def fg(self, t, states, v):
+        deriv, i = gfl_fg(states, self.params, v)
+        return deriv, i * self.ratio
+
+    def chi(self, states, v, i, rho, omega):
+        return gfl_admittance_cf(states, self.params, v, i, rho, omega,
+                                 self.ratio)
+
+
+class GfmAdapter(Adapter):
+    """Grid-forming converter, which holds v_ref as PV or as the slack."""
+
+    def pf_setpoint(self):
+        return self.params.v_ref, 0.0, self.params.p_ref * self.ratio
+
+    def init(self, v_bus, s_dev):
+        # the droop reference must equal the realized power for omega = 1;
+        # a no-op for PV operation, the required back-solve for slack duty
+        self.params = replace(self.params, p_ref=float(s_dev.real) / self.ratio)
+        return gfm_init(self.params, v_bus, s_dev / self.ratio)
+
+    def fg(self, t, states, v):
+        deriv, i = gfm_fg(states, self.params, v)
+        return deriv, i * self.ratio
+
+    def chi(self, states, v, i, rho, omega):
+        return gfm_admittance_cf(states, self.params, v, i, rho, omega,
+                                 self.ratio)
+
+
+DECLARATIONS = (
+    Declaration(DeviceKind.GFL_IBR, param_keys(GflParams), GflParams,
+                GflAdapter, ("x_d", "x_q", "i_dm", "i_qm", "x_pll", "theta_pll")),
+    Declaration(DeviceKind.GFM_IBR, param_keys(GfmParams), GfmParams,
+                GfmAdapter, ("e", "delta", "v_m", "p_m"), sets_voltage=True),
+)

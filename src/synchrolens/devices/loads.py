@@ -8,7 +8,7 @@ import numpy as np
 
 from ..cf import MIN_MAG
 from ..errors import ParamDomain, VoltageTooSmall
-from .base import cdiv
+from .base import Adapter, Declaration, DeviceKind, cdiv, param_keys
 
 _SHARE_TOL = 1e-9
 
@@ -18,7 +18,7 @@ class ZipParams:
     """ZIP load: p0/q0 drawn at v=1, split into P/I/Z shares per quantity."""
 
     p0: float
-    q0: float
+    q0: float = 0.0
     k_pp: float = 0.0
     k_ip: float = 0.0
     k_zp: float = 1.0
@@ -88,3 +88,37 @@ def zip_admittance_cf(params: ZipParams, v, rho):
     den = np.where(drawn, p, 1.0).astype(complex)
     den.imag = -q
     return np.where(drawn, num / den, 0.0) + 0.0
+
+
+class ZipAdapter(Adapter):
+    """ZIP load.  A pure constant-impedance one (shares exactly 0, 0, 1 for
+    both P and Q) draws conj(S0)*v, so PowerSystemDae stamps
+    y_shunt = conj(S0) into Y instead of evaluating it; the power flow
+    still sees its polynomial."""
+
+    def __init__(self, spec, system_base, omega_b):
+        super().__init__(spec, system_base, omega_b)
+        zp = self.params
+        if (zp.k_pp, zp.k_ip, zp.k_zp, zp.k_pq, zp.k_iq, zp.k_zq) == (
+                0.0, 0.0, 1.0, 0.0, 0.0, 1.0):
+            self.y_shunt = complex(zp.p0, -zp.q0)
+
+    def pf_injection(self, vm):
+        p, q = zip_power(self.params, vm)
+        return complex(-p, -q)
+
+    def inj(self, t, states, v):
+        if self.y_shunt is None:
+            return zip_injection(self.params, v)
+        return complex(*zip_shunt_current(self.y_shunt, v))
+
+    def chi(self, states, v, i, rho, omega):
+        return zip_admittance_cf(self.params, v, rho)
+
+
+# a load's equations are on the system base and independent of omega_b
+DECLARATIONS = (
+    Declaration(DeviceKind.ZIP, param_keys(ZipParams),
+                lambda omega_b, **keys: ZipParams(**keys), ZipAdapter,
+                device_base=False),
+)

@@ -4,61 +4,15 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 
-from ..devices import DeviceKind, ZipParams
-from ..errors import SchemaError
+from ..devices import DECLARATIONS, REQUIRED, DeviceKind
+from ..errors import ParamDomain, SchemaError
 from ..network import Branch, Bus, Event, EventKind, Network
-
-# Device kinds whose power-flow role fixes the bus voltage magnitude.
-VOLTAGE_SETTING = (DeviceKind.SM2, DeviceKind.SM4, DeviceKind.SM6,
-                   DeviceKind.GFM_IBR, DeviceKind.VOLTAGE_SOURCE)
-
-# marks a device parameter that has no default
-REQUIRED = object()
 
 # a scenario's name begins its output file names, so it holds no path
 # separator and is neither empty nor hidden
 _NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
-
-
-def _required(*keys):
-    return dict.fromkeys(keys, REQUIRED)
-
-
-# what every machine takes: inertia, damping, power-flow setpoints (v and
-# theta as the slack, p as PV) and a torque modulation
-_SM = {"m": REQUIRED, "d": 0.0, "p": 0.0, "v": 1.0, "theta": 0.0,
-       "tau_mod_amp": 0.0, "tau_mod_hz": 0.0}
-_SM4 = {**_required("x_d", "x_q", "x1_d", "x1_q", "x_l", "t1_d0", "t1_q0"),
-        "r_s": 0.0, **_SM, "avr_kp": 0.0, "avr_ki": 0.0}
-
-# each device kind's parameter keys: key -> default, or REQUIRED; GFM's t_p
-# defaults to t_v (GfmParams), and the ZIP shares to constant impedance
-DEVICE_PARAMS = {
-    DeviceKind.SM2: {"x1_d": REQUIRED, **_SM},
-    DeviceKind.SM4: _SM4,
-    DeviceKind.SM6: {**_SM4, **_required("x2_d", "x2_q", "t2_d0", "t2_q0")},
-    DeviceKind.ZIP: {"p0": REQUIRED, "q0": 0.0,
-                     **{f.name: f.default for f in fields(ZipParams)
-                        if f.default is not MISSING}},
-    DeviceKind.INDUCTION_MOTOR: {
-        **_required("x_s", "r_r1", "x_r1", "x_mu", "h_m", "tau_m"),
-        "r_s": 0.0},
-    DeviceKind.GFL_IBR: {
-        **_required("k_p", "k_i", "t_m", "k_p_pll", "k_i_pll", "v_dc0",
-                    "z_f_x", "i_dref"),
-        "z_f_r": 0.0, "y_f_g": 0.0, "y_f_b": 0.0, "i_qref": 0.0},
-    DeviceKind.GFM_IBR: {
-        **_required("k_p", "k_i", "t_v", "m_p", "p_ref", "v_ref", "z_t_x"),
-        "t_p": None, "z_t_r": 0.0},
-    DeviceKind.VOLTAGE_SOURCE: {"v": 1.0, "theta": 0.0, "p": 0.0},
-    DeviceKind.DC_CURRENT_SOURCE: {"i_mag": REQUIRED, "phase": 0.0},
-}
-# the kinds whose models are on a device base (DeviceSpec.base_mva); the
-# others' equations do not scale with one
-DEVICE_BASE_KINDS = frozenset(DEVICE_PARAMS) - {
-    DeviceKind.ZIP, DeviceKind.VOLTAGE_SOURCE, DeviceKind.DC_CURRENT_SOURCE}
 
 
 def check_positive(name, value, element=None):
@@ -131,8 +85,9 @@ def _check_branch_model(br):
 
 def _check_params(d):
     """SchemaError for the parameters the device's kind does not take, in
-    sorted order, and for the required ones it lacks (DEVICE_PARAMS)."""
-    table = DEVICE_PARAMS[d.kind]
+    sorted order, for the required ones it lacks (its declaration's keys)
+    and for a given value that is not a finite real number."""
+    table = d.declaration.keys
     unknown = sorted(set(d.params) - set(table))
     missing = [k for k in table if table[k] is REQUIRED and k not in d.params]
     for problem, keys in (("unknown", unknown), ("missing", missing)):
@@ -140,26 +95,20 @@ def _check_params(d):
             raise SchemaError(f"{problem} parameter{'s' * (len(keys) > 1)} "
                               f"{', '.join(map(repr, keys))} for kind "
                               f"{d.kind.value}", element=d.id)
-
-
-def _check_torque_modulation(d):
-    """SchemaError unless a torque modulation, if any, has a finite nonzero
-    tau_mod_amp and a finite positive tau_mod_hz (one alone does nothing)."""
-    amp, hz = d.params.get("tau_mod_amp"), d.params.get("tau_mod_hz")
-    if (amp is not None or hz is not None) and not (
-            amp and hz and math.isfinite(amp) and math.isfinite(hz) and hz > 0.0):
-        raise SchemaError("a torque modulation needs tau_mod_amp != 0 and "
-                          f"tau_mod_hz > 0, got tau_mod_amp = {amp!r}, "
-                          f"tau_mod_hz = {hz!r}", element=d.id)
+    for key, value in d.params.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise SchemaError(f"parameter {key!r} must be a finite real "
+                              f"number, got {value!r}", element=d.id)
 
 
 @dataclass(frozen=True)
 class DeviceSpec:
     """One device instance: kind, terminal bus and raw numeric parameters.
 
-    params keys are kind-specific (DEVICE_PARAMS); base_mva of None means
-    the device runs on the system base, and only DEVICE_BASE_KINDS take
-    another.
+    params holds the given values of the keys the kind's declaration
+    (devices.DECLARATIONS) lists; base_mva of None means the device runs on
+    the system base, and only a kind declared device_base takes another.
     """
 
     id: str
@@ -168,9 +117,13 @@ class DeviceSpec:
     params: dict
     base_mva: float | None = None
 
+    @property
+    def declaration(self):
+        return DECLARATIONS[self.kind]
+
     def values(self):
-        """The params laid over the kind's defaults (DEVICE_PARAMS)."""
-        return {**DEVICE_PARAMS[self.kind], **self.params}
+        """The params laid over the kind's defaults."""
+        return {**self.declaration.keys, **self.params}
 
 
 @dataclass(frozen=True)
@@ -198,7 +151,8 @@ class Scenario:
         return net
 
     def validate(self):
-        """Structural checks; raises SchemaError on the first violation."""
+        """Structural checks and each device's domain check (ParamDomain);
+        raises on the first violation, before any run or sweep point."""
         if not _NAME.fullmatch(self.name):
             raise SchemaError(f"name {self.name!r} must be letters, digits, "
                               "'_', '-' and '.', not starting with '.'")
@@ -222,6 +176,7 @@ class Scenario:
                                       element=br.id)
             check_positive("tap", br.tap, element=br.id)
             _check_branch_model(br)
+        omega_b = 2.0 * math.pi * self.f_nom
         dev_ids = set()
         for d in self.devices:
             if d.id in dev_ids:
@@ -231,12 +186,15 @@ class Scenario:
                 raise SchemaError(f"device on undeclared bus {d.bus}",
                                   element=d.id)
             if d.base_mva is not None:
-                if d.kind not in DEVICE_BASE_KINDS:
+                if not d.declaration.device_base:
                     raise SchemaError(f"kind {d.kind.value} takes no base_mva",
                                       element=d.id)
                 check_positive("base_mva", d.base_mva, element=d.id)
             _check_params(d)
-            _check_torque_modulation(d)
+            try:   # the run's own domain check: its adapter's parameters
+                d.declaration.adapter(d, self.base_mva, omega_b)
+            except ParamDomain as exc:
+                raise ParamDomain(f"{d.id}: {exc}") from exc
             if (d.kind is DeviceKind.DC_CURRENT_SOURCE
                     and self.analytic is None):
                 raise SchemaError(
@@ -247,12 +205,12 @@ class Scenario:
                 raise SchemaError(
                     f"slack device {self.slack_device!r} is not declared")
             slack = next(d for d in self.devices if d.id == self.slack_device)
-            if slack.kind not in VOLTAGE_SETTING:
+            if not slack.declaration.sets_voltage:
                 raise SchemaError(f"slack device of kind {slack.kind.value} "
                                   "cannot hold its bus voltage", element=slack.id)
         per_bus_vset = {}
         for d in self.devices:
-            if d.kind in VOLTAGE_SETTING:
+            if d.declaration.sets_voltage:
                 per_bus_vset.setdefault(d.bus, []).append(d.id)
         for bus, ids in per_bus_vset.items():
             if len(ids) > 1:

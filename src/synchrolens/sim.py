@@ -1,5 +1,8 @@
 """Fixed-step implicit-trapezoidal DAE integrator and trajectory recorder.
 
+Devices enter through the adapters their kinds declare (``devices.base``);
+this module assembles, steps, records and initializes the DAE they form.
+
 The differential states x (device states, dynamic-branch currents) and the
 algebraic variables y (bus voltages, ideal-source currents) are solved
 simultaneously each step from
@@ -47,25 +50,18 @@ Samples are kept by reference and converted to the result arrays in blocks
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import (GFL_STATE_NAMES, GFM_STATE_NAMES, DeviceKind, GflParams,
-                      GfmParams, ImParams, ZipParams, gfl_admittance_cf,
-                      gfl_fg, gfl_init, gfm_admittance_cf, gfm_fg, gfm_init,
-                      im_admittance_cf, im_fg, im_init, im_power, sm2_params,
-                      sm4_params, sm6_params, sm_admittance_cf, sm_fg, sm_init,
-                      zip_admittance_cf, zip_injection, zip_power,
-                      zip_shunt_current, zip_voltage_magnitude)
-from .errors import (InitInfeasible, NewtonDivergence, ParamDomain,
-                     SchemaError, SlipSingular, VoltageTooSmall)
+from .devices import DeviceKind, zip_shunt_current, zip_voltage_magnitude
+from .errors import (InitInfeasible, NewtonDivergence, SchemaError,
+                     SlipSingular, VoltageTooSmall)
 from .network import (NEWTON_TOL, EventKind, Network, PfBusSpec, apply_event,
                       assemble_y, connected_bus_mask,
                       dynamic_branch_derivatives, dynamic_branch_init,
                       fd_jacobian, interface_solve, solve_power_flow)
-from .scenarios.model import (VOLTAGE_SETTING, DeviceSpec, Scenario,
-                              check_run_settings, time_grid)
+from .scenarios.model import Scenario, check_run_settings, time_grid
 
 # the recorded trajectories of one run may take at most this many bytes;
 # a `synchrolens run` peaks at about five times its recorded bytes above its
@@ -125,266 +121,7 @@ def check_record_size(n_samples, n_bus, n_dev, n_states):
             "in the scenario's [sim] section, raise dt or shorten t_end")
 
 
-# --- device adapters --------------------------------------------------------
-
-
-class Adapter:
-    """Couples one device spec to the DAE and to the closed-form chi.
-
-    Stateful adapters define fg(t, states, v) -> (derivatives, injection)
-    and init(v_bus, s_dev), the steady state back-solved from the terminal
-    voltage and power (system base); inj(t, states, v) is the injection.
-    fg and inj take one sample in the stepper's form: states as a list of
-    Python floats (None for a device without states) and v as a Python
-    complex; they return a list and a complex (see devices.base).  chi
-    takes the recorded arrays of a whole run, states of shape (n, n_states)
-    and v, i of shape (n,).  Currents are on the system base.  For the power
-    flow (power_flow_specs) a PQ device's pf_injection(vm) is the complex
-    power it injects at voltage magnitude vm; a voltage-setting device's
-    pf_setpoint() returns (v, theta, p), the voltage it holds, its angle as
-    the slack and its power as PV; by default the parameters as given.
-    """
-
-    n_states = 0
-    state_names: tuple = ()
-    # whether fg depends on t other than through the states and voltage
-    time_varying = False
-    # the shunt admittance that stands for an active device in Y, or None
-    y_shunt = None
-
-    def __init__(self, spec: DeviceSpec, system_base, omega_b):
-        self.spec = spec
-        self.id = spec.id
-        self.bus = spec.bus
-        self.kind = spec.kind
-        self.ratio = (spec.base_mva or system_base) / system_base
-        self.active = True
-
-    def pf_setpoint(self):
-        p = self.spec.values()
-        return p["v"], p["theta"], p["p"]
-
-    def inj(self, t, states, v):
-        return self.fg(t, states, v)[1]
-
-    def chi(self, states, v, i, rho, omega):
-        """Closed-form chi over the samples, or None where the model has none."""
-        return None
-
-
-class SmAdapter(Adapter):
-    """Synchronous machine, optionally with the condenser PI voltage regulator
-    and a sinusoidal torque modulation (forced-oscillation studies)."""
-
-    def __init__(self, spec, system_base, omega_b):
-        super().__init__(spec, system_base, omega_b)
-        p = spec.values()
-        if spec.kind is DeviceKind.SM2:
-            self.mp = sm2_params(x1_d=p["x1_d"], M=p["m"], D=p["d"],
-                                 omega_b=omega_b)
-        else:
-            transient = dict(R_s=p["r_s"], x_d=p["x_d"], x_q=p["x_q"],
-                             x1_d=p["x1_d"], x1_q=p["x1_q"], x_l=p["x_l"],
-                             T1_d0=p["t1_d0"], T1_q0=p["t1_q0"], M=p["m"],
-                             D=p["d"], omega_b=omega_b)
-            self.mp = (sm4_params(**transient) if spec.kind is DeviceKind.SM4
-                       else sm6_params(**transient, x2_d=p["x2_d"],
-                                       x2_q=p["x2_q"], T2_d0=p["t2_d0"],
-                                       T2_q0=p["t2_q0"]))
-        # a given gain, not its default, turns the regulator on
-        self.avr = "avr_kp" in spec.params or "avr_ki" in spec.params
-        if self.avr:
-            self.avr_kp, self.avr_ki = p["avr_kp"], p["avr_ki"]
-        self.v_ref = p["v"]
-        self.mod_amp, self.mod_hz = p["tau_mod_amp"], p["tau_mod_hz"]
-        self.time_varying = self.mod_amp != 0.0
-        self.n_states = self.mp.n_states + (1 if self.avr else 0)
-        self.state_names = self.mp.state_names + (("x_avr",) if self.avr else ())
-        self.tau_m0 = 0.0
-        self.v_f0 = 0.0
-
-    def init(self, v_bus, s_dev):
-        state, tau_m, fld = sm_init(self.mp, v_bus, s_dev / self.ratio)
-        # Python floats, so the stepper's samples stay in Python numbers
-        self.tau_m0 = float(tau_m)
-        if self.mp.order == 2:
-            self.mp = dc_replace(self.mp, e_q0=float(fld))
-            self.v_f0 = 0.0
-        else:
-            self.v_f0 = float(fld)
-        if self.avr:
-            state = np.append(state, 0.0)
-        return state
-
-    def _tau_m(self, t):
-        if self.mod_amp == 0.0:
-            return self.tau_m0
-        return self.tau_m0 * (1.0 + self.mod_amp
-                              * float(np.sin(2.0 * np.pi * self.mod_hz * t)))
-
-    def v_field(self, x_avr, v):
-        """Field voltage given the regulator state x_avr, which a machine
-        without a regulator ignores."""
-        if not self.avr:
-            return self.v_f0
-        return self.v_f0 + self.avr_kp * (self.v_ref - abs(v)) + x_avr
-
-    def fg(self, t, states, v):
-        # the machine kernels read the machine states by index, so the
-        # regulator's, last, can follow them
-        deriv, i = sm_fg(states, self.mp, v, self._tau_m(t),
-                         self.v_field(states[-1], v))
-        if self.avr:
-            deriv.append(self.avr_ki * (self.v_ref - abs(v)))
-        return deriv, i * self.ratio
-
-    def chi(self, states, v, i, rho, omega):
-        return sm_admittance_cf(states, self.mp, v, i, rho, omega,
-                                self.v_field(states[:, -1], v), self.ratio)
-
-
-class ZipAdapter(Adapter):
-    """ZIP load.  A pure constant-impedance one (shares exactly 0, 0, 1 for
-    both P and Q) draws conj(S0)*v, so PowerSystemDae stamps
-    y_shunt = conj(S0) into Y instead of evaluating it; the power flow
-    still sees its polynomial."""
-
-    def __init__(self, spec, system_base, omega_b):
-        super().__init__(spec, system_base, omega_b)
-        zp = self.zp = ZipParams(**spec.values())
-        if (zp.k_pp, zp.k_ip, zp.k_zp, zp.k_pq, zp.k_iq, zp.k_zq) == (
-                0.0, 0.0, 1.0, 0.0, 0.0, 1.0):
-            self.y_shunt = complex(zp.p0, -zp.q0)
-
-    def pf_injection(self, vm):
-        p, q = zip_power(self.zp, vm)
-        return complex(-p, -q)
-
-    def inj(self, t, states, v):
-        if self.y_shunt is None:
-            return zip_injection(self.zp, v)
-        return complex(*zip_shunt_current(self.y_shunt, v))
-
-    def chi(self, states, v, i, rho, omega):
-        return zip_admittance_cf(self.zp, v, rho)
-
-
-class MotorAdapter(Adapter):
-    n_states = 1
-    state_names = ("sigma",)
-
-    def __init__(self, spec, system_base, omega_b):
-        super().__init__(spec, system_base, omega_b)
-        p = spec.values()
-        self.imp = ImParams(r_S=p["r_s"], x_S=p["x_s"], r_R1=p["r_r1"],
-                            x_R1=p["x_r1"], x_mu=p["x_mu"], H_m=p["h_m"],
-                            omega_b=omega_b)
-        self.tau_m = p["tau_m"]
-
-    def pf_injection(self, vm):
-        p, q = im_power(self.imp, im_init(self.imp, vm, self.tau_m), vm)
-        return complex(-p * self.ratio, -q * self.ratio)
-
-    def init(self, v_bus, s_dev):
-        sigma = im_init(self.imp, abs(v_bus), self.tau_m)
-        return np.array([sigma])
-
-    def fg(self, t, states, v):
-        deriv, i = im_fg(states, self.imp, v, self.tau_m)
-        return deriv, i * self.ratio
-
-    def chi(self, states, v, i, rho, omega):
-        return im_admittance_cf(states, self.imp, v, self.tau_m)
-
-
-class GflAdapter(Adapter):
-    n_states = 6
-    state_names = GFL_STATE_NAMES
-
-    def __init__(self, spec, system_base, omega_b):
-        super().__init__(spec, system_base, omega_b)
-        p = spec.values()
-        self.gp = GflParams(K_p=p["k_p"], K_i=p["k_i"], T_m=p["t_m"],
-                            K_p_pll=p["k_p_pll"], K_i_pll=p["k_i_pll"],
-                            v_dc0=p["v_dc0"],
-                            z_f=complex(p["z_f_r"], p["z_f_x"]),
-                            y_f=complex(p["y_f_g"], p["y_f_b"]),
-                            i_dref=p["i_dref"], i_qref=p["i_qref"],
-                            omega_b=omega_b)
-
-    def pf_injection(self, vm):
-        return complex(vm * self.gp.i_dref * self.ratio,
-                       -vm * self.gp.i_qref * self.ratio)
-
-    def init(self, v_bus, s_dev):
-        return gfl_init(self.gp, v_bus)
-
-    def fg(self, t, states, v):
-        deriv, i = gfl_fg(states, self.gp, v)
-        return deriv, i * self.ratio
-
-    def chi(self, states, v, i, rho, omega):
-        return gfl_admittance_cf(states, self.gp, v, i, rho, omega,
-                                 self.ratio)
-
-
-class GfmAdapter(Adapter):
-    n_states = 4
-    state_names = GFM_STATE_NAMES
-
-    def __init__(self, spec, system_base, omega_b):
-        super().__init__(spec, system_base, omega_b)
-        p = spec.values()
-        self.gp = GfmParams(K_p=p["k_p"], K_i=p["k_i"], T_v=p["t_v"],
-                            m_p=p["m_p"], p_ref=p["p_ref"], v_ref=p["v_ref"],
-                            z_t=complex(p["z_t_r"], p["z_t_x"]),
-                            omega_b=omega_b, T_p=p["t_p"])
-
-    def pf_setpoint(self):
-        return self.gp.v_ref, 0.0, self.gp.p_ref * self.ratio
-
-    def init(self, v_bus, s_dev):
-        # the droop reference must equal the realized power for omega = 1;
-        # a no-op for PV operation, the required back-solve for slack duty
-        self.gp = dc_replace(self.gp, p_ref=float(s_dev.real) / self.ratio)
-        return gfm_init(self.gp, v_bus, s_dev / self.ratio)
-
-    def fg(self, t, states, v):
-        deriv, i = gfm_fg(states, self.gp, v)
-        return deriv, i * self.ratio
-
-    def chi(self, states, v, i, rho, omega):
-        return gfm_admittance_cf(states, self.gp, v, i, rho, omega,
-                                 self.ratio)
-
-
-class DcSourceAdapter(Adapter):
-    """Stationary-frame constant current source (closed-form scenarios only).
-
-    Its injected current rotates at -1 pu in the synchronous frame, so the
-    current CF is exactly (0, 0) and chi follows from the voltage CF alone.
-    """
-
-    def chi(self, states, v, i, rho, omega):
-        return -(rho + 1j * omega)
-
-
-class VsrcAdapter(Adapter):
-    """Ideal EMF; the injected current is an algebraic unknown.  initialize
-    sets the EMF it holds, emf, to its bus's power-flow voltage."""
-
-
-_ADAPTERS = {
-    DeviceKind.SM2: SmAdapter,
-    DeviceKind.SM4: SmAdapter,
-    DeviceKind.SM6: SmAdapter,
-    DeviceKind.ZIP: ZipAdapter,
-    DeviceKind.INDUCTION_MOTOR: MotorAdapter,
-    DeviceKind.GFL_IBR: GflAdapter,
-    DeviceKind.GFM_IBR: GfmAdapter,
-    DeviceKind.VOLTAGE_SOURCE: VsrcAdapter,
-    DeviceKind.DC_CURRENT_SOURCE: DcSourceAdapter,
-}
+# --- adapters and the power flow --------------------------------------------
 
 
 def power_flow_specs(network: Network, adapters, slack_device):
@@ -394,7 +131,7 @@ def power_flow_specs(network: Network, adapters, slack_device):
     specs = {b.id: PfBusSpec() for b in network.buses}
     for a in adapters:
         spec = specs[a.bus]
-        if a.kind not in VOLTAGE_SETTING:
+        if not a.sets_voltage:
             spec.s_fns.append(a.pf_injection)
             continue
         spec.v_set, theta, p = a.pf_setpoint()
@@ -407,15 +144,10 @@ def power_flow_specs(network: Network, adapters, slack_device):
 
 
 def build_adapters(scenario: Scenario):
+    """One adapter per device of a validated scenario."""
     omega_b = 2.0 * np.pi * scenario.f_nom
-    adapters = []
-    for spec in scenario.devices:
-        try:
-            adapters.append(_ADAPTERS[spec.kind](spec, scenario.base_mva,
-                                                 omega_b))
-        except ParamDomain as exc:
-            raise ParamDomain(f"{spec.id}: {exc}") from exc
-    return adapters
+    return [spec.declaration.adapter(spec, scenario.base_mva, omega_b)
+            for spec in scenario.devices]
 
 
 # --- assembled DAE ----------------------------------------------------------
@@ -906,7 +638,7 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
 
     # PQ devices first, in adapter order; a voltage-setting device takes
     # what they leave of the power its bus injects into the network
-    order = sorted(adapters, key=lambda a: a.kind in VOLTAGE_SETTING)
+    order = sorted(adapters, key=lambda a: a.sets_voltage)
 
     def init_devices(v_vec):
         s_bus = (v_vec * np.conj(y_eq @ v_vec)).tolist()
@@ -914,7 +646,7 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
         for a in order:
             k = idx[a.bus]
             v_bus = complex(v_vec[k])
-            if a.kind not in VOLTAGE_SETTING:
+            if not a.sets_voltage:
                 st = None
                 if a.n_states:
                     st = a.init(v_bus, None).tolist()

@@ -66,9 +66,9 @@ def sm_xi_terms(state, params, v_net, i_net, v_f=0.0) -> XiTerms:
     i_m = to_machine_frame(i_net, delta)
     v_d, v_q = v_m.real, v_m.imag
 
-    zdc = params.R_s - 1j * params.x2_d
-    zqc = params.R_s - 1j * params.x2_q
-    det = params.x2_d * params.x2_q + params.R_s ** 2
+    zdc = params.r_s - 1j * params.x2_d
+    zqc = params.r_s - 1j * params.x2_q
+    det = params.x2_d * params.x2_q + params.r_s ** 2
     b = np.conj(i_m) / (det * abs(i_m) ** 2)
 
     dE_d, dE_q = _emf_rates(state, params, i_m.real, i_m.imag, v_f)

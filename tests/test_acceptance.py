@@ -234,7 +234,7 @@ def test_criterion_9_numerics(builtin_run):
 
 
 def test_criterion_10_model_reduction_chain():
-    from synchrolens.devices import (sm2_params, sm4_params, sm6_params,
+    from synchrolens.devices import (SmParams, sm2_params, sm4_params,
                                      sm_admittance_cf, sm_fg, sm_init)
     from tests.test_devices import _sm6_on_manifold
 
@@ -242,11 +242,11 @@ def test_criterion_10_model_reduction_chain():
         return sm_fg(state, params, v, 0.0, 0.0)[1]
 
     omega_b = 2.0 * np.pi * 60.0
-    p6 = sm6_params(R_s=0.0025, x_d=1.8, x_q=1.7, x1_d=0.3, x1_q=0.55,
-                    x2_d=0.3, x2_q=0.55, x_l=0.2, T1_d0=8.0, T1_q0=0.4,
-                    T2_d0=0.01, T2_q0=0.01, M=13.0, D=2.0, omega_b=omega_b)
-    p4 = sm4_params(R_s=0.0025, x_d=1.8, x_q=1.7, x1_d=0.3, x1_q=0.55,
-                    x_l=0.2, T1_d0=8.0, T1_q0=0.4, M=13.0, D=2.0,
+    p6 = SmParams(order=6, r_s=0.0025, x_d=1.8, x_q=1.7, x1_d=0.3, x1_q=0.55,
+                  x2_d=0.3, x2_q=0.55, x_l=0.2, t1_d0=8.0, t1_q0=0.4,
+                  t2_d0=0.01, t2_q0=0.01, m=13.0, d=2.0, omega_b=omega_b)
+    p4 = sm4_params(r_s=0.0025, x_d=1.8, x_q=1.7, x1_d=0.3, x1_q=0.55,
+                    x_l=0.2, t1_d0=8.0, t1_q0=0.4, m=13.0, d=2.0,
                     omega_b=omega_b)
     v = 1.02 * np.exp(0.2j)
     _, _, v_f = sm_init(p4, v, 0.8 + 0.2j)
@@ -261,15 +261,15 @@ def test_criterion_10_model_reduction_chain():
         chi4 = sm_admittance_cf(s4, p4, v, i_net, rho, omega, v_f)
         worst64 = max(worst64, abs(chi6 - chi4))
 
-    p4c = sm4_params(R_s=0.0, x_d=0.3, x_q=0.3, x1_d=0.3, x1_q=0.3, x_l=0.15,
-                     T1_d0=8.0, T1_q0=0.4, M=7.0, D=0.0, omega_b=omega_b)
+    p4c = sm4_params(r_s=0.0, x_d=0.3, x_q=0.3, x1_d=0.3, x1_q=0.3, x_l=0.15,
+                     t1_d0=8.0, t1_q0=0.4, m=7.0, d=0.0, omega_b=omega_b)
     worst42 = 0.0
     for _ in range(100):
         delta = rng.normal(0.3, 0.3)
         omega_r = 1.0 + rng.normal(0.0, 0.01)
         e_q = abs(rng.normal(1.05, 0.1)) + 0.2
         s4 = np.array([delta, omega_r, 0.0, e_q])
-        p2 = sm2_params(x1_d=0.3, M=7.0, D=0.0, omega_b=omega_b, x_l=0.15,
+        p2 = sm2_params(x1_d=0.3, m=7.0, d=0.0, omega_b=omega_b, x_l=0.15,
                         e_q0=e_q)
         i_net = sm_current(s4, p4c, v)
         if abs(i_net) < 1e-3:

@@ -203,6 +203,11 @@ _RUN = ("run", "--builtin", "smib")
     pytest.param(_device_edit("sustained_oscillation",
                               {"tau_mod_hz = 2.0": "tau_mod_hz = -2.0"}, "G1"),
                  id="torque-mod-hz-negative"),
+    pytest.param(_device_edit("motor_condenser", {"tau_m = 0.9": "tau_m = 0.0"},
+                              "M1"), id="motor-torque-zero"),
+    pytest.param(_device_edit("motor_condenser",
+                              {"tau_m = 0.9": "tau_m = -0.5"}, "M1"),
+                 id="motor-torque-negative"),
     pytest.param(_device_edit("gfm_probe",
                               {"t_v = 0.02": "t_v = 0.02\nt_p = 0.0"}, "F1"),
                  id="gfm-power-lag-zero"),
@@ -332,6 +337,23 @@ def test_sweep_stops_on_input_error(tmp_path, capsys, edit, workers):
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith("error: ")
     assert not (out / "smib_sweep.csv").exists()
+
+
+def test_sweep_checks_the_domain_before_the_pool(tmp_path, capsys,
+                                                monkeypatch):
+    """A device outside its model's domain fails validation, so a sweep
+    exits 2 naming it before it starts a worker pool."""
+    from synchrolens.scenarios import sweep
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the sweep started a worker pool")
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+    path = _scenario_file(tmp_path, "smib", {"m = 3.0": "m = -3"})
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--file", path, "--from", "1.12", "--to", "1.13",
+                   "--step", "0.01", "--workers", "2", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: G1: m must be positive")
 
 
 def test_run_writes_three_files(smib_outputs, capsys):

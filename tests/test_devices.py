@@ -8,23 +8,22 @@ import pytest
 
 from helpers import (CurrentTooSmall, chi_from_xi_terms, gfl_xi_terms,
                      gfm_xi_terms, sm_xi_terms)
-from synchrolens.devices import (GflParams, GfmParams, ImParams, ZipParams,
-                                 gfl_admittance_cf, gfl_fg, gfl_init,
-                                 gfm_admittance_cf, gfm_fg, gfm_init,
+from synchrolens.devices import (GflParams, GfmParams, ImParams, SmParams,
+                                 ZipParams, gfl_admittance_cf, gfl_fg,
+                                 gfl_init, gfm_admittance_cf, gfm_fg, gfm_init,
                                  im_admittance, im_admittance_cf, im_fg,
                                  im_init, im_pullout, im_torque, sm2_params,
-                                 sm4_params, sm6_params, sm_admittance_cf,
-                                 sm_fg, sm_init, to_machine_frame,
+                                 sm4_params, sm_admittance_cf, sm_fg, sm_init,
+                                 to_machine_frame,
                                  zip_admittance_cf, zip_injection, zip_power,
                                  zip_shunt_current)
 from synchrolens.errors import (InitInfeasible, ParamDomain, SlipSingular,
                                 VoltageTooSmall)
 from synchrolens.devices.base import DeviceKind, cdiv
-from synchrolens.devices.machine import _stator_current
+from synchrolens.devices.machine import SmAdapter, _stator_current
 from synchrolens.network import (Branch, dynamic_branch_derivatives,
                                  dynamic_branch_init)
 from synchrolens.scenarios import DeviceSpec
-from synchrolens.sim import SmAdapter
 
 OMEGA_B = 2.0 * np.pi * 60.0
 ETA_SYNC = (0.0, 1.0)   # (rho, omega) of a synchronous terminal voltage
@@ -47,14 +46,15 @@ def sm_current(state, params, v):
 
 
 def sm6():
-    return sm6_params(R_s=0.0025, x_d=1.8, x_q=1.7, x1_d=0.3, x1_q=0.55,
-                      x2_d=0.25, x2_q=0.25, x_l=0.2, T1_d0=8.0, T1_q0=0.4,
-                      T2_d0=0.03, T2_q0=0.05, M=13.0, D=2.0, omega_b=OMEGA_B)
+    return SmParams(order=6, r_s=0.0025, x_d=1.8, x_q=1.7, x1_d=0.3,
+                    x1_q=0.55, x2_d=0.25, x2_q=0.25, x_l=0.2, t1_d0=8.0,
+                    t1_q0=0.4, t2_d0=0.03, t2_q0=0.05, m=13.0, d=2.0,
+                    omega_b=OMEGA_B)
 
 
 def sm4():
-    return sm4_params(R_s=0.0025, x_d=1.8, x_q=1.7, x1_d=0.3, x1_q=0.55,
-                      x_l=0.2, T1_d0=8.0, T1_q0=0.4, M=13.0, D=2.0,
+    return sm4_params(r_s=0.0025, x_d=1.8, x_q=1.7, x1_d=0.3, x1_q=0.55,
+                      x_l=0.2, t1_d0=8.0, t1_q0=0.4, m=13.0, d=2.0,
                       omega_b=OMEGA_B)
 
 
@@ -74,7 +74,7 @@ def test_machine_equilibrium_init(params):
 
 
 def test_no_load_angle_is_voltage_angle():
-    params = sm2_params(x1_d=0.3, M=7.0, D=0.0, omega_b=OMEGA_B)
+    params = sm2_params(x1_d=0.3, m=7.0, d=0.0, omega_b=OMEGA_B)
     state, tau_m, e_q0 = sm_init(params, 1.0 + 0.0j, 0.0j)
     assert state[0] == pytest.approx(0.0, abs=1e-12)
     assert state[1] == 1.0
@@ -87,11 +87,11 @@ def test_torque_step_accelerates_by_swing_equation():
     v = 1.0 + 0.0j
     state, tau_m, v_f = sm_init(params, v, 0.7 + 0.1j)
     deriv, _ = sm_fg(state, params, v, 1.1 * tau_m, v_f)
-    assert deriv[1] == pytest.approx(0.1 * tau_m / params.M, rel=1e-9)
+    assert deriv[1] == pytest.approx(0.1 * tau_m / params.m, rel=1e-9)
 
 
 @pytest.mark.parametrize("params", [
-    sm6(), sm4(), sm2_params(x1_d=0.3, M=7.0, D=0.0, omega_b=OMEGA_B,
+    sm6(), sm4(), sm2_params(x1_d=0.3, m=7.0, d=0.0, omega_b=OMEGA_B,
                              e_q0=1.1)], ids=["sm6", "sm4", "sm2"])
 def test_sm_fg_rotates_current_back_by_exp_j_delta(params):
     """sm_fg takes exp(-j*delta) once and rotates its current out of the
@@ -112,9 +112,9 @@ def test_sm_fg_rotates_current_back_by_exp_j_delta(params):
 
 def test_reactance_ordering_rejected():
     with pytest.raises(ParamDomain):
-        sm6_params(R_s=0.0, x_d=0.2, x_q=1.7, x1_d=0.3, x1_q=0.55, x2_d=0.25,
-                   x2_q=0.25, x_l=0.2, T1_d0=8.0, T1_q0=0.4, T2_d0=0.03,
-                   T2_q0=0.05, M=13.0, D=0.0, omega_b=OMEGA_B)
+        SmParams(order=6, r_s=0.0, x_d=0.2, x_q=1.7, x1_d=0.3, x1_q=0.55,
+                 x2_d=0.25, x2_q=0.25, x_l=0.2, t1_d0=8.0, t1_q0=0.4,
+                 t2_d0=0.03, t2_q0=0.05, m=13.0, d=0.0, omega_b=OMEGA_B)
 
 
 def test_xi_terms_reject_small_current():
@@ -144,7 +144,7 @@ def test_sm2_chi_frozen_independent_value():
     # complex arithmetic: s = 0.8+0.2j, x' = 0.3, i = 1, rho = 0, w_r - w = 0.01
     # (delta = 0 maps v = 0.2-0.8j, i = -j to machine-frame v = 0.8+0.2j, i = 1)
     expected = (-1j * (0.8 + 0.2j) / 0.3 + 1.0) * (1j * 0.01)
-    params = sm2_params(x1_d=0.3, M=7.0, D=0.0, omega_b=OMEGA_B)
+    params = sm2_params(x1_d=0.3, m=7.0, d=0.0, omega_b=OMEGA_B)
     state = np.array([0.0, 1.01])
     chi = sm_admittance_cf(state, params, 0.2 - 0.8j, -1j, 0.0, 1.0)
     assert chi == pytest.approx(expected, abs=1e-15)
@@ -153,7 +153,7 @@ def test_sm2_chi_frozen_independent_value():
 
 
 def test_sm2_chi_als_fixed_point():
-    params = sm2_params(x1_d=0.3, M=7.0, D=0.0, omega_b=OMEGA_B)
+    params = sm2_params(x1_d=0.3, m=7.0, d=0.0, omega_b=OMEGA_B)
     chi = sm_admittance_cf(np.array([0.1, 1.0]), params, 1.0 * np.exp(0.3j),
                  1.1 * np.exp(0.1j), 0.0, 1.0)
     assert chi == 0.0
@@ -194,9 +194,9 @@ def _sm6_on_manifold(params, rng, v, v_f):
 
 
 def test_reduction_sm6_to_sm4_100_states():
-    p6 = sm6_params(R_s=0.0025, x_d=1.8, x_q=1.7, x1_d=0.3, x1_q=0.55,
-                    x2_d=0.3, x2_q=0.55, x_l=0.2, T1_d0=8.0, T1_q0=0.4,
-                    T2_d0=0.01, T2_q0=0.01, M=13.0, D=2.0, omega_b=OMEGA_B)
+    p6 = SmParams(order=6, r_s=0.0025, x_d=1.8, x_q=1.7, x1_d=0.3, x1_q=0.55,
+                  x2_d=0.3, x2_q=0.55, x_l=0.2, t1_d0=8.0, t1_q0=0.4,
+                  t2_d0=0.01, t2_q0=0.01, m=13.0, d=2.0, omega_b=OMEGA_B)
     p4 = sm4()
     v = 1.02 * np.exp(0.2j)
     _, _, v_f = sm_init(p4, v, 0.8 + 0.2j)
@@ -218,8 +218,8 @@ def test_reduction_sm6_to_sm4_100_states():
 
 
 def test_reduction_sm4_to_sm2_100_states():
-    p4 = sm4_params(R_s=0.0, x_d=0.3, x_q=0.3, x1_d=0.3, x1_q=0.3, x_l=0.15,
-                    T1_d0=8.0, T1_q0=0.4, M=7.0, D=0.0, omega_b=OMEGA_B)
+    p4 = sm4_params(r_s=0.0, x_d=0.3, x_q=0.3, x1_d=0.3, x1_q=0.3, x_l=0.15,
+                    t1_d0=8.0, t1_q0=0.4, m=7.0, d=0.0, omega_b=OMEGA_B)
     v = 1.0 * np.exp(0.1j)
     rng = np.random.default_rng(13)
     for _ in range(100):
@@ -227,7 +227,7 @@ def test_reduction_sm4_to_sm2_100_states():
         omega_r = 1.0 + rng.normal(0.0, 0.01)
         e_q = abs(rng.normal(1.05, 0.1)) + 0.2
         s4 = np.array([delta, omega_r, 0.0, e_q])   # e'_d = 0 on the manifold
-        p2 = sm2_params(x1_d=0.3, M=7.0, D=0.0, omega_b=OMEGA_B, x_l=0.15,
+        p2 = sm2_params(x1_d=0.3, m=7.0, d=0.0, omega_b=OMEGA_B, x_l=0.15,
                         e_q0=e_q)
         s2 = np.array([delta, omega_r])
         i_net = sm_current(s4, p4, v)
@@ -360,8 +360,8 @@ def test_zip_chi_matches_symbolic_derivative():
 
 
 def motor():
-    return ImParams(r_S=0.01, x_S=0.1, r_R1=0.02, x_R1=0.18, x_mu=3.0,
-                    H_m=0.6, omega_b=OMEGA_B)
+    return ImParams(r_s=0.01, x_s=0.1, r_r1=0.02, x_r1=0.18, x_mu=3.0,
+                    h_m=0.6, tau_m=0.9, omega_b=OMEGA_B)
 
 
 def test_im_equilibrium_and_voltage_square_law():
@@ -406,13 +406,13 @@ def test_im_chi_matches_admittance_derivative_oracle():
         v = rng.uniform(0.8, 1.1) * np.exp(1j * rng.uniform(-0.5, 0.5))
         # torque imbalance giving a slip rate of about N(0, 0.2) 1/s
         tau_m = (im_torque(params, sigma, abs(v))
-                 + 2.0 * params.H_m * rng.normal(0.0, 0.2))
+                 + 2.0 * params.h_m * rng.normal(0.0, 0.2))
         state = np.array([sigma])
         deriv, i_net = im_fg(state, params, v, tau_m)
         sigma_dot = deriv[0]
         chi = im_admittance_cf(state, params, v, tau_m)
-        r = params.r_S + params.r_R1 / sigma
-        r_dot = -(params.r_R1 / sigma ** 2) * sigma_dot
+        r = params.r_s + params.r_r1 / sigma
+        r_dot = -(params.r_r1 / sigma ** 2) * sigma_dot
         # y = 1/(j*x_mu) + 1/(r + jx); dy/dt = -r_dot/(r+jx)^2
         y = im_admittance(params, sigma)
         dy = -r_dot / (r + 1j * params.x) ** 2
@@ -428,9 +428,9 @@ def test_im_zero_slip_singular():
 
 
 def gfl():
-    return GflParams(K_p=0.2, K_i=16.0, T_m=0.002, K_p_pll=0.5, K_i_pll=20.0,
-                     v_dc0=2.0, z_f=0.005 + 0.15j, y_f=0.05j, i_dref=0.5,
-                     i_qref=0.05, omega_b=OMEGA_B)
+    return GflParams(k_p=0.2, k_i=16.0, t_m=0.002, k_p_pll=0.5, k_i_pll=20.0,
+                     v_dc0=2.0, z_f_r=0.005, z_f_x=0.15, y_f_b=0.05,
+                     i_dref=0.5, i_qref=0.05, omega_b=OMEGA_B)
 
 
 def test_gfl_locked_equilibrium():
@@ -466,8 +466,8 @@ def test_gfl_terms_compose_to_boxed_chi():
 
 
 def gfm():
-    return GfmParams(K_p=1.0, K_i=8.0, T_v=0.02, m_p=0.04, p_ref=0.5,
-                     v_ref=1.0, z_t=0.01 + 0.2j, omega_b=OMEGA_B)
+    return GfmParams(k_p=1.0, k_i=8.0, t_v=0.02, m_p=0.04, p_ref=0.5,
+                     v_ref=1.0, z_t_r=0.01, z_t_x=0.2, omega_b=OMEGA_B)
 
 
 def test_gfm_equilibrium_and_droop_sign():
@@ -545,7 +545,7 @@ def test_kernels_broadcast_over_samples(case):
     rng = np.random.default_rng(29)
     if case.startswith("sm"):
         params = {"sm6": sm6(), "sm4": sm4(),
-                  "sm2": sm2_params(x1_d=0.3, M=7.0, D=0.0, omega_b=OMEGA_B)}[case]
+                  "sm2": sm2_params(x1_d=0.3, m=7.0, d=0.0, omega_b=OMEGA_B)}[case]
         states, v, fg, chi = _sm_case(params, rng)
     else:
         states, v, fg, chi = {"gfl": _gfl_case, "gfm": _gfm_case,
@@ -602,7 +602,7 @@ def _sample_case(case):
     terminal voltage)."""
     v1 = 1.02 * np.exp(0.2j)
     if case in ("sm2", "sm4", "sm6"):
-        params = {"sm2": sm2_params(x1_d=0.3, M=7.0, D=0.5, omega_b=OMEGA_B),
+        params = {"sm2": sm2_params(x1_d=0.3, m=7.0, d=0.5, omega_b=OMEGA_B),
                   "sm4": sm4(), "sm6": sm6()}[case]
         state, tau_m, fld = sm_init(params, v1, 0.8 + 0.2j)
         if case == "sm2":

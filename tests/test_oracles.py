@@ -1,14 +1,17 @@
 """Cross-route oracles: Norton folding, finite-difference derivative checks,
-report schema over every built-in."""
+report schema over every built-in, the equal-area clearing time."""
 
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from synchrolens import sim
-from synchrolens.network import assemble_y
-from synchrolens.scenarios import build_builtin, builtin_names, with_clearing_time
+from synchrolens.network import EventKind, assemble_y
+from synchrolens.scenarios import (build_builtin, builtin_names, cct_sweep,
+                                   with_clearing_time)
 from synchrolens.sim import (SimConfig, TrapezoidalStepper, build_adapters,
                              initialize, run_simulation)
 
@@ -268,3 +271,103 @@ def test_quasi_newton_trajectory_matches_full_newton(monkeypatch):
     full = run_simulation(scenario, config)
     assert _max_trajectory_gap(quasi, full) <= 1e-8
     assert quasi.diagnostics["jacobian_builds"] <= 3
+
+
+def _transfer_reactance(x1_d, t1, lines, y_fault=None):
+    """Reactance between the machine EMF and the infinite bus after Kron
+    reduction of smib's network: nodes E', GEN, HV, the fault point F and
+    GRID, lines as (node, node, reactance), a fault shunt at F if given."""
+    y = np.zeros((5, 5), dtype=complex)
+    for a, b, x in [(0, 1, x1_d), (1, 2, t1), *lines]:
+        y_ab = 1.0 / (1j * x)
+        y[[a, b], [a, b]] += y_ab
+        y[[a, b], [b, a]] -= y_ab
+    if y_fault is not None:
+        y[3, 3] += y_fault
+    keep = [0, 4]
+    drop = [k for k in (1, 2, 3) if y[k, k] != 0.0]
+    y_red = (y[np.ix_(keep, keep)] - y[np.ix_(keep, drop)]
+             @ np.linalg.solve(y[np.ix_(drop, drop)], y[np.ix_(drop, keep)]))
+    return 1.0 / y_red[0, 1].imag
+
+
+def test_equal_area_critical_clearing_time_brackets_the_sweep_boundary():
+    """Undamped smib against the equal-area criterion (Kundur 1994, 13.1).
+
+    Kron reduction of the pre-fault, fault-on and post-fault networks gives
+    the transfer reactances (0.700, 1.848, 0.950 pu); the equal areas give
+    the critical angle, and a fixed-step RK4 of the 1-D fault-on swing
+    M/omega_b * delta'' = P_m - P_2 sin(delta) the time it is reached,
+    t_cr = 1.09612 s.  cct_sweep's stable flags at the dt-grid points next
+    to t_cr must change once, from stable to pole slip, across t_cr.
+
+    Tolerance: the trapezoidal rule's phase error for a swing of angular
+    rate Omega is (Omega*dt)^2/12 per second; with Omega the fastest
+    small-signal rate of the three topologies, sqrt(omega_b*P_1/M), over the
+    run after the fault it shifts the simulated boundary by at most
+    (t_end - t_fault)*(Omega*dt)^2/12, about 8e-5 s, less than one dt.
+    """
+    smib = build_builtin("smib")
+    scenario = replace(smib, t_end=6.0, devices=tuple(
+        replace(d, params={**d.params, "d": 0.0}) if d.id == "G1" else d
+        for d in smib.devices))
+    g1 = next(d for d in scenario.devices if d.id == "G1").params
+    v_grid = next(d for d in scenario.devices if d.id == "IB").params["v"]
+    fault = next(ev for ev in scenario.events
+                 if ev.kind is EventKind.APPLY_FAULT)
+    br = {b.id: b.x for b in scenario.branches}
+    # L2 is faulted at its midpoint F and opened to clear it
+    l2_halves = [(2, 3, br["L2"] / 2), (3, 4, br["L2"] / 2)]
+    x_pre, x_on, x_post = (
+        _transfer_reactance(g1["x1_d"], br["T1"], lines, y_fault)
+        for lines, y_fault in (([(2, 4, br["L1"])] + l2_halves, None),
+                               ([(2, 4, br["L1"])] + l2_halves, fault.y_fault),
+                               ([(2, 4, br["L1"])], None)))
+    assert (x_pre, x_on, x_post) == pytest.approx((0.700, 1.848, 0.950),
+                                                  abs=5e-4)
+
+    # the pre-fault operating point: P at |v| = 1 through the network
+    # reactance behind the machine's x'_d, then E' = v + j x'_d i
+    x_line = x_pre - g1["x1_d"]
+    v_gen = g1["v"] * np.exp(1j * math.asin(g1["p"] * x_line
+                                            / (g1["v"] * v_grid)))
+    emf = v_gen + g1["x1_d"] * (v_gen - v_grid) / x_line
+    e_mag, delta0 = abs(emf), float(np.angle(emf))
+    p_m = g1["p"]
+    p2, p3 = (e_mag * v_grid / x for x in (x_on, x_post))
+    delta_max = math.pi - math.asin(p_m / p3)
+    delta_cr = math.acos((p_m * (delta_max - delta0) + p3 * math.cos(delta_max)
+                          - p2 * math.cos(delta0)) / (p3 - p2))
+    assert (e_mag, delta0, delta_cr) == pytest.approx(
+        (1.1215, 0.6493, 0.9707), abs=1e-4)
+
+    omega_b = 2.0 * math.pi * scenario.f_nom
+    gain = omega_b / g1["m"]
+
+    def swing(z):
+        return np.array([z[1], gain * (p_m - p2 * math.sin(z[0]))])
+
+    h, t, z = 1e-5, fault.time, np.array([delta0, 0.0])
+    while True:
+        k1 = swing(z)
+        k2 = swing(z + 0.5 * h * k1)
+        k3 = swing(z + 0.5 * h * k2)
+        k4 = swing(z + h * k3)
+        z_next = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if z_next[0] >= delta_cr:
+            t_cr = t + h * (delta_cr - z[0]) / (z_next[0] - z[0])
+            break
+        t, z = t + h, z_next
+    assert t_cr == pytest.approx(1.09612, abs=1e-5)
+
+    dt = scenario.dt
+    omega_fast = math.sqrt(gain * e_mag * v_grid / x_pre)
+    tol = (scenario.t_end - fault.time) * (omega_fast * dt) ** 2 / 12.0
+    assert tol < dt
+    k_cr = math.floor(t_cr / dt)
+    sweep = cct_sweep(scenario, (k_cr - 1) * dt, (k_cr + 2) * dt, dt)
+    stable = [p.t_clear for p in sweep.points if p.stable]
+    slipped = [p.t_clear for p in sweep.points if p.stable is False]
+    assert len(stable) + len(slipped) == len(sweep.points) == 4
+    assert max(stable) < min(slipped)
+    assert max(stable) <= t_cr + tol and min(slipped) >= t_cr - tol

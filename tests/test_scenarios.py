@@ -1,11 +1,14 @@
 """Scenario construction, the file grammar and the analytic circuit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from helpers import exact_voltage_cf, without_disturbances
+from helpers import exact_voltage_cf, gfm_probe_scenario, without_disturbances
 from synchrolens.cf import cf_arrays
-from synchrolens.errors import ParseError, SchemaError, UnknownScenario
+from synchrolens.errors import (ParamDomain, ParseError, SchemaError,
+                                UnknownScenario)
 from synchrolens.network import EventKind
 from synchrolens.scenarios import (build_builtin, builtin_names, cct_sweep,
                                    circuit_dc_waveforms, load_scenario,
@@ -122,6 +125,42 @@ def test_validate_rejects_parameters_outside_the_kind():
         with_g2_params(zeta=1.0, alpha=2.0).validate()
     assert str(err.value) == ("G2: unknown parameters 'alpha', 'zeta' for "
                               "kind sm4")
+
+
+def _with_params(scenario, device, **params):
+    """The scenario with params laid over device's given parameters."""
+    return replace(scenario, devices=tuple(
+        replace(d, params={**d.params, **params}) if d.id == device else d
+        for d in scenario.devices))
+
+
+@pytest.mark.parametrize("name, device, key, value, reason", [
+    ("kundur", "G1", "x_d", 0.1, "d-axis reactances must satisfy"),
+    ("gfl_seriescomp", "C1", "v_dc0", 0.0, "dc-link voltage must be positive"),
+])
+def test_validate_runs_the_domain_check(name, device, key, value, reason):
+    """A scenario built in code is held to its models' parameter domains
+    by validate, with the check the run makes, before any power flow."""
+    scenario = _with_params(build_builtin(name), device, **{key: value})
+    with pytest.raises(ParamDomain) as err:
+        scenario.validate()
+    assert str(err.value).startswith(f"{device}: {reason}")
+
+
+@pytest.mark.parametrize("name, device, key, value", [
+    ("smib", "G1", "d", "5"),
+    ("smib", "G1", "d", float("nan")),
+    ("gfm_probe", "F1", "t_p", None),
+])
+def test_validate_rejects_a_value_that_is_not_a_finite_real(name, device, key,
+                                                           value):
+    """A given parameter of a scenario built in code is a finite int or
+    float, as a file's is: a string would fail inside the model, a NaN stall
+    Newton, and a None be written out as a file that does not load."""
+    base = gfm_probe_scenario() if name == "gfm_probe" else build_builtin(name)
+    with pytest.raises(SchemaError) as err:
+        _with_params(base, device, **{key: value}).validate()
+    assert str(err.value).startswith(f"{device}: parameter {key!r} ")
 
 
 def test_unknown_device_kind():

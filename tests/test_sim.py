@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from helpers import without_disturbances
-from synchrolens.devices import DeviceKind, zip_injection
+from synchrolens.devices import DECLARATIONS, DeviceKind, zip_injection
+from synchrolens.devices.sources import VsrcAdapter
 from synchrolens import cli, sim
 from synchrolens.errors import InitInfeasible, NewtonDivergence, SchemaError
 from synchrolens.network import Event, EventKind, apply_event, assemble_y
 from synchrolens.scenarios import (DeviceSpec, build_builtin, builtin_names,
                                   serialize_scenario, with_clearing_time)
-from synchrolens.scenarios.model import VOLTAGE_SETTING
-from synchrolens.sim import (SimConfig, TrapezoidalStepper, VsrcAdapter,
-                             initialize, run_simulation)
+from synchrolens.sim import (SimConfig, TrapezoidalStepper, initialize,
+                             run_simulation)
 from synchrolens.synccheck import evaluate_device, numeric_chi
 
 
@@ -175,9 +175,45 @@ def test_residual_evaluations_bounded(builtin_run, name, ceiling):
     assert result.diagnostics["residual_evaluations"] <= ceiling
 
 
-def test_every_device_kind_has_an_adapter():
-    """build_adapters indexes the adapter table by kind without a fallback."""
-    assert set(sim._ADAPTERS) == set(DeviceKind)
+def test_every_device_kind_is_declared_once():
+    """Each device kind has exactly one declaration, in its model's module,
+    with an adapter; the power-flow roles, the device-base kinds and the
+    parameter keys with their defaults it declares are those the file
+    format has always had."""
+    from synchrolens.devices import (REQUIRED, Adapter, inverter, loads,
+                                     machine, motor, sources)
+    declared = [d for module in (machine, loads, motor, inverter, sources)
+                for d in module.DECLARATIONS]
+    assert sorted(d.kind.value for d in declared) == sorted(
+        k.value for k in DeviceKind)
+    assert all(issubclass(d.adapter, Adapter) for d in declared)
+    kinds = DeviceKind
+    assert {k for k, d in DECLARATIONS.items() if d.sets_voltage} == {
+        kinds.SM2, kinds.SM4, kinds.SM6, kinds.GFM_IBR, kinds.VOLTAGE_SOURCE}
+    assert {k for k, d in DECLARATIONS.items() if d.device_base} == set(
+        kinds) - {kinds.ZIP, kinds.VOLTAGE_SOURCE, kinds.DC_CURRENT_SOURCE}
+    r = REQUIRED
+    sm = {"m": r, "d": 0.0, "p": 0.0, "v": 1.0, "theta": 0.0,
+          "tau_mod_amp": 0.0, "tau_mod_hz": 0.0}
+    sm4 = {"x_d": r, "x_q": r, "x1_d": r, "x1_q": r, "x_l": r, "t1_d0": r,
+           "t1_q0": r, "r_s": 0.0, **sm, "avr_kp": 0.0, "avr_ki": 0.0}
+    assert {k: d.keys for k, d in DECLARATIONS.items()} == {
+        kinds.SM2: {"x1_d": r, **sm},
+        kinds.SM4: sm4,
+        kinds.SM6: {**sm4, "x2_d": r, "x2_q": r, "t2_d0": r, "t2_q0": r},
+        kinds.ZIP: {"p0": r, "q0": 0.0, "k_pp": 0.0, "k_ip": 0.0,
+                    "k_zp": 1.0, "k_pq": 0.0, "k_iq": 0.0, "k_zq": 1.0},
+        kinds.INDUCTION_MOTOR: {"x_s": r, "r_r1": r, "x_r1": r, "x_mu": r,
+                                "h_m": r, "tau_m": r, "r_s": 0.0},
+        kinds.GFL_IBR: {"k_p": r, "k_i": r, "t_m": r, "k_p_pll": r,
+                        "k_i_pll": r, "v_dc0": r, "z_f_x": r, "i_dref": r,
+                        "z_f_r": 0.0, "y_f_g": 0.0, "y_f_b": 0.0,
+                        "i_qref": 0.0},
+        kinds.GFM_IBR: {"k_p": r, "k_i": r, "t_v": r, "m_p": r, "p_ref": r,
+                        "v_ref": r, "z_t_x": r, "t_p": None, "z_t_r": 0.0},
+        kinds.VOLTAGE_SOURCE: {"v": 1.0, "theta": 0.0, "p": 0.0},
+        kinds.DC_CURRENT_SOURCE: {"i_mag": r, "phase": 0.0},
+    }
 
 
 def test_config_validation():
@@ -351,7 +387,7 @@ def test_every_init_gets_python_complex(monkeypatch):
     assert {"SC1", "G1", "M1"} <= {dev for dev, *_ in seen}
     for dev, kind, v_type, s_type in seen:
         assert v_type is complex, dev
-        assert s_type is (complex if kind in VOLTAGE_SETTING
+        assert s_type is (complex if DECLARATIONS[kind].sets_voltage
                           else type(None)), dev
 
 
@@ -442,7 +478,7 @@ def _g_from_zip_polynomials(dae, t, x, y):
         if a.active:
             k = dae.network.bus_index[a.bus]
             if a.kind is DeviceKind.ZIP:
-                mismatch[k] += zip_injection(a.zp, complex(v[k]))
+                mismatch[k] += zip_injection(a.params, complex(v[k]))
             else:
                 mismatch[k] += a.fg(t, x[dae.slices[a.id]].tolist(),
                                     complex(v[k]))[1]
@@ -494,7 +530,7 @@ def test_only_exact_impedance_shares_are_stamped(shares):
     assert near in [a for a, _, _ in dae._device_info]
     assert [a.id for a, _ in dae._shunts] == ["Zcap7", "Zload9", "Zcap9"]
     v = complex(dae.unpack_y(y)[0][dae.network.bus_index["B7"]])
-    assert near.inj(0.0, None, v) == zip_injection(near.zp, v)
+    assert near.inj(0.0, None, v) == zip_injection(near.params, v)
 
 
 def test_disconnected_stamped_load_leaves_y(monkeypatch, tmp_path):

@@ -153,7 +153,9 @@ def test_low_magnitude_masked_not_raised(builtin_run):
 def test_analytic_chi_matches_xi_terms_composition(builtin_run, name):
     """The production chi kernels, sample by sample, against the independent
     xi-terms route composed with chi_from_xi_terms."""
-    from synchrolens.sim import GflAdapter, SmAdapter, build_adapters
+    from synchrolens.devices.inverter import GflAdapter
+    from synchrolens.devices.machine import SmAdapter
+    from synchrolens.sim import build_adapters
     from synchrolens.synccheck import voltage_cf
     scenario, result, _ = builtin_run(name)
     chi_all = analytic_chi_all(result, scenario)
@@ -169,10 +171,10 @@ def test_analytic_chi_matches_xi_terms_composition(builtin_run, name):
         for k in np.flatnonzero(chi.mask)[::25]:
             st, v_k, i_k = result.states[a.id][k], v[k], i[k] / a.ratio
             if isinstance(a, SmAdapter):
-                terms = sm_xi_terms(st[:a.mp.n_states], a.mp, v_k, i_k,
+                terms = sm_xi_terms(st[:a.params.order], a.params, v_k, i_k,
                                     v_f=a.v_field(st[-1], v_k))
             else:
-                terms = gfl_xi_terms(st, a.gp, v_k, i_k)
+                terms = gfl_xi_terms(st, a.params, v_k, i_k)
             composed = chi_from_xi_terms(terms.xi_a, terms.k_rho,
                                          terms.k_omega, float(rho[k]),
                                          float(om[k]))
