@@ -138,7 +138,7 @@ def _chi_csv(result, numeric, analytic):
 # the stepper's deterministic counters, null for a closed-form scenario
 _SOLVER_KEYS = ("steps", "newton_iterations", "max_step_iterations",
                 "max_step_time", "jacobian_builds", "residual_evaluations",
-                "worst_residual")
+                "worst_residual", "predictor_points")
 
 
 def build_report(scenario, result, config, epsilon=DEFAULT_EPSILON,

@@ -16,14 +16,19 @@ converged, corrected by Broyden's second ("bad") rank-1 update, so it
 follows phasors that keep rotating in the synchronous frame without new
 residual evaluations.  It is rebuilt only when a step stalls or converges
 slowly.  Each step starts iterating from the polynomial through the last
-PREDICTOR_POINTS accepted points (fewer, down to three, after an event),
-written in backward differences as DASSL's predictor is, when the previous
-step moved by at least newton_tol, and from z_n otherwise, as near steady
-state z_n already meets the tolerance.  Events must lie on step
-boundaries; the history is cleared there, so no step extrapolates across a
-topology change.  At an event the topology
-changes, g = 0 is re-solved for y holding x, by the plain Newton loop the
-power flow also uses, and integration continues.
+3 to 8 accepted points (fewer after an event), written in backward
+differences as DASSL's predictor is, when the previous step moved by at
+least newton_tol, and from z_n otherwise, as near steady state z_n already
+meets the tolerance.  Like DASSL's order selection, the stepper picks the
+length from what its steps did (PredictorLength): it counts the Newton
+iterations of the predicted steps in windows of PREDICTOR_WINDOW, runs one
+window in every PREDICTOR_PROBE_EVERY at a neighbouring length, and moves
+there when that window took fewer iterations.  A rotor that slips poles
+turns its phasors by 0.07 rad per step and gets a longer polynomial than a
+swinging one.  Events must lie on step boundaries; the history is cleared
+there, so no step extrapolates across a topology change.  At an event the
+topology changes, g = 0 is re-solved for y holding x, by the plain Newton
+loop the power flow also uses, and integration continues.
 
 A step that starts from z_n needs f and g at z_n.  PowerSystemDae keeps its
 last evaluation, and an accepted step returns the x and y objects that
@@ -326,15 +331,22 @@ class PowerSystemDae:
 # --- trapezoidal stepper ----------------------------------------------------
 
 
-# the predictor's polynomial runs through at most this many accepted points
-# (4 to 8 measured: 5 or 6 suit kundur, 8 smib's pole slips)
+# the predictor's polynomial runs through PREDICTOR_MIN_POINTS to
+# PREDICTOR_MAX_POINTS accepted points, PREDICTOR_POINTS at the start of a
+# run, as PredictorLength picks (windows of 16 to 64 steps and probes every
+# 4 to 10 windows measured: 32 and 7 make the fewest fg calls summed over
+# smib cleared at 1.12, 1.13 and 1.15 s and the other stepped built-ins)
+PREDICTOR_MIN_POINTS = 3
+PREDICTOR_MAX_POINTS = 8
 PREDICTOR_POINTS = 6
+PREDICTOR_WINDOW = 32
+PREDICTOR_PROBE_EVERY = 7
 # minus the weights of the m newest first differences, m = 2 ...
-# PREDICTOR_POINTS - 1
+# PREDICTOR_MAX_POINTS - 1
 _PREDICTOR_WEIGHTS = {
     m: np.array([(-1) ** (j + 1) * math.comb(m, j + 1) for j in range(m)],
                 dtype=float)
-    for m in range(2, PREDICTOR_POINTS)}
+    for m in range(2, PREDICTOR_MAX_POINTS)}
 
 
 def extrapolate(z, diffs):
@@ -350,6 +362,49 @@ def extrapolate(z, diffs):
     return z - _PREDICTOR_WEIGHTS[len(diffs)] @ np.array(diffs)
 
 
+@dataclass(slots=True)
+class PredictorLength:
+    """The predictor's length in points, picked from the Newton iterations
+    of the steps that start from the predictor.
+
+    Those steps are counted in windows of PREDICTOR_WINDOW.  After
+    PREDICTOR_PROBE_EVERY - 1 windows at the kept length, one window runs
+    at a neighbour, kept + 1 and kept - 1 in turn, clamped to
+    [PREDICTOR_MIN_POINTS, PREDICTOR_MAX_POINTS], and the neighbour is kept
+    if its window took fewer iterations than the window before it.  Only
+    Python integers change, so a rule step costs no numpy call.
+    """
+
+    points: int = PREDICTOR_POINTS   # the length of the next predicted step
+    kept: int = PREDICTOR_POINTS     # the length between probes
+    direction: int = -1              # of the last probe
+    windows: int = 0                 # windows at kept since the last probe
+    steps: int = 0                   # predicted steps in the open window
+    iterations: int = 0              # and their Newton iterations
+    last: int = 0                    # iterations of the last window at kept
+
+    def record(self, iterations):
+        """Count one predicted step that took iterations."""
+        self.iterations += iterations
+        self.steps += 1
+        if self.steps < PREDICTOR_WINDOW:
+            return
+        total, self.steps, self.iterations = self.iterations, 0, 0
+        if self.windows == PREDICTOR_PROBE_EVERY - 1:
+            # the probe window closed
+            if total < self.last:
+                self.kept = self.points
+            self.points = self.kept
+            self.windows = 0
+            return
+        self.last = total
+        self.windows += 1
+        if self.windows == PREDICTOR_PROBE_EVERY - 1:
+            self.direction = -self.direction
+            self.points = min(max(self.kept + self.direction,
+                                  PREDICTOR_MIN_POINTS), PREDICTOR_MAX_POINTS)
+
+
 class TrapezoidalStepper:
     """Quasi-Newton implicit trapezoidal stepper over (f, g).
 
@@ -361,11 +416,18 @@ class TrapezoidalStepper:
     the secant condition.
 
     The iteration starts from extrapolate(z_n, d) over the first
-    differences d of up to PREDICTOR_POINTS accepted points.  Two gates
-    apply: at least three points must be kept, and the previous step must
-    have moved, max|z_n - z_{n-1}| >= newton_tol (else z_n itself is used);
-    the history holds only consecutive accepted steps since the last
-    invalidate(), so no step extrapolates across an event.
+    differences d of up to length.points accepted points, where length,
+    a PredictorLength, moves between PREDICTOR_MIN_POINTS and
+    PREDICTOR_MAX_POINTS: one window of PREDICTOR_WINDOW predicted steps
+    in every PREDICTOR_PROBE_EVERY runs at the kept length plus or minus
+    one, in turn, and the probed length is kept when its window took fewer
+    Newton iterations than the window before it.  Two gates apply to the
+    predictor: at least three points must be kept, and the previous step
+    must have moved, max|z_n - z_{n-1}| >= newton_tol (else z_n itself is
+    used); the history holds only consecutive accepted steps since the
+    last invalidate(), so no step extrapolates across an event.  Only
+    predicted steps count toward a window, so held steps, and
+    fast_forward, leave the rule as it is; an event does not reset it.
 
     A step whose x_old and y_old are the objects of dae.last takes f_old
     from it, when it has none and the time matches, and, without a
@@ -390,14 +452,18 @@ class TrapezoidalStepper:
         self.jac_inv = None
         self._f_old = None
         # first differences of the accepted points of this topology,
-        # z_n - z_{n-1} first, at most PREDICTOR_POINTS - 1
+        # z_n - z_{n-1} first, at most PREDICTOR_MAX_POINTS - 1
         self._diffs = []
+        self.length = PredictorLength()
         # whether the last step was held
         self._held = False
         self.stats = {"newton_iterations": 0, "jacobian_builds": 0,
                       "worst_residual": 0.0, "steps": 0,
                       "max_step_iterations": 0, "max_step_time": 0.0,
-                      "residual_evaluations": 0}
+                      "residual_evaluations": 0,
+                      "predictor_points": {
+                          str(n): 0 for n in range(PREDICTOR_MIN_POINTS,
+                                                   PREDICTOR_MAX_POINTS + 1)}}
 
     def invalidate(self):
         """Drop cached Jacobian, RHS, predictor history and held flag
@@ -413,13 +479,14 @@ class TrapezoidalStepper:
 
         Only the step counter and the differences change: a held step makes
         no fg call, takes no iteration, does not move and hands on its
-        f_old, and its residual was already seen by worst_residual.  The
+        f_old, its residual was already seen by worst_residual, and it
+        starts from z_n, so the length rule does not count it.  The
         caller's point stays as it is.
         """
         if m <= 0 or not self._held:
             return 0
         zero = np.zeros_like(self._diffs[0])
-        keep = PREDICTOR_POINTS - 1
+        keep = PREDICTOR_MAX_POINTS - 1
         self._diffs = ([zero] * min(m, keep) + self._diffs)[:keep]
         self.stats["steps"] += m
         return m
@@ -480,9 +547,11 @@ class TrapezoidalStepper:
         z_old = np.concatenate([x_old, y_old])
         diffs = self._diffs
         tol = self.cfg.newton_tol
-        z, fg = z_old, None
+        # m: the differences the predictor uses, 0 for a start at z_n
+        z, fg, m = z_old, None, 0
         if len(diffs) >= 2 and float(np.abs(diffs[0]).max()) >= tol:
-            z = extrapolate(z_old, diffs)
+            m = min(len(diffs), self.length.points - 1)
+            z = extrapolate(z_old, diffs[:m])
         elif not dae.time_varying and at_start:
             fg = dae.last[3:5]
         r = self._residual(t_new, z, x_old, f_old, dt, fg)
@@ -499,7 +568,10 @@ class TrapezoidalStepper:
                 if it > stats["max_step_iterations"] or stats["steps"] == 1:
                     stats["max_step_iterations"] = it
                     stats["max_step_time"] = t_new
-                self._diffs = [z - z_old] + diffs[:PREDICTOR_POINTS - 2]
+                self._diffs = [z - z_old] + diffs[:PREDICTOR_MAX_POINTS - 2]
+                if m:
+                    stats["predictor_points"][str(m + 1)] += 1
+                    self.length.record(it)
                 if it >= self.REBUILD_ITERS:
                     self.jac_inv = None   # converging slowly; refresh next step
                 # the last evaluation was at the accepted z

@@ -580,9 +580,10 @@ def test_report_solver_block(smib_outputs, tmp_path, monkeypatch):
     """The report carries the stepper's counters; a closed-form scenario,
     which is not integrated, carries them as nulls.  residual_evaluations
     is every fg call the stepper makes; each step makes at least one unless
-    it reuses the last accepted point's.  A fast-forward counts its held
-    steps without calling step(), and the counters are those of a run
-    that steps each of them."""
+    it reuses the last accepted point's.  predictor_points counts the
+    steps that started from the predictor by its length, so they sum to at
+    most steps.  A fast-forward counts its held steps without calling
+    step(), and the counters are those of a run that steps each of them."""
     import importlib.resources as resources
     schema = json.loads(
         resources.files("synchrolens").joinpath("report_schema.json").read_text())
@@ -595,6 +596,10 @@ def test_report_solver_block(smib_outputs, tmp_path, monkeypatch):
     assert solver["jacobian_builds"] <= 3
     assert 0.0 <= solver["worst_residual"] < 1e-10
     assert solver["residual_evaluations"] >= solver["newton_iterations"]
+    _validate(solver, schema["properties"]["solver"])
+    points = solver["predictor_points"]
+    assert list(points) == [str(n) for n in range(3, 9)]
+    assert 0 < sum(points.values()) <= solver["steps"]
 
     # fg calls made inside each step, counted from outside the stepper
     calls, per_step, skipped = [0], [], []
@@ -636,6 +641,8 @@ def test_report_solver_block(smib_outputs, tmp_path, monkeypatch):
     assert reused > 0 and sum(skipped) > 0
     assert spied["residual_evaluations"] == sum(per_step)
     assert spied["residual_evaluations"] >= len(per_step) - reused
+    assert sum(spied["predictor_points"].values()) <= spied["steps"]
+    assert solver_block("again") == spied
     # every step taken one by one: the same block
     monkeypatch.setattr(sim.TrapezoidalStepper, "fast_forward",
                         lambda self, m: 0)

@@ -117,7 +117,7 @@ def test_predictor_and_its_gates():
     assert start != xs[-2][0]
 
 
-@pytest.mark.parametrize("m", range(2, sim.PREDICTOR_POINTS))
+@pytest.mark.parametrize("m", range(2, sim.PREDICTOR_MAX_POINTS))
 def test_predictor_extrapolates_polynomials_exactly(m):
     """extrapolate continues integer samples of polynomials of every degree
     up to m bit for bit from the m newest first differences, and returns a
@@ -138,6 +138,52 @@ def test_predictor_extrapolates_polynomials_exactly(m):
     assert predicted.tobytes() == sample(t0 + m + 1).tobytes()
 
 
+class TurningPhasor:
+    """Minimal DAE whose phasor turns at a constant rate: a rotor angle
+    d' = w + k Im(v e^{-jd}) and its terminal phasor v = e^{jd}, algebraic,
+    so d grows linearly and v turns by w dt per step; like PowerSystemDae
+    it keeps its last evaluation in last."""
+
+    n_x = 1
+    n_y = 2
+    time_varying = False
+    last = None
+
+    def __init__(self, w, k):
+        self.w, self.k = w, k
+
+    def fg(self, t, x, y):
+        c, s = math.cos(x[0]), math.sin(x[0])
+        f = np.array([self.w + self.k * (y[1] * c - y[0] * s)])
+        g = np.array([y[0] - c, y[1] - s])
+        self.last = (t, x, y, f, g, [])
+        return f, g
+
+
+def test_predictor_length_follows_iterations():
+    """The rule lengthens the predictor past six points where a phasor
+    turns 0.07 rad per step, as a slipping rotor's does, and keeps it at
+    six or fewer on a slowly decaying state; only predicted steps are
+    counted, one length each."""
+    dt, n = 1e-3, 1000
+    config = SimConfig(dt=dt, t_end=n * dt)
+
+    def run(dae, x, y):
+        stepper = TrapezoidalStepper(dae, config)
+        for k in range(n):
+            x, y, _ = stepper.step(k * dt, x, y, dt)
+        points = stepper.stats["predictor_points"]
+        assert list(points) == [str(m) for m in range(3, 9)]
+        assert sum(points.values()) <= n
+        return stepper.length.kept, points
+
+    kept, points = run(TurningPhasor(70.0, 10.0), np.array([0.0]),
+                       np.array([1.0, 0.0]))
+    assert kept > sim.PREDICTOR_POINTS and points["8"] > 0
+    kept, points = run(ScalarDecay(-1.0), np.array([1.0]), np.empty(0))
+    assert kept <= sim.PREDICTOR_POINTS and points["8"] == 0
+
+
 def test_kundur_newton_iterations_bounded():
     """The predictor's gain, deterministically: kundur through its tie
     fault and clearing to 3 s in at most 3,000 Newton iterations (8,915
@@ -153,24 +199,25 @@ def test_kundur_newton_iterations_bounded():
 
 
 def test_smib_pole_slip_residual_evaluations_bounded():
-    """smib cleared at 1.13 s slips poles after clearing; the predictor
-    carries its stepper through in at most 36,000 residual evaluations
-    (49,828 from the quadratic predictor)."""
-    scenario = with_clearing_time(build_builtin("smib"), 1.13)
-    result = run_simulation(scenario, SimConfig.from_scenario(scenario))
-    diag = result.diagnostics
-    assert diag["steps"] == 12000
-    assert diag["residual_evaluations"] <= 36000
+    """smib cleared at 1.13 s or at 1.15 s slips poles after clearing; the
+    predictor, lengthened by its rule, carries the stepper through in at
+    most 26,000 residual evaluations each (32,226 and 32,452 from a fixed
+    six-point predictor, 49,828 at 1.13 s from the quadratic one)."""
+    for clearing in (1.13, 1.15):
+        scenario = with_clearing_time(build_builtin("smib"), clearing)
+        result = run_simulation(scenario, SimConfig.from_scenario(scenario))
+        diag = result.diagnostics
+        assert diag["steps"] == 12000
+        assert diag["residual_evaluations"] <= 26000
 
 
 @pytest.mark.parametrize("name, ceiling", [
-    ("smib", 21_500), ("gfl_seriescomp", 43_000), ("motor_condenser", 8_920),
-    ("kundur", 42_008)])
+    ("smib", 20_300), ("gfl_seriescomp", 39_600), ("motor_condenser", 7_600),
+    ("kundur", 41_500)])
 def test_residual_evaluations_bounded(builtin_run, name, ceiling):
     """A full built-in run's residual_evaluations, the report's count of
-    stepper fg calls, stays below its ceiling (21,686, 43,599 and 8,969
-    when each step recovered f at its accepted point from the residual;
-    kundur's is its count when its loads went through zip_injection)."""
+    stepper fg calls, stays below its ceiling (21,247, 42,315, 8,873 and
+    41,963 from a fixed six-point predictor)."""
     _, result, _ = builtin_run(name)
     assert result.diagnostics["residual_evaluations"] <= ceiling
 
@@ -819,8 +866,9 @@ def _run_spying_fast_forward(monkeypatch, scenario, config, fast=True):
 
 
 def _assert_fast_forward_invisible(monkeypatch, scenario, config):
-    """Fast-forwarding changes no recorded bit, no counter and no bit of
-    the stepper's f_old and predictor differences; returns (steps each
+    """Fast-forwarding changes no recorded bit, no counter, no bit of the
+    stepper's f_old and predictor differences and no state of its length
+    rule; returns (steps each
     fast_forward call took, the stepper)."""
     fast, stepper, calls = _run_spying_fast_forward(monkeypatch, scenario,
                                                     config)
@@ -832,6 +880,7 @@ def _assert_fast_forward_invisible(monkeypatch, scenario, config):
     assert stepper._f_old.tobytes() == reference._f_old.tobytes()
     assert ([d.tobytes() for d in stepper._diffs]
             == [d.tobytes() for d in reference._diffs])
+    assert stepper.length == reference.length
     return calls, stepper
 
 
@@ -872,7 +921,7 @@ def test_accepted_step_hands_on_its_points_f(monkeypatch):
 
 
 def test_held_tail_is_fast_forwarded_in_one_call(monkeypatch):
-    """gfl_seriescomp is held from step 26,356 (t = 5.27 s) on.  Its first
+    """gfl_seriescomp is held from step 26,288 (t = 5.2576 s) on.  Its first
     held step hands on the f it reused, so one fast_forward call skips the
     rest of a run to 6 s or one step further, and leaves f_old and the
     differences with the bits of stepping every held step."""
@@ -882,7 +931,7 @@ def test_held_tail_is_fast_forwarded_in_one_call(monkeypatch):
         calls, stepper = _assert_fast_forward_invisible(monkeypatch, scenario,
                                                         config)
         n_steps = round(t_end / config.dt)
-        assert [m for m in calls if m] == [4998, n_steps - 26356]
+        assert [m for m in calls if m] == [4998, n_steps - 26288]
         assert stepper._held is True
 
 
