@@ -135,10 +135,12 @@ def _chi_csv(result, numeric, analytic):
     return _csv(header, columns)
 
 
-# the stepper's deterministic counters, null for a closed-form scenario
+# the stepper's and the event re-solves' deterministic counters, null for a
+# closed-form scenario
 _SOLVER_KEYS = ("steps", "newton_iterations", "max_step_iterations",
                 "max_step_time", "jacobian_builds", "residual_evaluations",
-                "worst_residual", "predictor_points")
+                "worst_residual", "predictor_points", "event_resolves",
+                "event_resolve_iterations")
 
 
 def build_report(scenario, result, config, epsilon=DEFAULT_EPSILON,

@@ -277,7 +277,8 @@ NEWTON_TOL = 1e-10
 
 
 def interface_solve(residual, z0, tol=NEWTON_TOL, max_iter=30):
-    """Newton iteration for residual(z) = 0 from z0; returns the root.
+    """Newton iteration for residual(z) = 0 from z0; returns (the root, the
+    Newton iterations taken).
 
     The forward-difference Jacobian is kept while each iteration at least
     halves the residual's max norm and is rebuilt otherwise.  The last
@@ -287,9 +288,9 @@ def interface_solve(residual, z0, tol=NEWTON_TOL, max_iter=30):
     r = residual(z)
     res = np.max(np.abs(r))
     jac = None
-    for _ in range(max_iter):
+    for it in range(max_iter):
         if res < tol:
-            return z
+            return z, it
         if jac is None:
             jac = fd_jacobian(residual, z, r)
         try:
@@ -303,7 +304,7 @@ def interface_solve(residual, z0, tol=NEWTON_TOL, max_iter=30):
             jac = None  # stale Jacobian; rebuild next pass
         res = res_new
     if res < tol:
-        return z
+        return z, max_iter
     raise NewtonDivergence("interface solve did not converge",
                            residual=float(res),
                            worst_equation=int(np.argmax(np.abs(r))))
@@ -379,8 +380,9 @@ def solve_power_flow(network: Network, specs, tol=NEWTON_TOL, max_iter=50):
                                (s.imag - s_net.imag)[vm_idx]])
 
     try:
-        x = interface_solve(mismatch, np.concatenate([va[th_idx], vm[vm_idx]]),
-                            tol=tol, max_iter=max_iter)
+        x, _ = interface_solve(mismatch,
+                               np.concatenate([va[th_idx], vm[vm_idx]]),
+                               tol=tol, max_iter=max_iter)
     except NewtonDivergence as exc:
         raise PfDivergence(f"power flow not converged after {max_iter} "
                            f"iterations; residual {exc.residual:.3e}, "

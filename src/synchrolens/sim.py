@@ -10,25 +10,29 @@ simultaneously each step from
     x_new - x_old - dt/2 * (f_old + f(t_new, x_new, y_new)) = 0
     g(t_new, x_new, y_new) = 0
 
-by a quasi-Newton iteration: the inverse of a forward-difference Jacobian
-is kept across iterations and steps and, after every iteration that has not
-converged, corrected by Broyden's second ("bad") rank-1 update, so it
-follows phasors that keep rotating in the synchronous frame without new
-residual evaluations.  It is rebuilt only when a step stalls or converges
-slowly.  Each step starts iterating from the polynomial through the last
-3 to 8 accepted points (fewer after an event), written in backward
-differences as DASSL's predictor is, when the previous step moved by at
-least newton_tol, and from z_n otherwise, as near steady state z_n already
-meets the tolerance.  Like DASSL's order selection, the stepper picks the
-length from what its steps did (PredictorLength): it counts the Newton
-iterations of the predicted steps in windows of PREDICTOR_WINDOW, runs one
-window in every PREDICTOR_PROBE_EVERY at a neighbouring length, and moves
-there when that window took fewer iterations.  A rotor that slips poles
-turns its phasors by 0.07 rad per step and gets a longer polynomial than a
-swinging one.  Events must lie on step boundaries; the history is cleared
-there, so no step extrapolates across a topology change.  At an event the
-topology changes, g = 0 is re-solved for y holding x, by the plain Newton
-loop the power flow also uses, and integration continues.
+by a quasi-Newton iteration.  PowerSystemDae.fg returns f and g as lists of
+Python floats, and the stepper builds each residual from them with one list
+pass and one array, so a residual evaluation makes one numpy array; a
+residual that is not finite stops the step at once, naming its equation.
+The inverse of a forward-difference Jacobian is kept across iterations and
+steps and, after every iteration that has not converged, corrected by
+Broyden's second ("bad") rank-1 update, so it follows phasors that keep
+rotating in the synchronous frame without new residual evaluations.  It is
+rebuilt only when a step stalls or converges slowly.  Each step starts
+iterating from the polynomial through the last 3 to 8 accepted points
+(fewer after an event), written in backward differences as DASSL's
+predictor is, when the previous step moved by at least newton_tol, and from
+z_n otherwise, as near steady state z_n already meets the tolerance.  Like
+DASSL's order selection, the stepper picks the length from what its steps
+did (PredictorLength): it counts the Newton iterations of the predicted
+steps in windows of PREDICTOR_WINDOW, runs one window in every
+PREDICTOR_PROBE_EVERY at a neighbouring length, and moves there when that
+window took fewer iterations.  A rotor that slips poles turns its phasors
+by 0.07 rad per step and gets a longer polynomial than a swinging one.
+Events must lie on step boundaries; the history is cleared there, so no
+step extrapolates across a topology change.  At an event the topology
+changes, g = 0 is re-solved for y holding x, by the plain Newton loop the
+power flow also uses, and integration continues.
 
 A step that starts from z_n needs f and g at z_n.  PowerSystemDae keeps its
 last evaluation, and an accepted step returns the x and y objects that
@@ -169,9 +173,10 @@ class PowerSystemDae:
     (``dyn:L7:i_b.re``), a bus KCL component (``KCL:B5.im``) or an ideal
     source's voltage constraint (``vsrc:IB.re``).  time_varying is whether
     any device's equations depend on t; the network's do not.  last is
-    (t, x, y, f, g, injections) of the last fg call, or None after a
-    topology change.  An active device with a y_shunt is stamped into
-    y_mat and left out of the device pass (_shunts holds it and its bus).
+    (t, x, y, f, g, injections) of the last fg call (f and g lists), or
+    None after a topology change.  An active device with a y_shunt is
+    stamped into y_mat and left out of the device pass (_shunts holds it
+    and its bus).
     """
 
     def __init__(self, network: Network, adapters):
@@ -239,15 +244,18 @@ class PowerSystemDae:
         return v, i_src
 
     def fg(self, t, x, y_vec):
-        """(differential RHS, algebraic residual) in one device pass.
+        """(differential RHS, algebraic residual) in one device pass, as
+        two lists of Python floats.
 
         x and y are converted to Python numbers once, so every device,
         dynamic branch and ideal source runs on Python floats and complexes
         (see ``devices.base``); the network's matvec stays one complex numpy
         product, which also carries the stamped shunts' currents.  A phasor
         is assembled as re + 1j*im, which rounds, signed zeros included, as
-        numpy's y[:n] + 1j*y[n:2n] does.  The call is kept in last, the
-        device currents in _device_info order.
+        numpy's y[:n] + 1j*y[n:2n] does.  g holds the re parts of the bus
+        KCL mismatches, their im parts, then those of the ideal-source
+        constraints.  The call is kept in last, the device currents in
+        _device_info order.
         """
         n, n_src = self.n_bus, self.n_src
         xs = x.tolist()
@@ -290,14 +298,14 @@ class PowerSystemDae:
                 src.append(i)
         for k in self._isolated:
             mismatch[k] = v[k]
-        f = np.array(f)
-        g = np.array([m.real for m in mismatch] + [m.imag for m in mismatch]
-                     + [s.real for s in src] + [s.imag for s in src])
+        g = ([m.real for m in mismatch] + [m.imag for m in mismatch]
+             + [s.real for s in src] + [s.imag for s in src])
         self.last = (t, x, y_vec, f, g, injections)
         return f, g
 
     def solve_algebraic(self, t, x, y_guess, tol=NEWTON_TOL, n_free=0):
-        """Re-solve g = 0 at fixed x (event instants, initialization).
+        """Re-solve g = 0 at fixed x (event instants, initialization);
+        returns (y, Newton iterations).
 
         The last n_free entries of x (the dynamic-branch states at t = 0)
         are solved with y, on their f and g, and written into x.  The
@@ -313,10 +321,10 @@ class PowerSystemDae:
         def residual(z):
             x[m:] = z[:n_free]
             f, g = self.fg(t, x, z[n_free:])
-            return np.concatenate([f[m:], g])
+            return np.array(f[m:] + g)
 
         try:
-            interface_solve(residual, z0, tol=tol)
+            _, iterations = interface_solve(residual, z0, tol=tol)
         except NewtonDivergence as exc:
             worst = exc.worst_equation
             where = f"{exc} (at t={t:.6f}s)"
@@ -325,7 +333,7 @@ class PowerSystemDae:
                 where += f", worst equation {self.names[worst]}"
             raise NewtonDivergence(where, residual=exc.residual,
                                    worst_equation=worst) from exc
-        return self.last[2]
+        return self.last[2], iterations
 
 
 # --- trapezoidal stepper ----------------------------------------------------
@@ -433,7 +441,10 @@ class TrapezoidalStepper:
     from it, when it has none and the time matches, and, without a
     predictor and for a DAE that is not time_varying, its first residual.
     An accepted step returns the x and y of dae.last, the accepted point,
-    and keeps its f as the next f_old.
+    and keeps its f as the next f_old, its z, and its motion
+    max|z_n - z_{n-1}| for the next step's gate; a step handed back those
+    x and y objects starts from that z instead of concatenating them.  A
+    residual with a NaN or an infinity raises NewtonDivergence at once.
 
     Such a step that takes no iteration is held: it returns its start and
     hands on the f_old it got, so the steps after it repeat it, and
@@ -451,9 +462,13 @@ class TrapezoidalStepper:
         self.cfg = config
         self.jac_inv = None
         self._f_old = None
+        # the last accepted (x, y, z), x and y the views of z it returned
+        self._accepted = None
         # first differences of the accepted points of this topology,
         # z_n - z_{n-1} first, at most PREDICTOR_MAX_POINTS - 1
         self._diffs = []
+        # max|z_n - z_{n-1}|, the predictor's motion gate
+        self._motion = 0.0
         self.length = PredictorLength()
         # whether the last step was held
         self._held = False
@@ -466,43 +481,50 @@ class TrapezoidalStepper:
                                                    PREDICTOR_MAX_POINTS + 1)}}
 
     def invalidate(self):
-        """Drop cached Jacobian, RHS, predictor history and held flag
-        after a topology change."""
+        """Drop cached Jacobian, RHS, accepted point, predictor history,
+        motion and held flag after a topology change."""
         self.jac_inv = None
         self._f_old = None
+        self._accepted = None
         self._diffs = []
+        self._motion = 0.0
         self._held = False
 
     def fast_forward(self, m):
         """Take m more held steps at once if the last step was held;
         returns the number of steps taken, m or 0.
 
-        Only the step counter and the differences change: a held step makes
-        no fg call, takes no iteration, does not move and hands on its
-        f_old, its residual was already seen by worst_residual, and it
-        starts from z_n, so the length rule does not count it.  The
-        caller's point stays as it is.
+        Only the step counter, the differences and the motion change: a
+        held step makes no fg call, takes no iteration, does not move and
+        hands on its f_old, its residual was already seen by
+        worst_residual, and it starts from z_n, so the length rule does
+        not count it.  The caller's point stays as it is.
         """
         if m <= 0 or not self._held:
             return 0
         zero = np.zeros_like(self._diffs[0])
         keep = PREDICTOR_MAX_POINTS - 1
         self._diffs = ([zero] * min(m, keep) + self._diffs)[:keep]
+        self._motion = 0.0
         self.stats["steps"] += m
         return m
 
     def _residual(self, t_new, z, x_old, f_old, dt, fg=None):
-        """The step residual at z; fg, when given, is (f, g) at z."""
+        """The step residual at z as one array; fg, when given, is (f, g)
+        at z.
+
+        The differential rows x_new - x_old - h (f_old + f_new), h = dt/2,
+        take the IEEE operations of the array expression in its order, on
+        Python floats, so they have its bits; g follows as fg gave it.
+        """
         n_x = self.dae.n_x
-        x_new = z[:n_x]
         if fg is None:
-            fg = self.dae.fg(t_new, x_new, z[n_x:])
+            fg = self.dae.fg(t_new, z[:n_x], z[n_x:])
             self.stats["residual_evaluations"] += 1
         f_new, g_new = fg
-        r = np.empty(n_x + self.dae.n_y)
-        r[:n_x] = x_new - x_old - 0.5 * dt * (f_old + f_new)
-        r[n_x:] = g_new
-        return r
+        h = 0.5 * dt
+        return np.array([xn - xo - h * (fo + fn) for xn, xo, fo, fn
+                         in zip(z.tolist(), x_old, f_old, f_new)] + g_new)
 
     def _build_jacobian(self, t_new, z, x_old, f_old, dt, r0):
         """Row-equilibrated inverse of the forward-difference Jacobian.
@@ -544,17 +566,23 @@ class TrapezoidalStepper:
                 at_start = True
             f_old = dae.last[3]
         t_new = t_old + dt
-        z_old = np.concatenate([x_old, y_old])
+        accepted = self._accepted
+        if (accepted is not None and accepted[0] is x_old
+                and accepted[1] is y_old):
+            z_old = accepted[2]
+        else:
+            z_old = np.concatenate([x_old, y_old])
+        xs_old = x_old.tolist()
         diffs = self._diffs
         tol = self.cfg.newton_tol
         # m: the differences the predictor uses, 0 for a start at z_n
         z, fg, m = z_old, None, 0
-        if len(diffs) >= 2 and float(np.abs(diffs[0]).max()) >= tol:
+        if len(diffs) >= 2 and self._motion >= tol:
             m = min(len(diffs), self.length.points - 1)
             z = extrapolate(z_old, diffs[:m])
         elif not dae.time_varying and at_start:
             fg = dae.last[3:5]
-        r = self._residual(t_new, z, x_old, f_old, dt, fg)
+        r = self._residual(t_new, z, xs_old, f_old, dt, fg)
         res = float(np.abs(r).max())
         rebuilds = 0
         since_build = self.NEWTON_MAX_ITER if self.jac_inv is None else 0
@@ -568,16 +596,26 @@ class TrapezoidalStepper:
                 if it > stats["max_step_iterations"] or stats["steps"] == 1:
                     stats["max_step_iterations"] = it
                     stats["max_step_time"] = t_new
-                self._diffs = [z - z_old] + diffs[:PREDICTOR_MAX_POINTS - 2]
+                d0 = z - z_old
+                self._motion = float(np.abs(d0).max())
+                self._diffs = [d0] + diffs[:PREDICTOR_MAX_POINTS - 2]
                 if m:
                     stats["predictor_points"][str(m + 1)] += 1
                     self.length.record(it)
                 if it >= self.REBUILD_ITERS:
                     self.jac_inv = None   # converging slowly; refresh next step
                 # the last evaluation was at the accepted z
-                self._f_old = dae.last[3]
+                _, x_new, y_new, self._f_old = dae.last[:4]
+                self._accepted = (x_new, y_new, z)
                 self._held = fg is not None and it == 0
-                return dae.last[1], dae.last[2], it
+                return x_new, y_new, it
+            if not math.isfinite(res):
+                # no iteration recovers once a NaN reaches the inverse
+                row = int(np.flatnonzero(~np.isfinite(r))[0])
+                raise NewtonDivergence(
+                    f"residual not finite at t={t_new:.6f}s: {float(r[row])} "
+                    f"in equation {dae.names[row]}", residual=res,
+                    worst_equation=row)
             if self.jac_inv is None or since_build >= self.NEWTON_MAX_ITER:
                 if rebuilds >= self.MAX_REBUILDS_PER_STEP:
                     worst = int(np.argmax(np.abs(r)))
@@ -585,13 +623,14 @@ class TrapezoidalStepper:
                         f"Newton stalled at t={t_new:.6f}s, residual {res:.3e}, "
                         f"worst equation {dae.names[worst]}",
                         residual=res, worst_equation=worst)
-                self.jac_inv = self._build_jacobian(t_new, z, x_old, f_old, dt, r)
+                self.jac_inv = self._build_jacobian(t_new, z, xs_old, f_old,
+                                                    dt, r)
                 rebuilds += 1
                 since_build = 0
             inv, scale = self.jac_inv
             dz = inv @ (scale * r)
             z = z - dz
-            r_new = self._residual(t_new, z, x_old, f_old, dt)
+            r_new = self._residual(t_new, z, xs_old, f_old, dt)
             res = float(np.abs(r_new).max())
             it += 1
             since_build += 1
@@ -601,7 +640,7 @@ class TrapezoidalStepper:
                 dr = scale * (r_new - r)
                 dr2 = dr @ dr
                 if dr2 != 0.0:
-                    inv -= np.outer(dz + inv @ dr, dr / dr2)
+                    inv -= (dz + inv @ dr)[:, None] * (dr / dr2)
             r = r_new
 
 
@@ -744,8 +783,8 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
         y0[:dae.n_bus] = v_vec.real
         y0[dae.n_bus:2 * dae.n_bus] = v_vec.imag
         y0[2 * dae.n_bus:] = 0.0
-        y0 = dae.solve_algebraic(0.0, x0, y0, tol=config.newton_tol,
-                                 n_free=4 * len(dae.dyn_branches))
+        y0, _ = dae.solve_algebraic(0.0, x0, y0, tol=config.newton_tol,
+                                    n_free=4 * len(dae.dyn_branches))
         f0, g0 = dae.last[3:5]
         resid = max(float(np.max(np.abs(f0))) if dae.n_x else 0.0,
                     float(np.max(np.abs(g0))))
@@ -789,6 +828,7 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
 
     stepper = TrapezoidalStepper(dae, config)
     recorder = Recorder(dae, n_rec)
+    resolves = {"event_resolves": 0, "event_resolve_iterations": 0}
     # a fast-forward ends before the next event step, or at n_steps
     stops = iter(sorted(k for k in events_by_step if k <= n_steps)
                  + [n_steps + 1])
@@ -813,7 +853,10 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
                 event_log.append((t_new, ev))
             dae.refresh_topology()
             stepper.invalidate()
-            y = dae.solve_algebraic(t_new, x, y, tol=config.newton_tol)
+            y, iterations = dae.solve_algebraic(t_new, x, y,
+                                                tol=config.newton_tol)
+            resolves["event_resolves"] += 1
+            resolves["event_resolve_iterations"] += iterations
         if k % dec == 0:
             recorder.add()
         skipped = stepper.fast_forward(stop - 1 - k)
@@ -837,5 +880,5 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
         device_kind={a.id: a.kind for a in dae.adapters},
         events=event_log,
         event_samples=event_samples,
-        diagnostics=dict(stepper.stats),
+        diagnostics={**stepper.stats, **resolves},
     )

@@ -134,6 +134,37 @@ def exact_voltage_cf(scenario, t):
     return cf.real, cf.imag + 1.0
 
 
+def kcl_reference(dae, t, x, y):
+    """g of ``PowerSystemDae.fg`` in its complex array form, the reference
+    for fg's own assembly: -Y v over the bus phasors v = y[:n] + 1j*y[n:2n],
+    plus each active device's injection, minus and plus each in-service
+    dynamic branch's current at its from and to bus, plus each active ideal
+    source's current; an isolated bus reads v.  Then the re and im parts of
+    the mismatch and of the source constraints (v - emf, or the current of
+    a source that is not active), as a list."""
+    v, i_src = dae.unpack_y(y)
+    mismatch = dae._neg_y @ v
+    xs = x.tolist()
+    for a, sl, k in dae._device_info:
+        v_k = complex(v[k])
+        mismatch[k] += (a.inj(t, None, v_k) if sl is None
+                        else a.fg(t, xs[sl], v_k)[1])
+    for br, j, kf, kt in dae._branch_info:
+        i_b = x[j] + 1j * x[j + 1]
+        mismatch[kf] -= i_b
+        mismatch[kt] += i_b
+    src = np.empty(dae.n_src, dtype=complex)
+    for j, (a, k) in enumerate(dae._vsrc_info):
+        if a.active:
+            mismatch[k] += i_src[j]
+            src[j] = v[k] - a.emf
+        else:
+            src[j] = i_src[j]
+    mismatch[dae._isolated] = v[dae._isolated]
+    return np.concatenate([mismatch.real, mismatch.imag,
+                           src.real, src.imag]).tolist()
+
+
 def rotate_result(result, delta_omega: float):
     """Every recorded Park-vector series re-expressed in a faster frame."""
     phase = np.exp(-1j * delta_omega * result.omega_b * result.t)

@@ -643,6 +643,9 @@ def test_report_solver_block(smib_outputs, tmp_path, monkeypatch):
     assert spied["residual_evaluations"] >= len(per_step) - reused
     assert sum(spied["predictor_points"].values()) <= spied["steps"]
     assert solver_block("again") == spied
+    # the fault and its clearing, each followed by one algebraic re-solve
+    assert spied["event_resolves"] == 2
+    assert spied["event_resolve_iterations"] >= 2
     # every step taken one by one: the same block
     monkeypatch.setattr(sim.TrapezoidalStepper, "fast_forward",
                         lambda self, m: 0)
@@ -814,6 +817,50 @@ def test_event_resolve_failure_names_time(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "interface solve did not converge (at t=1.000000s)" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_non_finite_residual_names_its_equation(tmp_path, capsys, monkeypatch):
+    """smib's G1 returning a NaN rate of omega_r after t = 1.2 s stops the
+    run at the first residual that holds it, with exit 3 and no output
+    file: the message names G1:omega_r and the time (a NaN inverse
+    Jacobian made every entry NaN, and the worst equation read row 0,
+    G1:delta), and no Jacobian is rebuilt for it."""
+    build = sim.build_adapters
+
+    def poisoned_adapters(scenario):
+        adapters = build(scenario)
+        g1 = next(a for a in adapters if a.id == "G1")
+
+        def fg(t, states, v, fg=g1.fg):
+            d, i = fg(t, states, v)
+            if t > 1.2005:
+                d[1] = math.nan
+            return d, i
+        g1.fg = fg
+        return adapters
+
+    raised = []
+    step = sim.TrapezoidalStepper.step
+
+    def spied(self, *args):
+        builds = self.stats["jacobian_builds"]
+        try:
+            return step(self, *args)
+        except NewtonDivergence as exc:
+            raised.append((self.dae.names[exc.worst_equation], exc.residual,
+                           self.stats["jacobian_builds"] - builds))
+            raise
+
+    monkeypatch.setattr(sim, "build_adapters", poisoned_adapters)
+    monkeypatch.setattr(sim.TrapezoidalStepper, "step", spied)
+    out = tmp_path / "out"
+    assert run_cli(*_RUN, "--t-end", "1.5", "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        "solver failure: residual not finite at t=1.201000s: nan in "
+        "equation G1:omega_r\n")
+    (worst, residual, builds), = raised
+    assert worst == "G1:omega_r" and math.isnan(residual) and builds == 0
     assert not out.exists() or not list(out.iterdir())
 
 

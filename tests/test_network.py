@@ -88,7 +88,7 @@ def test_interface_solve_single_source_radial():
     net = Network([Bus("1"), Bus("2")],
                   [Branch("L", "1", "2", 0.0, 0.4)])
     y = assemble_y(net)
-    z = interface_solve(_source_residual(y, 0.98 + 0.02j), _flat_start(2))
+    z, _ = interface_solve(_source_residual(y, 0.98 + 0.02j), _flat_start(2))
     v, i_src = z[:2] + 1j * z[2:4], complex(z[4], z[5])
     assert np.abs(v - (0.98 + 0.02j)).max() < 1e-9
     assert abs(i_src) < 1e-9
@@ -98,18 +98,29 @@ def test_interface_solve_divider_closed_form():
     net = Network([Bus("1"), Bus("2")], [Branch("L", "1", "2", 0.1, 0.5)])
     y = assemble_y(net)
     y_load = 0.5 - 0.1j
-    z = interface_solve(_source_residual(y, 1.0 + 0.0j, y_load), _flat_start(2))
+    z, _ = interface_solve(_source_residual(y, 1.0 + 0.0j, y_load),
+                           _flat_start(2))
     z_load, z_src = 1.0 / y_load, 0.1 + 0.5j
     assert abs(complex(z[1], z[3]) - z_load / (z_load + z_src)) < 1e-12
 
 
 def test_interface_solve_accepts_converged_last_iterate():
     """The forward-difference step leaves about 1e-9 after iteration 1 and
-    iteration 2 converges: the budget of 2 iterations suffices."""
-    z = interface_solve(lambda z: z - 1.0, np.zeros(1), max_iter=2)
-    assert abs(z[0] - 1.0) < 1e-10
+    iteration 2 converges: the budget of 2 iterations suffices, and both
+    budgets report the 2 iterations taken."""
+    z, iterations = interface_solve(lambda z: z - 1.0, np.zeros(1), max_iter=2)
+    assert abs(z[0] - 1.0) < 1e-10 and iterations == 2
+    assert interface_solve(lambda z: z - 1.0, np.zeros(1), max_iter=3)[1] == 2
     assert np.array_equal(interface_solve(lambda z: z - 1.0, np.zeros(1),
-                                          max_iter=3), z)
+                                          max_iter=3)[0], z)
+
+
+def test_interface_solve_counts_iterations():
+    """A start at the root takes no iteration; a linear residual takes one
+    Newton step to about 1e-9 (the forward difference) and one more."""
+    assert interface_solve(lambda z: z - 1.0, np.ones(1))[1] == 0
+    _, iterations = interface_solve(lambda z: 3.0 * z - 1.5, np.zeros(2))
+    assert iterations == 2
 
 
 def test_power_flow_no_load_flat():
@@ -184,9 +195,9 @@ def test_midpoint_fault_collapses_voltage():
     net.split_branch_for_fault("L")
     apply_event(net, Event(1.0, EventKind.APPLY_FAULT, branch="L"))
     y = assemble_y(net)
-    z = interface_solve(_source_residual(y, 1.0 + 0.0j,
-                                         connected=connected_bus_mask(net, ["1"])),
-                        _flat_start(3))
+    residual = _source_residual(y, 1.0 + 0.0j,
+                                connected=connected_bus_mask(net, ["1"]))
+    z, _ = interface_solve(residual, _flat_start(3))
     k = net.bus_index["L_mid"]
     assert abs(complex(z[k], z[3 + k])) < 0.1
 

@@ -8,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import kcl_reference
 from synchrolens import sim
-from synchrolens.network import EventKind, assemble_y
+from synchrolens.network import EventKind, apply_event, assemble_y
 from synchrolens.scenarios import (build_builtin, builtin_names, cct_sweep,
                                    with_clearing_time)
 from synchrolens.sim import (SimConfig, TrapezoidalStepper, build_adapters,
@@ -66,6 +67,45 @@ def test_norton_fold_matches_nonlinear_injection_path():
     v_norton = sol[:n] + 1j * sol[n:2 * n]
     connected = dae.connected
     assert np.abs(v_norton[connected] - v_newton[connected]).max() <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["smib", "kundur", "motor_condenser",
+                                  "gfl_seriescomp", "sustained_oscillation"])
+def test_fg_kcl_matches_complex_reference(name):
+    """fg assembles g on Python numbers; kcl_reference assembles it from
+    complex arrays.  They agree bit for bit at t = 0, after every event's
+    algebraic re-solve (the fault topology, then the cleared one with its
+    isolated midpoint bus) and at a perturbed point in each of those
+    topologies whose imaginary parts of every other bus voltage, source
+    currents and dynamic-branch imaginary parts are -0.0."""
+    scenario = build_builtin(name)
+    dae, x, y = initialize(scenario)
+    rng = np.random.default_rng(11)
+    n = dae.n_bus
+
+    def check(t, x, y):
+        _, g = dae.fg(t, x, y)
+        assert [v.hex() for v in g] == [
+            v.hex() for v in kcl_reference(dae, t, x, y)], (name, t)
+        xp = x * (1.0 + 1e-3 * rng.standard_normal(x.size))
+        yp = y * (1.0 + 1e-3 * rng.standard_normal(y.size))
+        yp[n:2 * n:2] = -0.0
+        yp[2 * n:] = -0.0
+        for sl in dae.branch_slices.values():
+            xp[sl.start + 1] = xp[sl.start + 3] = -0.0
+        _, g = dae.fg(t, xp, yp)
+        assert [v.hex() for v in g] == [
+            v.hex() for v in kcl_reference(dae, t, xp, yp)], (name, t)
+
+    check(0.0, x, y)
+    for ev in scenario.events:
+        if ev.kind is EventKind.DISCONNECT_DEVICE:
+            next(a for a in dae.adapters if a.id == ev.device).active = False
+        else:
+            apply_event(dae.network, ev)
+        dae.refresh_topology()
+        y, _ = dae.solve_algebraic(ev.time, x, y)
+        check(ev.time, x, y)
 
 
 @pytest.mark.parametrize("name,devices", [

@@ -21,7 +21,7 @@ from synchrolens.synccheck import evaluate_device, numeric_chi
 
 class ScalarDecay:
     """Minimal DAE: x' = lam*x with no algebraic part; like PowerSystemDae
-    it keeps its last evaluation in last."""
+    it returns f and g as lists and keeps its last evaluation in last."""
 
     n_x = 1
     n_y = 0
@@ -32,7 +32,7 @@ class ScalarDecay:
         self.lam = lam
 
     def fg(self, t, x, y):
-        f, g = self.lam * x, np.empty(0)
+        f, g = [self.lam * v for v in x.tolist()], []
         self.last = (t, x, y, f, g, [])
         return f, g
 
@@ -142,7 +142,7 @@ class TurningPhasor:
     """Minimal DAE whose phasor turns at a constant rate: a rotor angle
     d' = w + k Im(v e^{-jd}) and its terminal phasor v = e^{jd}, algebraic,
     so d grows linearly and v turns by w dt per step; like PowerSystemDae
-    it keeps its last evaluation in last."""
+    it returns f and g as lists and keeps its last evaluation in last."""
 
     n_x = 1
     n_y = 2
@@ -153,9 +153,10 @@ class TurningPhasor:
         self.w, self.k = w, k
 
     def fg(self, t, x, y):
-        c, s = math.cos(x[0]), math.sin(x[0])
-        f = np.array([self.w + self.k * (y[1] * c - y[0] * s)])
-        g = np.array([y[0] - c, y[1] - s])
+        (d,), (re, im) = x.tolist(), y.tolist()
+        c, s = math.cos(d), math.sin(d)
+        f = [self.w + self.k * (im * c - re * s)]
+        g = [re - c, im - s]
         self.last = (t, x, y, f, g, [])
         return f, g
 
@@ -327,6 +328,20 @@ def test_event_keeps_differential_states_continuous(builtin_run):
     # algebraic variables jump at the fault instant, states move only O(dt)
     assert abs(delta[k] - delta[k - 1]) < 5e-3
     assert v_hv[k - 1] - v_hv[k] > 0.3
+
+
+def test_event_resolves_are_counted(builtin_run):
+    """The diagnostics count the algebraic re-solves after events and their
+    Newton iterations: kundur re-solves once at its fault and once at its
+    clearing, and a run to just past the clearing repeats both counts."""
+    scenario, result, _ = builtin_run("kundur")
+    diag = result.diagnostics
+    assert diag["event_resolves"] == len(scenario.events) == 2
+    assert diag["event_resolve_iterations"] >= 2
+    short = run_simulation(scenario,
+                           SimConfig.from_scenario(scenario, t_end=1.2))
+    for key in ("event_resolves", "event_resolve_iterations"):
+        assert short.diagnostics[key] == diag[key], key
 
 
 def test_kcl_residual_within_tolerance(builtin_run):
@@ -549,7 +564,7 @@ def test_stamped_loads_match_zip_polynomials():
     assert fault.kind is EventKind.APPLY_FAULT and fault.time == 1.0
     apply_event(dae.network, fault)
     dae.refresh_topology()
-    y = dae.solve_algebraic(1.0, x, y)
+    y, _ = dae.solve_algebraic(1.0, x, y)
     stepper = TrapezoidalStepper(dae, config)
     for k in range(50):
         x, y, _ = stepper.step(1.0 + k * config.dt, x, y, config.dt)
@@ -677,10 +692,11 @@ def test_algebraic_resolve_failure_names_equation(monkeypatch):
                                   "sustained_oscillation"])
 def test_stepper_samples_stay_python_numbers(name):
     """The residual hands every device a list of Python floats and a Python
-    complex voltage, and gets back Python floats and complexes.  A numpy
-    scalar slipping in (a parameter, an initial value, a numpy call on the
-    sample) keeps the results bitwise equal but makes each call several
-    times slower, which only this check sees."""
+    complex voltage, and gets back Python floats and complexes; fg keeps f
+    and g as lists of Python floats.  A numpy scalar slipping in (a
+    parameter, an initial value, a numpy call on the sample) keeps the
+    results bitwise equal but makes each call several times slower, which
+    only this check sees."""
     scenario = build_builtin(name)
     config = SimConfig.from_scenario(scenario, t_end=0.01)
     dae, x, y = initialize(scenario, config)
@@ -702,6 +718,8 @@ def test_stepper_samples_stay_python_numbers(name):
         assert type(d) is list and {type(e) for e in d} == {float}
         assert type(i) is complex
     assert dae.last[5] and {type(i) for i in dae.last[5]} == {complex}
+    for values in dae.last[3:5]:
+        assert type(values) is list and {type(e) for e in values} == {float}
 
 
 # --- reuse of the accepted point's residual ---------------------------------
@@ -877,7 +895,8 @@ def _assert_fast_forward_invisible(monkeypatch, scenario, config):
     assert sum(calls) > 0
     _assert_same_run(fast, stepped)
     assert fast.diagnostics == stepped.diagnostics
-    assert stepper._f_old.tobytes() == reference._f_old.tobytes()
+    assert ([v.hex() for v in stepper._f_old]
+            == [v.hex() for v in reference._f_old])
     assert ([d.tobytes() for d in stepper._diffs]
             == [d.tobytes() for d in reference._diffs])
     assert stepper.length == reference.length
@@ -898,7 +917,7 @@ def test_fast_forward_is_bitwise_invisible(monkeypatch, dec):
 
 def test_accepted_step_hands_on_its_points_f(monkeypatch):
     """Every accepted smib step keeps f of dae.last, its accepted point, as
-    the next step's f_old: the very array, with the bits of a fresh
+    the next step's f_old: the very list, with the bits of a fresh
     evaluation there."""
     scenario = build_builtin("smib")
     config = SimConfig.from_scenario(scenario, t_end=2.0)
@@ -912,7 +931,7 @@ def test_accepted_step_hands_on_its_points_f(monkeypatch):
         assert self._f_old is last[3]
         f, _ = dae.fg(t_old + dt, x, y)
         dae.last = last
-        checked.append(f.tobytes() == self._f_old.tobytes())
+        checked.append([v.hex() for v in f] == [v.hex() for v in self._f_old])
         return x, y, it
 
     monkeypatch.setattr(TrapezoidalStepper, "step", checking)
