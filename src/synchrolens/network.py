@@ -274,6 +274,8 @@ def dynamic_branch_init(branch: Branch, v_from, v_to):
 
 # max-norm residual below which every Newton iteration stops by default
 NEWTON_TOL = 1e-10
+# Newton iterations the power flow may take
+PF_MAX_ITER = 50
 
 
 def interface_solve(residual, z0, tol=NEWTON_TOL, max_iter=30):
@@ -282,32 +284,40 @@ def interface_solve(residual, z0, tol=NEWTON_TOL, max_iter=30):
 
     The forward-difference Jacobian is kept while each iteration at least
     halves the residual's max norm and is rebuilt otherwise.  The last
-    residual call is at the returned point.
+    residual call is at the returned point.  NewtonDivergence, with the
+    residual and its worst row, ends max_iter iterations short of tol, a
+    singular Jacobian, or at once a residual with a NaN or an infinity,
+    whose first such row counts as the worst.
     """
-    z = z0
+    z, it, jac = z0, 0, None
     r = residual(z)
-    res = np.max(np.abs(r))
-    jac = None
-    for it in range(max_iter):
-        if res < tol:
-            return z, it
+    res = float(np.max(np.abs(r)))
+    while not res < tol:
+        if not np.isfinite(res):
+            row = int(np.flatnonzero(~np.isfinite(r))[0])
+            raise NewtonDivergence(f"residual not finite: {float(r[row])}",
+                                   residual=res, worst_equation=row)
+        worst = int(np.argmax(np.abs(r)))
+        if it == max_iter:
+            raise NewtonDivergence(
+                f"not converged after {max_iter} iterations; "
+                f"residual {res:.3e}", residual=res, worst_equation=worst)
         if jac is None:
             jac = fd_jacobian(residual, z, r)
         try:
             dz = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
-            raise SingularY(f"Newton Jacobian singular: {exc}") from exc
+            raise NewtonDivergence(
+                f"Newton Jacobian singular; residual {res:.3e}",
+                residual=res, worst_equation=worst) from exc
         z = z + dz
         r = residual(z)
-        res_new = np.max(np.abs(r))
+        it += 1
+        res_new = float(np.max(np.abs(r)))
         if res_new > 0.5 * res and res_new > tol:
             jac = None  # stale Jacobian; rebuild next pass
         res = res_new
-    if res < tol:
-        return z, max_iter
-    raise NewtonDivergence("interface solve did not converge",
-                           residual=float(res),
-                           worst_equation=int(np.argmax(np.abs(r))))
+    return z, it
 
 
 def fd_jacobian(fn, z, f0):
@@ -338,12 +348,14 @@ class PfBusSpec:
     s_fns: list = field(default_factory=list)
 
 
-def solve_power_flow(network: Network, specs, tol=NEWTON_TOL, max_iter=50):
-    """Newton-Raphson power flow on polar mismatches, flat start.
+def solve_power_flow(network: Network, specs):
+    """Newton-Raphson power flow on polar mismatches, flat start, to
+    NEWTON_TOL in at most PF_MAX_ITER iterations.
 
     specs maps bus id -> PfBusSpec with exactly one slack.  Returns the
     complex bus voltages v; bus k injects (v * conj(Y @ v))[k], Y = assemble_y
-    with include_dynamic_equivalent.
+    with include_dynamic_equivalent.  A Newton failure is raised again as
+    PfDivergence naming its worst mismatch equation.
     """
     n = network.n_bus
     y = assemble_y(network, include_dynamic_equivalent=True)
@@ -382,9 +394,8 @@ def solve_power_flow(network: Network, specs, tol=NEWTON_TOL, max_iter=50):
     try:
         x, _ = interface_solve(mismatch,
                                np.concatenate([va[th_idx], vm[vm_idx]]),
-                               tol=tol, max_iter=max_iter)
+                               max_iter=PF_MAX_ITER)
     except NewtonDivergence as exc:
-        raise PfDivergence(f"power flow not converged after {max_iter} "
-                           f"iterations; residual {exc.residual:.3e}, "
+        raise PfDivergence(f"power flow {exc}, "
                            f"worst equation {names[exc.worst_equation]}") from exc
     return voltages(x)[0]

@@ -3,17 +3,18 @@
 Devices enter through the adapters their kinds declare (``devices.base``);
 this module assembles, steps, records and initializes the DAE they form.
 
-The differential states x (device states, dynamic-branch currents) and the
-algebraic variables y (bus voltages, ideal-source currents) are solved
-simultaneously each step from
+The unknowns are one vector z = [x; y], the differential states x (device
+states, dynamic-branch currents) and then the algebraic variables y (bus
+voltages, ideal-source currents), from initialize through each step and
+algebraic re-solve to the recorder.  Each step solves
 
-    x_new - x_old - dt/2 * (f_old + f(t_new, x_new, y_new)) = 0
-    g(t_new, x_new, y_new) = 0
+    x_new - x_old - dt/2 * (f_old + f(t_new, z_new)) = 0
+    g(t_new, z_new) = 0
 
-by a quasi-Newton iteration.  PowerSystemDae.fg returns f and g as lists of
-Python floats, and the stepper builds each residual from them with one list
-pass and one array, so a residual evaluation makes one numpy array; a
-residual that is not finite stops the step at once, naming its equation.
+by a quasi-Newton iteration.  PowerSystemDae.fg converts z to Python floats
+once and returns f and g as lists, and the stepper builds each residual
+from them with one list pass and one array; a residual that is not finite
+stops the step at once, naming its equation.
 The inverse of a forward-difference Jacobian is kept across iterations and
 steps and, after every iteration that has not converged, corrected by
 Broyden's second ("bad") rank-1 update, so it follows phasors that keep
@@ -34,24 +35,25 @@ step extrapolates across a topology change.  At an event the topology
 changes, g = 0 is re-solved for y holding x, by the plain Newton loop the
 power flow also uses, and integration continues.
 
-A step that starts from z_n needs f and g at z_n.  PowerSystemDae keeps its
-last evaluation, and an accepted step returns the x and y objects that
-evaluation saw, so the next step finds it: it takes f_n from it at the start
-and after an event (initialization and the algebraic re-solve evaluate
-last), and, when no device depends on time (``PowerSystemDae.time_varying``;
-only a torque-modulated machine does), its first residual too, so the
-residual and every output stay bitwise the same.  The reuse pays in a steady
-tail: a step from z_n is accepted without moving when
-|dt/2 (f_n + f_{n+1})| < newton_tol, so a state whose derivative stays
-below about 2 newton_tol / dt is held, and every later step reuses.
+A step needs f at its start.  It starts from PowerSystemDae's last
+evaluation, dae.last, when that is at the z it is handed (the same object)
+and is either the point this stepper returned or was made at the step's
+start time, as initialization and the algebraic re-solve leave it; else it
+evaluates fg there.  It takes f_n from that start and, without a predictor
+and when no device depends on time (``PowerSystemDae.time_varying``; only a
+torque-modulated machine does), its first residual too, so every output
+stays bitwise the same.  The reuse pays in a steady tail: a step from z_n
+is accepted without moving when |dt/2 (f_n + f_{n+1})| < newton_tol, so a
+state whose derivative stays below about 2 newton_tol / dt is held, and
+every later step reuses.
 
-An accepted step hands on the f of dae.last, f at the accepted point.  A
-held step, one that reuses its start's (f, g) and takes no iteration,
-returns its start and hands on the f it reused, so it changes nothing, and
-every later step up to the next topology change repeats it exactly.  The
-main loop then skips the steps before the next event step (or up to the
-end): it counts them and records the held point in their slots, and
-counters, f_old and every output keep the bits of stepping each one.
+An accepted step returns the z of dae.last, the accepted point.  A held
+step, one that reuses its start's (f, g) and takes no iteration, returns
+its start and leaves dae.last as it is, so it changes nothing, and every
+later step up to the next topology change repeats it exactly.  The main
+loop then skips the steps before the next event step (or up to the end):
+it counts them and records the held point in their slots, and counters and
+every output keep the bits of stepping each one.
 Samples are kept by reference and converted to the result arrays in blocks
 (Recorder).
 """
@@ -173,8 +175,8 @@ class PowerSystemDae:
     (``dyn:L7:i_b.re``), a bus KCL component (``KCL:B5.im``) or an ideal
     source's voltage constraint (``vsrc:IB.re``).  time_varying is whether
     any device's equations depend on t; the network's do not.  last is
-    (t, x, y, f, g, injections) of the last fg call (f and g lists), or
-    None after a topology change.  An active device with a y_shunt is
+    (t, z, zs, f, g, injections) of the last fg call (zs, f and g lists),
+    or None after a topology change.  An active device with a y_shunt is
     stamped into y_mat and left out of the device pass (_shunts holds it
     and its bus).
     """
@@ -243,11 +245,11 @@ class PowerSystemDae:
                  + 1j * y_vec[..., 2 * n + self.n_src:])
         return v, i_src
 
-    def fg(self, t, x, y_vec):
-        """(differential RHS, algebraic residual) in one device pass, as
-        two lists of Python floats.
+    def fg(self, t, z):
+        """(differential RHS, algebraic residual) at z = [x; y] in one
+        device pass, as two lists of Python floats.
 
-        x and y are converted to Python numbers once, so every device,
+        z is converted to a list zs of Python numbers once, so every device,
         dynamic branch and ideal source runs on Python floats and complexes
         (see ``devices.base``); the network's matvec stays one complex numpy
         product, which also carries the stamped shunts' currents.  A phasor
@@ -258,9 +260,9 @@ class PowerSystemDae:
         _device_info order.
         """
         n, n_src = self.n_bus, self.n_src
-        xs = x.tolist()
-        ys = y_vec.tolist()
-        v = [re + 1j * im for re, im in zip(ys[:n], ys[n:2 * n])]
+        zs = z.tolist()
+        o = self.n_x   # y's offset in z
+        v = [re + 1j * im for re, im in zip(zs[o:o + n], zs[o + n:o + 2 * n])]
         f = [0.0] * self.n_x
         mismatch = (self._neg_y @ np.array(v)).tolist()
         injections = []
@@ -270,7 +272,7 @@ class PowerSystemDae:
                 zip_voltage_magnitude(v[k])
             for a, sl, k in self._device_info:
                 if sl is not None:
-                    d, inj = a.fg(t, xs[sl], v[k])
+                    d, inj = a.fg(t, zs[sl], v[k])
                     f[sl] = d
                 else:
                     inj = a.inj(t, None, v[k])
@@ -280,16 +282,17 @@ class PowerSystemDae:
             # the same error again, naming the device and the time
             raise type(exc)(f"device {a.id} at t={t:.6f}s: {exc}") from exc
         for br, j, kf, kt in self._branch_info:
-            i_b = xs[j] + 1j * xs[j + 1]
+            i_b = zs[j] + 1j * zs[j + 1]
             di, dv_c = dynamic_branch_derivatives(
-                [i_b, xs[j + 2] + 1j * xs[j + 3]], br, v[kf], v[kt],
+                [i_b, zs[j + 2] + 1j * zs[j + 3]], br, v[kf], v[kt],
                 self.omega_b)
             f[j:j + 4] = di.real, di.imag, dv_c.real, dv_c.imag
             mismatch[kf] -= i_b
             mismatch[kt] += i_b
         src = []
+        o += 2 * n
         i_src = [re + 1j * im
-                 for re, im in zip(ys[2 * n:2 * n + n_src], ys[2 * n + n_src:])]
+                 for re, im in zip(zs[o:o + n_src], zs[o + n_src:])]
         for (a, k), i in zip(self._vsrc_info, i_src):
             if a.active:
                 mismatch[k] += i
@@ -300,31 +303,30 @@ class PowerSystemDae:
             mismatch[k] = v[k]
         g = ([m.real for m in mismatch] + [m.imag for m in mismatch]
              + [s.real for s in src] + [s.imag for s in src])
-        self.last = (t, x, y_vec, f, g, injections)
+        self.last = (t, z, zs, f, g, injections)
         return f, g
 
-    def solve_algebraic(self, t, x, y_guess, tol=NEWTON_TOL, n_free=0):
-        """Re-solve g = 0 at fixed x (event instants, initialization);
-        returns (y, Newton iterations).
+    def solve_algebraic(self, t, z, tol=NEWTON_TOL, n_free=0):
+        """Re-solve g = 0 from z at fixed x (event instants,
+        initialization); returns (a new z, Newton iterations).
 
         The last n_free entries of x (the dynamic-branch states at t = 0)
-        are solved with y, on their f and g, and written into x.  The
-        ideal-source currents restart from zero.  The last fg call is at x
-        and the returned y, so last holds that point.  A divergence is
+        are solved with y, the tail of z, on their f and g; z is left as it
+        is.  The ideal-source currents restart from zero.  The last fg call
+        is at the returned z, so last holds that point.  A divergence is
         raised again naming the time and, when known, the worst equation,
         its index shifted to the [x; g] order of names.
         """
         m = self.n_x - n_free
-        z0 = np.concatenate([x[m:], y_guess])
-        z0[n_free + 2 * self.n_bus:] = 0.0
+        w0 = z[m:].copy()
+        w0[n_free + 2 * self.n_bus:] = 0.0
 
-        def residual(z):
-            x[m:] = z[:n_free]
-            f, g = self.fg(t, x, z[n_free:])
+        def residual(w):
+            f, g = self.fg(t, np.concatenate([z[:m], w]))
             return np.array(f[m:] + g)
 
         try:
-            _, iterations = interface_solve(residual, z0, tol=tol)
+            _, iterations = interface_solve(residual, w0, tol=tol)
         except NewtonDivergence as exc:
             worst = exc.worst_equation
             where = f"{exc} (at t={t:.6f}s)"
@@ -333,7 +335,7 @@ class PowerSystemDae:
                 where += f", worst equation {self.names[worst]}"
             raise NewtonDivergence(where, residual=exc.residual,
                                    worst_equation=worst) from exc
-        return self.last[2], iterations
+        return self.last[1], iterations
 
 
 # --- trapezoidal stepper ----------------------------------------------------
@@ -437,18 +439,18 @@ class TrapezoidalStepper:
     predicted steps count toward a window, so held steps, and
     fast_forward, leave the rule as it is; an event does not reset it.
 
-    A step whose x_old and y_old are the objects of dae.last takes f_old
-    from it, when it has none and the time matches, and, without a
-    predictor and for a DAE that is not time_varying, its first residual.
-    An accepted step returns the x and y of dae.last, the accepted point,
-    and keeps its f as the next f_old, its z, and its motion
-    max|z_n - z_{n-1}| for the next step's gate; a step handed back those
-    x and y objects starts from that z instead of concatenating them.  A
+    A step starts from dae.last when that evaluation is at z_old (the
+    same object) and either is the one this stepper returned or was made
+    at t_old; otherwise it evaluates fg at (t_old, z_old).  It takes f_old
+    and the x rows from that start and, without a predictor and for a DAE
+    that is not time_varying, its first residual.  An accepted step
+    returns the z of dae.last, the accepted point, and keeps that
+    evaluation and its motion max|z_n - z_{n-1}| for the next step.  A
     residual with a NaN or an infinity raises NewtonDivergence at once.
 
-    Such a step that takes no iteration is held: it returns its start and
-    hands on the f_old it got, so the steps after it repeat it, and
-    fast_forward(m) skips m of them.
+    A step that reuses its start's residual and takes no iteration is
+    held: it returns its start and leaves dae.last as it is, so the steps
+    after it repeat it, and fast_forward(m) skips m of them.
     """
 
     # keep the updated inverse while it still converges in fewer iterations
@@ -461,9 +463,8 @@ class TrapezoidalStepper:
         self.dae = dae
         self.cfg = config
         self.jac_inv = None
-        self._f_old = None
-        # the last accepted (x, y, z), x and y the views of z it returned
-        self._accepted = None
+        # dae.last at the point the last step returned
+        self._returned = None
         # first differences of the accepted points of this topology,
         # z_n - z_{n-1} first, at most PREDICTOR_MAX_POINTS - 1
         self._diffs = []
@@ -481,11 +482,10 @@ class TrapezoidalStepper:
                                                    PREDICTOR_MAX_POINTS + 1)}}
 
     def invalidate(self):
-        """Drop cached Jacobian, RHS, accepted point, predictor history,
-        motion and held flag after a topology change."""
+        """Drop cached Jacobian, returned point, predictor history, motion
+        and held flag after a topology change."""
         self.jac_inv = None
-        self._f_old = None
-        self._accepted = None
+        self._returned = None
         self._diffs = []
         self._motion = 0.0
         self._held = False
@@ -496,7 +496,7 @@ class TrapezoidalStepper:
 
         Only the step counter, the differences and the motion change: a
         held step makes no fg call, takes no iteration, does not move and
-        hands on its f_old, its residual was already seen by
+        leaves dae.last as it is, its residual was already seen by
         worst_residual, and it starts from z_n, so the length rule does
         not count it.  The caller's point stays as it is.
         """
@@ -509,22 +509,23 @@ class TrapezoidalStepper:
         self.stats["steps"] += m
         return m
 
-    def _residual(self, t_new, z, x_old, f_old, dt, fg=None):
-        """The step residual at z as one array; fg, when given, is (f, g)
-        at z.
+    def _residual(self, t_new, z, x_old, f_old, dt, evaluate=True):
+        """The step residual at z as one array, from fg at (t_new, z) or,
+        when not evaluate, from dae.last, which must be at z.
 
         The differential rows x_new - x_old - h (f_old + f_new), h = dt/2,
         take the IEEE operations of the array expression in its order, on
-        Python floats, so they have its bits; g follows as fg gave it.
+        Python floats, so they have its bits; x_new is read from fg's list
+        of z, x_old up to len(f_old) entries.  g follows as fg gave it.
         """
-        n_x = self.dae.n_x
-        if fg is None:
-            fg = self.dae.fg(t_new, z[:n_x], z[n_x:])
+        dae = self.dae
+        if evaluate:
+            dae.fg(t_new, z)
             self.stats["residual_evaluations"] += 1
-        f_new, g_new = fg
+        _, _, zs, f_new, g_new, _ = dae.last
         h = 0.5 * dt
         return np.array([xn - xo - h * (fo + fn) for xn, xo, fo, fn
-                         in zip(z.tolist(), x_old, f_old, f_new)] + g_new)
+                         in zip(zs, x_old, f_old, f_new)] + g_new)
 
     def _build_jacobian(self, t_new, z, x_old, f_old, dt, r0):
         """Row-equilibrated inverse of the forward-difference Jacobian.
@@ -547,8 +548,8 @@ class TrapezoidalStepper:
 
     MAX_REBUILDS_PER_STEP = 3
 
-    def step(self, t_old, x_old, y_old, dt):
-        """Advance one step; returns (x_new, y_new, iterations).
+    def step(self, t_old, z_old, dt):
+        """Advance one step from z_old; returns (z_new, iterations).
 
         The Broyden-updated inverse is reused across iterations and steps;
         when the iteration exhausts its budget the Jacobian is rebuilt at
@@ -556,33 +557,24 @@ class TrapezoidalStepper:
         step is declared divergent.
         """
         dae = self.dae
-        last = dae.last
-        at_start = last is not None and last[1] is x_old and last[2] is y_old
-        f_old = self._f_old
-        if f_old is None:
-            if not (at_start and last[0] == t_old):
-                dae.fg(t_old, x_old, y_old)
-                self.stats["residual_evaluations"] += 1
-                at_start = True
-            f_old = dae.last[3]
+        start = dae.last
+        if (start is None or start[1] is not z_old
+                or (start is not self._returned and start[0] != t_old)):
+            dae.fg(t_old, z_old)
+            self.stats["residual_evaluations"] += 1
+            start = dae.last
+        _, _, zs_old, f_old, _, _ = start
         t_new = t_old + dt
-        accepted = self._accepted
-        if (accepted is not None and accepted[0] is x_old
-                and accepted[1] is y_old):
-            z_old = accepted[2]
-        else:
-            z_old = np.concatenate([x_old, y_old])
-        xs_old = x_old.tolist()
         diffs = self._diffs
         tol = self.cfg.newton_tol
         # m: the differences the predictor uses, 0 for a start at z_n
-        z, fg, m = z_old, None, 0
+        z, m = z_old, 0
         if len(diffs) >= 2 and self._motion >= tol:
             m = min(len(diffs), self.length.points - 1)
             z = extrapolate(z_old, diffs[:m])
-        elif not dae.time_varying and at_start:
-            fg = dae.last[3:5]
-        r = self._residual(t_new, z, xs_old, f_old, dt, fg)
+        # a start at z_n reuses the start's residual unless f depends on t
+        reuse = not m and not dae.time_varying
+        r = self._residual(t_new, z, zs_old, f_old, dt, evaluate=not reuse)
         res = float(np.abs(r).max())
         rebuilds = 0
         since_build = self.NEWTON_MAX_ITER if self.jac_inv is None else 0
@@ -605,10 +597,9 @@ class TrapezoidalStepper:
                 if it >= self.REBUILD_ITERS:
                     self.jac_inv = None   # converging slowly; refresh next step
                 # the last evaluation was at the accepted z
-                _, x_new, y_new, self._f_old = dae.last[:4]
-                self._accepted = (x_new, y_new, z)
-                self._held = fg is not None and it == 0
-                return x_new, y_new, it
+                self._returned = dae.last
+                self._held = reuse and it == 0
+                return z, it
             if not math.isfinite(res):
                 # no iteration recovers once a NaN reaches the inverse
                 row = int(np.flatnonzero(~np.isfinite(r))[0])
@@ -623,14 +614,14 @@ class TrapezoidalStepper:
                         f"Newton stalled at t={t_new:.6f}s, residual {res:.3e}, "
                         f"worst equation {dae.names[worst]}",
                         residual=res, worst_equation=worst)
-                self.jac_inv = self._build_jacobian(t_new, z, xs_old, f_old,
+                self.jac_inv = self._build_jacobian(t_new, z, zs_old, f_old,
                                                     dt, r)
                 rebuilds += 1
                 since_build = 0
             inv, scale = self.jac_inv
             dz = inv @ (scale * r)
             z = z - dz
-            r_new = self._residual(t_new, z, xs_old, f_old, dt)
+            r_new = self._residual(t_new, z, zs_old, f_old, dt)
             res = float(np.abs(r_new).max())
             it += 1
             since_build += 1
@@ -651,9 +642,9 @@ class Recorder:
     """The recorded samples of one run, kept by reference and converted in
     blocks.
 
-    add() keeps the x, y and device injections of dae.last, the accepted
+    add() keeps the z and device injections of dae.last, the accepted
     point, and flush() turns the pending samples into the result arrays
-    with one np.array each for x, y and the injections; a stamped shunt's
+    with one np.array each for z and the injections; a stamped shunt's
     current is computed there from the recorded bus voltages.  The
     pending samples must share the topology the flush sees, so the caller
     flushes before every event; add() flushes every BLOCK samples, which
@@ -680,14 +671,14 @@ class Recorder:
 
     def add(self, count=1):
         """Record dae.last in the next count slots."""
-        _, x, y, _, _, injections = self.dae.last
+        _, z, _, _, _, injections = self.dae.last
         if count == 1:
-            self.pending.append((x, y, injections))
+            self.pending.append((z, injections))
             if len(self.pending) >= self.BLOCK:
                 self.flush()
         elif count:
             self.flush()
-            self._write([(x, y, injections)], count)
+            self._write([(z, injections)], count)
 
     def flush(self):
         if self.pending:
@@ -700,8 +691,9 @@ class Recorder:
         dae = self.dae
         rows = slice(self.slot, self.slot + count)
         self.slot += count
-        xs, ys, injections = zip(*samples)
-        v, i_src = dae.unpack_y(np.array(ys))
+        zs, injections = zip(*samples)
+        z = np.array(zs)
+        v, i_src = dae.unpack_y(z[:, dae.n_x:])
         for b, col in self._bus_cols:
             self.volts[b][rows] = v[:, col]
         inj = np.array(injections, dtype=complex)
@@ -718,16 +710,15 @@ class Recorder:
             if not a.active:
                 self.currs[a.id][rows] = 0.0
                 self.active[a.id][rows] = False
-        x = np.array(xs)
         for a in dae.stateful:
-            self.states[a.id][rows] = x[:, dae.slices[a.id]]
+            self.states[a.id][rows] = z[:, dae.slices[a.id]]
 
 
 # --- initialization and the main loop --------------------------------------
 
 
 def initialize(scenario: Scenario, config: SimConfig | None = None):
-    """Power flow plus device back-solve; returns (dae, x0, y0).
+    """Power flow plus device back-solve; returns (dae, z0).
 
     The combined DAE residual at the returned point is below 1e-8 or
     InitInfeasible is raised.
@@ -751,9 +742,10 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
     # what they leave of the power its bus injects into the network
     order = sorted(adapters, key=lambda a: a.sets_voltage)
 
-    def init_devices(v_vec):
+    def start_point(v_vec):
+        """z at bus voltages v_vec, every state back-solved from them."""
         s_bus = (v_vec * np.conj(y_eq @ v_vec)).tolist()
-        x0 = np.zeros(dae.n_x)
+        z0 = np.zeros(dae.n_x + dae.n_y)
         for a in order:
             k = idx[a.bus]
             v_bus = complex(v_vec[k])
@@ -761,40 +753,36 @@ def initialize(scenario: Scenario, config: SimConfig | None = None):
                 st = None
                 if a.n_states:
                     st = a.init(v_bus, None).tolist()
-                    x0[dae.slices[a.id]] = st
+                    z0[dae.slices[a.id]] = st
                 s_bus[k] -= v_bus * a.inj(0.0, st, v_bus).conjugate()
             elif a.n_states:
-                x0[dae.slices[a.id]] = a.init(v_bus, s_bus[k])
+                z0[dae.slices[a.id]] = a.init(v_bus, s_bus[k])
         for br in dae.dyn_branches:
             sl = dae.branch_slices[br.id]
             st = dynamic_branch_init(br, complex(v_vec[idx[br.from_bus]]),
                                      complex(v_vec[idx[br.to_bus]]))
-            x0[sl] = [st[0].real, st[0].imag, st[1].real, st[1].imag]
-        return x0
+            z0[sl] = [st[0].real, st[0].imag, st[1].real, st[1].imag]
+        z0[dae.n_x:dae.n_x + dae.n_bus] = v_vec.real
+        z0[dae.n_x + dae.n_bus:dae.n_x + 2 * dae.n_bus] = v_vec.imag
+        return z0
 
     # re-deriving device states from the refined algebraic solution converges
     # the combined residual in a couple of passes (the power flow uses static
     # equivalents, so the first algebraic solve can shift voltages slightly);
     # each pass solves the dynamic-branch states, algebraic at t = 0, with y
-    y0 = np.empty(dae.n_y)
     resid = np.inf
     for _ in range(4):
-        x0 = init_devices(v_vec)
-        y0[:dae.n_bus] = v_vec.real
-        y0[dae.n_bus:2 * dae.n_bus] = v_vec.imag
-        y0[2 * dae.n_bus:] = 0.0
-        y0, _ = dae.solve_algebraic(0.0, x0, y0, tol=config.newton_tol,
+        z0, _ = dae.solve_algebraic(0.0, start_point(v_vec),
+                                    tol=config.newton_tol,
                                     n_free=4 * len(dae.dyn_branches))
-        f0, g0 = dae.last[3:5]
-        resid = max(float(np.max(np.abs(f0))) if dae.n_x else 0.0,
-                    float(np.max(np.abs(g0))))
+        resid = float(np.abs(dae.last[3] + dae.last[4]).max())
         if resid <= 1e-9:
             break
-        v_vec, _ = dae.unpack_y(y0)
+        v_vec, _ = dae.unpack_y(z0[dae.n_x:])
     if resid > 1e-8:
         raise InitInfeasible(
             f"initialization residual {resid:.3e} exceeds 1e-8")
-    return dae, x0, y0
+    return dae, z0
 
 
 def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimResult:
@@ -811,7 +799,7 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
         check_record_size(n_rec, len(scenario.buses), len(scenario.devices), 0)
         return run_analytic(scenario, config)
 
-    dae, x, y = initialize(scenario, config)
+    dae, z = initialize(scenario, config)
     check_record_size(n_rec, dae.n_bus, len(dae.adapters),
                       sum(a.n_states for a in dae.stateful))
     network = dae.network
@@ -838,7 +826,7 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
     while k < n_steps:
         k += 1
         t_new = k * dt
-        x, y, _ = stepper.step((k - 1) * dt, x, y, dt)
+        z, _ = stepper.step((k - 1) * dt, z, dt)
         if k == stop:
             stop = next(stops)
             # the pending samples were taken in the topology ending here
@@ -853,7 +841,7 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimRe
                 event_log.append((t_new, ev))
             dae.refresh_topology()
             stepper.invalidate()
-            y, iterations = dae.solve_algebraic(t_new, x, y,
+            z, iterations = dae.solve_algebraic(t_new, z,
                                                 tol=config.newton_tol)
             resolves["event_resolves"] += 1
             resolves["event_resolve_iterations"] += iterations

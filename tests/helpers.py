@@ -134,15 +134,16 @@ def exact_voltage_cf(scenario, t):
     return cf.real, cf.imag + 1.0
 
 
-def kcl_reference(dae, t, x, y):
-    """g of ``PowerSystemDae.fg`` in its complex array form, the reference
-    for fg's own assembly: -Y v over the bus phasors v = y[:n] + 1j*y[n:2n],
-    plus each active device's injection, minus and plus each in-service
-    dynamic branch's current at its from and to bus, plus each active ideal
-    source's current; an isolated bus reads v.  Then the re and im parts of
-    the mismatch and of the source constraints (v - emf, or the current of
-    a source that is not active), as a list."""
-    v, i_src = dae.unpack_y(y)
+def kcl_reference(dae, t, z):
+    """g of ``PowerSystemDae.fg`` at z = [x; y] in its complex array form,
+    the reference for fg's own assembly: -Y v over the bus phasors
+    v = y[:n] + 1j*y[n:2n], plus each active device's injection, minus and
+    plus each in-service dynamic branch's current at its from and to bus,
+    plus each active ideal source's current; an isolated bus reads v.  Then
+    the re and im parts of the mismatch and of the source constraints
+    (v - emf, or the current of a source that is not active), as a list."""
+    x = z[:dae.n_x]
+    v, i_src = dae.unpack_y(z[dae.n_x:])
     mismatch = dae._neg_y @ v
     xs = x.tolist()
     for a, sl, k in dae._device_info:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import tempfile
 import tracemalloc
@@ -978,6 +979,48 @@ def test_infeasible_power_flow_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err and "power flow not converged" in err
     assert "worst equation PF:Q:B1" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("section, line, stop", [
+    pytest.param("device.G1", "p = 1e300", "Newton Jacobian singular",
+                 id="G1-p-huge"),
+    pytest.param("branch.T1", "x = 1e300", "Newton Jacobian singular",
+                 id="T1-x-huge"),
+    pytest.param("device.IB", "v = 1e-300", "Newton Jacobian singular",
+                 id="IB-v-tiny"),
+    pytest.param("branch.T1", "tap = 1e300", "Newton Jacobian singular",
+                 id="T1-tap-huge"),
+    pytest.param("device.IB", "v = 1e300", "residual not finite",
+                 id="IB-v-huge"),
+    pytest.param("branch.T1", "tap = 1e-300", "residual not finite",
+                 id="T1-tap-tiny"),
+])
+def test_power_flow_stop_names_its_equation(tmp_path, capsys, section, line,
+                                            stop):
+    """smib with one extreme value exits 3 when its power flow meets a
+    singular Newton Jacobian or a residual that is not finite, and the
+    message names the power flow, why it stopped and a mismatch equation;
+    a residual that is not finite stops the iteration at once, not after
+    PF_MAX_ITER iterations on NaN."""
+    key = line.split(" = ")[0] + " = "
+    lines, current = [], None
+    for text in serialize_scenario(_scenario("smib")).splitlines():
+        if text.startswith("["):
+            current = text[1:-1]
+        elif current == section and text.startswith(key):
+            text = line
+        lines.append(text)
+    path = tmp_path / "extreme.ini"
+    path.write_text("\n".join(lines) + "\n")
+    assert line in path.read_text().splitlines()
+    out = tmp_path / "out"
+    assert run_cli("run", "--file", str(path), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "iterations" not in err
+    message = err.splitlines()[-1]
+    assert message.startswith(f"solver failure: power flow {stop}")
+    assert re.search(r", worst equation PF:[PQ]:[A-Z]+$", message), message
     assert not out.exists() or not list(out.iterdir())
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from synchrolens.errors import PfDivergence, SingularY, UnknownElement
+from synchrolens.errors import (NewtonDivergence, PfDivergence, SingularY,
+                               UnknownElement)
 from synchrolens.network import (Branch, Bus, Event, EventKind, Network,
                                  PfBusSpec, apply_event, assemble_y,
                                  connected_bus_mask,
@@ -113,6 +114,29 @@ def test_interface_solve_accepts_converged_last_iterate():
     assert interface_solve(lambda z: z - 1.0, np.zeros(1), max_iter=3)[1] == 2
     assert np.array_equal(interface_solve(lambda z: z - 1.0, np.zeros(1),
                                           max_iter=3)[0], z)
+
+
+def test_interface_solve_stops_at_once():
+    """A residual with a NaN or an infinity ends the iteration at its first
+    evaluation, naming its first such row, and a singular Jacobian ends it
+    naming the worst row, both as NewtonDivergence with the residual; the
+    message says why it stopped and claims no iteration budget."""
+    calls = []
+
+    def not_finite(z):
+        calls.append(z)
+        return np.array([1.0, np.inf, np.nan])
+
+    with pytest.raises(NewtonDivergence,
+                       match=r"^residual not finite: inf$") as info:
+        interface_solve(not_finite, np.zeros(3))
+    assert len(calls) == 1 and info.value.worst_equation == 1
+    assert np.isnan(info.value.residual)
+    singular = r"^Newton Jacobian singular; residual 3\.000e\+00$"
+    with pytest.raises(NewtonDivergence, match=singular) as info:
+        interface_solve(lambda z: np.array([z[0] + z[1] - 1.0,
+                                            z[0] + z[1] - 3.0]), np.zeros(2))
+    assert info.value.worst_equation == 1 and info.value.residual == 3.0
 
 
 def test_interface_solve_counts_iterations():

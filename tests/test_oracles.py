@@ -20,14 +20,14 @@ from synchrolens.sim import (SimConfig, TrapezoidalStepper, build_adapters,
 def test_norton_fold_matches_nonlinear_injection_path():
     """Machine folded as a real-linear Norton block vs the Newton solve."""
     scenario = build_builtin("smib")
-    dae, x0, y0 = initialize(scenario)
-    v_newton, _ = dae.unpack_y(y0)
+    dae, z0 = initialize(scenario)
+    v_newton, _ = dae.unpack_y(z0[dae.n_x:])
     net = dae.network
     idx = net.bus_index
     y_mat = assemble_y(net)
 
     machine = next(a for a in dae.adapters if a.id == "G1")
-    state = x0[dae.slices["G1"]]
+    state = z0[dae.slices["G1"]]
 
     # extract the real-linear injection block i(v) = i0 + A [v_d; v_q]
     # by probing the adapter, then assemble and solve the linear system
@@ -79,33 +79,36 @@ def test_fg_kcl_matches_complex_reference(name):
     topologies whose imaginary parts of every other bus voltage, source
     currents and dynamic-branch imaginary parts are -0.0."""
     scenario = build_builtin(name)
-    dae, x, y = initialize(scenario)
+    dae, z = initialize(scenario)
     rng = np.random.default_rng(11)
     n = dae.n_bus
 
-    def check(t, x, y):
-        _, g = dae.fg(t, x, y)
+    def check(t, z):
+        _, g = dae.fg(t, z)
         assert [v.hex() for v in g] == [
-            v.hex() for v in kcl_reference(dae, t, x, y)], (name, t)
-        xp = x * (1.0 + 1e-3 * rng.standard_normal(x.size))
-        yp = y * (1.0 + 1e-3 * rng.standard_normal(y.size))
+            v.hex() for v in kcl_reference(dae, t, z)], (name, t)
+        n_x = dae.n_x
+        zp = np.concatenate([
+            z[:n_x] * (1.0 + 1e-3 * rng.standard_normal(n_x)),
+            z[n_x:] * (1.0 + 1e-3 * rng.standard_normal(dae.n_y))])
+        yp = zp[n_x:]
         yp[n:2 * n:2] = -0.0
         yp[2 * n:] = -0.0
         for sl in dae.branch_slices.values():
-            xp[sl.start + 1] = xp[sl.start + 3] = -0.0
-        _, g = dae.fg(t, xp, yp)
+            zp[sl.start + 1] = zp[sl.start + 3] = -0.0
+        _, g = dae.fg(t, zp)
         assert [v.hex() for v in g] == [
-            v.hex() for v in kcl_reference(dae, t, xp, yp)], (name, t)
+            v.hex() for v in kcl_reference(dae, t, zp)], (name, t)
 
-    check(0.0, x, y)
+    check(0.0, z)
     for ev in scenario.events:
         if ev.kind is EventKind.DISCONNECT_DEVICE:
             next(a for a in dae.adapters if a.id == ev.device).active = False
         else:
             apply_event(dae.network, ev)
         dae.refresh_topology()
-        y, _ = dae.solve_algebraic(ev.time, x, y)
-        check(ev.time, x, y)
+        z, _ = dae.solve_algebraic(ev.time, z)
+        check(ev.time, z)
 
 
 @pytest.mark.parametrize("name,devices", [
@@ -233,17 +236,17 @@ def test_sm6_master_oracle_on_fault_run():
     assert cc.rms <= 1e-3 and cc.max <= 1e-2, (cc.rms, cc.max, cc.worst_time)
 
 
-def _full_newton_step(stepper, t_old, x_old, y_old, dt):
+def _full_newton_step(stepper, t_old, z_old, dt):
     """Reference step: a fresh forward-difference Jacobian at every Newton
     iterate, nothing carried over from earlier iterations or steps."""
-    n_x = stepper.dae.n_x
-    f_old = stepper.dae.fg(t_old, x_old, y_old)[0]
+    f_old = stepper.dae.fg(t_old, z_old)[0]
+    x_old = z_old[:stepper.dae.n_x]
     t_new = t_old + dt
-    z = np.concatenate([x_old, y_old])
+    z = z_old
     r = stepper._residual(t_new, z, x_old, f_old, dt)
     for _ in range(stepper.NEWTON_MAX_ITER):
         if np.abs(r).max() < stepper.cfg.newton_tol:
-            return z[:n_x], z[n_x:]
+            return z
         inv, scale = stepper._build_jacobian(t_new, z, x_old, f_old, dt, r)
         z = z - inv @ (scale * r)
         r = stepper._residual(t_new, z, x_old, f_old, dt)
@@ -251,10 +254,10 @@ def _full_newton_step(stepper, t_old, x_old, y_old, dt):
 
 
 class FullNewtonStepper(TrapezoidalStepper):
-    def step(self, t_old, x_old, y_old, dt):
-        x, y = _full_newton_step(self, t_old, x_old, y_old, dt)
+    def step(self, t_old, z_old, dt):
+        z = _full_newton_step(self, t_old, z_old, dt)
         self.stats["steps"] += 1
-        return x, y, 0
+        return z, 0
 
 
 class CheckedStepper(TrapezoidalStepper):
@@ -268,12 +271,12 @@ class CheckedStepper(TrapezoidalStepper):
         super().__init__(dae, config)
         self.reference = TrapezoidalStepper(dae, config)
 
-    def step(self, t_old, x_old, y_old, dt):
-        x_ref, y_ref = _full_newton_step(self.reference, t_old, x_old, y_old, dt)
-        x, y, it = super().step(t_old, x_old, y_old, dt)
-        gap = max(np.abs(x - x_ref).max(initial=0.0), np.abs(y - y_ref).max())
+    def step(self, t_old, z_old, dt):
+        z_ref = _full_newton_step(self.reference, t_old, z_old, dt)
+        z, it = super().step(t_old, z_old, dt)
+        gap = np.abs(z - z_ref).max()
         CheckedStepper.max_step_gap = max(CheckedStepper.max_step_gap, gap)
-        return x, y, it
+        return z, it
 
 
 def _max_trajectory_gap(a, b):

@@ -275,8 +275,8 @@ def test_initialize_residual_all_builtins():
         scenario = build_builtin(name)
         if scenario.analytic is not None:
             continue
-        dae, x0, y0 = initialize(scenario)
-        f0, g0 = dae.fg(0.0, x0, y0)
+        dae, z0 = initialize(scenario)
+        f0, g0 = dae.fg(0.0, z0)
         resid = max(np.max(np.abs(f0)) if len(f0) else 0.0,
                     np.max(np.abs(g0)))
         assert resid <= 1e-8, (name, resid)

@@ -31,9 +31,10 @@ class ScalarDecay:
     def __init__(self, lam):
         self.lam = lam
 
-    def fg(self, t, x, y):
-        f, g = [self.lam * v for v in x.tolist()], []
-        self.last = (t, x, y, f, g, [])
+    def fg(self, t, z):
+        zs = z.tolist()
+        f, g = [self.lam * v for v in zs], []
+        self.last = (t, z, zs, f, g, [])
         return f, g
 
 
@@ -41,9 +42,9 @@ def test_trapezoidal_amplification_exact():
     lam, dt = -1.0, 1e-3
     stepper = TrapezoidalStepper(
         ScalarDecay(lam), SimConfig(dt=dt, t_end=dt, newton_tol=1e-15))
-    x, y, _ = stepper.step(0.0, np.array([1.0]), np.empty(0), dt)
+    z, _ = stepper.step(0.0, np.array([1.0]), dt)
     expected = (1.0 + lam * dt / 2.0) / (1.0 - lam * dt / 2.0)
-    assert x[0] == pytest.approx(expected, abs=1e-13)
+    assert z[0] == pytest.approx(expected, abs=1e-13)
 
 
 class RecordingDecay(ScalarDecay):
@@ -57,9 +58,9 @@ class RecordingDecay(ScalarDecay):
         super().__init__(lam)
         self.points = []
 
-    def fg(self, t, x, y):
-        self.points.append(float(x[0]))
-        return super().fg(t, x, y)
+    def fg(self, t, z):
+        self.points.append(float(z[0]))
+        return super().fg(t, z)
 
 
 def test_predictor_and_its_gates():
@@ -77,7 +78,7 @@ def test_predictor_and_its_gates():
     def step():
         """One step from the last point; (states fg saw, iterations)."""
         dae.points.clear()
-        x, _, it = stepper.step((len(xs) - 1) * dt, xs[-1], np.empty(0), dt)
+        x, it = stepper.step((len(xs) - 1) * dt, xs[-1], dt)
         xs.append(x)
         return list(dae.points), it
 
@@ -107,9 +108,11 @@ def test_predictor_and_its_gates():
     assert step()[0][0] == xs[-2][0]
     stepper.cfg = SimConfig(dt=dt, t_end=1.0)
 
-    # f_old is recomputed at x_n after invalidate(), then the residual is
-    # evaluated at the start iterate; the third step has three points
+    # f_old is recomputed at x_n after invalidate() and a topology change,
+    # which drops dae.last, then the residual is evaluated at the start
+    # iterate; the third step has three points
     stepper.invalidate()
+    dae.last = None
     assert step()[0][:2] == [xs[-2][0]] * 2
     assert step()[0][0] == xs[-2][0]
     start = predicted(2)
@@ -141,8 +144,9 @@ def test_predictor_extrapolates_polynomials_exactly(m):
 class TurningPhasor:
     """Minimal DAE whose phasor turns at a constant rate: a rotor angle
     d' = w + k Im(v e^{-jd}) and its terminal phasor v = e^{jd}, algebraic,
-    so d grows linearly and v turns by w dt per step; like PowerSystemDae
-    it returns f and g as lists and keeps its last evaluation in last."""
+    so d grows linearly and v turns by w dt per step; z = [d, Re v, Im v].
+    Like PowerSystemDae it returns f and g as lists and keeps its last
+    evaluation in last."""
 
     n_x = 1
     n_y = 2
@@ -152,12 +156,13 @@ class TurningPhasor:
     def __init__(self, w, k):
         self.w, self.k = w, k
 
-    def fg(self, t, x, y):
-        (d,), (re, im) = x.tolist(), y.tolist()
+    def fg(self, t, z):
+        zs = z.tolist()
+        d, re, im = zs
         c, s = math.cos(d), math.sin(d)
         f = [self.w + self.k * (im * c - re * s)]
         g = [re - c, im - s]
-        self.last = (t, x, y, f, g, [])
+        self.last = (t, z, zs, f, g, [])
         return f, g
 
 
@@ -169,19 +174,18 @@ def test_predictor_length_follows_iterations():
     dt, n = 1e-3, 1000
     config = SimConfig(dt=dt, t_end=n * dt)
 
-    def run(dae, x, y):
+    def run(dae, z):
         stepper = TrapezoidalStepper(dae, config)
         for k in range(n):
-            x, y, _ = stepper.step(k * dt, x, y, dt)
+            z, _ = stepper.step(k * dt, z, dt)
         points = stepper.stats["predictor_points"]
         assert list(points) == [str(m) for m in range(3, 9)]
         assert sum(points.values()) <= n
         return stepper.length.kept, points
 
-    kept, points = run(TurningPhasor(70.0, 10.0), np.array([0.0]),
-                       np.array([1.0, 0.0]))
+    kept, points = run(TurningPhasor(70.0, 10.0), np.array([0.0, 1.0, 0.0]))
     assert kept > sim.PREDICTOR_POINTS and points["8"] > 0
-    kept, points = run(ScalarDecay(-1.0), np.array([1.0]), np.empty(0))
+    kept, points = run(ScalarDecay(-1.0), np.array([1.0]))
     assert kept <= sim.PREDICTOR_POINTS and points["8"] == 0
 
 
@@ -274,10 +278,10 @@ def test_config_validation():
 def test_equilibrium_is_a_fixed_point():
     scenario = without_disturbances(build_builtin("smib"))
     config = SimConfig.from_scenario(scenario, t_end=1.0)
-    dae, x0, y0 = initialize(scenario, config)
+    dae, z0 = initialize(scenario, config)
     stepper = TrapezoidalStepper(dae, config)
-    x1, y1, _ = stepper.step(0.0, x0, y0, config.dt)
-    assert np.max(np.abs(x1 - x0)) < 1e-12
+    z1, _ = stepper.step(0.0, z0, config.dt)
+    assert np.max(np.abs(z1[:dae.n_x] - z0[:dae.n_x])) < 1e-12
 
 
 def test_no_event_run_holds_equilibrium_ten_seconds():
@@ -351,10 +355,10 @@ def test_kcl_residual_within_tolerance(builtin_run):
 
 def test_initialize_smib_residual_and_speed():
     scenario = build_builtin("smib")
-    dae, x0, y0 = initialize(scenario)
-    f0, g0 = dae.fg(0.0, x0, y0)
+    dae, z0 = initialize(scenario)
+    f0, g0 = dae.fg(0.0, z0)
     assert max(np.max(np.abs(f0)), np.max(np.abs(g0))) <= 1e-8
-    assert x0[dae.slices["G1"].start + 1] == pytest.approx(1.0)
+    assert z0[dae.slices["G1"].start + 1] == pytest.approx(1.0)
 
 
 def _smib_with_t1(dynamic, r):
@@ -371,8 +375,8 @@ def test_dynamic_branch_at_machine_bus_initializes():
     smib with a dynamic T1 at the machine bus starts at an equilibrium
     (re-deriving them from the last pass's voltages diverged).  With a
     little resistance on T1, G1 and IB get the verdicts of a static T1."""
-    dae, x0, y0 = initialize(_smib_with_t1(True, 0.0))
-    f0, g0 = dae.fg(0.0, x0, y0)
+    dae, z0 = initialize(_smib_with_t1(True, 0.0))
+    f0, g0 = dae.fg(0.0, z0)
     assert max(np.max(np.abs(f0)), np.max(np.abs(g0))) <= 1e-8
     verdicts = {}
     for dynamic in (False, True):
@@ -388,7 +392,7 @@ def test_ideal_source_emf_is_the_power_flow_voltage():
     """gfl_seriescomp needs several initialization passes; the infinite
     bus keeps the slack voltage of its file exactly, not the noise of the
     later algebraic solves."""
-    dae, _, _ = initialize(build_builtin("gfl_seriescomp"))
+    dae, _ = initialize(build_builtin("gfl_seriescomp"))
     source = next(a for a in dae.adapters if a.id == "IB")
     assert source.emf == 1.0 + 0.0j
 
@@ -418,7 +422,7 @@ def test_each_device_is_back_solved_once_per_pass(monkeypatch, name):
 
     monkeypatch.setattr(sim, "build_adapters", counting_adapters)
     monkeypatch.setattr(sim.PowerSystemDae, "solve_algebraic", counting_solve)
-    dae, _, _ = initialize(build_builtin(name))
+    dae, _ = initialize(build_builtin(name))
     assert passes[0] >= (2 if name == "gfl_seriescomp" else 1)
     assert counts == {a.id: passes[0] for a in dae.stateful}
 
@@ -461,8 +465,8 @@ def test_initialize_kundur_tie_flow_matches_power_flow():
     v_pf = solve_power_flow(net, power_flow_specs(
         net, build_adapters(scenario), scenario.slack_device))
 
-    dae, x0, y0 = initialize(scenario)
-    v_init, _ = dae.unpack_y(y0)
+    dae, z0 = initialize(scenario)
+    v_init, _ = dae.unpack_y(z0[dae.n_x:])
     assert np.abs(v_init - v_pf).max() < 1e-6
 
     # tie flow leaving bus 7 over both circuits at the initial point (the
@@ -511,7 +515,7 @@ def test_recorded_currents_equal_injections(builtin_run, name):
     they must be bitwise what each device's inj gives at the recorded
     states and voltages."""
     scenario, result, _ = builtin_run(name)
-    dae, _, _ = initialize(scenario)
+    dae, _ = initialize(scenario)
     for a in dae.adapters:
         if a.kind is DeviceKind.VOLTAGE_SOURCE:
             continue
@@ -529,12 +533,12 @@ def test_recorded_currents_equal_injections(builtin_run, name):
 # --- constant-impedance loads stamped into Y ---------------------------------
 
 
-def _g_from_zip_polynomials(dae, t, x, y):
+def _g_from_zip_polynomials(dae, t, z):
     """g rebuilt without stamps: the network's own Y and every active
     device's injection, each ZIP load's through zip_injection (for a DAE
     without dynamic branches and ideal sources)."""
     assert not dae.dyn_branches and not dae.vsrc
-    v, _ = dae.unpack_y(y)
+    v, _ = dae.unpack_y(z[dae.n_x:])
     mismatch = -assemble_y(dae.network) @ v
     for a in dae.adapters:
         if a.active:
@@ -542,7 +546,7 @@ def _g_from_zip_polynomials(dae, t, x, y):
             if a.kind is DeviceKind.ZIP:
                 mismatch[k] += zip_injection(a.params, complex(v[k]))
             else:
-                mismatch[k] += a.fg(t, x[dae.slices[a.id]].tolist(),
+                mismatch[k] += a.fg(t, z[dae.slices[a.id]].tolist(),
                                     complex(v[k]))[1]
     mismatch[~dae.connected] = v[~dae.connected]
     return np.concatenate([mismatch.real, mismatch.imag])
@@ -554,23 +558,23 @@ def test_stamped_loads_match_zip_polynomials():
     each load's zip_injection at the initial point and inside the fault."""
     scenario = build_builtin("kundur")
     config = SimConfig.from_scenario(scenario)
-    dae, x, y = initialize(scenario, config)
+    dae, z = initialize(scenario, config)
     loads = ["Zload7", "Zcap7", "Zload9", "Zcap9"]
     assert [a.id for a, _ in dae._shunts] == loads
     assert not {a.id for a, _, _ in dae._device_info} & set(loads)
-    _, g = dae.fg(0.0, x, y)
-    assert np.abs(g - _g_from_zip_polynomials(dae, 0.0, x, y)).max() <= 1e-12
+    _, g = dae.fg(0.0, z)
+    assert np.abs(g - _g_from_zip_polynomials(dae, 0.0, z)).max() <= 1e-12
     fault = scenario.events[0]
     assert fault.kind is EventKind.APPLY_FAULT and fault.time == 1.0
     apply_event(dae.network, fault)
     dae.refresh_topology()
-    y, _ = dae.solve_algebraic(1.0, x, y)
+    z, _ = dae.solve_algebraic(1.0, z)
     stepper = TrapezoidalStepper(dae, config)
     for k in range(50):
-        x, y, _ = stepper.step(1.0 + k * config.dt, x, y, config.dt)
+        z, _ = stepper.step(1.0 + k * config.dt, z, config.dt)
     t = 1.0 + 50 * config.dt
-    _, g = dae.fg(t, x, y)
-    assert np.abs(g - _g_from_zip_polynomials(dae, t, x, y)).max() <= 1e-12
+    _, g = dae.fg(t, z)
+    assert np.abs(g - _g_from_zip_polynomials(dae, t, z)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("shares", [
@@ -586,12 +590,12 @@ def test_only_exact_impedance_shares_are_stamped(shares):
     scenario = build_builtin("kundur")
     devices = tuple(replace(d, params={**d.params, **shares})
                     if d.id == "Zload7" else d for d in scenario.devices)
-    dae, _, y = initialize(replace(scenario, devices=devices))
+    dae, z = initialize(replace(scenario, devices=devices))
     near = next(a for a in dae.adapters if a.id == "Zload7")
     assert near.y_shunt is None
     assert near in [a for a, _, _ in dae._device_info]
     assert [a.id for a, _ in dae._shunts] == ["Zcap7", "Zload9", "Zcap9"]
-    v = complex(dae.unpack_y(y)[0][dae.network.bus_index["B7"]])
+    v = complex(dae.unpack_y(z[dae.n_x:])[0][dae.network.bus_index["B7"]])
     assert near.inj(0.0, None, v) == zip_injection(near.params, v)
 
 
@@ -637,7 +641,7 @@ def test_disconnected_stamped_load_leaves_y(monkeypatch, tmp_path):
 def test_dae_names_every_equation():
     """One name per row of [x; g], in that order."""
     scenario = build_builtin("gfl_seriescomp")
-    dae, _, _ = initialize(scenario)
+    dae, _ = initialize(scenario)
     assert len(dae.names) == len(set(dae.names)) == dae.n_x + dae.n_y
     assert dae.names[dae.slices["C1"].start + 5] == "C1:theta_pll"
     assert dae.names[dae.branch_slices["LC"].start + 2] == "dyn:LC:v_c.re"
@@ -652,7 +656,7 @@ def test_newton_stall_names_equation_and_time():
     equation and the time."""
     scenario = build_builtin("smib")
     config = SimConfig.from_scenario(scenario, t_end=0.01)
-    dae, x0, y0 = initialize(scenario, config)
+    dae, z0 = initialize(scenario, config)
     g1 = next(a for a in dae.adapters if a.id == "G1")
     fg = g1.fg
 
@@ -664,7 +668,7 @@ def test_newton_stall_names_equation_and_time():
     g1.fg = kinked
     dae.last = None   # initialize's last evaluation used the unkinked fg
     with pytest.raises(NewtonDivergence) as info:
-        TrapezoidalStepper(dae, config).step(0.0, x0, y0, config.dt)
+        TrapezoidalStepper(dae, config).step(0.0, z0, config.dt)
     exc = info.value
     assert dae.names[exc.worst_equation] == "G1:omega_r"
     assert "t=0.001000s" in str(exc) and "worst equation G1:omega_r" in str(exc)
@@ -674,7 +678,7 @@ def test_algebraic_resolve_failure_names_equation(monkeypatch):
     """The re-solve at fixed states shifts the worst g row into the [x; g]
     order of the name table and names it with the time."""
     scenario = build_builtin("smib")
-    dae, x0, y0 = initialize(scenario)
+    dae, z0 = initialize(scenario)
 
     def diverge(*args, **kwargs):
         raise NewtonDivergence("interface solve did not converge",
@@ -682,24 +686,42 @@ def test_algebraic_resolve_failure_names_equation(monkeypatch):
 
     monkeypatch.setattr(sim, "interface_solve", diverge)
     with pytest.raises(NewtonDivergence) as info:
-        dae.solve_algebraic(1.25, x0, y0)
+        dae.solve_algebraic(1.25, z0)
     assert info.value.worst_equation == dae.n_x + dae.n_bus + 1
     assert str(info.value) == ("interface solve did not converge "
                                "(at t=1.250000s), worst equation KCL:HV.im")
+
+
+def test_solve_algebraic_leaves_its_start_unchanged():
+    """solve_algebraic returns a new z, the point of dae.last, and writes
+    nothing into the z it is given, also when it solves gfl_seriescomp's
+    dynamic-branch states with y, as initialization does; the device
+    states stay as given."""
+    dae, z0 = initialize(build_builtin("gfl_seriescomp"))
+    n_free = 4 * len(dae.dyn_branches)
+    m = dae.n_x - n_free
+    start = z0.copy()
+    start[m:] *= 1.0 + 1e-3 * np.arange(start.size - m)
+    given = start.copy()
+    z, iterations = dae.solve_algebraic(0.0, start, n_free=n_free)
+    assert iterations > 0 and z is not start and dae.last[1] is z
+    assert start.tobytes() == given.tobytes()
+    assert z[:m].tobytes() == given[:m].tobytes()
+    assert np.abs(z[m:] - z0[m:]).max() < 1e-8
 
 
 @pytest.mark.parametrize("name", ["kundur", "gfl_seriescomp", "motor_condenser",
                                   "sustained_oscillation"])
 def test_stepper_samples_stay_python_numbers(name):
     """The residual hands every device a list of Python floats and a Python
-    complex voltage, and gets back Python floats and complexes; fg keeps f
-    and g as lists of Python floats.  A numpy scalar slipping in (a
+    complex voltage, and gets back Python floats and complexes; fg keeps z's
+    list, f and g as lists of Python floats.  A numpy scalar slipping in (a
     parameter, an initial value, a numpy call on the sample) keeps the
     results bitwise equal but makes each call several times slower, which
     only this check sees."""
     scenario = build_builtin(name)
     config = SimConfig.from_scenario(scenario, t_end=0.01)
-    dae, x, y = initialize(scenario, config)
+    dae, z = initialize(scenario, config)
     seen = []
     for a in dae.stateful:
         def traced(t, states, v, fg=a.fg):
@@ -710,7 +732,7 @@ def test_stepper_samples_stay_python_numbers(name):
     dae.last = None   # evaluate the first step instead of reusing initialize's
     stepper = TrapezoidalStepper(dae, config)
     for k in range(5):
-        x, y, _ = stepper.step(k * config.dt, x, y, config.dt)
+        z, _ = stepper.step(k * config.dt, z, config.dt)
     assert seen
     for states, v, d, i in seen:
         assert type(states) is list and type(v) is complex
@@ -718,7 +740,7 @@ def test_stepper_samples_stay_python_numbers(name):
         assert type(d) is list and {type(e) for e in d} == {float}
         assert type(i) is complex
     assert dae.last[5] and {type(i) for i in dae.last[5]} == {complex}
-    for values in dae.last[3:5]:
+    for values in dae.last[2:5]:
         assert type(values) is list and {type(e) for e in values} == {float}
 
 
@@ -738,9 +760,9 @@ def _run_keeping_dae(monkeypatch, scenario, config=None, force_time_varying=Fals
         return adapters
 
     def init(*args, initialize=sim.initialize, **kwargs):
-        dae, x, y = initialize(*args, **kwargs)
+        dae, z = initialize(*args, **kwargs)
         built.append(dae)
-        return dae, x, y
+        return dae, z
 
     with monkeypatch.context() as m:
         m.setattr(sim, "build_adapters", build)
@@ -811,7 +833,7 @@ def test_time_varying_device_evaluates_every_residual(monkeypatch):
     calls[0] = 0
     _run_keeping_dae(monkeypatch, scenario, config, force_time_varying=True)
     assert dae.time_varying and plain == calls[0]
-    held, _, _ = initialize(without_disturbances(scenario))
+    held, _ = initialize(without_disturbances(scenario))
     assert not held.time_varying
 
 
@@ -822,14 +844,13 @@ def test_start_evaluation_is_reused_only_at_its_time():
     t = 0.137 s gives the bits of a step with nothing to reuse."""
     scenario = build_builtin("sustained_oscillation")
     config = SimConfig.from_scenario(scenario, t_end=1.0)
-    dae, x0, y0 = initialize(scenario, config)
+    dae, z0 = initialize(scenario, config)
     assert dae.time_varying and dae.last[0] == 0.0
-    reused = TrapezoidalStepper(dae, config).step(0.137, x0, y0, config.dt)
+    reused = TrapezoidalStepper(dae, config).step(0.137, z0, config.dt)
     dae.last = None
-    fresh = TrapezoidalStepper(dae, config).step(0.137, x0, y0, config.dt)
-    assert reused[2] == fresh[2]
-    for a, b in zip(reused[:2], fresh[:2]):
-        assert a.tobytes() == b.tobytes()
+    fresh = TrapezoidalStepper(dae, config).step(0.137, z0, config.dt)
+    assert reused[1] == fresh[1]
+    assert reused[0].tobytes() == fresh[0].tobytes()
 
 
 def test_first_step_after_event_evaluates_fg(monkeypatch):
@@ -843,9 +864,9 @@ def test_first_step_after_event_evaluates_fg(monkeypatch):
     per_step = {}
     step = TrapezoidalStepper.step
 
-    def traced(self, t_old, x_old, y_old, dt):
+    def traced(self, t_old, z_old, dt):
         before, stats = calls[0], dict(self.stats)
-        out = step(self, t_old, x_old, y_old, dt)
+        out = step(self, t_old, z_old, dt)
         n_z = self.dae.n_x + self.dae.n_y
         # fg calls beyond the iterations and the Jacobian columns
         per_step[round(t_old / dt)] = (
@@ -863,6 +884,37 @@ def test_first_step_after_event_evaluates_fg(monkeypatch):
     assert per_step[clear + 1] == (0, 0)   # reused
     assert per_step[clear - 1] == (1, 0)   # the fault-on step iterates
     assert {extra for _, extra in per_step.values()} == {0}
+
+
+def test_foreign_evaluation_costs_one_start_evaluation(monkeypatch):
+    """An fg call at another point between two smib steps makes the next
+    step evaluate fg at its own start again: one more stepper fg call for
+    each of the step after the clearing (which starts at z_n and reuses
+    its start's residual) and a predicted step at 1.5 s, and every
+    recorded bit and every other counter as in an uninterrupted run."""
+    scenario = build_builtin("smib")
+    config = SimConfig.from_scenario(scenario, t_end=2.0)
+    plain = run_simulation(scenario, config)
+    step = TrapezoidalStepper.step
+    interrupted = []
+
+    def interrupting(self, t_old, z_old, dt):
+        if round(t_old / dt) not in (1121, 1500):
+            return step(self, t_old, z_old, dt)
+        self.dae.fg(t_old, z_old + 1e-3)
+        points = self.stats["predictor_points"]
+        predicted = sum(points.values())
+        out = step(self, t_old, z_old, dt)
+        interrupted.append(sum(points.values()) - predicted)
+        return out
+
+    monkeypatch.setattr(TrapezoidalStepper, "step", interrupting)
+    other = run_simulation(scenario, config)
+    assert interrupted == [0, 1]
+    _assert_same_run(plain, other)
+    evaluations = plain.diagnostics["residual_evaluations"]
+    assert other.diagnostics == {**plain.diagnostics,
+                                 "residual_evaluations": evaluations + 2}
 
 
 _FAST_FORWARD = TrapezoidalStepper.fast_forward
@@ -885,8 +937,8 @@ def _run_spying_fast_forward(monkeypatch, scenario, config, fast=True):
 
 def _assert_fast_forward_invisible(monkeypatch, scenario, config):
     """Fast-forwarding changes no recorded bit, no counter, no bit of the
-    stepper's f_old and predictor differences and no state of its length
-    rule; returns (steps each
+    f of dae.last (the next step's f_old) and the stepper's predictor
+    differences and no state of its length rule; returns (steps each
     fast_forward call took, the stepper)."""
     fast, stepper, calls = _run_spying_fast_forward(monkeypatch, scenario,
                                                     config)
@@ -895,8 +947,8 @@ def _assert_fast_forward_invisible(monkeypatch, scenario, config):
     assert sum(calls) > 0
     _assert_same_run(fast, stepped)
     assert fast.diagnostics == stepped.diagnostics
-    assert ([v.hex() for v in stepper._f_old]
-            == [v.hex() for v in reference._f_old])
+    assert ([v.hex() for v in stepper.dae.last[3]]
+            == [v.hex() for v in reference.dae.last[3]])
     assert ([d.tobytes() for d in stepper._diffs]
             == [d.tobytes() for d in reference._diffs])
     assert stepper.length == reference.length
@@ -916,23 +968,23 @@ def test_fast_forward_is_bitwise_invisible(monkeypatch, dec):
 
 
 def test_accepted_step_hands_on_its_points_f(monkeypatch):
-    """Every accepted smib step keeps f of dae.last, its accepted point, as
-    the next step's f_old: the very list, with the bits of a fresh
-    evaluation there."""
+    """Every accepted smib step returns the z of dae.last and keeps that
+    evaluation as the one it returned, so the next step takes its f as
+    f_old: the very list, with the bits of a fresh evaluation there."""
     scenario = build_builtin("smib")
     config = SimConfig.from_scenario(scenario, t_end=2.0)
     step = TrapezoidalStepper.step
     checked = []
 
-    def checking(self, t_old, x_old, y_old, dt):
-        x, y, it = step(self, t_old, x_old, y_old, dt)
+    def checking(self, t_old, z_old, dt):
+        z, it = step(self, t_old, z_old, dt)
         dae = self.dae
         last = dae.last
-        assert self._f_old is last[3]
-        f, _ = dae.fg(t_old + dt, x, y)
+        assert self._returned is last and last[1] is z
+        f, _ = dae.fg(t_old + dt, z)
         dae.last = last
-        checked.append([v.hex() for v in f] == [v.hex() for v in self._f_old])
-        return x, y, it
+        checked.append([v.hex() for v in f] == [v.hex() for v in last[3]])
+        return z, it
 
     monkeypatch.setattr(TrapezoidalStepper, "step", checking)
     run_simulation(scenario, config)
@@ -941,9 +993,9 @@ def test_accepted_step_hands_on_its_points_f(monkeypatch):
 
 def test_held_tail_is_fast_forwarded_in_one_call(monkeypatch):
     """gfl_seriescomp is held from step 26,288 (t = 5.2576 s) on.  Its first
-    held step hands on the f it reused, so one fast_forward call skips the
-    rest of a run to 6 s or one step further, and leaves f_old and the
-    differences with the bits of stepping every held step."""
+    held step leaves dae.last as it is, so one fast_forward call skips the
+    rest of a run to 6 s or one step further, and leaves the f of dae.last
+    and the differences with the bits of stepping every held step."""
     scenario = build_builtin("gfl_seriescomp")
     for t_end in (6.0, 6.0002):
         config = SimConfig.from_scenario(scenario, t_end=t_end)
