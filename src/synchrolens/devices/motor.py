@@ -108,17 +108,14 @@ def im_init(params: ImParams, v_mag: float, tau_m: float) -> float:
     """Equilibrium slip on the stable branch via bisection of tau_e - tau_m.
 
     The stable branch is sigma in (0, sigma_pullout]; raises InitInfeasible
-    when tau_m exceeds the pull-out torque at this voltage.
+    when tau_m exceeds the pull-out torque at this voltage.  tau_m > 0, as
+    ImParams requires.
     """
-    if tau_m < 0.0:
-        raise InitInfeasible("generator-mode initialization not supported")
     sigma_star, tau_max = im_pullout(params, v_mag)
     if tau_m > tau_max:
         raise InitInfeasible(
             f"tau_m={tau_m:.4f} above pull-out torque {tau_max:.4f} at v={v_mag:.4f}"
         )
-    if tau_m == 0.0:
-        raise InitInfeasible("zero-torque equilibrium is the singular sigma=0 point")
     lo, hi = 1e-12, sigma_star
     # tau_e is increasing on (0, sigma*): bisect the monotone branch down to
     # a width of 1e-12 relative to max(1, hi)

@@ -31,10 +31,6 @@ class InitInfeasible(SynchroLensError):
 
 # --- network / solver layer ---
 
-class SingularY(SynchroLensError):
-    """Admittance matrix is singular (islanded bus with devices)."""
-
-
 class NewtonDivergence(SynchroLensError):
     """Newton iteration failed to reach tolerance."""
 
@@ -46,10 +42,6 @@ class NewtonDivergence(SynchroLensError):
 
 class PfDivergence(SynchroLensError):
     """Power flow failed to converge."""
-
-
-class UnknownElement(SynchroLensError):
-    """Event references a bus/branch/device that does not exist."""
 
 
 # --- scenario layer ---
@@ -89,7 +81,7 @@ class AxisMismatch(SynchroLensError):
 # exit 2, and a sweep stops: a run too short for the CF stencils and device
 # parameters outside their physical domain are input errors like the rest
 USAGE_ERRORS = (ParseError, SchemaError, UnknownScenario, TooFewSamples,
-                ParamDomain, UnknownElement)
+                ParamDomain)
 # exit 3; a sweep records them as an error row and goes on
-SOLVER_ERRORS = (NewtonDivergence, PfDivergence, InitInfeasible, SingularY,
+SOLVER_ERRORS = (NewtonDivergence, PfDivergence, InitInfeasible,
                  VoltageTooSmall, SlipSingular)

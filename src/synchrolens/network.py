@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .devices.base import cdiv
-from .errors import (NewtonDivergence, PfDivergence, SingularY, UnknownElement)
+from .errors import NewtonDivergence, PfDivergence
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,7 @@ class Branch:
     parent: str | None = None   # set on fault-split halves
 
     def series_admittance(self):
-        z = complex(self.r, self.x - (self.x_c if self.dynamic else 0.0))
-        if z == 0.0:
-            raise SingularY(f"branch {self.id} has zero series impedance")
-        return 1.0 / z
+        return 1.0 / complex(self.r, self.x - (self.x_c if self.dynamic else 0.0))
 
 
 class EventKind(enum.Enum):
@@ -75,21 +72,21 @@ class Event:
     open_branch: bool = False
 
 
-class Network:
-    """Mutable carrier of topology state during a run."""
+def fault_split_ids(branch_id):
+    """(midpoint bus, first half, second half): the ids the fault split of
+    branch branch_id adds."""
+    return branch_id + "_mid", branch_id + "#a", branch_id + "#b"
 
-    MIDPOINT_SUFFIX = "_mid"
+
+class Network:
+    """Mutable carrier of topology state during a run, made from a validated
+    scenario's elements by Scenario.build_network."""
 
     def __init__(self, buses, branches, f_nom=60.0):
         self.buses = list(buses)
         self.branches = list(branches)
         self.f_nom = f_nom
         self.bus_index = {b.id: k for k, b in enumerate(self.buses)}
-        if len(self.bus_index) != len(self.buses):
-            raise SingularY("duplicate bus ids")
-        self.branch_by_id = {br.id: br for br in self.branches}
-        if len(self.branch_by_id) != len(self.branches):
-            raise SingularY("duplicate branch ids")
         self.in_service = {br.id: True for br in self.branches}
         self.fault_admittance: dict[str, complex] = {}
 
@@ -117,53 +114,29 @@ class Network:
         """Replace a static branch with two half-impedance segments.
 
         The midpoint bus hosts the fault shunt later; pre-splitting keeps the
-        algebraic system size constant across the event.  Returns the
-        midpoint bus id; idempotent.
+        algebraic system size constant across the event.
         """
-        mid_id = branch_id + self.MIDPOINT_SUFFIX
-        if mid_id in self.bus_index:
-            return mid_id
-        br = self.branch_by_id.get(branch_id)
-        if br is None:
-            raise UnknownElement(f"unknown branch {branch_id}")
-        if br.dynamic:
-            raise UnknownElement(f"cannot split dynamic branch {branch_id}")
-        mid = Bus(mid_id)
-        half_a = replace(br, id=branch_id + "#a", to_bus=mid_id,
+        mid_id, id_a, id_b = fault_split_ids(branch_id)
+        br = next(br for br in self.branches if br.id == branch_id)
+        half_a = replace(br, id=id_a, to_bus=mid_id,
                          r=0.5 * br.r, x=0.5 * br.x, b=0.5 * br.b,
                          parent=branch_id)
-        half_b = replace(br, id=branch_id + "#b", from_bus=mid_id, tap=1.0,
+        half_b = replace(br, id=id_b, from_bus=mid_id, tap=1.0,
                          r=0.5 * br.r, x=0.5 * br.x, b=0.5 * br.b,
                          parent=branch_id)
-        self.buses.append(mid)
+        self.buses.append(Bus(mid_id))
         self.bus_index[mid_id] = len(self.buses) - 1
         self.branches.remove(br)
         self.branches.extend([half_a, half_b])
-        del self.branch_by_id[branch_id]
         del self.in_service[branch_id]
         for h in (half_a, half_b):
-            self.branch_by_id[h.id] = h
             self.in_service[h.id] = True
-        return mid_id
 
     def open_branch(self, branch_id):
         """Take a branch (or both halves of a split branch) out of service."""
-        hit = False
         for br in self.branches:
             if br.id == branch_id or br.parent == branch_id:
                 self.in_service[br.id] = False
-                hit = True
-        if not hit:
-            raise UnknownElement(f"unknown branch {branch_id}")
-
-    def fault_bus_for(self, event: Event):
-        if event.bus is not None:
-            if event.bus not in self.bus_index:
-                raise UnknownElement(f"unknown bus {event.bus}")
-            return event.bus
-        if event.branch is None:
-            raise UnknownElement("fault event names neither bus nor branch")
-        return event.branch + self.MIDPOINT_SUFFIX
 
 
 def assemble_y(network: Network, include_dynamic_equivalent=False):
@@ -198,25 +171,18 @@ def _stamp_branch(y, idx, br: Branch):
 
 
 def apply_event(network: Network, event: Event):
-    """Mutate the topology for one event; algebraic re-solve is the caller's job."""
+    """Mutate the topology for one event of a validated scenario; the
+    algebraic re-solve and disconnect_device are the simulator's job."""
+    # a fault's bus: its own, or the midpoint of its branch
+    bus = event.bus if event.branch is None else fault_split_ids(event.branch)[0]
     if event.kind is EventKind.APPLY_FAULT:
-        bus = network.fault_bus_for(event)
-        if bus not in network.bus_index:
-            raise UnknownElement(f"unknown fault location {bus}")
         network.fault_admittance[bus] = network.fault_admittance.get(bus, 0.0) + event.y_fault
     elif event.kind is EventKind.CLEAR_FAULT:
-        bus = network.fault_bus_for(event)
-        if bus not in network.fault_admittance:
-            raise UnknownElement(f"no fault applied at {bus}")
         del network.fault_admittance[bus]
         if event.open_branch:
             network.open_branch(event.branch)
     elif event.kind is EventKind.OPEN_BRANCH:
         network.open_branch(event.branch)
-    elif event.kind is EventKind.DISCONNECT_DEVICE:
-        pass  # device activity is tracked by the simulator
-    else:
-        raise UnknownElement(f"unsupported event kind {event.kind}")
 
 
 def connected_bus_mask(network: Network, device_buses=()):
@@ -381,6 +347,7 @@ def solve_power_flow(network: Network, specs):
         vm2[vm_idx] = x[len(th_idx):]
         return vm2 * np.exp(1j * va2), vm2
 
+    @np.errstate(all="ignore")   # interface_solve names a non-finite row
     def mismatch(x):
         v, vmag = voltages(x)
         s_net = v * np.conj(y @ v)

@@ -25,8 +25,10 @@ ANALYTIC_KIND = "circuit_dc"
 
 def circuit_elements(scenario: Scenario):
     """(EMF, I_dc, branch) extracted from a circuit_dc scenario; SchemaError
-    for what the closed form would ignore: line charging, a tap, a dynamic
-    branch or an event."""
+    for another analytic kind and for what the closed form would ignore:
+    line charging, a tap, a dynamic branch or an event."""
+    if scenario.analytic != ANALYTIC_KIND:
+        raise SchemaError(f"unsupported analytic scenario {scenario.analytic!r}")
     vs = [d for d in scenario.devices if d.kind is DeviceKind.VOLTAGE_SOURCE]
     cs = [d for d in scenario.devices if d.kind is DeviceKind.DC_CURRENT_SOURCE]
     if len(vs) != 1 or len(cs) != 1 or len(scenario.branches) != 1:
@@ -67,12 +69,10 @@ def circuit_dc_waveforms(scenario: Scenario, dt: float, t_end: float,
 
 
 def run_analytic(scenario: Scenario, config=None):
-    """SimResult built from the closed form (run_simulation dispatch target)."""
+    """SimResult built from the closed form of a validated circuit_dc
+    scenario (run_simulation dispatch target)."""
     from ..sim import SimConfig, SimResult
 
-    if scenario.analytic != ANALYTIC_KIND:
-        raise SchemaError(f"unsupported analytic scenario {scenario.analytic!r}")
-    scenario.validate()
     config = config or SimConfig.from_scenario(scenario)
     _, _, branch, vs, cs = circuit_elements(scenario)
     dec = config.record_decimation

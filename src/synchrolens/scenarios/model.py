@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from ..devices import DECLARATIONS, REQUIRED, DeviceKind
 from ..errors import ParamDomain, SchemaError
-from ..network import Branch, Bus, Event, EventKind, Network
+from ..network import Branch, Bus, Event, EventKind, Network, fault_split_ids
 
 # a scenario's name begins its output file names, so it holds no path
 # separator and is neither empty nor hidden
@@ -83,6 +83,16 @@ def _check_branch_model(br):
                           element=br.id)
 
 
+def _by_id(kind, elements):
+    """{id: element}; SchemaError naming an id declared twice."""
+    by_id = {}
+    for e in elements:
+        if e.id in by_id:
+            raise SchemaError(f"duplicate {kind} id {e.id}", element=e.id)
+        by_id[e.id] = e
+    return by_id
+
+
 def _check_params(d):
     """SchemaError for the parameters the device's kind does not take, in
     sorted order, for the required ones it lacks (its declaration's keys)
@@ -145,14 +155,20 @@ class Scenario:
     def build_network(self) -> Network:
         """Fresh Network with fault branches pre-split at their midpoints."""
         net = Network(self.buses, self.branches, f_nom=self.f_nom)
-        for ev in self.events:
-            if ev.kind is EventKind.APPLY_FAULT and ev.branch is not None:
-                net.split_branch_for_fault(ev.branch)
+        for branch_id in self.fault_branches():
+            net.split_branch_for_fault(branch_id)
         return net
 
+    def fault_branches(self):
+        """Ids of the branches an apply_fault names, once each, in order."""
+        return dict.fromkeys(ev.branch for ev in self.events
+                             if ev.kind is EventKind.APPLY_FAULT
+                             and ev.branch is not None)
+
     def validate(self):
-        """Structural checks and each device's domain check (ParamDomain);
-        raises on the first violation, before any run or sweep point."""
+        """Every structural rule, each device's domain check (ParamDomain)
+        and an analytic scenario's closed-form rules, before any run or sweep
+        point; the network layer and the simulator trust what passes."""
         if not _NAME.fullmatch(self.name):
             raise SchemaError(f"name {self.name!r} must be letters, digits, "
                               "'_', '-' and '.', not starting with '.'")
@@ -162,27 +178,19 @@ class Scenario:
             raise SchemaError(f"f_nom must lie in [{lo}, {hi}] Hz, "
                               f"got {self.f_nom!r}")
         check_positive("base_mva", self.base_mva)
-        bus_ids = {b.id for b in self.buses}
-        if len(bus_ids) != len(self.buses):
-            raise SchemaError("duplicate bus ids")
-        branch_ids = set()
+        buses = _by_id("bus", self.buses)
+        branches = _by_id("branch", self.branches)
         for br in self.branches:
-            if br.id in branch_ids:
-                raise SchemaError(f"duplicate branch id {br.id}", element=br.id)
-            branch_ids.add(br.id)
             for end in (br.from_bus, br.to_bus):
-                if end not in bus_ids:
+                if end not in buses:
                     raise SchemaError(f"references undeclared bus {end}",
                                       element=br.id)
             check_positive("tap", br.tap, element=br.id)
             _check_branch_model(br)
         omega_b = 2.0 * math.pi * self.f_nom
-        dev_ids = set()
+        devices = _by_id("device", self.devices)
         for d in self.devices:
-            if d.id in dev_ids:
-                raise SchemaError(f"duplicate device id {d.id}", element=d.id)
-            dev_ids.add(d.id)
-            if d.bus not in bus_ids:
+            if d.bus not in buses:
                 raise SchemaError(f"device on undeclared bus {d.bus}",
                                   element=d.id)
             if d.base_mva is not None:
@@ -200,11 +208,14 @@ class Scenario:
                 raise SchemaError(
                     "DC current sources exist only in analytic scenarios",
                     element=d.id)
-        if self.analytic is None:
-            if self.slack_device not in dev_ids:
+        if self.analytic is not None:   # its kind and closed-form rules
+            from .circuit import circuit_elements
+            circuit_elements(self)
+        else:
+            if self.slack_device not in devices:
                 raise SchemaError(
                     f"slack device {self.slack_device!r} is not declared")
-            slack = next(d for d in self.devices if d.id == self.slack_device)
+            slack = devices[self.slack_device]
             if not slack.declaration.sets_voltage:
                 raise SchemaError(f"slack device of kind {slack.kind.value} "
                                   "cannot hold its bus voltage", element=slack.id)
@@ -237,14 +248,7 @@ class Scenario:
                 raise SchemaError("open_branch = true applies only to "
                                   f"clear_fault, not {ev.kind.value} events")
             if ev.kind is EventKind.APPLY_FAULT:
-                if ev.branch is not None and ev.branch not in branch_ids:
-                    raise SchemaError(f"fault on unknown branch {ev.branch}")
-                if ev.branch is not None:
-                    br = next(b for b in self.branches if b.id == ev.branch)
-                    if br.dynamic:
-                        raise SchemaError(
-                            f"faults on dynamic branches unsupported ({ev.branch})")
-                if ev.bus is not None and ev.bus not in bus_ids:
+                if ev.bus is not None and ev.bus not in buses:
                     raise SchemaError(f"fault on unknown bus {ev.bus}")
                 open_faults.add((ev.bus, ev.branch))
             elif ev.kind is EventKind.CLEAR_FAULT:
@@ -255,13 +259,28 @@ class Scenario:
                                       "fault, not a bus fault")
                 open_faults.discard((ev.bus, ev.branch))
             elif ev.kind is EventKind.OPEN_BRANCH:
-                if ev.branch not in branch_ids:
+                if ev.branch not in branches:
                     raise SchemaError(f"open_branch on unknown branch {ev.branch}")
             elif ev.kind is EventKind.DISCONNECT_DEVICE:
-                if ev.device not in dev_ids:
+                if ev.device not in devices:
                     raise SchemaError(f"disconnect of unknown device {ev.device}")
+        for branch_id in self.fault_branches():
+            if branch_id not in branches:
+                raise SchemaError(f"fault on unknown branch {branch_id}")
+            if branches[branch_id].dynamic:
+                raise SchemaError(
+                    f"faults on dynamic branches unsupported ({branch_id})")
+            mid_id, *half_ids = fault_split_ids(branch_id)
+            if mid_id in buses:
+                raise SchemaError("bus id reserved for the midpoint of "
+                                  f"faulted branch {branch_id}", element=mid_id)
+            for half_id in half_ids:
+                if half_id in branches:
+                    raise SchemaError("branch id reserved for a half of "
+                                      f"faulted branch {branch_id}",
+                                      element=half_id)
         for dev_id in self.monitored:
-            if dev_id not in dev_ids:
+            if dev_id not in devices:
                 raise SchemaError(f"monitored device {dev_id} is not declared")
         time_grid(self.dt, self.t_end, [ev.time for ev in self.events])
         return self

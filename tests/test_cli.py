@@ -9,6 +9,7 @@ import re
 import stat
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +279,37 @@ _RUN = ("run", "--builtin", "smib")
                                                 "branch = L2\n\n[sim]"},
                               "event"),
                  id="unlabelled-event-section"),
+    # every element id is declared once
+    pytest.param(_device_edit("smib", {"[sim]": "[bus.GEN]\n\n[sim]"}, "GEN"),
+                 id="duplicate-bus-id"),
+    pytest.param(_device_edit("smib", {"[sim]": "[branch.T1]\nfrom = GEN\n"
+                                                "to = HV\nx = 0.1\n\n[sim]"},
+                              "T1"),
+                 id="duplicate-branch-id"),
+    # the fault split of L2 adds the bus L2_mid and the branches L2#a, L2#b
+    pytest.param(_device_edit("smib", {"[sim]": "[bus.L2_mid]\n\n"
+                                                "[branch.X9]\nfrom = GRID\n"
+                                                "to = L2_mid\nx = 0.5\n\n"
+                                                "[sim]"}, "L2_mid"),
+                 id="bus-id-of-a-fault-midpoint"),
+    pytest.param(_device_edit("smib", {"[sim]": "[branch.L2#a]\nfrom = HV\n"
+                                                "to = GRID\nx = 5.0\n\n"
+                                                "[sim]"}, "L2#a"),
+                 id="branch-id-of-a-fault-half"),
+    pytest.param(_smib_edit("kind = apply_fault", "kind = clear_fault"),
+                 id="clear-fault-without-apply-fault"),
+    pytest.param(_smib_edit("branch = L2", "branch = L9"),
+                 id="fault-on-unknown-branch"),
+    pytest.param(_smib_edit("branch = L2", "bus = NOPE"),
+                 id="fault-on-unknown-bus"),
+    pytest.param(_smib_edit("kind = clear_fault", "kind = clear_all"),
+                 id="unknown-event-kind"),
+    pytest.param(_smib_edit("[sim]", "[event.3]\nt = 5.0\nkind = open_branch\n"
+                                     "branch = NOPE\n\n[sim]"),
+                 id="open-unknown-branch"),
+    pytest.param(("file", "circuit_dc",
+                  {"analytic = circuit_dc": "analytic = circuit_ac"}),
+                 id="unknown-analytic-kind"),
 ])
 def test_invalid_input_exit_2(tmp_path, capsys, argv):
     """Bad settings are rejected with exit 2 and a message, before any
@@ -930,13 +962,18 @@ def test_mixed_zip_load_is_crosschecked(tmp_path, capsys, shares, rms_bound):
 
 def test_every_error_has_an_exit_code():
     """Every SynchroLensError the package defines exits 2 or 3, or is one
-    that build_report handles, so none ends a run in a traceback."""
+    that build_report handles, so none ends a run in a traceback; none is
+    defined that nothing raises."""
     handled = {*errors.USAGE_ERRORS, *errors.SOLVER_ERRORS,
                errors.WindowTooShort, errors.AxisMismatch}
     defined = {c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, errors.SynchroLensError)
                and c is not errors.SynchroLensError}
     assert defined - handled == set()
+    # and every one is raised somewhere in the package
+    source = "".join(path.read_text() for path in
+                     Path(errors.__file__).parent.rglob("*.py"))
+    assert {c for c in defined if f"raise {c.__name__}(" not in source} == set()
 
 
 _OVERLOAD = """\
@@ -996,13 +1033,14 @@ def test_infeasible_power_flow_exit_3(tmp_path, capsys):
     pytest.param("branch.T1", "tap = 1e-300", "residual not finite",
                  id="T1-tap-tiny"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_power_flow_stop_names_its_equation(tmp_path, capsys, section, line,
                                             stop):
     """smib with one extreme value exits 3 when its power flow meets a
     singular Newton Jacobian or a residual that is not finite, and the
-    message names the power flow, why it stopped and a mismatch equation;
-    a residual that is not finite stops the iteration at once, not after
-    PF_MAX_ITER iterations on NaN."""
+    one-line message names the power flow, why it stopped and a mismatch
+    equation; numpy warns nothing on the way; a residual that is not finite
+    stops the iteration at once, not after PF_MAX_ITER iterations on NaN."""
     key = line.split(" = ")[0] + " = "
     lines, current = [], None
     for text in serialize_scenario(_scenario("smib")).splitlines():
@@ -1018,7 +1056,7 @@ def test_power_flow_stop_names_its_equation(tmp_path, capsys, section, line,
     assert run_cli("run", "--file", str(path), "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err and "iterations" not in err
-    message = err.splitlines()[-1]
+    [message] = err.splitlines()
     assert message.startswith(f"solver failure: power flow {stop}")
     assert re.search(r", worst equation PF:[PQ]:[A-Z]+$", message), message
     assert not out.exists() or not list(out.iterdir())

@@ -100,6 +100,19 @@ def test_strict_unknown_key():
         load_scenario(text)
 
 
+@pytest.mark.parametrize("old, new", [
+    ("analytic = circuit_dc", "analytic = circuit_ac"),
+    ("b = 0.0", "b = 0.5"),
+])
+def test_circuit_dc_rules_checked_at_load(old, new):
+    """load_scenario rejects an unknown analytic kind and a circuit_dc
+    branch whose charging the closed form would ignore, before any run."""
+    text = serialize_scenario(build_builtin("circuit_dc"))
+    assert text.count(old) == 1
+    with pytest.raises(SchemaError):
+        load_scenario(text.replace(old, new))
+
+
 def test_parse_error_carries_location():
     with pytest.raises(ParseError) as err:
         load_scenario("[system]\nname bad-line\n")
