@@ -318,18 +318,16 @@ def solve_power_flow(network: Network, specs):
     """Newton-Raphson power flow on polar mismatches, flat start, to
     NEWTON_TOL in at most PF_MAX_ITER iterations.
 
-    specs maps bus id -> PfBusSpec with exactly one slack.  Returns the
-    complex bus voltages v; bus k injects (v * conj(Y @ v))[k], Y = assemble_y
-    with include_dynamic_equivalent.  A Newton failure is raised again as
+    specs maps bus id -> PfBusSpec with exactly one slack, the bus of a
+    validated scenario's slack device.  Returns the complex bus voltages v;
+    bus k injects (v * conj(Y @ v))[k], Y = assemble_y with
+    include_dynamic_equivalent.  A Newton failure is raised again as
     PfDivergence naming its worst mismatch equation.
     """
     n = network.n_bus
     y = assemble_y(network, include_dynamic_equivalent=True)
     kinds = np.array([specs[b.id].kind for b in network.buses])
-    slack = np.where(kinds == "slack")[0]
-    if len(slack) != 1:
-        raise PfDivergence(f"exactly one slack required, got {len(slack)}")
-    slack = int(slack[0])
+    slack = int(np.flatnonzero(kinds == "slack")[0])
 
     vm = np.array([specs[b.id].v_set if specs[b.id].kind != "pq" else 1.0
                    for b in network.buses])

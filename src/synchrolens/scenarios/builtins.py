@@ -78,7 +78,8 @@ def _circuit_dc() -> Scenario:
 def _smib() -> Scenario:
     # classical machine: H = 1.5 s on its own base; damping sized so the
     # post-clearing swing settles below 1e-4 within the run, loading sized so
-    # the clearing-time boundary falls between 1.13 s and 1.14 s
+    # the clearing-time boundary falls in (1.127, 1.128) s, inside the
+    # (1.12, 1.13) s interval of the 0.01 s sweep grid
     return Scenario(
         name="smib",
         buses=(Bus("GEN"), Bus("HV"), Bus("GRID")),

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -110,6 +109,9 @@ def cct_sweep(scenario: Scenario, t_from: float, t_to: float, step: float,
     # the pool starts all its processes at once: no more than there are points
     workers = min(workers, len(jobs))
     if workers > 1:
+        # imported here: the pool pulls in multiprocessing, which every other
+        # command and a one-process sweep would load at start-up for nothing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_run_point, jobs))
     else:

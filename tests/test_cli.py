@@ -7,6 +7,8 @@ import math
 import os
 import re
 import stat
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -97,7 +99,12 @@ def _smib_edit(old, new):
 
 def _device_edit(name, edits, device):
     """A file case whose error message must name device."""
-    return ("file", name, edits, device)
+    return ("file", name, edits, f"{device}: ")
+
+
+def _rule_edit(name, edits, message):
+    """A file case whose error message must begin with message."""
+    return ("file", name, edits, message)
 
 
 # an apply/clear fault pair on circuit_dc's branch, ahead of its [sim]
@@ -310,15 +317,47 @@ _RUN = ("run", "--builtin", "smib")
     pytest.param(("file", "circuit_dc",
                   {"analytic = circuit_dc": "analytic = circuit_ac"}),
                  id="unknown-analytic-kind"),
+    # every element a scenario names is declared, and each bus has at most
+    # one device that sets its voltage
+    pytest.param(_rule_edit("smib", {"from = GEN": "from = NOPE"},
+                            "T1: references undeclared bus NOPE"),
+                 id="branch-on-undeclared-bus"),
+    pytest.param(_rule_edit("smib", {"bus = GEN": "bus = NOPE"},
+                            "G1: device on undeclared bus NOPE"),
+                 id="device-on-undeclared-bus"),
+    pytest.param(_rule_edit("smib", {"slack_device = IB":
+                                     "slack_device = NOPE"},
+                            "slack device 'NOPE' is not declared"),
+                 id="undeclared-slack-device"),
+    pytest.param(_rule_edit("smib", {"[sim]": "[device.IB2]\n"
+                                              "kind = voltage_source\n"
+                                              "bus = GRID\nv = 1.0\n\n[sim]"},
+                            "bus GRID has multiple voltage-setting devices "
+                            "['IB', 'IB2']"),
+                 id="two-voltage-setting-devices-on-one-bus"),
+    pytest.param(_rule_edit("smib", {"[sim]": "[event.3]\nt = 5.0\n"
+                                              "kind = open_branch\n"
+                                              "branch = L1\n\n[event.4]\n"
+                                              "t = 5.0\nkind = open_branch\n"
+                                              "branch = L1\n\n[sim]"},
+                            "duplicate event (5.0, "),
+                 id="duplicate-event"),
+    pytest.param(_rule_edit("motor_condenser", {"device = SC1":
+                                                "device = NOPE"},
+                            "disconnect of unknown device NOPE"),
+                 id="disconnect-unknown-device"),
+    pytest.param(_rule_edit("smib", {"monitored = G1": "monitored = NOPE"},
+                            "monitored device NOPE is not declared"),
+                 id="undeclared-monitored-device"),
 ])
 def test_invalid_input_exit_2(tmp_path, capsys, argv):
     """Bad settings are rejected with exit 2 and a message, before any
     simulation and without a traceback or partial output; a device case's
-    message names the device."""
+    message names the device, and a rule case's begins as given."""
     prefix = "error: "
     if argv[0] == "file":
         if len(argv) > 3:
-            prefix += f"{argv[3]}: "
+            prefix += argv[3]
         argv = ("run", "--file", _scenario_file(tmp_path, *argv[1:3]))
     out = tmp_path / "out"
     assert run_cli(*argv, "--out", str(out)) == 2
@@ -376,12 +415,10 @@ def test_sweep_checks_the_domain_before_the_pool(tmp_path, capsys,
                                                 monkeypatch):
     """A device outside its model's domain fails validation, so a sweep
     exits 2 naming it before it starts a worker pool."""
-    from synchrolens.scenarios import sweep
-
     def no_pool(*args, **kwargs):
         raise AssertionError("the sweep started a worker pool")
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     path = _scenario_file(tmp_path, "smib", {"m = 3.0": "m = -3"})
     out = tmp_path / "out"
     assert run_cli("sweep", "--file", path, "--from", "1.12", "--to", "1.13",
@@ -1115,7 +1152,8 @@ def test_sweep_pool_is_bounded_by_points(tmp_path, capsys, monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(sweep, "_run_point", lambda job: sweep.SweepPoint(
         job[1], True, True, 0.0, 0.1))
     for t_to in ("1.11", "1.10"):
@@ -1123,6 +1161,54 @@ def test_sweep_pool_is_bounded_by_points(tmp_path, capsys, monkeypatch):
                        "0.01", "--workers", "100000",
                        "--out", str(tmp_path)) == 0
     assert pools == [2]
+
+
+# Run in a fresh interpreter (pytest itself may have loaded multiprocessing):
+# argv[1] is an output directory, argv[2:] one CLI invocation per ';'-joined
+# argument list.  Prints, after the import and after each invocation, its
+# exit code and the process-pool modules then loaded, one JSON line each;
+# the invocations' own output is dropped.
+_POOL_PROBE = """
+import contextlib, io, json, sys
+from synchrolens.cli import main
+
+def loaded(code):
+    print(json.dumps([code, sorted(m for m in sys.modules
+                                   if m.split(".")[0] in
+                                   ("multiprocessing", "concurrent"))]))
+
+loaded(None)
+for call in sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(call.split(";") + ["--out", sys.argv[1]])
+    loaded(code)
+"""
+
+
+def test_pool_modules_load_only_for_a_pool(tmp_path):
+    """Importing the CLI, a run and a sweep with one clearing time (which
+    runs in-process whatever --workers says) load neither multiprocessing
+    nor concurrent.futures; a sweep over two clearing times with
+    --workers 2 loads the process pool."""
+    path = _scenario_file(tmp_path, "smib", {"t_end = 12.0": "t_end = 2.0"})
+    calls = [("run", "--builtin", "smib", "--t-end", "0.2"),
+             ("sweep", "--file", path, "--from", "1.12", "--to", "1.12",
+              "--step", "0.01", "--workers", "4"),
+             ("sweep", "--file", path, "--from", "1.12", "--to", "1.13",
+              "--step", "0.01", "--workers", "2")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", _POOL_PROBE,
+                           str(tmp_path / "out")]
+                          + [";".join(call) for call in calls],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    *in_process, pooled = [json.loads(line)
+                           for line in done.stdout.splitlines()]
+    assert in_process == [[None, []], [0, []], [0, []]]
+    assert pooled[0] == 0 and "concurrent.futures.process" in pooled[1]
 
 
 def _strict_json(text):

@@ -185,12 +185,6 @@ def test_power_flow_kundur_residual():
     assert np.abs(q_spec[pq] - s_net.imag[pq]).max() < 1e-9
 
 
-def test_power_flow_requires_single_slack():
-    net = Network([Bus("1"), Bus("2")], [Branch("L", "1", "2", 0.0, 0.4)])
-    with pytest.raises(PfDivergence):
-        solve_power_flow(net, {"1": PfBusSpec(), "2": PfBusSpec()})
-
-
 def test_power_flow_infeasible_load_diverges():
     """5 pu drawn over x = 0.5 exceeds the 1 pu the line can carry; the
     message names the worst mismatch equation."""
