@@ -27,10 +27,11 @@ class SmParams:
     """Synchronous machine constants, machine base, with its power-flow
     setpoints, regulator gains and torque modulation, under the file's keys.
 
-    order selects the model: 6 (subtransient), 4 (two-axis) or 2 (classical).
-    For order 4 the subtransient reactances must equal the transient ones and
-    T''=0; for order 2 additionally r_s=0, x_q=x'_q=x'_d and e'_q is the
-    constant EMF e_q0 set at initialization.
+    order selects the model: 6 (subtransient), 4 (two-axis) or 2 (classical),
+    fixed by the device kind's declaration.  For order 4 (sm4_params) the
+    subtransient reactances equal the transient ones and T''=0; for order 2
+    (sm2_params) additionally r_s=0, x_q=x'_q=x'_d and e'_q is the constant
+    EMF e_q0 set at initialization.
     """
 
     order: int
@@ -59,8 +60,6 @@ class SmParams:
     avr_ki: float = 0.0
 
     def __post_init__(self):
-        if self.order not in (2, 4, 6):
-            raise ParamDomain(f"unsupported machine order {self.order}")
         if not (self.x_d >= self.x1_d >= self.x2_d > self.x_l > 0.0):
             raise ParamDomain(
                 "d-axis reactances must satisfy x_d >= x'_d >= x''_d > x_l > 0"
@@ -75,8 +74,6 @@ class SmParams:
             raise ParamDomain("transient time constants must be positive")
         if self.order == 6 and not (self.t2_d0 > 0.0 and self.t2_q0 > 0.0):
             raise ParamDomain("subtransient time constants must be positive")
-        if self.order == 4 and not (self.x2_d == self.x1_d and self.x2_q == self.x1_q):
-            raise ParamDomain("order-4 model requires x'' = x'")
         # a modulation needs both, as one alone does nothing
         amp, hz = self.tau_mod_amp, self.tau_mod_hz
         if (amp or hz) and not (amp and hz > 0.0):

@@ -9,6 +9,7 @@ as differential states and inject at their terminal buses instead.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -244,46 +245,66 @@ NEWTON_TOL = 1e-10
 PF_MAX_ITER = 50
 
 
-def interface_solve(residual, z0, tol=NEWTON_TOL, max_iter=30):
-    """Newton iteration for residual(z) = 0 from z0; returns (the root, the
-    Newton iterations taken).
+def newton(residual, z, r, tol, correction, max_iter, t=None, names=None):
+    """Newton iteration z <- z - correction(z, r, res), r = residual(z) and
+    res = max|r|, from z and its r until res < tol; returns (the root, the
+    iterations taken, its res).
 
-    The forward-difference Jacobian is kept while each iteration at least
-    halves the residual's max norm and is rebuilt otherwise.  The last
-    residual call is at the returned point.  NewtonDivergence, with the
-    residual and its worst row, ends max_iter iterations short of tol, a
-    singular Jacobian, or at once a residual with a NaN or an infinity,
-    whose first such row counts as the worst.
+    correction, the caller's Jacobian policy, runs only when the iteration
+    goes on.  NewtonDivergence, with res and a worst row, ends at once a
+    residual with a NaN or an infinity (its first such row), and max_iter
+    iterations short of tol or a correction that raises
+    np.linalg.LinAlgError, a singular Jacobian (the row of largest |r|).
+    Its message adds the time t and the row's name in names when given.
     """
-    z, it, jac = z0, 0, None
-    r = residual(z)
-    res = float(np.max(np.abs(r)))
+    it = 0
+    res = float(np.abs(r).max())
     while not res < tol:
-        if not np.isfinite(res):
-            row = int(np.flatnonzero(~np.isfinite(r))[0])
-            raise NewtonDivergence(f"residual not finite: {float(r[row])}",
-                                   residual=res, worst_equation=row)
-        worst = int(np.argmax(np.abs(r)))
+        if not math.isfinite(res):
+            raise _stop(r, res, t, names)
         if it == max_iter:
-            raise NewtonDivergence(
-                f"not converged after {max_iter} iterations; "
-                f"residual {res:.3e}", residual=res, worst_equation=worst)
-        if jac is None:
-            jac = fd_jacobian(residual, z, r)
+            raise _stop(r, res, t, names,
+                        f"not converged after {max_iter} iterations")
         try:
-            dz = np.linalg.solve(jac, -r)
+            dz = correction(z, r, res)
         except np.linalg.LinAlgError as exc:
-            raise NewtonDivergence(
-                f"Newton Jacobian singular; residual {res:.3e}",
-                residual=res, worst_equation=worst) from exc
-        z = z + dz
+            raise _stop(r, res, t, names, "Newton Jacobian singular") from exc
+        z = z - dz
         r = residual(z)
+        res = float(np.abs(r).max())
         it += 1
-        res_new = float(np.max(np.abs(r)))
-        if res_new > 0.5 * res and res_new > tol:
-            jac = None  # stale Jacobian; rebuild next pass
-        res = res_new
-    return z, it
+    return z, it, res
+
+
+def _stop(r, res, t, names, why=None):
+    """newton's NewtonDivergence for why, or for a residual that is not
+    finite when why is None."""
+    at = "" if t is None else f" at t={t:.6f}s"
+    if why is None:
+        row = int(np.flatnonzero(~np.isfinite(r))[0])
+        message, named = f"residual not finite{at}: {float(r[row])}", " in"
+    else:
+        row = int(np.argmax(np.abs(r)))
+        message, named = f"{why}{at}; residual {res:.3e}", ", worst"
+    if names is not None:
+        message += f"{named} equation {names[row]}"
+    return NewtonDivergence(message, residual=res, worst_equation=row)
+
+
+def interface_solve(residual, z0, tol=NEWTON_TOL, max_iter=30):
+    """newton on residual(z) = 0 from z0 with a forward-difference Jacobian,
+    kept while each iteration at least halves max|r| and rebuilt otherwise;
+    returns (the root, the iterations taken); the root is residual's last z."""
+    jac, last = None, None
+
+    def correction(z, r, res):
+        nonlocal jac, last
+        if jac is None or res > 0.5 * last:
+            jac = fd_jacobian(residual, z, r)
+        last = res
+        return np.linalg.solve(jac, r)
+
+    return newton(residual, z0, residual(z0), tol, correction, max_iter)[:2]
 
 
 def fd_jacobian(fn, z, f0):
@@ -345,7 +366,7 @@ def solve_power_flow(network: Network, specs):
         vm2[vm_idx] = x[len(th_idx):]
         return vm2 * np.exp(1j * va2), vm2
 
-    @np.errstate(all="ignore")   # interface_solve names a non-finite row
+    @np.errstate(all="ignore")   # newton names a non-finite row
     def mismatch(x):
         v, vmag = voltages(x)
         s_net = v * np.conj(y @ v)

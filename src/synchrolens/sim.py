@@ -13,13 +13,14 @@ algebraic re-solve to the recorder.  Each step solves
 
 by a quasi-Newton iteration.  PowerSystemDae.fg converts z to Python floats
 once and returns f and g as lists, and the stepper builds each residual
-from them with one list pass and one array; a residual that is not finite
-stops the step at once, naming its equation.
-The inverse of a forward-difference Jacobian is kept across iterations and
-steps and, after every iteration that has not converged, corrected by
-Broyden's second ("bad") rank-1 update, so it follows phasors that keep
-rotating in the synchronous frame without new residual evaluations.  It is
-rebuilt only when a step stalls or converges slowly.  Each step starts
+from them with one list pass and one array.  Each step, like the power
+flow and the algebraic re-solves, iterates in network.newton, which owns
+the stops and their messages, with its own Jacobian policy: the inverse of
+a forward-difference Jacobian, kept across iterations and steps and,
+before every iteration but a step's first, corrected by Broyden's second
+("bad") rank-1 update, so it follows phasors that keep rotating in the
+synchronous frame without new residual evaluations.  It is rebuilt only
+after NEWTON_MAX_ITER iterations of one step on it.  Each step starts
 iterating from the polynomial through the last 3 to 8 accepted points
 (fewer after an event), written in backward differences as DASSL's
 predictor is, when the previous step moved by at least newton_tol, and from
@@ -32,8 +33,8 @@ window took fewer iterations.  A rotor that slips poles turns its phasors
 by 0.07 rad per step and gets a longer polynomial than a swinging one.
 Events must lie on step boundaries; the history is cleared there, so no
 step extrapolates across a topology change.  At an event the topology
-changes, g = 0 is re-solved for y holding x, by the plain Newton loop the
-power flow also uses, and integration continues.
+changes, g = 0 is re-solved for y holding x, by the power flow's
+network.interface_solve, and integration continues.
 
 A step needs f at its start.  It starts from PowerSystemDae's last
 evaluation, dae.last, when that is at the z it is handed (the same object)
@@ -71,7 +72,7 @@ from .errors import (InitInfeasible, NewtonDivergence, SchemaError,
 from .network import (NEWTON_TOL, EventKind, Network, PfBusSpec, apply_event,
                       assemble_y, connected_bus_mask,
                       dynamic_branch_derivatives, dynamic_branch_init,
-                      fd_jacobian, interface_solve, solve_power_flow)
+                      fd_jacobian, interface_solve, newton, solve_power_flow)
 from .scenarios.model import Scenario, check_run_settings, time_grid
 
 # the recorded trajectories of one run may take at most this many bytes;
@@ -418,9 +419,11 @@ class PredictorLength:
 class TrapezoidalStepper:
     """Quasi-Newton implicit trapezoidal stepper over (f, g).
 
-    The cached row-scaled inverse Jacobian starts as the inverse of a
-    forward-difference Jacobian.  After each iteration whose residual is
-    still at or above tolerance it takes Broyden's second update,
+    Each step iterates in network.newton, at most MAX_ITER times.  The
+    cached row-scaled inverse Jacobian starts as the inverse of a
+    forward-difference Jacobian and is rebuilt at the current iterate after
+    NEWTON_MAX_ITER iterations on it.  Before each further iteration of a
+    step it takes Broyden's second update,
     inv -= (dz + inv @ dr) dr^T / (dr . dr), where the iterate moved by -dz
     and dr is the change of the scaled residual; afterwards inv @ dr = -dz,
     the secant condition.
@@ -445,19 +448,17 @@ class TrapezoidalStepper:
     and the x rows from that start and, without a predictor and for a DAE
     that is not time_varying, its first residual.  An accepted step
     returns the z of dae.last, the accepted point, and keeps that
-    evaluation and its motion max|z_n - z_{n-1}| for the next step.  A
-    residual with a NaN or an infinity raises NewtonDivergence at once.
+    evaluation and its motion max|z_n - z_{n-1}| for the next step.
 
     A step that reuses its start's residual and takes no iteration is
     held: it returns its start and leaves dae.last as it is, so the steps
     after it repeat it, and fast_forward(m) skips m of them.
     """
 
-    # keep the updated inverse while it still converges in fewer iterations
-    # than a rebuild would cost in residual evaluations
-    REBUILD_ITERS = 12
     # iterations on one Jacobian before it is rebuilt at the current iterate
     NEWTON_MAX_ITER = 20
+    # Newton iterations one step may take
+    MAX_ITER = 3 * NEWTON_MAX_ITER
 
     def __init__(self, dae, config: SimConfig):
         self.dae = dae
@@ -532,30 +533,20 @@ class TrapezoidalStepper:
 
         Equilibration keeps the inverse well conditioned when fault shunts
         and fast converter rows mix scales; returns (inv, row_scale) so the
-        Newton update is inv @ (scale * r).
+        Newton update is inv @ (scale * r).  A zero row, or a singular
+        scaled Jacobian, raises np.linalg.LinAlgError.
         """
         jac = fd_jacobian(
             lambda zp: self._residual(t_new, zp, x_old, f_old, dt), z, r0)
         self.stats["jacobian_builds"] += 1
         scale = np.max(np.abs(jac), axis=1)
         if np.any(scale == 0.0):
-            raise NewtonDivergence(f"step Jacobian singular at t={t_new}")
+            raise np.linalg.LinAlgError("step Jacobian has a zero row")
         scale = 1.0 / scale
-        try:
-            return np.linalg.inv(jac * scale[:, None]), scale
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergence(f"step Jacobian singular at t={t_new}: {exc}")
-
-    MAX_REBUILDS_PER_STEP = 3
+        return np.linalg.inv(jac * scale[:, None]), scale
 
     def step(self, t_old, z_old, dt):
-        """Advance one step from z_old; returns (z_new, iterations).
-
-        The Broyden-updated inverse is reused across iterations and steps;
-        when the iteration exhausts its budget the Jacobian is rebuilt at
-        the current iterate (up to MAX_REBUILDS_PER_STEP times) before the
-        step is declared divergent.
-        """
+        """Advance one step from z_old; returns (z_new, iterations)."""
         dae = self.dae
         start = dae.last
         if (start is None or start[1] is not z_old
@@ -575,64 +566,50 @@ class TrapezoidalStepper:
         # a start at z_n reuses the start's residual unless f depends on t
         reuse = not m and not dae.time_varying
         r = self._residual(t_new, z, zs_old, f_old, dt, evaluate=not reuse)
-        res = float(np.abs(r).max())
-        rebuilds = 0
-        since_build = self.NEWTON_MAX_ITER if self.jac_inv is None else 0
-        it = 0
-        while True:
-            if res < tol:
-                stats = self.stats
-                stats["newton_iterations"] += it
-                stats["worst_residual"] = max(stats["worst_residual"], res)
-                stats["steps"] += 1
-                if it > stats["max_step_iterations"] or stats["steps"] == 1:
-                    stats["max_step_iterations"] = it
-                    stats["max_step_time"] = t_new
-                d0 = z - z_old
-                self._motion = float(np.abs(d0).max())
-                self._diffs = [d0] + diffs[:PREDICTOR_MAX_POINTS - 2]
-                if m:
-                    stats["predictor_points"][str(m + 1)] += 1
-                    self.length.record(it)
-                if it >= self.REBUILD_ITERS:
-                    self.jac_inv = None   # converging slowly; refresh next step
-                # the last evaluation was at the accepted z
-                self._returned = dae.last
-                self._held = reuse and it == 0
-                return z, it
-            if not math.isfinite(res):
-                # no iteration recovers once a NaN reaches the inverse
-                row = int(np.flatnonzero(~np.isfinite(r))[0])
-                raise NewtonDivergence(
-                    f"residual not finite at t={t_new:.6f}s: {float(r[row])} "
-                    f"in equation {dae.names[row]}", residual=res,
-                    worst_equation=row)
-            if self.jac_inv is None or since_build >= self.NEWTON_MAX_ITER:
-                if rebuilds >= self.MAX_REBUILDS_PER_STEP:
-                    worst = int(np.argmax(np.abs(r)))
-                    raise NewtonDivergence(
-                        f"Newton stalled at t={t_new:.6f}s, residual {res:.3e}, "
-                        f"worst equation {dae.names[worst]}",
-                        residual=res, worst_equation=worst)
+        # iterations on self.jac_inv, and the last correction with its r
+        served = self.NEWTON_MAX_ITER if self.jac_inv is None else 0
+        last = None
+
+        def correction(z, r, res):
+            nonlocal served, last
+            if served >= self.NEWTON_MAX_ITER:
                 self.jac_inv = self._build_jacobian(t_new, z, zs_old, f_old,
                                                     dt, r)
-                rebuilds += 1
-                since_build = 0
+                served, last = 0, None
             inv, scale = self.jac_inv
-            dz = inv @ (scale * r)
-            z = z - dz
-            r_new = self._residual(t_new, z, zs_old, f_old, dt)
-            res = float(np.abs(r_new).max())
-            it += 1
-            since_build += 1
-            if res >= tol:
+            if last is not None:
                 # Broyden's second update: the inverse maps the scaled
                 # residual change onto the step just taken (secant condition)
-                dr = scale * (r_new - r)
+                dz, r_old = last
+                dr = scale * (r - r_old)
                 dr2 = dr @ dr
                 if dr2 != 0.0:
                     inv -= (dz + inv @ dr)[:, None] * (dr / dr2)
-            r = r_new
+            served += 1
+            dz = inv @ (scale * r)
+            last = dz, r
+            return dz
+
+        z, it, res = newton(
+            lambda z: self._residual(t_new, z, zs_old, f_old, dt), z, r, tol,
+            correction, self.MAX_ITER, t_new, dae.names)
+        stats = self.stats
+        stats["newton_iterations"] += it
+        stats["worst_residual"] = max(stats["worst_residual"], res)
+        stats["steps"] += 1
+        if it > stats["max_step_iterations"] or stats["steps"] == 1:
+            stats["max_step_iterations"] = it
+            stats["max_step_time"] = t_new
+        d0 = z - z_old
+        self._motion = float(np.abs(d0).max())
+        self._diffs = [d0] + diffs[:PREDICTOR_MAX_POINTS - 2]
+        if m:
+            stats["predictor_points"][str(m + 1)] += 1
+            self.length.record(it)
+        # the last evaluation was at the accepted z
+        self._returned = dae.last
+        self._held = reuse and it == 0
+        return z, it
 
 
 # --- recording ---------------------------------------------------------------

@@ -1056,6 +1056,33 @@ def test_infeasible_power_flow_exit_3(tmp_path, capsys):
     assert not out.exists() or not list(out.iterdir())
 
 
+def test_initialization_residual_exit_3(tmp_path, capsys, monkeypatch):
+    """smib with G1's omega_r initialized 1e-6 off its steady state leaves
+    a DAE residual that no algebraic re-solve at fixed states removes:
+    initialization stops with exit 3, stating the residual and its 1e-8
+    bound, and writes no output file."""
+    build = sim.build_adapters
+
+    def offset_adapters(scenario):
+        adapters = build(scenario)
+        g1 = next(a for a in adapters if a.id == "G1")
+
+        def init(v, s, init=g1.init):
+            states = np.array(init(v, s), dtype=float)
+            states[1] += 1e-6
+            return states
+        g1.init = init
+        return adapters
+
+    monkeypatch.setattr(sim, "build_adapters", offset_adapters)
+    out = tmp_path / "out"
+    assert run_cli(*_RUN, "--t-end", "0.2", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"solver failure: initialization residual "
+                        r"\d\.\d{3}e-0[45] exceeds 1e-8\n", err), err
+    assert not out.exists() or not list(out.iterdir())
+
+
 @pytest.mark.parametrize("section, line, stop", [
     pytest.param("device.G1", "p = 1e300", "Newton Jacobian singular",
                  id="G1-p-huge"),

@@ -8,7 +8,7 @@ from synchrolens.network import (Branch, Bus, Event, EventKind, Network,
                                  PfBusSpec, apply_event, assemble_y,
                                  connected_bus_mask,
                                  dynamic_branch_derivatives,
-                                 dynamic_branch_init, interface_solve,
+                                 dynamic_branch_init, interface_solve, newton,
                                  solve_power_flow)
 
 OMEGA_B = 2.0 * np.pi * 60.0
@@ -136,6 +136,51 @@ def test_interface_solve_stops_at_once():
         interface_solve(lambda z: np.array([z[0] + z[1] - 1.0,
                                             z[0] + z[1] - 3.0]), np.zeros(2))
     assert info.value.worst_equation == 1 and info.value.residual == 3.0
+
+
+@pytest.mark.parametrize("t, names, at, name", [
+    (None, None, "", None),
+    (0.25, ("a", "b", "c"), " at t=0.250000s", "b"),
+])
+@pytest.mark.parametrize("stop", ["not finite", "singular", "budget"])
+def test_newton_stops(stop, t, names, at, name):
+    """newton stops at a residual with a NaN or an infinity, naming its
+    first such row; at a correction that raises LinAlgError; and after
+    max_iter iterations, each of the last two naming the row of largest
+    |r|.  Each message adds the time and the equation's name when given,
+    and no stop calls the correction once more."""
+    corrections = []
+
+    def halve(z, r, res):
+        corrections.append(res)
+        if stop == "singular":
+            raise np.linalg.LinAlgError("singular")
+        return 0.5 * r
+
+    def residual(z):
+        if stop == "not finite":
+            return np.array([1.0, np.inf, np.nan])
+        return z - 1.0
+
+    z0 = np.array([1.5, 9.0, 0.0])
+    with pytest.raises(NewtonDivergence) as info:
+        newton(residual, z0, z0 - 1.0, 1e-10, halve, 3, t, names)
+    exc = info.value
+    assert exc.worst_equation == 1
+    if stop == "not finite":
+        message = f"residual not finite{at}: inf"
+        message += "" if name is None else f" in equation {name}"
+        assert np.isnan(exc.residual) and len(corrections) == 1
+    else:
+        why, res, calls = {"singular": ("Newton Jacobian singular", 8.0, 1),
+                           "budget": ("not converged after 3 iterations",
+                                      1.0, 3)}[stop]
+        message = f"{why}{at}; residual {res:.3e}"
+        message += "" if name is None else f", worst equation {name}"
+        assert exc.residual == res and len(corrections) == calls
+    assert str(exc) == message
+    if stop == "singular":
+        assert isinstance(exc.__cause__, np.linalg.LinAlgError)
 
 
 def test_interface_solve_counts_iterations():

@@ -21,10 +21,12 @@ from synchrolens.synccheck import evaluate_device, numeric_chi
 
 class ScalarDecay:
     """Minimal DAE: x' = lam*x with no algebraic part; like PowerSystemDae
-    it returns f and g as lists and keeps its last evaluation in last."""
+    it names its equations, returns f and g as lists and keeps its last
+    evaluation in last."""
 
     n_x = 1
     n_y = 0
+    names = ("x",)
     time_varying = False
     last = None
 
@@ -145,11 +147,12 @@ class TurningPhasor:
     """Minimal DAE whose phasor turns at a constant rate: a rotor angle
     d' = w + k Im(v e^{-jd}) and its terminal phasor v = e^{jd}, algebraic,
     so d grows linearly and v turns by w dt per step; z = [d, Re v, Im v].
-    Like PowerSystemDae it returns f and g as lists and keeps its last
-    evaluation in last."""
+    Like PowerSystemDae it names its equations, returns f and g as lists
+    and keeps its last evaluation in last."""
 
     n_x = 1
     n_y = 2
+    names = ("d", "v.re", "v.im")
     time_varying = False
     last = None
 
@@ -672,6 +675,34 @@ def test_newton_stall_names_equation_and_time():
     exc = info.value
     assert dae.names[exc.worst_equation] == "G1:omega_r"
     assert "t=0.001000s" in str(exc) and "worst equation G1:omega_r" in str(exc)
+
+
+def test_step_jacobian_singular_names_equation_and_time():
+    """smib's KCL:HV.re row held at 1.0 gives the step Jacobian a zero row,
+    which stops the step before its first iteration as a singular
+    Jacobian, naming the time and that equation."""
+    scenario = build_builtin("smib")
+    config = SimConfig.from_scenario(scenario, t_end=0.01)
+    dae, z0 = initialize(scenario, config)
+    hv = dae.network.bus_index["HV"]
+    fg = dae.fg
+
+    def edited(t, z):
+        f, g = fg(t, z)
+        g[hv] = 1.0   # in place: the stepper reads g from dae.last
+        return f, g
+
+    dae.fg = edited
+    dae.last = None   # initialize's last evaluation used the unedited fg
+    stepper = TrapezoidalStepper(dae, config)
+    with pytest.raises(NewtonDivergence) as info:
+        stepper.step(0.0, z0, config.dt)
+    exc = info.value
+    assert isinstance(exc.__cause__, np.linalg.LinAlgError)
+    assert dae.names[exc.worst_equation] == "KCL:HV.re"
+    assert str(exc) == ("Newton Jacobian singular at t=0.001000s; residual "
+                        "1.000e+00, worst equation KCL:HV.re")
+    assert stepper.stats["jacobian_builds"] == 1
 
 
 def test_algebraic_resolve_failure_names_equation(monkeypatch):
