@@ -7,6 +7,7 @@ scenario errors, 3 solver failures, 4 I/O errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -36,13 +37,17 @@ def _json(value):
     return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
 
 
+def _hidden_name(directory):
+    """A new hidden path in directory, for a file not yet in place."""
+    return os.path.join(directory, f".synchrolens-{os.urandom(8).hex()}")
+
+
 def _atomic_write(path, data):
     """Write the str data to path through a new file beside it, so a reader
     sees the old file or the whole new one.  The file is created like a
     plain open() (O_CREAT | O_EXCL, 0o666 under the umask), and data is
     encoded one slice at a time, never as a whole."""
-    tmp = os.path.join(os.path.dirname(path),
-                       f".synchrolens-{os.urandom(8).hex()}")
+    tmp = _hidden_name(os.path.dirname(path))
     handle = open(tmp, "x")
     try:
         with handle:
@@ -191,14 +196,33 @@ def cmd_run(args):
         "chi": os.path.join(out, f"{scenario.name}_chi.csv"),
         "report": os.path.join(out, f"{scenario.name}_report.json"),
     }
-    report, numeric, analytic = build_report(scenario, result, config,
-                                             args.epsilon, args.tail_tol,
-                                             paths)
+    # each output is staged under a hidden name and renamed onto its own only
+    # once all three exist, so a failed run leaves no output and an earlier
+    # run's files as they were
+    staged = {}
+
+    def stage(key, data):
+        staged[key] = _hidden_name(out)
+        _atomic_write(staged[key], data)
+
+    try:
+        # the trajectory text is written and freed before the chi series
+        # exist, so a run's two largest buffers never coexist
+        stage("trajectories", _traj_csv(result))
+        report, numeric, analytic = build_report(scenario, result, config,
+                                                 args.epsilon, args.tail_tol,
+                                                 paths)
+        stage("chi", _chi_csv(result, numeric, analytic))
+        text = _json(report)
+        stage("report", text + "\n")
+        for key, path in staged.items():
+            os.replace(path, paths[key])
+    except BaseException:
+        for path in staged.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+        raise
     verdicts = report["verdicts"]
-    text = _json(report)
-    _atomic_write(paths["trajectories"], _traj_csv(result))
-    _atomic_write(paths["chi"], _chi_csv(result, numeric, analytic))
-    _atomic_write(paths["report"], text + "\n")
     if args.json:
         print(text)
     else:

@@ -27,19 +27,30 @@ def check_positive(name, value, element=None):
 F_NOM_RANGE = (1.0, 1000.0)
 
 
+# an instant is on the dt grid when it is within this many steps of one
+GRID_TOL_STEPS = 1e-6
+
+# the recorded samples a run needs, as the CF stencils span three
+MIN_SAMPLES = 3
+
+
 def check_run_settings(dt, t_end, record_decimation):
-    """SchemaError unless dt and t_end are finite and positive and the
-    recording decimation is an integer of at least 1."""
+    """SchemaError unless dt and t_end are finite and positive, the
+    recording decimation is an integer of at least 1 and the run records at
+    least MIN_SAMPLES samples."""
     check_positive("dt", dt)
     check_positive("t_end", t_end)
     if (isinstance(record_decimation, bool)
             or not isinstance(record_decimation, int) or record_decimation < 1):
         raise SchemaError("record_decimation must be an integer >= 1, "
                           f"got {record_decimation!r}")
-
-
-# an instant is on the dt grid when it is within this many steps of one
-GRID_TOL_STEPS = 1e-6
+    steps = t_end / dt
+    if steps < (MIN_SAMPLES - 1) * record_decimation - GRID_TOL_STEPS:
+        samples = math.floor(steps + GRID_TOL_STEPS) // record_decimation + 1
+        raise SchemaError(
+            f"t_end = {t_end!r} records {samples} samples at dt = {dt!r} "
+            f"and record_decimation = {record_decimation}, fewer than the "
+            f"{MIN_SAMPLES} the CF stencils need")
 
 
 def grid_steps(name, time, dt):

@@ -76,8 +76,8 @@ from .network import (NEWTON_TOL, EventKind, Network, PfBusSpec, apply_event,
 from .scenarios.model import Scenario, check_run_settings, time_grid
 
 # the recorded trajectories of one run may take at most this many bytes;
-# a `synchrolens run` peaks at about five times its recorded bytes above its
-# size after initialization (kundur 4.8x, gfl_seriescomp 5.1x), most of it
+# a `synchrolens run` peaks at about 3.5 times its recorded bytes above its
+# size after initialization (kundur 3.7x, gfl_seriescomp 3.4x), most of it
 # the CSV text
 MAX_RECORD_BYTES = 1 << 27
 

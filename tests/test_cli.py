@@ -349,11 +349,40 @@ _RUN = ("run", "--builtin", "smib")
     pytest.param(_rule_edit("smib", {"monitored = G1": "monitored = NOPE"},
                             "monitored device NOPE is not declared"),
                  id="undeclared-monitored-device"),
+    # the file grammar: section headers, keys and values
+    pytest.param(_rule_edit("smib", {"[bus.GEN]": "[bus.GEN"},
+                            "malformed section header '[bus.GEN' (line "),
+                 id="malformed-section-header"),
+    pytest.param(_rule_edit("smib", {"[system]": "f_nom = 60.0\n[system]"},
+                            "key outside any section (line 1, column 1)"),
+                 id="key-outside-any-section"),
+    pytest.param(_rule_edit("smib", {"d = 5.0": "D = 5.0"},
+                            "invalid key 'D' (line "),
+                 id="invalid-key"),
+    pytest.param(_rule_edit("smib", {"d = 5.0": "d = 5.0\nd = 6.0"},
+                            "duplicate key 'd' (line "),
+                 id="duplicate-key"),
+    pytest.param(_rule_edit("smib", {"open_branch = true": "open_branch = yes"},
+                            "open_branch: expected true/false, got 'yes' "),
+                 id="boolean-not-true-or-false"),
+    pytest.param(_rule_edit("smib", {"x = 0.15": ""},
+                            "branch.T1: missing key 'x'"),
+                 id="missing-key"),
 ])
-def test_invalid_input_exit_2(tmp_path, capsys, argv):
+def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, request, argv):
     """Bad settings are rejected with exit 2 and a message, before any
     simulation and without a traceback or partial output; a device case's
-    message names the device, and a rule case's begins as given."""
+    message names the device, and a rule case's begins as given.  Only the
+    recording cap, which counts the initialized DAE's states, is checked
+    once sim.initialize has run."""
+    initialized = []
+    real_initialize = sim.initialize
+
+    def spy(*args, **kwargs):
+        initialized.append(args[0].name)
+        return real_initialize(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "initialize", spy)
     prefix = "error: "
     if argv[0] == "file":
         if len(argv) > 3:
@@ -364,6 +393,8 @@ def test_invalid_input_exit_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith(prefix)
     assert not out.exists() or not list(out.iterdir())
+    after_init = request.node.callspec.id == "dt-tiny-record-cap"
+    assert initialized == (["smib"] if after_init else [])
 
 
 @pytest.mark.parametrize("name, edits, branch", [
@@ -592,6 +623,74 @@ def test_atomic_write_encodes_in_slices(tmp_path):
     assert peak <= 2.5 * (1 << 20)
     assert path.read_text() == data
     assert os.listdir(tmp_path) == ["big.csv"]
+
+
+def test_failed_write_leaves_nothing_behind(tmp_path, capsys, monkeypatch):
+    """An OSError on a run's second output write exits 4, and the outputs
+    are committed together or not at all: --out holds no new or staged
+    file, and an earlier, shorter run's three files stay byte for byte."""
+    from synchrolens import cli
+    out = tmp_path / "out"
+    assert run_cli(*_RUN, "--t-end", "1.5", "--out", str(out)) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(before) == 3
+    real_write, calls = cli._atomic_write, []
+
+    def failing_write(path, data):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device", path)
+        real_write(path, data)
+
+    monkeypatch.setattr(cli, "_atomic_write", failing_write)
+    capsys.readouterr()
+    assert run_cli(*_RUN, "--t-end", "2.0", "--out", str(out)) == 4
+    assert capsys.readouterr().err.startswith("i/o failure: ")
+    assert len(calls) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_traj_csv_is_written_before_the_chi_analysis(tmp_path, capsys,
+                                                    monkeypatch):
+    """The trajectory text is formatted, written and released before
+    build_report computes the chi series, so the two never coexist: at
+    build_report's entry the memory allocated since the simulation
+    returned is under a tenth of that text."""
+    from synchrolens import cli
+    real_run, real_traj = cli.run_simulation, cli._traj_csv
+    real_write, real_report = cli._atomic_write, cli.build_report
+    traj, events = {}, []
+
+    def run_simulation(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        tracemalloc.start()
+        return result
+
+    def traj_csv(result):
+        text = real_traj(result)
+        traj.update(id=id(text), length=len(text))   # no reference kept
+        return text
+
+    def atomic_write(path, data):
+        if id(data) == traj.get("id") and len(data) == traj["length"]:
+            events.append("traj written")
+        real_write(path, data)
+
+    def build_report(*args, **kwargs):
+        events.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.stop()
+        return real_report(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_simulation", run_simulation)
+    monkeypatch.setattr(cli, "_traj_csv", traj_csv)
+    monkeypatch.setattr(cli, "_atomic_write", atomic_write)
+    monkeypatch.setattr(cli, "build_report", build_report)
+    try:
+        assert run_cli(*_RUN, "--t-end", "4.0", "--out", str(tmp_path)) == 0
+    finally:
+        tracemalloc.stop()
+    assert events[0] == "traj written" and len(events) == 2
+    assert events[1] < traj["length"] / 10
 
 
 def test_outputs_follow_the_umask(tmp_path, capsys):

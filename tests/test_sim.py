@@ -43,7 +43,7 @@ class ScalarDecay:
 def test_trapezoidal_amplification_exact():
     lam, dt = -1.0, 1e-3
     stepper = TrapezoidalStepper(
-        ScalarDecay(lam), SimConfig(dt=dt, t_end=dt, newton_tol=1e-15))
+        ScalarDecay(lam), SimConfig(dt=dt, t_end=1.0, newton_tol=1e-15))
     z, _ = stepper.step(0.0, np.array([1.0]), dt)
     expected = (1.0 + lam * dt / 2.0) / (1.0 - lam * dt / 2.0)
     assert z[0] == pytest.approx(expected, abs=1e-13)
@@ -276,6 +276,10 @@ def test_config_validation():
         SimConfig(dt=-1e-3, t_end=1.0)
     with pytest.raises(SchemaError):
         SimConfig(dt=1e-3, t_end=0.0)
+    # two recorded samples are too few for the CF stencils; three suffice
+    with pytest.raises(SchemaError, match="fewer than the 3"):
+        SimConfig(dt=1e-3, t_end=4e-3, record_decimation=3)
+    SimConfig(dt=1e-3, t_end=4e-3, record_decimation=2)
 
 
 def test_equilibrium_is_a_fixed_point():
