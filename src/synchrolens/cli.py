@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -26,10 +28,12 @@ from .synccheck import (DEFAULT_EPSILON, DEFAULT_SETTLE, DEFAULT_TAIL_TOL,
                         crosscheck_chi, evaluate_device, numeric_chi,
                         system_unstable)
 
-# rows per .tolist() call; larger blocks measurably raise peak memory
+# rows per orjson.dumps call; larger blocks measurably raise peak memory
 _CSV_BLOCK = 256
 # characters encoded per write, so a file's bytes never exist whole
 _WRITE_CHUNK = 1 << 20
+# an exponent of -6 to -9 as orjson writes it, which repr pads to two digits
+_SHORT_EXPONENT = re.compile(rb"e-([6-9])(?=[,\]])")
 
 
 def _json(value):
@@ -84,22 +88,6 @@ def _out_dir(args):
     return out
 
 
-def _cells(col):
-    """Cell strings of one block of a column: the repr of each value.  A float
-    block where at most half the cells differ in bits from the one above
-    (a held equilibrium, a constant closed form) calls repr once per run."""
-    if col.dtype.kind == "f":
-        bits = col.view(np.int64)
-        new_run = np.empty(len(col), dtype=bool)
-        new_run[0] = True
-        np.not_equal(bits[1:], bits[:-1], out=new_run[1:])
-        starts = np.flatnonzero(new_run)
-        if 2 * (len(starts) - 1) <= len(col):
-            runs = np.array(list(map(repr, col[starts].tolist())), dtype=object)
-            return runs[np.cumsum(new_run) - 1].tolist()
-    return map(repr, col.tolist())
-
-
 def _csv(header, columns):
     """CSV text of equal-length columns, one row per sample, each cell the
     repr of a Python number (an int column prints 1/0)."""
@@ -107,11 +95,34 @@ def _csv(header, columns):
     # its only reference, so the text is held once, not next to its rows
     text = ",".join(header)
     for start in range(0, len(columns[0]), _CSV_BLOCK):
-        cells = [_cells(col[start:start + _CSV_BLOCK]) for col in columns]
         text += "\n"
-        text += "\n".join(map(",".join, zip(*cells)))
+        text += _csv_rows([col[start:start + _CSV_BLOCK] for col in columns])
     text += "\n"
     return text
+
+
+def _csv_rows(block):
+    """Rows of one block of columns.  orjson writes the shortest round-trip
+    digits that repr writes, and is far faster; its layout differs in a few
+    cells, which get repr's text, and in short negative exponents."""
+    import orjson   # here, so commands that write no CSV never load it
+    values = np.stack(block, axis=1)
+    mag = np.abs(values)
+    # orjson writes nan and inf as null, 1e-05 as 0.00001 and 1e+16 as 1e16
+    odd = ~(mag < 1e16) | ((mag >= 1e-5) & (mag < 1e-4))
+    del mag
+    cells = values.astype(object)
+    cells[odd] = list(map(repr, values[odd].tolist()))
+    for j, col in enumerate(block):
+        if col.dtype.kind != "f":
+            cells[:, j] = col
+    data = orjson.dumps(cells.tolist())
+    del values, odd, cells   # before the copies below
+    data = _SHORT_EXPONENT.sub(rb"e-0\1", data)
+    data = data.replace(b'"', b"").replace(b"],[", b"\n")
+    # decoded through a view: one more block-sized copy (data[2:-2]) raised
+    # the peak RSS of a second kundur run in one process by 11-14 MB
+    return str(memoryview(data)[2:-2], "ascii")
 
 
 def _traj_csv(result):
@@ -215,6 +226,12 @@ def cmd_run(args):
         stage("chi", _chi_csv(result, numeric, analytic))
         text = _json(report)
         stage("report", text + "\n")
+        # a directory in the way of a name would fail its rename after the
+        # ones before it had replaced an earlier run's files
+        for path in paths.values():
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                        path)
         for key, path in staged.items():
             os.replace(path, paths[key])
     except BaseException:

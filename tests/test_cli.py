@@ -107,6 +107,11 @@ def _rule_edit(name, edits, message):
     return ("file", name, edits, message)
 
 
+def _cli_rule(message, *argv):
+    """A command-line case whose error message must begin with message."""
+    return ("args", message) + argv
+
+
 # an apply/clear fault pair on circuit_dc's branch, ahead of its [sim]
 _CIRCUIT_DC_FAULT = """[event.1]
 t = 1.0
@@ -368,6 +373,34 @@ _RUN = ("run", "--builtin", "smib")
     pytest.param(_rule_edit("smib", {"x = 0.15": ""},
                             "branch.T1: missing key 'x'"),
                  id="missing-key"),
+    # what the closed form of circuit_dc and its current source need
+    pytest.param(_rule_edit("smib", {"[sim]": "[device.CS]\n"
+                                              "kind = dc_current_source\n"
+                                              "bus = HV\ni_mag = 0.1\n"
+                                              "phase = 0.0\n\n[sim]"},
+                            "CS: DC current sources exist only in analytic "
+                            "scenarios"),
+                 id="dc-current-source-outside-circuit-dc"),
+    pytest.param(_rule_edit("circuit_dc", {"[device.VS]": "[branch.Z2]\n"
+                                                          "from = SRC\n"
+                                                          "to = INJ\n"
+                                                          "x = 0.3\n\n"
+                                                          "[device.VS]"},
+                            "circuit_dc needs one voltage source, one DC "
+                            "current source and one branch"),
+                 id="circuit-dc-second-branch"),
+    pytest.param(_rule_edit("circuit_dc", {"[bus.INJ]": "[bus.INJ]\n\n"
+                                                        "[bus.MID]",
+                                           "to = INJ": "to = MID"},
+                            "circuit_dc branch must join the two source "
+                            "buses"),
+                 id="circuit-dc-branch-off-the-sources"),
+    pytest.param(_rule_edit("circuit_dc", {"x = 0.3": "x = 0.0"},
+                            "circuit branch needs positive reactance"),
+                 id="circuit-dc-reactance-zero"),
+    pytest.param(_cli_rule("sweep needs --from, --to and --step",
+                           *_SWEEP, "--from", "1.10", "--to", "1.11"),
+                 id="sweep-without-step"),
 ])
 def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, request, argv):
     """Bad settings are rejected with exit 2 and a message, before any
@@ -384,6 +417,9 @@ def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, request, argv):
 
     monkeypatch.setattr(sim, "initialize", spy)
     prefix = "error: "
+    if argv[0] == "args":
+        prefix += argv[1]
+        argv = argv[2:]
     if argv[0] == "file":
         if len(argv) > 3:
             prefix += argv[3]
@@ -565,6 +601,45 @@ def test_csv_edge_values_match_repr():
                  columns)
 
 
+def _bits(pattern):
+    """The float64 whose bits are the 64-bit integer pattern."""
+    return np.array([pattern], dtype=np.uint64).view(np.float64)[0].item()
+
+
+def _near(anchor):
+    """Values within 1000 ulps of +-anchor."""
+    base = int(np.array([anchor]).view(np.uint64)[0])
+    return st.builds(lambda k, sign: sign * _bits(base + k),
+                     st.integers(-1000, 1000), st.sampled_from([1.0, -1.0]))
+
+
+# the magnitudes where repr's layout changes (1e-05 vs 0.0001, 1e+16 vs
+# 1e15 in full) or its exponent takes a padding zero (1e-06 to 1e-09)
+_LAYOUT_EDGES = (1e-10, 1e-9, 1e-6, 1e-5, 1e-4, 1e15, 1e16)
+
+_float64s = st.one_of(
+    st.integers(0, 2**64 - 1).map(_bits),
+    *map(_near, _LAYOUT_EDGES),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+    # NaNs with any payload and either sign
+    st.builds(lambda payload, sign: _bits(sign | 0x7FF0000000000000 | payload),
+              st.integers(1, 2**52 - 1), st.sampled_from([0, 1 << 63])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_float64s, min_size=1, max_size=48),
+       ints=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=8))
+def test_csv_matches_repr_on_any_float64(values, ints):
+    """_csv on float columns that cross a block boundary, beside an int
+    column, writes every row as the repr of its Python numbers."""
+    from synchrolens import cli
+    n = cli._CSV_BLOCK + 5
+    floats = np.resize(np.array(values), (3, n))
+    columns = [*floats, np.resize(np.array(ints, dtype=np.int64), n)]
+    _assert_rows(cli._csv(["a", "b", "c", "mask"], columns), columns)
+
+
 def test_csv_held_stretch_matches_reference(builtin_run):
     """gfl_seriescomp is held at its equilibrium from t = 5.27 s on, so
     almost every state cell there repeats the one above and the writers
@@ -648,6 +723,25 @@ def test_failed_write_leaves_nothing_behind(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("i/o failure: ")
     assert len(calls) == 2
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_directory_in_the_way_replaces_nothing(tmp_path, capsys):
+    """A directory named like one of a run's outputs exits 4 before any
+    rename, so an earlier run's other two files stay byte for byte and no
+    staged file is left."""
+    out = tmp_path / "out"
+    assert run_cli(*_RUN, "--t-end", "1.5", "--out", str(out)) == 0
+    (out / "smib_chi.csv").unlink()
+    (out / "smib_chi.csv").mkdir()
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    assert sorted(before) == ["smib_report.json", "smib_traj.csv"]
+    capsys.readouterr()
+    assert run_cli(*_RUN, "--t-end", "2.0", "--out", str(out)) == 4
+    assert capsys.readouterr().err.startswith("i/o failure: ")
+    assert sorted(os.listdir(out)) == ["smib_chi.csv", "smib_report.json",
+                                       "smib_traj.csv"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()
+            if p.is_file()} == before
 
 
 def test_traj_csv_is_written_before_the_chi_analysis(tmp_path, capsys,
@@ -1335,6 +1429,43 @@ def test_pool_modules_load_only_for_a_pool(tmp_path):
                            for line in done.stdout.splitlines()]
     assert in_process == [[None, []], [0, []], [0, []]]
     assert pooled[0] == 0 and "concurrent.futures.process" in pooled[1]
+
+
+# Run in a fresh interpreter: argv[1:] is one CLI invocation per ';'-joined
+# argument list.  Prints, after the import and after each invocation, its
+# exit code and whether orjson is loaded, one JSON line each; the
+# invocations' own output is dropped.
+_ORJSON_PROBE = """
+import contextlib, io, json, sys
+from synchrolens.cli import main
+
+print(json.dumps([None, "orjson" in sys.modules]))
+for call in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(call.split(";"))
+    print(json.dumps([code, "orjson" in sys.modules]))
+"""
+
+
+def test_orjson_loads_only_to_write_a_csv(tmp_path):
+    """Importing the CLI, list and a one-point sweep leave orjson unloaded;
+    a run, which writes two CSVs, loads it."""
+    path = _scenario_file(tmp_path, "smib", {"t_end = 12.0": "t_end = 2.0"})
+    out = str(tmp_path / "out")
+    calls = [("list",),
+             ("sweep", "--file", path, "--from", "1.12", "--to", "1.12",
+              "--step", "0.01", "--out", out),
+             ("run", "--builtin", "smib", "--t-end", "0.2", "--out", out)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", _ORJSON_PROBE]
+                          + [";".join(call) for call in calls],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert [json.loads(line) for line in done.stdout.splitlines()] == [
+        [None, False], [0, False], [0, False], [0, True]]
 
 
 def _strict_json(text):
