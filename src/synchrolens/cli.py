@@ -32,8 +32,10 @@ from .synccheck import (DEFAULT_EPSILON, DEFAULT_SETTLE, DEFAULT_TAIL_TOL,
 _CSV_BLOCK = 256
 # characters encoded per write, so a file's bytes never exist whole
 _WRITE_CHUNK = 1 << 20
-# an exponent of -6 to -9 as orjson writes it, which repr pads to two digits
-_SHORT_EXPONENT = re.compile(rb"e-([6-9])(?=[,\]])")
+# an exponent of -6 to -9 as orjson writes it, which repr pads to two
+# digits; a literal replacement keeps re.sub from expanding a template per
+# match, which took about 0.1 s on gfl_seriescomp's chi CSV
+_SHORT_EXPONENT = re.compile(rb"e-(?=[6-9][,\]])")
 
 
 def _json(value):
@@ -122,7 +124,7 @@ def _csv_rows(dumps, block):
             cells[:, j] = col
     data = dumps(cells.tolist())
     del values, odd, cells   # before the copies below
-    data = _SHORT_EXPONENT.sub(rb"e-0\1", data)
+    data = _SHORT_EXPONENT.sub(b"e-0", data)
     data = data.replace(b'"', b"").replace(b"],[", b"\n")
     # decoded through a view: one more block-sized copy (data[2:-2]) raised
     # the peak RSS of a second kundur run in one process by 11-14 MB
