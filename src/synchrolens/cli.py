@@ -99,36 +99,56 @@ def _csv(header, columns):
     text = ",".join(header)
     for start in range(0, len(columns[0]), _CSV_BLOCK):
         text += "\n"
-        text += _csv_rows(orjson.dumps,
+        text += _csv_rows(orjson,
                           [col[start:start + _CSV_BLOCK] for col in columns])
     text += "\n"
     return text
 
 
-def _csv_rows(dumps, block):
-    """Rows of one block of columns, serialized by `dumps` (orjson.dumps).
-    orjson writes the shortest round-trip digits that repr writes, and is
-    far faster; its layout differs in a few cells, which get repr's text,
-    and in short negative exponents.  These layout rules were checked
-    against orjson 3.8.3; test_csv_matches_repr_on_any_float64 checks
-    them against the installed version."""
+def _csv_rows(orjson, block):
+    """Rows of one block of columns, serialized by orjson.dumps.  orjson
+    writes the shortest round-trip digits that repr writes, and is far
+    faster; its layout differs in short negative exponents, in the
+    1e-5 <= |x| < 1e-4 cells, which get their digits moved to repr's
+    layout, and in a few cells, which get repr's text.  A block with none
+    of those cells and no int column is written from its array.  These
+    layout rules were checked against orjson 3.8.3;
+    test_csv_matches_repr_on_any_float64 checks them against the installed
+    version."""
     values = np.stack(block, axis=1)
     mag = np.abs(values)
-    # orjson writes nan and inf as null, 1e-05 as 0.00001 and 1e+16 as 1e16
-    odd = ~(mag < 1e16) | ((mag >= 1e-5) & (mag < 1e-4))
+    # orjson writes nan and inf as null and 1e+16 as 1e16
+    odd = ~(mag < 1e16)
+    # and 1.5e-05 as 0.000015
+    small = (mag >= 1e-5) & (mag < 1e-4)
     del mag
-    cells = values.astype(object)
-    cells[odd] = list(map(repr, values[odd].tolist()))
-    for j, col in enumerate(block):
-        if col.dtype.kind != "f":
-            cells[:, j] = col
-    data = dumps(cells.tolist())
-    del values, odd, cells   # before the copies below
+    ints = [j for j, col in enumerate(block) if col.dtype.kind != "f"]
+    if ints or odd.any() or small.any():
+        cells = values.astype(object)
+        cells[odd] = list(map(repr, values[odd].tolist()))
+        if small.any():
+            cells[small] = _small_cells(orjson.dumps(values[small].tolist()))
+        for j in ints:
+            cells[:, j] = block[j]
+        data = orjson.dumps(cells.tolist())
+        del cells
+    else:
+        data = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    del values, odd, small   # before the copies below
     data = _SHORT_EXPONENT.sub(b"e-0", data)
     data = data.replace(b'"', b"").replace(b"],[", b"\n")
     # decoded through a view: one more block-sized copy (data[2:-2]) raised
     # the peak RSS of a second kundur run in one process by 11-14 MB
     return str(memoryview(data)[2:-2], "ascii")
+
+
+def _small_cells(data):
+    """repr's text of the cells of a JSON list that orjson wrote, each with
+    1e-5 <= |x| < 1e-4: 0.000015 becomes 1.5e-05, and 0.00001 1e-05."""
+    for digit in b"123456789":
+        data = data.replace(b"0.0000%c" % digit, b"%c." % digit)
+    data = data.replace(b".,", b",").replace(b".]", b"]")
+    return str(data[1:-1].replace(b",", b"e-05,") + b"e-05", "ascii").split(",")
 
 
 def _traj_csv(result):

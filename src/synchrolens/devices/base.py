@@ -8,9 +8,8 @@ residual stays in Python numbers, several times cheaper than numpy 0-d
 scalars.  The chi side (``*_admittance_cf``) evaluates the recorded arrays:
 states of shape (n, k) and v, i of shape (n,).  Helpers both sides share
 read states by index (a sample list, or the columns ``states.T``) and
-exponentiate with ``cexp``.  Python rounds complex quotients differently from
-numpy, so the DAE side divides complexes with ``cdiv``, which rounds as numpy
-does and keeps every output bit of the numpy formulation.  Each model's
+exponentiate with ``cexp``.  The DAE side divides with Python's own ``/``,
+which keeps a quotient of Python numbers a Python number.  Each model's
 module declares its device kinds (``Declaration``) with their ``Adapter``.
 """
 
@@ -44,22 +43,6 @@ def any_sample(mask) -> bool:
 def cexp(z):
     """exp(z): cmath for a number, numpy for an array."""
     return np.exp(z) if isinstance(z, np.ndarray) else cmath.exp(z)
-
-
-def cdiv(a, b):
-    """a / b for complex (or real) numbers, rounded as numpy rounds it.
-
-    numpy divides by Smith's method with a reciprocal, Python without one,
-    so their quotients differ in the last bit for about 40% of operands.
-    """
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    if abs(br) >= abs(bi):
-        rat = bi / br
-        scl = 1.0 / (br + bi * rat)
-        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
-    rat = br / bi
-    scl = 1.0 / (bi + br * rat)
-    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
 
 
 def to_machine_frame(z_net, delta):

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..cf import MIN_MAG
 from ..errors import ParamDomain
-from .base import Adapter, Declaration, DeviceKind, cdiv, cexp, param_keys
+from .base import Adapter, Declaration, DeviceKind, cexp, param_keys
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -68,8 +68,8 @@ def _pll_deviation(x, params: GflParams, v_q):
 def _current_pll(x, params: GflParams, v_pll):
     """Injected current in the PLL frame from the filter algebraic relation."""
     m = gfl_modulation(x, params)
-    return cdiv(m * params.v_dc0 - (1.0 + params.z_f * params.y_f) * v_pll,
-                params.z_f)
+    return ((m * params.v_dc0 - (1.0 + params.z_f * params.y_f) * v_pll)
+            / params.z_f)
 
 
 def _modulation_rates(x, params: GflParams, m, m2, i_pll):
@@ -180,7 +180,7 @@ def gfm_fg(states, params: GfmParams, v):
     network frame and machine base)."""
     p = params
     x = states
-    i = cdiv(gfm_emf(x) - v, p.z_t)
+    i = (gfm_emf(x) - v) / p.z_t
     v_mag = abs(v)
     power = (v * i.conjugate()).real
     deriv = [_emf_rate(x, p, v_mag),

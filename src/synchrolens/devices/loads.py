@@ -8,7 +8,7 @@ import numpy as np
 
 from ..cf import MIN_MAG
 from ..errors import ParamDomain, VoltageTooSmall
-from .base import Adapter, Declaration, DeviceKind, cdiv, param_keys
+from .base import Adapter, Declaration, DeviceKind, param_keys
 
 _SHARE_TOL = 1e-9
 
@@ -51,7 +51,7 @@ def zip_voltage_magnitude(v):
 def zip_injection(params: ZipParams, v):
     """Current injected into the network (the negative of the drawn current)."""
     p, q = zip_power(params, zip_voltage_magnitude(v))
-    return -cdiv(1j * q + p, v).conjugate()
+    return -((1j * q + p) / v).conjugate()
 
 
 def zip_shunt_current(y_l, v):

@@ -66,8 +66,7 @@ def im_power(params: ImParams, sigma: float, v_mag: float):
 
 def im_admittance(params: ImParams, sigma):
     """Complex admittance seen from the terminals at slip sigma."""
-    # z is a Python complex (1j*x comes first), so its quotient keeps the
-    # bits of numpy's without cdiv
+    # 1j*x comes first, so z is a Python complex even for a numpy-float sigma
     z = 1j * params.x + _rotor_r(params, sigma)
     return 1.0 / (1j * params.x_mu) + 1.0 / z
 

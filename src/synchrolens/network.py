@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .devices.base import cdiv
 from .errors import NewtonDivergence, PfDivergence
 
 
@@ -219,11 +218,11 @@ def dynamic_branch_derivatives(state, branch: Branch, v_from, v_to, omega_b):
     so is the returned list.
     """
     i_b, v_c = state
-    di = cdiv(omega_b * (v_from - v_to - complex(branch.r, branch.x) * i_b - v_c),
-              branch.x)
+    di = (omega_b * (v_from - v_to - complex(branch.r, branch.x) * i_b - v_c)
+          / branch.x)
     if branch.x_c > 0.0:
         c = 1.0 / branch.x_c
-        dv_c = cdiv(omega_b * (i_b - 1j * c * v_c), c)
+        dv_c = omega_b * (i_b - 1j * c * v_c) / c
     else:
         dv_c = -omega_b * v_c   # unused state decays to zero
     return [di, dv_c]

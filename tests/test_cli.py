@@ -228,6 +228,23 @@ _RUN = ("run", "--builtin", "smib")
     pytest.param(_device_edit("gfm_probe",
                               {"t_v = 0.02": "t_v = 0.02\nt_p = -0.02"}, "F1"),
                  id="gfm-power-lag-negative"),
+    # the guards in front of the converters' divisors
+    pytest.param(_rule_edit("gfl_seriescomp", {"z_f_r = 0.005": "z_f_r = 0.0",
+                                               "z_f_x = 0.15": "z_f_x = 0.0"},
+                            "C1: filter impedance must be nonzero"),
+                 id="gfl-filter-impedance-zero"),
+    pytest.param(_rule_edit("gfl_seriescomp", {"t_m = 0.002": "t_m = 0.0"},
+                            "C1: current-measurement time constant must be "
+                            "positive"),
+                 id="gfl-current-lag-zero"),
+    pytest.param(_rule_edit("gfm_probe", {"z_t_r = 0.01": "z_t_r = 0.0",
+                                          "z_t_x = 0.2": "z_t_x = 0.0"},
+                            "F1: coupling impedance must be nonzero"),
+                 id="gfm-coupling-impedance-zero"),
+    pytest.param(_rule_edit("gfm_probe", {"t_v = 0.02": "t_v = 0.0"},
+                            "F1: voltage-measurement time constant must be "
+                            "positive"),
+                 id="gfm-voltage-lag-zero"),
     pytest.param(_smib_edit("[sim]", "[expect.NOSUCH]\nals = banana\n\n[sim]"),
                  id="expect-section"),
     pytest.param(_device_edit("kundur", {"slack_device = G3":
@@ -566,7 +583,9 @@ def test_csv_edge_values_match_repr():
     -0.0 == 0.0), NaNs with two payloads and a sign bit (all print nan),
     infinities, the smallest subnormal, a constant column, runs that end
     at rows 255, 256 and 257, columns read through a complex array's
-    strided .real/.imag views, and an int mask column."""
+    strided .real/.imag views, cells in 1e-5 <= |x| < 1e-4 with one digit
+    and with several (a one-digit one last in each full block), and an int
+    mask column."""
     from synchrolens import cli
     block = cli._CSV_BLOCK
     n = 3 * block + 5
@@ -595,6 +614,7 @@ def test_csv_edge_values_match_repr():
         np.repeat(rng.random(n), 2)[:n],
         *[np.where(rows <= end, 1 / 3, 2 / 3)
           for end in (block - 1, block, block + 1)],
+        np.resize([1.5e-5, -3e-5, 9.999999999999999e-05, 1e-5], n),
         (rows % 3 == 0).astype(int),
     ]
     _assert_rows(cli._csv([f"c{k}" for k in range(len(columns))], columns),
@@ -632,19 +652,25 @@ _float64s = st.one_of(
        ints=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=8))
 def test_csv_matches_repr_on_any_float64(values, ints):
     """_csv on float columns that cross a block boundary, beside an int
-    column, writes every row as the repr of its Python numbers."""
+    column and alone, writes every row as the repr of its Python numbers.
+    Float columns without the cells whose layout orjson writes otherwise
+    (1e-5 <= |x| < 1e-4, |x| >= 1e16, nan) are written from their array."""
     from synchrolens import cli
     n = cli._CSV_BLOCK + 5
-    floats = np.resize(np.array(values), (3, n))
+    floats = list(np.resize(np.array(values), (3, n)))
     columns = [*floats, np.resize(np.array(ints, dtype=np.int64), n)]
     _assert_rows(cli._csv(["a", "b", "c", "mask"], columns), columns)
+    _assert_rows(cli._csv(["a", "b", "c"], floats), floats)
+    plain = [v for v in values if abs(v) < 1e-5 or 1e-4 <= abs(v) < 1e16]
+    if plain:
+        floats = list(np.resize(np.array(plain), (2, n)))
+        _assert_rows(cli._csv(["a", "b"], floats), floats)
 
 
 def test_csv_held_stretch_matches_reference(builtin_run):
     """gfl_seriescomp is held at its equilibrium from t = 5.27 s on, so
-    almost every state cell there repeats the one above and the writers
-    format it once per run; both CSVs still equal a writer that formats
-    every cell."""
+    almost every state cell there repeats the one above; both CSVs equal a
+    writer that formats every cell as the repr of its Python number."""
     from synchrolens import cli
     from synchrolens.synccheck import analytic_chi_all, numeric_chi
     scenario, result, _ = builtin_run("gfl_seriescomp")

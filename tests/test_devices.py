@@ -19,7 +19,7 @@ from synchrolens.devices import (GflParams, GfmParams, ImParams, SmParams,
                                  zip_shunt_current)
 from synchrolens.errors import (InitInfeasible, ParamDomain, SlipSingular,
                                 VoltageTooSmall)
-from synchrolens.devices.base import DeviceKind, cdiv
+from synchrolens.devices.base import DeviceKind
 from synchrolens.devices.machine import SmAdapter, _stator_current
 from synchrolens.network import (Branch, dynamic_branch_derivatives,
                                  dynamic_branch_init)
@@ -654,27 +654,3 @@ def test_kernels_return_python_numbers(case):
         if inj is not None:
             assert type(inj) is complex
 
-
-def test_cdiv_rounds_like_numpy():
-    """cdiv against numpy's complex quotient on 10,000 draws spanning six
-    decades: complex divisors with |real| > |imag| and with |imag| > |real|,
-    real divisors and real numerators.  Python's own quotient differs on a
-    large share of them, so a plain '/' in place of cdiv fails here."""
-    rng = np.random.default_rng(61)
-    parts = (rng.normal(size=(10_000, 4))
-             * 10.0 ** rng.uniform(-3.0, 3.0, (10_000, 4)))
-    python_differs = 0
-    for k, (ar, ai, br, bi) in enumerate(parts.tolist()):
-        a = complex(ar, ai) if k % 5 else ar
-        if k % 4 == 0:
-            b = br                                    # real divisor
-        elif k % 4 == 1:
-            b = complex(max(br, bi, key=abs), min(br, bi, key=abs))
-        else:
-            b = complex(min(br, bi, key=abs), max(br, bi, key=abs))
-        expected = np.complex128(a) / np.complex128(b)
-        got = cdiv(a, b)
-        assert type(got) is complex
-        assert _bits(got) == _bits(expected), (a, b)
-        python_differs += _bits(a / b) != _bits(expected)
-    assert python_differs > 2_000

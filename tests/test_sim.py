@@ -224,8 +224,8 @@ def test_smib_pole_slip_residual_evaluations_bounded():
     ("kundur", 41_500)])
 def test_residual_evaluations_bounded(builtin_run, name, ceiling):
     """A full built-in run's residual_evaluations, the report's count of
-    stepper fg calls, stays below its ceiling (21,247, 42,315, 8,873 and
-    41,963 from a fixed six-point predictor)."""
+    stepper fg calls, stays below its ceiling (20,186, 39,295, 7,529 and
+    41,316 from the predictor PredictorLength sizes)."""
     _, result, _ = builtin_run(name)
     assert result.diagnostics["residual_evaluations"] <= ceiling
 
@@ -520,7 +520,8 @@ def test_disconnect_event_zeroes_current(builtin_run):
 def test_recorded_currents_equal_injections(builtin_run, name):
     """The recorder reuses the stepper's injections at the accepted iterate;
     they must be bitwise what each device's inj gives at the recorded
-    states and voltages."""
+    states and voltages, handed over as the stepper hands them: a list of
+    Python floats and a Python complex."""
     scenario, result, _ = builtin_run(name)
     dae, _ = initialize(scenario)
     for a in dae.adapters:
@@ -529,8 +530,9 @@ def test_recorded_currents_equal_injections(builtin_run, name):
         v = result.voltages[a.bus]
         states = result.states.get(a.id)
         for k in np.flatnonzero(result.active[a.id]):
-            expected = a.inj(result.t[k], None if states is None else states[k],
-                             v[k])
+            expected = a.inj(result.t[k],
+                             None if states is None else states[k].tolist(),
+                             complex(v[k]))
             got = result.currents[a.id][k]
             assert (got.real.tobytes(), got.imag.tobytes()) == (
                 np.float64(expected.real).tobytes(),
@@ -1027,7 +1029,7 @@ def test_accepted_step_hands_on_its_points_f(monkeypatch):
 
 
 def test_held_tail_is_fast_forwarded_in_one_call(monkeypatch):
-    """gfl_seriescomp is held from step 26,288 (t = 5.2576 s) on.  Its first
+    """gfl_seriescomp is held from step 26,349 (t = 5.2698 s) on.  Its first
     held step leaves dae.last as it is, so one fast_forward call skips the
     rest of a run to 6 s or one step further, and leaves the f of dae.last
     and the differences with the bits of stepping every held step."""
@@ -1037,7 +1039,7 @@ def test_held_tail_is_fast_forwarded_in_one_call(monkeypatch):
         calls, stepper = _assert_fast_forward_invisible(monkeypatch, scenario,
                                                         config)
         n_steps = round(t_end / config.dt)
-        assert [m for m in calls if m] == [4998, n_steps - 26288]
+        assert [m for m in calls if m] == [4998, n_steps - 26349]
         assert stepper._held is True
 
 
