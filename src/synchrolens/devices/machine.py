@@ -105,13 +105,12 @@ def sm4_params(x1_d, x1_q, **keys):
                     t2_d0=0.0, t2_q0=0.0, **keys)
 
 
-def sm2_params(x1_d, x_l=None, **keys):
+def sm2_params(x1_d, **keys):
     """Classical machine: every reactance x'_d, r_s = 0, no time constants;
-    x_l, which only the domain check reads, is x'_d/2 unless given."""
-    x_l = 0.5 * x1_d if x_l is None else x_l
+    x_l, which only the domain check reads, is x'_d/2."""
     return SmParams(order=2, x_d=x1_d, x_q=x1_d, x1_d=x1_d, x1_q=x1_d,
-                    x2_d=x1_d, x2_q=x1_d, x_l=x_l, t1_d0=0.0, t1_q0=0.0,
-                    t2_d0=0.0, t2_q0=0.0, **keys)
+                    x2_d=x1_d, x2_q=x1_d, x_l=0.5 * x1_d, t1_d0=0.0,
+                    t1_q0=0.0, t2_d0=0.0, t2_q0=0.0, **keys)
 
 
 def _emf_components(x, params):
@@ -168,9 +167,8 @@ def sm_flux_rates(x, params, i_d, i_q, v_f):
 
 
 def _emf_rates(x, params, i_d, i_q, v_f):
-    """d/dt of E''_d and E''_q, 1/s.  Independent of tau_m."""
-    if params.order == 2:
-        return 0.0, 0.0
+    """d/dt of E''_d and E''_q for orders 4 and 6, 1/s.  Independent of
+    tau_m."""
     rates = sm_flux_rates(x, params, i_d, i_q, v_f)
     if params.order == 4:
         de1_d, de1_q = rates

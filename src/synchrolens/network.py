@@ -102,13 +102,11 @@ class Network:
         return (br for br in self.branches
                 if not br.dynamic and self.in_service[br.id])
 
-    def dynamic_branches(self, in_service_only=True):
-        for br in self.branches:
-            if not br.dynamic:
-                continue
-            if in_service_only and not self.in_service[br.id]:
-                continue
-            yield br
+    def dynamic_branches(self):
+        """Every dynamic branch, in service or not.  The power-flow
+        equivalent (assemble_y's include_dynamic_equivalent) is built on the
+        t = 0 network, where every branch is in service."""
+        return (br for br in self.branches if br.dynamic)
 
     def split_branch_for_fault(self, branch_id):
         """Replace a static branch with two half-impedance segments.

@@ -15,43 +15,22 @@ from ..network import Branch, Bus, Event, EventKind
 from .circuit import ANALYTIC_KIND
 from .model import DeviceSpec, Scenario
 
-BUILTIN_NAMES = ("circuit_dc", "smib", "kundur", "motor_condenser",
-                 "gfl_seriescomp", "sustained_oscillation")
-
-_DESCRIPTIONS = {
-    "circuit_dc": "stationary current injection against a nominal-frequency "
-                  "grid: bounded waveforms, no average power, chi stuck near "
-                  "1 pu (stable but never locally synchronous)",
-    "smib": "classical machine vs infinite bus; fault on one of two parallel "
-            "lines cleared by opening it (clearing-time dichotomy)",
-    "kundur": "two-area four-machine system; tie-line fault separates the "
-              "areas while every device stays locally synchronous",
-    "motor_condenser": "induction motor whose condenser trips: rides through "
-                       "at 0.9 pu torque, stalls at 1.0 pu",
-    "gfl_seriescomp": "grid-following converter behind a series-compensated "
-                      "weak line: poorly damped resonance after fault "
-                      "clearing, eventual local synchronization",
-    "sustained_oscillation": "bounded forced oscillation (torque modulation) "
-                             "that never satisfies bounded local "
-                             "synchronization at tight tolerance",
-}
-
 
 def builtin_names():
-    return BUILTIN_NAMES
+    return tuple(_BUILTINS)
 
 
 def builtin_description(name):
-    return _DESCRIPTIONS[name]
+    return _BUILTINS[name][1]
 
 
 def build_builtin(name: str) -> Scenario:
     """Fully parameterized built-in scenario by name."""
     try:
-        builder = _BUILDERS[name]
+        builder, _ = _BUILTINS[name]
     except KeyError:
         raise UnknownScenario(
-            f"unknown builtin {name!r}; choose from {', '.join(BUILTIN_NAMES)}")
+            f"unknown builtin {name!r}; choose from {', '.join(_BUILTINS)}")
     return builder().validate()
 
 
@@ -224,11 +203,27 @@ def _sustained_oscillation() -> Scenario:
     )
 
 
-_BUILDERS = {
-    "circuit_dc": _circuit_dc,
-    "smib": _smib,
-    "kundur": _kundur,
-    "motor_condenser": _motor_condenser,
-    "gfl_seriescomp": _gfl_seriescomp,
-    "sustained_oscillation": _sustained_oscillation,
+# name -> (builder, description), in catalogue order
+_BUILTINS = {
+    "circuit_dc": (_circuit_dc,
+                   "stationary current injection against a nominal-frequency "
+                   "grid: bounded waveforms, no average power, chi stuck near "
+                   "1 pu (stable but never locally synchronous)"),
+    "smib": (_smib,
+             "classical machine vs infinite bus; fault on one of two parallel "
+             "lines cleared by opening it (clearing-time dichotomy)"),
+    "kundur": (_kundur,
+               "two-area four-machine system; tie-line fault separates the "
+               "areas while every device stays locally synchronous"),
+    "motor_condenser": (_motor_condenser,
+                        "induction motor whose condenser trips: rides through "
+                        "at 0.9 pu torque, stalls at 1.0 pu"),
+    "gfl_seriescomp": (_gfl_seriescomp,
+                       "grid-following converter behind a series-compensated "
+                       "weak line: poorly damped resonance after fault "
+                       "clearing, eventual local synchronization"),
+    "sustained_oscillation": (_sustained_oscillation,
+                              "bounded forced oscillation (torque modulation) "
+                              "that never satisfies bounded local "
+                              "synchronization at tight tolerance"),
 }

@@ -182,11 +182,8 @@ def load_scenario(text: str) -> Scenario:
 
 
 def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """A number as load_scenario reads it back, a numpy float included."""
+    return repr(float(value))
 
 
 def serialize_scenario(scenario: Scenario) -> str:

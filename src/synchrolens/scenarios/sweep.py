@@ -19,9 +19,7 @@ class SweepPoint:
     t_clear: float
     stable: bool | None           # None when the run itself failed
     als_pass: bool | None
-    als_tail_max: float | None
     max_swing: float | None = None   # largest |delta - delta0| of the device, rad
-    im_chi_5s: float | None = None   # sup |Im chi| within 5 s of clearing
     error: str = ""
 
 
@@ -64,14 +62,12 @@ def _run_point(args):
         if "delta" in names:
             delta = run.states[device_id][:, names.index("delta")]
             swing = float(np.abs(delta - delta[0]).max())
-        window = (chi.t > t_clear) & (chi.t <= t_clear + 5.0) & chi.mask
-        im_5s = float(np.abs(chi.values[window].imag).max()) if window.any() else None
         return SweepPoint(t_clear, not system_unstable(run),
-                          verdict.als.passed, verdict.als.tail_max, swing, im_5s)
+                          verdict.als.passed, swing)
     except USAGE_ERRORS:
         raise   # an input error holds at every clearing time
     except SynchroLensError as exc:
-        return SweepPoint(t_clear, None, None, None, error=str(exc))
+        return SweepPoint(t_clear, None, None, error=str(exc))
 
 
 def cct_sweep(scenario: Scenario, t_from: float, t_to: float, step: float,

@@ -189,7 +189,7 @@ class PowerSystemDae:
         self.omega_b = network.omega_b
         self.vsrc = [a for a in adapters if a.kind is DeviceKind.VOLTAGE_SOURCE]
         self.stateful = [a for a in adapters if a.n_states > 0]
-        self.dyn_branches = list(network.dynamic_branches(in_service_only=False))
+        self.dyn_branches = list(network.dynamic_branches())
         self.slices = {}
         pos = 0
         for a in self.stateful:

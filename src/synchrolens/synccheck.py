@@ -165,9 +165,9 @@ def check_bls(chi: ChiSeries, t0: float, epsilon: float,
     return BlsCheck(sup < epsilon, epsilon, sup, (start, t_end))
 
 
-def _envelope_slope(t, norm, n_bins=8):
-    """Least-squares slope of log10 sub-window maxima, 1/s."""
-    edges = np.linspace(t[0], t[-1], n_bins + 1)
+def _envelope_slope(t, norm):
+    """Least-squares slope of log10 maxima over 8 equal sub-windows, 1/s."""
+    edges = np.linspace(t[0], t[-1], 8 + 1)
     xs, ys = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         sel = (t >= a) & (t <= b)
@@ -250,10 +250,7 @@ def evaluate_device(result: SimResult, device_id: str, chi: ChiSeries,
     als = check_als(chi, tail_tol, DEFAULT_TAIL_WINDOW)
     first = np.flatnonzero(chi.mask)
     chi_t0 = float(np.abs(chi.values[first[0]])) if len(first) else None
-    notes = ""
-    if not result.active[device_id][-1]:
-        notes = "device disconnected during the run; verdict covers active span"
-    return SyncVerdict(device_id, bls, als, chi_t0, notes)
+    return SyncVerdict(device_id, bls, als, chi_t0)
 
 
 def angle_spread(result: SimResult):

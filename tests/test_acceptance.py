@@ -15,7 +15,7 @@ from synchrolens.scenarios import build_builtin, builtin_names, cct_sweep
 from synchrolens.sim import SimConfig, run_simulation
 from synchrolens.synccheck import (ORACLE_MAX_TOL, ORACLE_RMS_TOL,
                                    analytic_chi_all, angle_spread,
-                                   crosscheck_chi, evaluate_device,
+                                   check_als, crosscheck_chi, evaluate_device,
                                    numeric_chi, system_unstable)
 
 RMS_TOL = 1e-3
@@ -72,21 +72,35 @@ def test_criterion_2_zip_closed_forms(zip_probe_run):
             f"Z={err_z:.2e}, I={errs['Il']:.2e}, P={errs['Pl']:.2e}")
 
 
-def test_criterion_3_smib_clearing_time_dichotomy():
+def test_criterion_3_smib_clearing_time_dichotomy(monkeypatch):
     """One monotone boundary in [1.05, 1.25]; the boundary is pinned."""
+    chis = []   # a one-process sweep computes one chi per point, in order
+
+    def recording(result, device_id):
+        chis.append(numeric_chi(result, device_id))
+        return chis[-1]
+
+    monkeypatch.setattr("synchrolens.synccheck.numeric_chi", recording)
     scenario = build_builtin("smib")
     sweep = cct_sweep(scenario, 1.05, 1.25, 0.01, tail_tol=TAIL_TOL)
     assert all(p.error == "" for p in sweep.points)
+    assert len(chis) == len(sweep.points)
     flags = [p.als_pass for p in sweep.points]
     transitions = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
     boundary = (sweep.last_passing, sweep.first_failing)
     boundary_ok = (sweep.monotone and transitions == 1
                    and boundary == (1.12, 1.13))
 
-    tails_ok = all(p.als_tail_max <= TAIL_TOL
-                   for p in sweep.points if p.als_pass)
+    tails_ok = all(check_als(chi, TAIL_TOL).tail_max <= TAIL_TOL
+                   for p, chi in zip(sweep.points, chis) if p.als_pass)
+
     # divergence side: Im chi beyond 1 pu within 5 s of clearing
-    im_ok = all(p.im_chi_5s > 1.0 for p in sweep.points if not p.als_pass)
+    def im_chi_5s(t_clear, chi):
+        window = (chi.t > t_clear) & (chi.t <= t_clear + 5.0) & chi.mask
+        return float(np.abs(chi.values[window].imag).max())
+
+    im_ok = all(im_chi_5s(p.t_clear, chi) > 1.0
+                for p, chi in zip(sweep.points, chis) if not p.als_pass)
     _report(3, boundary_ok and tails_ok and im_ok,
             f"boundary={boundary}, monotone={sweep.monotone}, "
             f"tails_ok={tails_ok}, divergence_ok={im_ok}")
@@ -269,8 +283,7 @@ def test_criterion_10_model_reduction_chain():
         omega_r = 1.0 + rng.normal(0.0, 0.01)
         e_q = abs(rng.normal(1.05, 0.1)) + 0.2
         s4 = np.array([delta, omega_r, 0.0, e_q])
-        p2 = sm2_params(x1_d=0.3, m=7.0, d=0.0, omega_b=omega_b, x_l=0.15,
-                        e_q0=e_q)
+        p2 = sm2_params(x1_d=0.3, m=7.0, d=0.0, omega_b=omega_b, e_q0=e_q)
         i_net = sm_current(s4, p4c, v)
         if abs(i_net) < 1e-3:
             continue

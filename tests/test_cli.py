@@ -103,7 +103,8 @@ def _device_edit(name, edits, device):
 
 
 def _rule_edit(name, edits, message):
-    """A file case whose error message must begin with message."""
+    """A file case whose error message must begin with message; arguments
+    appended to it give the command in place of `run`."""
     return ("file", name, edits, message)
 
 
@@ -418,6 +419,37 @@ _RUN = ("run", "--builtin", "smib")
     pytest.param(_cli_rule("sweep needs --from, --to and --step",
                            *_SWEEP, "--from", "1.10", "--to", "1.11"),
                  id="sweep-without-step"),
+    pytest.param(_rule_edit("motor_condenser", {"x1_q = 0.55": "x1_q = 1.9"},
+                            "SC1: q-axis reactances must satisfy"),
+                 id="machine-q-axis-reactance-order"),
+    pytest.param(_rule_edit("motor_condenser", {"t1_d0 = 8.0": "t1_d0 = 0.0"},
+                            "SC1: transient time constants must be positive"),
+                 id="machine-transient-time-constant-zero"),
+    pytest.param(_rule_edit("motor_condenser",
+                            {"kind = sm4": "kind = sm6",
+                             "x_l = 0.2": "x_l = 0.2\nx2_d = 0.25\n"
+                                          "x2_q = 0.25\nt2_d0 = 0.0\n"
+                                          "t2_q0 = 0.05"},
+                            "SC1: subtransient time constants must be "
+                            "positive"),
+                 id="machine-subtransient-time-constant-zero"),
+    pytest.param(_rule_edit("motor_condenser", {"r_s = 0.01": "r_s = -0.01"},
+                            "M1: stator resistance cannot be negative"),
+                 id="motor-stator-resistance-negative"),
+    pytest.param(_rule_edit("kundur", {"p0 = 10.0": "p0 = 10.0\nk_zq = 0.5"},
+                            "Zload7: reactive-power shares must sum to 1"),
+                 id="zip-reactive-shares"),
+    pytest.param(_rule_edit("smib", {"t = 1.0": "t = 0.0"},
+                            "event at t=0.0 must be finite and after t=0"),
+                 id="event-at-t-zero"),
+    pytest.param(_rule_edit("smib", {"d = 5.0": "d = fast"},
+                            "d: expected a finite number, got 'fast'"),
+                 id="number-not-numeric"),
+    pytest.param(_rule_edit("smib", {"monitored = G1": ""},
+                            "no monitored device to sweep on")
+                 + ("sweep", "--from", "1.12", "--to", "1.13", "--step",
+                    "0.01"),
+                 id="sweep-without-monitored-device"),
 ])
 def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, request, argv):
     """Bad settings are rejected with exit 2 and a message, before any
@@ -440,7 +472,8 @@ def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, request, argv):
     if argv[0] == "file":
         if len(argv) > 3:
             prefix += argv[3]
-        argv = ("run", "--file", _scenario_file(tmp_path, *argv[1:3]))
+        command = argv[4:] or ("run",)
+        argv = (*command, "--file", _scenario_file(tmp_path, *argv[1:3]))
     out = tmp_path / "out"
     assert run_cli(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
@@ -751,6 +784,18 @@ def test_failed_write_leaves_nothing_behind(tmp_path, capsys, monkeypatch):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_atomic_write_removes_its_file_when_a_write_raises(tmp_path):
+    """A write that raises after two slices went out (here on a character
+    no encoding holds) removes the new file; the old one stays."""
+    from synchrolens import cli
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        cli._atomic_write(str(path), "x" * (2 << 20) + "\ud800")
+    assert os.listdir(tmp_path) == ["out.csv"]
+    assert path.read_text() == "old\n"
+
+
 def test_directory_in_the_way_replaces_nothing(tmp_path, capsys):
     """A directory named like one of a run's outputs exits 4 before any
     rename, so an earlier run's other two files stay byte for byte and no
@@ -1008,11 +1053,24 @@ def test_run_clear_time_verdicts(tmp_path, capsys):
     assert passing["system"]["instability_angle_separation"] is False
 
     assert run_cli("run", "--builtin", "smib", "--out", str(out),
-                   "--clear-time", "1.13", "--json") == 0
-    failing = json.loads(capsys.readouterr().out)
+                   "--clear-time", "1.13") == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert "  system: angle separation beyond 180 degrees" in summary
+    failing = json.loads((out / "smib_report.json").read_text())
     g1 = next(v for v in failing["verdicts"] if v["device"] == "G1")
     assert g1["als"]["passed"] is False
     assert failing["system"]["instability_angle_separation"] is True
+
+
+def test_run_shorter_than_the_tail_window(tmp_path, capsys):
+    """A run no longer than the ALS tail window gives no verdict for any
+    device, says why in the summary and still exits 0."""
+    assert run_cli("run", "--builtin", "circuit_dc", "--t-end", "3",
+                   "--out", str(tmp_path)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for device in ("VS", "CS"):
+        assert (f"  {device}: not evaluable: tail window 3.0 s exceeds the "
+                "simulated span") in lines
 
 
 def test_run_from_file_round_trip(tmp_path, capsys):
@@ -1084,6 +1142,23 @@ def test_islanded_zip_bus_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "Z1" in err and "t=1.000000s" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_ideal_source_disconnect_floats_its_bus_exit_3(tmp_path, capsys):
+    """Disconnecting gfl_seriescomp's grid source leaves no device to set
+    the voltage of bus GRID; the step stops naming its KCL row and the time,
+    and exits 3."""
+    path = _scenario_file(tmp_path, "gfl_seriescomp",
+                          {"[sim]": "[event.3]\nt = 1.5\n"
+                                    "kind = disconnect_device\ndevice = IB\n"
+                                    "\n[sim]"})
+    out = tmp_path / "out"
+    assert run_cli("run", "--file", path, "--t-end", "2",
+                   "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "worst equation KCL:GRID.re" in err and "t=1.500000s" in err
     assert not out.exists() or not list(out.iterdir())
 
 
@@ -1378,6 +1453,16 @@ def test_run_flags_property(dt, t_end, epsilon, tail_tol, clear_time):
                 "smib_chi.csv", "smib_report.json", "smib_traj.csv"]
 
 
+def test_sweep_json_summary(tmp_path, capsys):
+    """sweep --json prints the boundary and the CSV's path as JSON."""
+    assert run_cli(*_SWEEP, "--from", "1.12", "--to", "1.13", "--step",
+                   "0.01", "--json", "--out", str(tmp_path)) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "scenario": "smib", "device": "G1",
+        "boundary": {"last_passing": 1.12, "first_failing": 1.13},
+        "monotone": True, "output": str(tmp_path / "smib_sweep.csv")}
+
+
 def test_sweep_pool_is_bounded_by_points(tmp_path, capsys, monkeypatch):
     """--workers beyond the number of clearing times starts one process per
     point; a single point runs in-process.  A recording stand-in replaces
@@ -1401,7 +1486,7 @@ def test_sweep_pool_is_bounded_by_points(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         RecordingPool)
     monkeypatch.setattr(sweep, "_run_point", lambda job: sweep.SweepPoint(
-        job[1], True, True, 0.0, 0.1))
+        job[1], True, True, 0.1))
     for t_to in ("1.11", "1.10"):
         assert run_cli(*_SWEEP, "--from", "1.10", "--to", t_to, "--step",
                        "0.01", "--workers", "100000",

@@ -227,8 +227,7 @@ def test_reduction_sm4_to_sm2_100_states():
         omega_r = 1.0 + rng.normal(0.0, 0.01)
         e_q = abs(rng.normal(1.05, 0.1)) + 0.2
         s4 = np.array([delta, omega_r, 0.0, e_q])   # e'_d = 0 on the manifold
-        p2 = sm2_params(x1_d=0.3, m=7.0, d=0.0, omega_b=OMEGA_B, x_l=0.15,
-                        e_q0=e_q)
+        p2 = sm2_params(x1_d=0.3, m=7.0, d=0.0, omega_b=OMEGA_B, e_q0=e_q)
         s2 = np.array([delta, omega_r])
         i_net = sm_current(s4, p4, v)
         assert abs(i_net - sm_current(s2, p2, v)) < 1e-12

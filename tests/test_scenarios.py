@@ -62,6 +62,20 @@ def test_round_trip_all_builtins():
         assert load_scenario(serialize_scenario(scenario)) == scenario
 
 
+def test_round_trip_numpy_floats():
+    """validate accepts numpy floats, in a device parameter, a branch field
+    and the step; the file form holds them as plain numbers."""
+    sc = build_builtin("smib")
+    devices = tuple(replace(d, params={**d.params, "m": np.float64(3.0)})
+                    if d.id == "G1" else d for d in sc.devices)
+    branches = tuple(replace(br, x=np.float64(br.x)) for br in sc.branches)
+    sc = replace(sc, devices=devices, branches=branches,
+                 dt=np.float64(sc.dt)).validate()
+    text = serialize_scenario(sc)
+    assert "np." not in text
+    assert load_scenario(text) == sc
+
+
 def test_schema_device_on_unknown_bus():
     text = """
 [system]

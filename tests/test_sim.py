@@ -515,6 +515,21 @@ def test_disconnect_event_zeroes_current(builtin_run):
     assert np.array_equal(result.states["SC1"][k], result.states["SC1"][-1])
 
 
+def test_ideal_source_disconnect_zeroes_its_current():
+    """smib's infinite bus disconnected at 1.5 s carries no current from
+    then on, and the run goes on to its end with G1 alone."""
+    scenario = build_builtin("smib")
+    scenario = replace(scenario, events=scenario.events + (
+        Event(1.5, EventKind.DISCONNECT_DEVICE, device="IB"),)).validate()
+    result = run_simulation(scenario,
+                            SimConfig.from_scenario(scenario, t_end=2.0))
+    k = result.event_samples[-1]
+    assert result.t[k] == 1.5 and result.t[-1] == pytest.approx(2.0)
+    assert result.active["IB"][:k].all() and not result.active["IB"][k:].any()
+    assert abs(result.currents["IB"][k - 1]) > 0.5
+    assert not result.currents["IB"][k:].any()
+
+
 @pytest.mark.parametrize("name", ["smib", "kundur", "motor_condenser",
                                   "gfl_seriescomp", "sustained_oscillation"])
 def test_recorded_currents_equal_injections(builtin_run, name):

@@ -72,6 +72,17 @@ def test_als_masked_divergence_guard():
     assert not out.passed
 
 
+def test_als_tail_without_unmasked_samples():
+    """No verdict from a tail with every sample masked.  evaluate_device
+    never gets here, as check_bls stops such a series first."""
+    mask = np.ones(1000, dtype=bool)
+    mask[-400:] = False
+    with pytest.raises(WindowTooShort,
+                       match="^als tail has no unmasked samples$"):
+        check_als(series(np.zeros(1000), mask=mask), tail_tol=1e-4,
+                  tail_window=3.0)
+
+
 def test_crosscheck_identical_series():
     chi = series(np.full(5000, 0.1 + 0.05j))
     out = crosscheck_chi(chi, chi)
